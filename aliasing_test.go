@@ -1,6 +1,7 @@
 package hidinglcp_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -40,7 +42,7 @@ func ngFingerprint(ng *nbhd.NGraph) string {
 func TestBuildResultAliasing(t *testing.T) {
 	s := decoders.DegreeOne()
 	build := func() *nbhd.NGraph {
-		ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...))
+		ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...), 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +95,7 @@ func TestViolationWitnessAliasing(t *testing.T) {
 	alphabet := []string{"a", "b"}
 
 	find := func() *core.StrongSoundnessViolation {
-		err := core.ExhaustiveStrongSoundness(acceptAllDecoder{}, core.TwoCol(), inst, alphabet)
+		err := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, acceptAllDecoder{}, core.TwoCol(), inst, alphabet, 1, 1)
 		var v *core.StrongSoundnessViolation
 		if !errors.As(err, &v) {
 			t.Fatalf("expected a strong-soundness violation, got %v", err)

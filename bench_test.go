@@ -3,6 +3,7 @@ package hidinglcp_test
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"hidinglcp/internal/core"
@@ -163,13 +164,14 @@ func BenchmarkDecoders(b *testing.B) {
 }
 
 // BenchmarkNeighborhoodGraph measures V(D, n) slice construction — the
-// Lemma 3.1 algorithm — at two scales, plus the worker-pool ablation.
+// Lemma 3.1 algorithm — sequentially (one shard, one worker) at two scales,
+// plus the worker-pool ablation.
 func BenchmarkNeighborhoodGraph(b *testing.B) {
 	s := decoders.DegreeOne()
 	b.Run("degree-one/n3", func(b *testing.B) {
 		fam := decoders.DegOneFamily(3)
 		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...)); err != nil {
+			if _, err := nbhd.BuildShardedCtx(nil, obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -177,15 +179,7 @@ func BenchmarkNeighborhoodGraph(b *testing.B) {
 	b.Run("degree-one/n4", func(b *testing.B) {
 		fam := decoders.DegOneFamily(4)
 		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("degree-one/n4-parallel", func(b *testing.B) {
-		fam := decoders.DegOneFamily(4)
-		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.BuildParallel(s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 0); err != nil {
+			if _, err := nbhd.BuildShardedCtx(nil, obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -194,7 +188,7 @@ func BenchmarkNeighborhoodGraph(b *testing.B) {
 		b.Run(fmt.Sprintf("degree-one/n4-sharded-w%d", w), func(b *testing.B) {
 			fam := decoders.DegOneFamily(4)
 			for i := 0; i < b.N; i++ {
-				if _, err := nbhd.BuildSharded(s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 4*w, w); err != nil {
+				if _, err := nbhd.BuildShardedCtx(nil, obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 4*w, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -203,18 +197,18 @@ func BenchmarkNeighborhoodGraph(b *testing.B) {
 }
 
 // BenchmarkBuildShardedCtx pins the context plumbing at no measurable
-// overhead: the bare build (nil never-cancelled context, the historical
-// path) against the same build under a live context that never fires
-// (one armed watcher goroutine; the per-instance hot path is unchanged —
-// cancellation rides the stop flag workers already poll). The bench gate
-// tracks both via .bench-thresholds.json.
+// overhead: the bare build (nil never-cancelled context, zero Scope)
+// against the same build under a live context that never fires (one armed
+// watcher goroutine; the per-instance hot path is unchanged — cancellation
+// rides the stop flag workers already poll). The bench gate tracks both via
+// .bench-thresholds.json.
 func BenchmarkBuildShardedCtx(b *testing.B) {
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(4)
 	se := nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...)
 	b.Run("bare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.BuildSharded(s.Decoder, se, 8, 2); err != nil {
+			if _, err := nbhd.BuildShardedCtx(nil, obs.Scope{}, s.Decoder, se, 8, 2); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -237,14 +231,14 @@ func BenchmarkBuildShardedCtx(b *testing.B) {
 func BenchmarkShardedEnumeration(b *testing.B) {
 	fam := decoders.DegOneFamily(4)
 	se := nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...)
-	want, err := nbhd.CountInstances(se, 1, 1)
+	want, err := countInstances(se, 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range []struct{ shards, workers int }{{1, 1}, {4, 1}, {8, 2}, {16, 4}, {32, 8}} {
 		b.Run(fmt.Sprintf("shards%d-w%d", c.shards, c.workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				got, err := nbhd.CountInstances(se, c.shards, c.workers)
+				got, err := countInstances(se, c.shards, c.workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -254,6 +248,17 @@ func BenchmarkShardedEnumeration(b *testing.B) {
 			}
 		})
 	}
+}
+
+// countInstances drains the sharded enumerator through the work-stealing
+// pool (nbhd.ForEachShardCtx) and returns the number of instances produced.
+func countInstances(se nbhd.ShardedEnumerator, shards, workers int) (int, error) {
+	var n atomic.Int64
+	err := nbhd.ForEachShardCtx(nil, obs.Scope{}, se, shards, workers, func(int, core.Labeled) bool {
+		n.Add(1)
+		return true
+	})
+	return int(n.Load()), err
 }
 
 // BenchmarkE15KColoring times the k-coloring generalization experiment.
@@ -273,7 +278,7 @@ func BenchmarkKColoring(b *testing.B) {
 			return true
 		})
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneKAlphabet(3), insts...))
+	ng, err := nbhd.BuildShardedCtx(nil, obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneKAlphabet(3), insts...), 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,7 +297,7 @@ func BenchmarkSoundnessSearch(b *testing.B) {
 	inst := core.NewAnonymousInstance(graph.MustCycle(5))
 	b.Run("exhaustive-4^5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, decoders.DegOneAlphabet()); err != nil {
+			if err := core.ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, s.Decoder, s.Promise.Lang, inst, decoders.DegOneAlphabet(), 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -300,7 +305,7 @@ func BenchmarkSoundnessSearch(b *testing.B) {
 	big := core.NewAnonymousInstance(graph.MustCycle(7))
 	b.Run("exhaustive-4^7", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, big, decoders.DegOneAlphabet()); err != nil {
+			if err := core.ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, s.Decoder, s.Promise.Lang, big, decoders.DegOneAlphabet(), 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -308,33 +313,12 @@ func BenchmarkSoundnessSearch(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("exhaustive-4^7-parallel-w%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := core.ExhaustiveStrongSoundnessParallel(s.Decoder, s.Promise.Lang, big, decoders.DegOneAlphabet(), 4*w, w); err != nil {
+				if err := core.ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, s.Decoder, s.Promise.Lang, big, decoders.DegOneAlphabet(), 4*w, w); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// BenchmarkSimulator ablates goroutine-per-node vs sequential round-loop
-// scheduling for view gathering (DESIGN.md Section 4).
-func BenchmarkSimulator(b *testing.B) {
-	g := graph.Grid(8, 8)
-	l := core.MustNewLabeled(core.NewInstance(g), make([]string, g.N()))
-	b.Run("goroutines", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sim.Gather(l, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sim.GatherSequential(l, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkGatherFaults measures fault-injected view gathering under a
@@ -345,7 +329,7 @@ func BenchmarkGatherFaults(b *testing.B) {
 	plan := faults.Plan{Seed: 7, Drop: 0.1, Duplicate: 0.1, Delay: 0.2, MaxDelay: 2, Reorder: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := sim.GatherFaults(l, 2, plan); err != nil {
+		if _, _, _, err := sim.GatherFaultsCtx(nil, obs.Scope{}, l, 2, plan); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,12 +342,12 @@ func BenchmarkRunScheme(b *testing.B) {
 	inst := core.NewAnonymousInstance(graph.MustCycle(64))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		accept, _, err := sim.RunScheme(s, inst)
+		fr, err := sim.RunSchemeFaultsCtx(nil, obs.Scope{}, s, inst, faults.Plan{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for v, a := range accept {
-			if !a {
+		for v, verdict := range fr.Verdicts {
+			if !verdict.Accepted() {
 				b.Fatalf("node %d rejects a certified even cycle", v)
 			}
 		}
@@ -377,7 +361,7 @@ func BenchmarkRunScheme(b *testing.B) {
 func BenchmarkNGraphIndexOfView(b *testing.B) {
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(3)
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...))
+	ng, err := nbhd.BuildShardedCtx(nil, obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,13 +6,14 @@
 //
 //	experiments [-run e04 | -only E4] [-list] [-shards N] [-workers N]
 //	            [-timeout 5m] [-deadline 2026-08-07T17:30:00Z]
-//	            [-metrics-json out.json] [-trace trace.json] [-progress] [-pprof addr]
+//	            [-metrics-json out.json] [-trace trace.json] [-progress] [-serve addr]
 //	            [-faults spec] [-crash spec] [-seed N]
 //
 // -metrics-json writes a run manifest (schema docs/run-manifest.schema.json)
 // with one counter/gauge/histogram snapshot per pipeline metric; -progress
-// prints periodic phase lines with ETA to stderr; -pprof serves
-// net/http/pprof plus an expvar view of the live metrics.
+// prints periodic phase lines with ETA to stderr; -serve exposes the live
+// telemetry plane, including net/http/pprof and an expvar view of the
+// metrics.
 //
 // -faults/-crash/-seed override the chaos experiment's (E17) pinned fault
 // plans with a user-chosen deterministic plan, e.g.

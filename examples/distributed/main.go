@@ -7,12 +7,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
+	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/sim"
 )
 
@@ -22,18 +25,15 @@ func main() {
 	scheme := decoders.Shatter()
 
 	fmt.Printf("instance: 4x5 grid, %d nodes, %d edges\n", g.N(), g.M())
-	accept, stats, err := sim.RunScheme(scheme, inst)
+	ctx := context.Background()
+	// The zero-value plan is the fault-free run.
+	fr, err := sim.RunSchemeFaultsCtx(ctx, obs.Scope{}, scheme, inst, faults.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ok := 0
-	for _, a := range accept {
-		if a {
-			ok++
-		}
-	}
+	ok, _, _ := fr.Counts()
 	fmt.Printf("message-passing verification: %d rounds, %d messages, %d flooded records\n",
-		stats.Rounds, stats.Messages, stats.Records)
+		fr.Stats.Rounds, fr.Stats.Messages, fr.Stats.Records)
 	fmt.Printf("verdict: %d/%d nodes accept\n", ok, g.N())
 
 	// Now corrupt the certificate of one node and re-verify: soundness in
@@ -45,7 +45,7 @@ func main() {
 	const victim = 7
 	labels[victim] = decoders.ShatterCompLabel(99, 1, 0) // wrong shatter identifier
 	l := core.MustNewLabeled(inst, labels)
-	views, _, err := sim.Gather(l, scheme.Decoder.Rounds())
+	views, _, _, err := sim.GatherFaultsCtx(ctx, obs.Scope{}, l, scheme.Decoder.Rounds(), faults.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}

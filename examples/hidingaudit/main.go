@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func main() {
@@ -41,7 +43,7 @@ func auditTrivial() {
 			return true
 		})
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings([]string{"0", "1"}, insts...))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings([]string{"0", "1"}, insts...), 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func auditHiding() {
 	audits := []audit{
 		{"degree-one (Lemma 4.1)", func() (*nbhd.NGraph, bool, error) {
 			s := decoders.DegreeOne()
-			ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...))
+			ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), 0, 0)
 			return ng, true, err
 		}},
 		{"even-cycle (Lemma 4.2)", func() (*nbhd.NGraph, bool, error) {
@@ -81,13 +83,13 @@ func auditHiding() {
 			if err != nil {
 				return nil, true, err
 			}
-			ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(family...))
+			ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(family...), 0, 0)
 			return ng, true, err
 		}},
 		{"shatter (Theorem 1.3)", func() (*nbhd.NGraph, bool, error) {
 			s := decoders.Shatter()
 			l1, l2 := decoders.ShatterHidingPair()
-			ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+			ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(l1, l2), 0, 0)
 			return ng, false, err
 		}},
 		{"watermelon (Theorem 1.4)", func() (*nbhd.NGraph, bool, error) {
@@ -96,7 +98,7 @@ func auditHiding() {
 			if err != nil {
 				return nil, false, err
 			}
-			ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+			ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(l1, l2), 0, 0)
 			return ng, false, err
 		}},
 	}

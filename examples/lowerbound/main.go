@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -16,6 +17,7 @@ import (
 	"hidinglcp/internal/forgetful"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -80,7 +82,7 @@ func main() {
 		labels[i] = "ok"
 	}
 	l := core.MustNewLabeled(core.NewInstance(host), labels)
-	ng, err := nbhd.Build(okDecoder, nbhd.FromLabeled(l, gBad))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, okDecoder, nbhd.ShardedFromLabeled(l, gBad), 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

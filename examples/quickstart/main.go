@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func main() {
@@ -59,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ng, err := nbhd.Build(scheme.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, scheme.Decoder, nbhd.ShardedFromLabeled(l1, l2), 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,10 +19,18 @@ import (
 //     cancellation-threaded packages (engine, core, nbhd, sim, matched by
 //     package name so fixture replicas count): minting a fresh root there
 //     detaches the work from the caller's deadline — these packages treat
-//     a nil context as the never-cancelled sentinel instead.
+//     a nil context as the never-cancelled sentinel instead, and
+//   - any call inside those packages that passes the untyped nil literal
+//     where a context.Context parameter is expected: that is exactly how a
+//     bare wrapper around a (ctx, sc, …) pipeline is written, so the rule
+//     keeps each pipeline at one context-taking entry point. Forward the
+//     caller's ctx instead; only callers outside these packages (CLIs,
+//     benchmarks, tests) pick the nil sentinel.
 //
-// The first two rules apply everywhere; the third only inside the
-// restricted packages, since CLIs and tests legitimately create roots.
+// The first two rules apply everywhere; the last two only inside the
+// restricted packages, since CLIs and tests legitimately create roots and
+// run the never-cancelled path. (The loader never hands test files to an
+// analyzer.)
 var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "report misplaced context parameters, struct-stored contexts, and fresh context roots inside the cancellation-threaded packages",
@@ -63,6 +71,7 @@ func runCtxFlow(pass *Pass) error {
 			case *ast.CallExpr:
 				if restricted {
 					checkCtxRootCall(pass, node)
+					checkCtxNilArg(pass, node)
 				}
 			}
 			return true
@@ -120,4 +129,40 @@ func checkCtxRootCall(pass *Pass, call *ast.CallExpr) {
 	pass.Reportf(call.Pos(),
 		"context.%s must not be called in package %s: it detaches the work from the caller's deadline (accept a context parameter; nil is the never-cancelled sentinel)",
 		sel.Sel.Name, pass.Pkg.Name())
+}
+
+// checkCtxNilArg reports the untyped nil literal passed as a
+// context.Context argument.
+func checkCtxNilArg(pass *Pass, call *ast.CallExpr) {
+	t := pass.Info.TypeOf(call.Fun)
+	if t == nil {
+		return
+	}
+	sig, ok := t.Underlying().(*types.Signature)
+	if !ok {
+		return // a conversion, not a call
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		if !pass.Info.Types[arg].IsNil() {
+			continue
+		}
+		var pt types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			pt = params.At(params.Len() - 1).Type()
+			if !call.Ellipsis.IsValid() {
+				pt = pt.(*types.Slice).Elem()
+			}
+		case i < params.Len():
+			pt = params.At(i).Type()
+		default:
+			continue
+		}
+		if isContextType(pt) {
+			pass.Reportf(arg.Pos(),
+				"nil passed as context.Context in package %s: forward the caller's context (a nil-context wrapper duplicates the pipeline's entry point)",
+				pass.Pkg.Name())
+		}
+	}
 }

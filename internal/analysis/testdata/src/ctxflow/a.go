@@ -1,9 +1,9 @@
 // Fixture for the ctxflow analyzer: misplaced context parameters,
-// struct-stored contexts, and fresh context roots are seeded violations;
-// first-position contexts, context-free functions, and //lint:ignore'd
-// call sites stay clean. The package name "ctxflow" is in the restricted
-// set, so Background/TODO calls here stand in for engine/core/nbhd/sim
-// bodies.
+// struct-stored contexts, fresh context roots, and nil passed as a context
+// are seeded violations; first-position contexts, context-free functions,
+// forwarded contexts, and //lint:ignore'd call sites stay clean. The
+// package name "ctxflow" is in the restricted set, so Background/TODO calls
+// and nil-context calls here stand in for engine/core/nbhd/sim bodies.
 package ctxflow
 
 import "context"
@@ -62,4 +62,42 @@ func goodWithCancel(ctx context.Context) (context.Context, context.CancelFunc) {
 func suppressedRoot() context.Context {
 	//lint:ignore ctxflow test scaffolding needs a detached root
 	return context.Background()
+}
+
+// pipelineCtx is a (ctx, …) pipeline entry point.
+func pipelineCtx(ctx context.Context, n int) error {
+	_ = n
+	return ctx.Err()
+}
+
+// variadicCtx takes its contexts variadically.
+func variadicCtx(n int, ctxs ...context.Context) { _, _ = n, ctxs }
+
+// badBareWrapper re-exports the pipeline without a context: the triplet
+// shape the rule keeps from coming back.
+func badBareWrapper(n int) error {
+	return pipelineCtx(nil, n) // want "nil passed as context.Context in package ctxflow"
+}
+
+// badVariadicNil passes nil into a variadic context parameter.
+func badVariadicNil() {
+	variadicCtx(1, nil) // want "nil passed as context.Context in package ctxflow"
+}
+
+// goodForward threads the caller's context through: clean.
+func goodForward(ctx context.Context, n int) error {
+	return pipelineCtx(ctx, n)
+}
+
+// goodNilNonContext passes nil where no context is expected: clean.
+func goodNilNonContext() {
+	variadicCtx(0, nil...)
+	_ = append([]error(nil), nil)
+}
+
+// suppressedBareWrapper keeps a nil-context call behind an explicit
+// directive.
+func suppressedBareWrapper(n int) error {
+	//lint:ignore ctxflow fixture for the suppression path
+	return pipelineCtx(nil, n)
 }

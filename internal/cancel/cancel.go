@@ -1,16 +1,17 @@
 // Package cancel is the cooperative-cancellation primitive shared by the
-// parallel pipelines (nbhd.BuildShardedCtx, the core soundness sweeps,
+// pipelines (nbhd.BuildShardedCtx, the core soundness sweep and fuzzer,
 // sim.GatherFaultsCtx). The pipelines already stop their workers through a
 // plain atomic flag checked at shard/instance/round checkpoints; this
 // package bridges a context.Context onto such a flag without adding
 // anything to the hot path: a single watcher goroutine arms the flag when
 // the context fires and is released when the pipeline finishes.
 //
-// A nil context is the never-cancelled context everywhere in this package,
-// so the bare (non-context) pipeline entry points can delegate to their
-// context-accepting implementations without manufacturing a
-// context.Background() — which the ctxflow analyzer forbids inside the
-// engine, core, nbhd, and sim layers.
+// A nil context is the never-cancelled context everywhere in this package.
+// Each pipeline has a single (ctx, sc, …) entry point, and a caller with no
+// deadline — a benchmark, a CLI run without -timeout — passes nil rather
+// than a context.Background() it would otherwise have to mint. Inside the
+// engine, core, nbhd, and sim layers the ctxflow analyzer forbids both
+// minting a root and passing nil: code there forwards its caller's ctx.
 package cancel
 
 import (

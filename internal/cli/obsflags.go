@@ -21,9 +21,6 @@ type ObsFlags struct {
 	TracePath string
 	// Progress enables periodic progress lines on stderr.
 	Progress bool
-	// Pprof is the listen address of the debug HTTP server ("" = off),
-	// serving net/http/pprof and a JSON snapshot of the metrics.
-	Pprof string
 	// Serve is the listen address of the telemetry server ("" = off):
 	// /metrics, /healthz, /readyz, /trace, /events, /debug/pprof.
 	Serve string
@@ -47,7 +44,6 @@ func RegisterObsFlags() *ObsFlags {
 	flag.StringVar(&f.MetricsJSON, "metrics-json", "", "write a run manifest (metrics, config, timings) to this JSON file")
 	flag.StringVar(&f.TracePath, "trace", "", "write the span/event trace to this JSON file")
 	flag.BoolVar(&f.Progress, "progress", false, "print periodic progress lines with ETA to stderr")
-	flag.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof and a metrics snapshot on this address (e.g. localhost:6060)")
 	flag.StringVar(&f.Serve, "serve", "", "serve live telemetry (/metrics, /healthz, /trace, /events, pprof) on this address (e.g. :9090)")
 	flag.StringVar(&f.EventsPath, "events", "", "write the structured event log (JSONL) to this file")
 	flag.StringVar(&f.HistoryDir, "history", "", "append the finalized run manifest into this history directory")
@@ -57,7 +53,7 @@ func RegisterObsFlags() *ObsFlags {
 // enabled reports whether any observability flag asks for a live scope.
 func (f *ObsFlags) enabled() bool {
 	return f.MetricsJSON != "" || f.TracePath != "" || f.Progress ||
-		f.Pprof != "" || f.Serve != "" || f.EventsPath != "" || f.HistoryDir != ""
+		f.Serve != "" || f.EventsPath != "" || f.HistoryDir != ""
 }
 
 // warnTo returns the warning destination.
@@ -72,7 +68,7 @@ func (f *ObsFlags) warnTo() io.Writer {
 // with the run manifest (nil unless -metrics-json or -history is set;
 // SetConfig on a nil manifest is a safe no-op) and a finish callback. The
 // callback must be invoked exactly once with the run's error: it stops the
-// progress reporter, shuts the telemetry and pprof servers down, finalizes
+// progress reporter, shuts the telemetry server down, finalizes
 // and writes the manifest (and appends it to the history dir), writes the
 // trace, and closes the event log. Every artifact failure is warned
 // individually on Warn (default stderr); the returned error is the run's
@@ -150,16 +146,6 @@ func (f *ObsFlags) Setup(tool string, args []string) (obs.Scope, *obs.RunManifes
 			fmt.Fprintf(os.Stderr, "%s: live telemetry on http://%s/metrics\n", tool, telemetry.Addr())
 		}
 	}
-	var stopPprof func() error
-	if f.Pprof != "" {
-		addr, stop, err := obs.ServeDebug(f.Pprof, sc.Registry())
-		if err != nil {
-			fmt.Fprintf(f.warnTo(), "%s: pprof server: %v\n", tool, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "%s: pprof and metrics on http://%s/debug/pprof/\n", tool, addr)
-			stopPprof = stop
-		}
-	}
 
 	finish := func(runErr error) error {
 		if prog != nil {
@@ -179,9 +165,6 @@ func (f *ObsFlags) Setup(tool string, args []string) (obs.Scope, *obs.RunManifes
 		// registry, then freeze and persist.
 		if telemetry != nil {
 			record("telemetry server shutdown", telemetry.Close())
-		}
-		if stopPprof != nil {
-			record("pprof server shutdown", stopPprof())
 		}
 		if manifest != nil {
 			manifest.Finalize(sc, runErr)

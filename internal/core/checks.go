@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hidinglcp/internal/graph"
 )
@@ -71,50 +70,6 @@ func CheckSoundness(d Decoder, lang Language, l Labeled) error {
 	}
 	if all {
 		return fmt.Errorf("soundness violated: all nodes accept on no-instance %v", l.G)
-	}
-	return nil
-}
-
-// ExhaustiveStrongSoundness checks strong soundness of d against every
-// labeling of inst over the given label alphabet. It returns the first
-// violation found, or nil. The search space is |alphabet|^n; callers keep n
-// small. Views are extracted once per node via templates and decoder
-// verdicts are memoized per neighborhood labeling, which the equivalence
-// tests pin to the naive per-labeling check.
-func ExhaustiveStrongSoundness(d Decoder, lang Language, inst Instance, alphabet []string) error {
-	n := inst.G.N()
-	sweep, err := newLabelSweep(d, lang, inst, alphabet)
-	if err != nil {
-		return fmt.Errorf("extracting views: %w", err)
-	}
-	var violation error
-	graph.EnumLabelings(n, len(alphabet), func(idx []int) bool {
-		if err := sweep.check(idx); err != nil {
-			violation = err
-			return false
-		}
-		return true
-	})
-	return violation
-}
-
-// FuzzStrongSoundness checks strong soundness of d against trials random
-// labelings of inst, with labels drawn by gen (which receives the node and
-// the rng). It returns the first violation found, or nil.
-func FuzzStrongSoundness(d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string) error {
-	n := inst.G.N()
-	sweep, err := newLabelSweep(d, lang, inst, nil)
-	if err != nil {
-		return fmt.Errorf("extracting views: %w", err)
-	}
-	for t := 0; t < trials; t++ {
-		labels := make([]string, n)
-		for v := range labels {
-			labels[v] = gen(v, rng)
-		}
-		if err := sweep.checkLabels(labels); err != nil {
-			return fmt.Errorf("trial %d: %w", t, err)
-		}
 	}
 	return nil
 }

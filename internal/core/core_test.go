@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -207,12 +208,12 @@ func TestExhaustiveStrongSoundness(t *testing.T) {
 	lang := TwoCol()
 	alphabet := []string{"0", "1", "x"}
 	for _, g := range []*graph.Graph{graph.MustCycle(3), graph.MustCycle(5), graph.Complete(4)} {
-		if err := ExhaustiveStrongSoundness(d, lang, NewInstance(g), alphabet); err != nil {
+		if err := exhaustiveSequential(nil, obs.Scope{}, d, lang, NewInstance(g), alphabet); err != nil {
 			t.Errorf("exhaustive strong soundness on %v: %v", g, err)
 		}
 	}
 	always := NewDecoder(1, true, func(*view.View) bool { return true })
-	if err := ExhaustiveStrongSoundness(always, lang, NewInstance(graph.MustCycle(3)), alphabet); err == nil {
+	if err := exhaustiveSequential(nil, obs.Scope{}, always, lang, NewInstance(graph.MustCycle(3)), alphabet); err == nil {
 		t.Error("always-accept decoder passed exhaustive check on a triangle")
 	}
 }
@@ -224,7 +225,7 @@ func TestFuzzStrongSoundness(t *testing.T) {
 	gen := func(_ int, rng *rand.Rand) string {
 		return []string{"0", "1", "junk"}[rng.Intn(3)]
 	}
-	if err := FuzzStrongSoundness(d, lang, NewInstance(graph.Petersen()), 200, rng, gen); err != nil {
+	if err := FuzzStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, NewInstance(graph.Petersen()), 200, rng, gen, 0); err != nil {
 		t.Errorf("fuzz strong soundness: %v", err)
 	}
 }

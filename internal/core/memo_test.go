@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -172,7 +173,7 @@ func TestSweepMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := ExhaustiveStrongSoundness(tc.d, tc.lang, tc.inst, alphabet)
+			got := exhaustiveSequential(nil, obs.Scope{}, tc.d, tc.lang, tc.inst, alphabet)
 			want := referenceExhaustive(tc.d, tc.lang, tc.inst, alphabet)
 			if (got == nil) != (want == nil) {
 				t.Fatalf("sweep err=%v, reference err=%v", got, want)
@@ -206,7 +207,7 @@ func TestSweepFuzzMatchesReference(t *testing.T) {
 		{"accept-all-C3", acceptAllDecoder(), NewAnonymousInstance(graph.MustCycle(3))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := FuzzStrongSoundness(tc.d, TwoCol(), tc.inst, 60, rand.New(rand.NewSource(7)), gen)
+			got := FuzzStrongSoundnessParallelCtx(nil, obs.Scope{}, tc.d, TwoCol(), tc.inst, 60, rand.New(rand.NewSource(7)), gen, 1)
 
 			// Reference replay with an identically seeded stream.
 			rng := rand.New(rand.NewSource(7))

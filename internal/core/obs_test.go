@@ -18,9 +18,9 @@ func TestExhaustiveScopedEquivalence(t *testing.T) {
 	inst := NewInstance(graph.Path(4))
 	alphabet := []string{"0", "1", "x"}
 
-	bare := ExhaustiveStrongSoundnessParallel(d, lang, inst, alphabet, 8, 4)
+	bare := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, inst, alphabet, 8, 4)
 	sc := obs.NewScope().WithTracer(obs.NewTracer(64))
-	scoped := ExhaustiveStrongSoundnessParallelScoped(sc, d, lang, inst, alphabet, 8, 4)
+	scoped := ExhaustiveStrongSoundnessParallelCtx(nil, sc, d, lang, inst, alphabet, 8, 4)
 	if (bare == nil) != (scoped == nil) {
 		t.Fatalf("scoped search changed the verdict: bare %v, scoped %v", bare, scoped)
 	}
@@ -69,9 +69,9 @@ func TestExhaustiveScopedViolationCounters(t *testing.T) {
 	inst := NewInstance(graph.MustCycle(5))
 	alphabet := []string{"0", "1", "2"}
 
-	bare := ExhaustiveStrongSoundnessParallel(d, lang, inst, alphabet, 8, 4)
+	bare := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, inst, alphabet, 8, 4)
 	sc := obs.NewScope()
-	scoped := ExhaustiveStrongSoundnessParallelScoped(sc, d, lang, inst, alphabet, 8, 4)
+	scoped := ExhaustiveStrongSoundnessParallelCtx(nil, sc, d, lang, inst, alphabet, 8, 4)
 	bareLabels, scopedLabels := violationLabels(t, bare), violationLabels(t, scoped)
 	if len(bareLabels) == 0 || len(scopedLabels) == 0 {
 		t.Fatalf("expected a violation from both searches: bare %v, scoped %v", bare, scoped)
@@ -93,7 +93,7 @@ func TestExhaustiveScopedViolationCounters(t *testing.T) {
 // single-worker request must route to the sequential search and say so.
 func TestExhaustiveScopedSequentialFallback(t *testing.T) {
 	sc := obs.NewScope()
-	err := ExhaustiveStrongSoundnessParallelScoped(sc, revealDecoder(), TwoCol(), NewInstance(graph.Path(3)), []string{"0", "1", "x"}, 1, 1)
+	err := ExhaustiveStrongSoundnessParallelCtx(nil, sc, revealDecoder(), TwoCol(), NewInstance(graph.Path(3)), []string{"0", "1", "x"}, 1, 1)
 	if err != nil {
 		t.Fatalf("sequential fallback failed: %v", err)
 	}
@@ -112,9 +112,9 @@ func TestFuzzScopedCounters(t *testing.T) {
 		return []string{"0", "1", "x"}[rng.Intn(3)]
 	}
 
-	bare := FuzzStrongSoundnessParallel(d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
+	bare := FuzzStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
 	sc := obs.NewScope()
-	scoped := FuzzStrongSoundnessParallelScoped(sc, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
+	scoped := FuzzStrongSoundnessParallelCtx(nil, sc, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
 	if (bare == nil) != (scoped == nil) {
 		t.Fatalf("scoped fuzz changed the verdict: bare %v, scoped %v", bare, scoped)
 	}

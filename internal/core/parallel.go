@@ -27,57 +27,43 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 	return shards, workers
 }
 
-// ExhaustiveStrongSoundnessParallel is ExhaustiveStrongSoundness with the
-// |alphabet|^n labeling space split into labeling-prefix shards
-// (graph.EnumLabelingsShard) searched by a worker pool. It returns exactly
-// the error the sequential search returns: the violation at the
-// lexicographically first violating labeling, found via rank-based pruning —
-// workers abandon any shard position whose labeling rank exceeds the best
-// violation seen so far, and the minimum-rank violation is reported.
+// ExhaustiveStrongSoundnessParallelCtx checks strong soundness of d against
+// every labeling of inst over the given label alphabet and returns the
+// violation at the lexicographically first violating labeling, or nil. The
+// search space is |alphabet|^n; callers keep n small. Views are extracted
+// once per node via templates and decoder verdicts are memoized per
+// neighborhood labeling, which the equivalence tests pin to the naive
+// per-labeling check.
 //
-// shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS. The
-// search falls back to the sequential path when only one worker or shard
-// results, or when the labeling space is too large for 64-bit ranks.
-func ExhaustiveStrongSoundnessParallel(d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
-	return exhaustiveStrongSoundnessParallel(nil, obs.Scope{}, d, lang, inst, alphabet, shards, workers)
-}
-
-// ExhaustiveStrongSoundnessParallelCtx is the scoped parallel search under
-// cooperative cancellation: when ctx fires, every worker abandons its
+// The labeling space is split into labeling-prefix shards
+// (graph.EnumLabelingsShard) searched by a worker pool with rank-based
+// pruning: workers abandon any shard position whose labeling rank exceeds
+// the best violation seen so far, and the minimum-rank violation is
+// reported, so the answer is the sequential search's at every shard/worker
+// count. shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS.
+// The search runs sequentially when only one worker or shard results, or
+// when the labeling space is too large for 64-bit ranks.
+//
+// Cancellation is cooperative: when ctx fires, every worker abandons its
 // current shard at the next labeling checkpoint, the pool drains through
 // the WaitGroup barrier (no goroutine outlives the call — pinned by
 // sanitize.ProbeExhaustiveStrongSoundnessParallelCancel), and the error
 // wraps context.Cause(ctx). A cancelled search never reports a violation:
-// its partial answer would depend on scheduling. With a context that never
-// fires the result is exactly the Scoped search's.
+// its partial answer would depend on scheduling. A nil ctx is the
+// never-cancelled context (internal/cancel).
+//
+// Per-worker sweep tallies (labelings checked, decoder memo hits, language
+// memo hits) are harvested into sc after the worker barrier, shard
+// completion advances the scope's progress phase, and pruned shard
+// abandonments are counted. A zero Scope makes every instrument call a
+// no-op; verdicts are never affected by instrumentation (enforced by the
+// sanitizer's instrumentation probe).
 func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
-	return exhaustiveStrongSoundnessParallel(ctx, sc, d, lang, inst, alphabet, shards, workers)
-}
-
-// ExhaustiveStrongSoundnessParallelScoped is ExhaustiveStrongSoundnessParallel
-// reporting into an observability scope: per-worker sweep tallies (labelings
-// checked, decoder memo hits, language memo hits) are harvested after the
-// worker barrier, shard completion advances the scope's progress phase, and
-// pruned shard abandonments are counted. A zero Scope degrades to exactly
-// the unscoped search; verdicts are never affected by instrumentation
-// (enforced by the sanitizer's instrumentation probe).
-func ExhaustiveStrongSoundnessParallelScoped(sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
-	return exhaustiveStrongSoundnessParallel(nil, sc, d, lang, inst, alphabet, shards, workers)
-}
-
-// exhaustiveStrongSoundnessParallel is the search beneath the three
-// exported variants. A nil ctx is the never-cancelled context
-// (internal/cancel), so the bare and Scoped entry points need no
-// background context of their own.
-func exhaustiveStrongSoundnessParallel(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
 	n := inst.G.N()
 	shards, workers = resolveShardsWorkers(shards, workers)
 	if workers == 1 || shards == 1 || !graph.LabelingRankFits(n, len(alphabet)) {
 		sc.Counter("core.sweep.sequential_fallback").Inc()
-		if ctx == nil {
-			return ExhaustiveStrongSoundness(d, lang, inst, alphabet)
-		}
-		return exhaustiveSequentialCtx(ctx, sc, d, lang, inst, alphabet)
+		return exhaustiveSequential(ctx, sc, d, lang, inst, alphabet)
 	}
 
 	span := sc.Span(sc.Label("core.exhaustive"))
@@ -195,12 +181,14 @@ func exhaustiveStrongSoundnessParallel(ctx context.Context, sc obs.Scope, d Deco
 	return found[r]
 }
 
-// exhaustiveSequentialCtx is ExhaustiveStrongSoundness with a per-labeling
-// cancellation checkpoint — the path the parallel entry points fall back to
-// when the search degenerates to one worker or the labeling space outgrows
-// 64-bit ranks but the caller still holds a real context. A cancelled
-// search never reports a violation.
-func exhaustiveSequentialCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string) error {
+// exhaustiveSequential is the single-goroutine exhaustive search with a
+// per-labeling cancellation checkpoint: the path
+// ExhaustiveStrongSoundnessParallelCtx falls back to when the search
+// degenerates to one worker or the labeling space outgrows 64-bit ranks,
+// and the in-package oracle the parallel search is tested against. It
+// returns the first violation in EnumLabelings order; a cancelled search
+// never reports a violation.
+func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string) error {
 	n := inst.G.N()
 	sweep, serr := newLabelSweep(d, lang, inst, alphabet)
 	if serr != nil {
@@ -228,23 +216,26 @@ func exhaustiveSequentialCtx(ctx context.Context, sc obs.Scope, d Decoder, lang 
 	return violation
 }
 
-// FuzzStrongSoundnessParallel is FuzzStrongSoundness with the trials checked
-// by a worker pool. The labelings are pre-drawn from rng in sequential trial
-// order — the identical random stream the sequential fuzzer consumes — and
-// the violation at the lowest trial index is reported, so the result matches
-// FuzzStrongSoundness exactly. (When a violation exists, the sequential
-// fuzzer stops drawing at the violating trial while this variant has already
-// drawn all of them, so the final rng positions differ; the reported
-// violation does not.)
-func FuzzStrongSoundnessParallel(d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
-	return FuzzStrongSoundnessParallelScoped(obs.Scope{}, d, lang, inst, trials, rng, gen, workers)
-}
-
-// FuzzStrongSoundnessParallelScoped is FuzzStrongSoundnessParallel reporting
-// into an observability scope: trials advance the scope's progress phase,
-// and the per-worker sweep tallies are harvested after the worker barrier.
-// A zero Scope degrades to exactly the unscoped fuzzer.
-func FuzzStrongSoundnessParallelScoped(sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
+// FuzzStrongSoundnessParallelCtx checks strong soundness of d against
+// trials random labelings of inst, with labels drawn by gen (which receives
+// the node and the rng), and returns the violation at the lowest trial
+// index, or nil. The labelings are pre-drawn from rng in sequential trial
+// order and checked by a pool of workers (workers <= 0 selects GOMAXPROCS),
+// so the reported violation is the one a sequential fuzzer drawing the same
+// stream finds first, at every worker count. (When a violation exists, a
+// sequential fuzzer stops drawing at the violating trial while this one has
+// already drawn all of them, so the final rng positions differ; the
+// reported violation does not.)
+//
+// Cancellation is checked at every trial claim: when ctx fires, the
+// workers stop claiming, the pool drains, and the error wraps
+// context.Cause(ctx). A cancelled run never reports a violation. A nil ctx
+// is the never-cancelled context (internal/cancel).
+//
+// Trials advance the scope's progress phase, and the per-worker sweep
+// tallies are harvested into sc after the worker barrier. A zero Scope
+// makes every instrument call a no-op.
+func FuzzStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
 	n := inst.G.N()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -272,6 +263,9 @@ func FuzzStrongSoundnessParallelScoped(sc obs.Scope, d Decoder, lang Language, i
 	var mu sync.Mutex
 	found := map[int64]error{}
 	sweeps := make([]*labelSweep, workers)
+	var aborted atomic.Bool
+	release := cancel.Watch(ctx, &aborted)
+	defer release()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -286,7 +280,7 @@ func FuzzStrongSoundnessParallelScoped(sc obs.Scope, d Decoder, lang Language, i
 				t := next.Add(1) - 1
 				// Trials are claimed in increasing order, so once t passes
 				// the best violation every later claim does too.
-				if t >= int64(trials) || t >= best.Load() {
+				if t >= int64(trials) || t >= best.Load() || aborted.Load() {
 					return
 				}
 				var err error
@@ -318,6 +312,10 @@ func FuzzStrongSoundnessParallelScoped(sc obs.Scope, d Decoder, lang Language, i
 	wg.Wait()
 	for _, sweep := range sweeps {
 		sweep.harvest(sc)
+	}
+	if err := cancel.Err(ctx, "strong soundness fuzz"); err != nil {
+		sc.Counter("core.fuzz.cancelled").Inc()
+		return err
 	}
 
 	t := best.Load()

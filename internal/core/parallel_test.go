@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -56,10 +57,10 @@ func TestExhaustiveParallelMatchesSequential(t *testing.T) {
 	lang := TwoCol()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seqErr := ExhaustiveStrongSoundness(c.d, lang, c.inst, c.alphabet)
+			seqErr := exhaustiveSequential(nil, obs.Scope{}, c.d, lang, c.inst, c.alphabet)
 			seqLabels := violationLabels(t, seqErr)
 			for _, p := range parallelGrid {
-				parErr := ExhaustiveStrongSoundnessParallel(c.d, lang, c.inst, c.alphabet, p.shards, p.workers)
+				parErr := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, c.d, lang, c.inst, c.alphabet, p.shards, p.workers)
 				if (seqErr == nil) != (parErr == nil) {
 					t.Fatalf("shards=%d workers=%d: sequential err %v, parallel err %v", p.shards, p.workers, seqErr, parErr)
 				}
@@ -89,7 +90,7 @@ func TestExhaustiveParallelFirstViolation(t *testing.T) {
 	want := []string{"1", "1", "1", "1", "1"}
 	for rep := 0; rep < 5; rep++ {
 		for _, p := range parallelGrid {
-			err := ExhaustiveStrongSoundnessParallel(centerNonzeroDecoder(), TwoCol(), inst, alphabet, p.shards, p.workers)
+			err := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, centerNonzeroDecoder(), TwoCol(), inst, alphabet, p.shards, p.workers)
 			got := violationLabels(t, err)
 			if len(got) != len(want) {
 				t.Fatalf("rep=%d shards=%d workers=%d: got violation %v, want %v", rep, p.shards, p.workers, got, want)
@@ -117,8 +118,8 @@ func TestFuzzParallelMatchesSequential(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 7} {
-				seqErr := FuzzStrongSoundness(c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen)
-				parErr := FuzzStrongSoundnessParallel(c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen, workers)
+				seqErr := fuzzStrongSoundness(c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen)
+				parErr := FuzzStrongSoundnessParallelCtx(nil, obs.Scope{}, c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen, workers)
 				switch {
 				case seqErr == nil && parErr == nil:
 				case seqErr == nil || parErr == nil:

@@ -1,12 +1,14 @@
 package decoders
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestDegreeOneCompleteness(t *testing.T) {
@@ -54,7 +56,7 @@ func TestDegreeOneStrongSoundnessExhaustive(t *testing.T) {
 			gc := g.Clone()
 			graph.EnumPorts(gc, func(pt *graph.Ports) bool {
 				inst := core.Instance{G: gc, Prt: pt, NBound: n}
-				if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, DegOneAlphabet()); err != nil {
+				if err := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, DegOneAlphabet(), 1, 1); err != nil {
 					t.Errorf("strong soundness: %v", err)
 					return false
 				}
@@ -69,7 +71,7 @@ func TestDegreeOneStrongSoundnessExhaustiveC5(t *testing.T) {
 	// The canonical no-instance: all 4^5 labelings of the 5-cycle.
 	s := DegreeOne()
 	inst := core.NewAnonymousInstance(graph.MustCycle(5))
-	if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, DegOneAlphabet()); err != nil {
+	if err := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, DegOneAlphabet(), 1, 1); err != nil {
 		t.Errorf("strong soundness on C5: %v", err)
 	}
 }
@@ -85,7 +87,7 @@ func TestDegreeOneStrongSoundnessFuzz(t *testing.T) {
 		graph.Grid(3, 3),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 500, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 500, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}
@@ -100,7 +102,7 @@ func TestDegreeOneHiding(t *testing.T) {
 	if len(insts) == 0 {
 		t.Fatal("empty family")
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(DegOneAlphabet(), insts...))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(DegOneAlphabet(), insts...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

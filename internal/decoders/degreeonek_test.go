@@ -1,12 +1,14 @@
 package decoders
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestDegreeOneKCompleteness(t *testing.T) {
@@ -49,7 +51,7 @@ func TestDegreeOneKStrongSoundnessExhaustive(t *testing.T) {
 	for n := 2; n <= 4; n++ {
 		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
 			inst := core.NewAnonymousInstance(g.Clone())
-			if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, alphabet); err != nil {
+			if err := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, alphabet, 1, 1); err != nil {
 				t.Errorf("strong soundness: %v", err)
 				return false
 			}
@@ -69,7 +71,7 @@ func TestDegreeOneKStrongSoundnessFuzz(t *testing.T) {
 		graph.Petersen(),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 700, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 700, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}
@@ -163,7 +165,7 @@ func TestDegreeOneKHidingExploration(t *testing.T) {
 			return true
 		})
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(DegOneKAlphabet(3), insts...))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(DegOneKAlphabet(3), insts...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

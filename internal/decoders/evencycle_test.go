@@ -1,12 +1,14 @@
 package decoders
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestEvenCycleCompleteness(t *testing.T) {
@@ -48,7 +50,7 @@ func TestEvenCycleStrongSoundnessExhaustiveC3(t *testing.T) {
 	}
 	s := EvenCycle()
 	inst := core.NewAnonymousInstance(graph.MustCycle(3))
-	if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, EvenCycleAlphabet()); err != nil {
+	if err := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, EvenCycleAlphabet(), 1, 1); err != nil {
 		t.Errorf("strong soundness on C3: %v", err)
 	}
 }
@@ -65,7 +67,7 @@ func TestEvenCycleStrongSoundnessFuzz(t *testing.T) {
 		graph.Complete(4), graph.MustWatermelon([]int{2, 3}),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 600, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 600, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}
@@ -132,7 +134,7 @@ func TestEvenCycleHiding(t *testing.T) {
 			t.Fatalf("family instance not fully accepted: %v", l.G)
 		}
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(family...))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(family...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestEvenCycleStrongSoundnessExhaustiveC4(t *testing.T) {
 	// on every certificate combination without panics or false formats.
 	s := EvenCycle()
 	inst := core.NewAnonymousInstance(graph.MustCycle(4))
-	if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, EvenCycleAlphabet()); err != nil {
+	if err := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, EvenCycleAlphabet(), 1, 1); err != nil {
 		t.Errorf("strong soundness on C4: %v", err)
 	}
 }

@@ -17,8 +17,8 @@ import (
 
 // DegOneFamily returns every connected bipartite graph with minimum degree
 // one on 2..maxN labeled nodes, as anonymous instances with every port
-// assignment. Together with AllLabelings over DegOneAlphabet this is the
-// exhaustive Lemma 3.1 slice of V(D, maxN) for the DegreeOne scheme
+// assignment. Together with ShardedAllLabelings over DegOneAlphabet this is
+// the exhaustive Lemma 3.1 slice of V(D, maxN) for the DegreeOne scheme
 // restricted to connected instances.
 func DegOneFamily(maxN int) []core.Instance {
 	var out []core.Instance
@@ -231,8 +231,8 @@ func WatermelonHidingFamily() ([]core.Labeled, error) {
 
 // MalformedShatterLabels returns a generator of random shatter-scheme
 // labels (valid and invalid mixtures) for fuzzing with
-// core.FuzzStrongSoundness, with identifiers bounded by maxID and component
-// numbers by maxComp.
+// core.FuzzStrongSoundnessParallelCtx, with identifiers bounded by maxID and
+// component numbers by maxComp.
 func MalformedShatterLabels(maxID, maxComp int) func(node int, rng *rand.Rand) string {
 	return func(_ int, rng *rand.Rand) string {
 		switch rng.Intn(5) {

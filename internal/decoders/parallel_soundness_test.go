@@ -1,11 +1,13 @@
 package decoders
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 // distinctLabels collects up to max distinct certificate symbols from a
@@ -88,9 +90,9 @@ func TestParallelSoundnessMatchesSequential(t *testing.T) {
 	grid := []struct{ shards, workers int }{{0, 0}, {3, 2}, {16, 7}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seqErr := core.ExhaustiveStrongSoundness(c.s.Decoder, c.s.Promise.Lang, c.inst, c.alphabet)
+			seqErr := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, c.s.Decoder, c.s.Promise.Lang, c.inst, c.alphabet, 1, 1)
 			for _, p := range grid {
-				parErr := core.ExhaustiveStrongSoundnessParallel(c.s.Decoder, c.s.Promise.Lang, c.inst, c.alphabet, p.shards, p.workers)
+				parErr := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, c.s.Decoder, c.s.Promise.Lang, c.inst, c.alphabet, p.shards, p.workers)
 				sameSoundness(t, c.name, seqErr, parErr)
 			}
 		})

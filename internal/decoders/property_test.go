@@ -1,12 +1,15 @@
 package decoders
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"hidinglcp/internal/core"
+	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/sim"
 )
 
@@ -39,12 +42,12 @@ func TestWatermelonEndToEndProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		viaSim, _, err := sim.RunScheme(s, inst)
+		viaSim, err := sim.RunSchemeFaultsCtx(context.Background(), obs.Scope{}, s, inst, faults.Plan{})
 		if err != nil {
 			return false
 		}
 		for v := range direct {
-			if !direct[v] || !viaSim[v] {
+			if !direct[v] || !viaSim.Verdicts[v].Accepted() {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package decoders
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestShatterCompleteness(t *testing.T) {
@@ -70,7 +72,7 @@ func TestShatterStrongSoundnessFuzz(t *testing.T) {
 		graph.Complete(4), graph.MustWatermelon([]int{2, 3}), graph.Grid(3, 3),
 	} {
 		inst := core.NewInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 800, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 800, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}
@@ -216,7 +218,7 @@ func TestShatterHiding(t *testing.T) {
 				pair[0], pair[1], mu1.Key(), mu2.Key())
 		}
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestShatterLiteralHiding(t *testing.T) {
 		return core.MustNewLabeled(l.Instance, labels)
 	}
 	l1, l2 = relabel(l1, 4), relabel(l2, 3)
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

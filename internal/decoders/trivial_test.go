@@ -1,6 +1,7 @@
 package decoders
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestTrivialCompleteness(t *testing.T) {
@@ -39,7 +41,7 @@ func TestTrivialStrongSoundnessExhaustive(t *testing.T) {
 	alphabet := []string{"0", "1", "2", "junk"}
 	for _, g := range []*graph.Graph{graph.MustCycle(3), graph.MustCycle(5), graph.Complete(4)} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, alphabet); err != nil {
+		if err := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, alphabet, 1, 1); err != nil {
 			t.Errorf("strong soundness on %v: %v", g, err)
 		}
 	}
@@ -63,7 +65,7 @@ func TestTrivialNotHiding(t *testing.T) {
 			return true
 		})
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings([]string{"0", "1"}, insts...))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings([]string{"0", "1"}, insts...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestTrivialFuzzStrongSoundness(t *testing.T) {
 	}
 	for _, g := range []*graph.Graph{graph.Petersen(), graph.Complete(5)} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 300, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 300, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

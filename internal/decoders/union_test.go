@@ -1,12 +1,14 @@
 package decoders
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestUnionCompleteness(t *testing.T) {
@@ -49,7 +51,7 @@ func TestUnionStrongSoundnessExhaustiveMixed(t *testing.T) {
 		gc := g.Clone()
 		graph.EnumPorts(gc, func(pt *graph.Ports) bool {
 			inst := core.Instance{G: gc, Prt: pt, NBound: 3}
-			if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, alphabet); err != nil {
+			if err := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, alphabet, 1, 1); err != nil {
 				t.Errorf("strong soundness: %v", err)
 				return false
 			}
@@ -74,7 +76,7 @@ func TestUnionStrongSoundnessFuzzMixed(t *testing.T) {
 		graph.MustWatermelon([]int{2, 3}), graph.Complete(4),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 800, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 800, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}
@@ -104,7 +106,7 @@ func TestUnionHiding(t *testing.T) {
 	// The union scheme inherits hiding from both parts: its V(D, n) slice
 	// over the degree-one family alone already contains an odd cycle.
 	s := Union()
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(DegOneAlphabet(), DegOneFamily(4)...))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(DegOneAlphabet(), DegOneFamily(4)...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestUnionHiding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng2, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(family...))
+	ng2, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(family...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package decoders
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestFindWatermelonStructure(t *testing.T) {
@@ -125,7 +127,7 @@ func TestWatermelonStrongSoundnessFuzz(t *testing.T) {
 		graph.MustWatermelon([]int{2, 3}), graph.Complete(4), graph.Grid(3, 3),
 	} {
 		inst := core.NewInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 800, rng, melonFuzzGen(12)); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 800, rng, melonFuzzGen(12), 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}
@@ -225,7 +227,7 @@ func TestWatermelonHiding(t *testing.T) {
 	if mu41.Key() != mu52.Key() {
 		t.Errorf("view(u4,I1) != view(u5,I2):\n%s\n%s", mu41.Key(), mu52.Key())
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestWatermelonHidingFamily(t *testing.T) {
 			t.Fatalf("family instance not fully accepted: %v", l.G)
 		}
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(family...))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedFromLabeled(family...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

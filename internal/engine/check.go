@@ -112,12 +112,15 @@ func (r *Registry) runCheck(ctx context.Context, sc obs.Scope, cfg CheckConfig) 
 
 	var outs []bool
 	if cfg.Distributed {
-		var stats sim.Stats
-		outs, stats, err = sim.RunScheme(s, inst)
+		fr, err := sim.RunSchemeFaultsCtx(ctx, sc, s, inst, faults.Plan{})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "simulator: %d rounds, %d messages, %d records\n", stats.Rounds, stats.Messages, stats.Records)
+		outs = make([]bool, len(fr.Verdicts))
+		for v, verdict := range fr.Verdicts {
+			outs[v] = verdict.Accepted()
+		}
+		fmt.Fprintf(out, "simulator: %d rounds, %d messages, %d records\n", fr.Stats.Rounds, fr.Stats.Messages, fr.Stats.Records)
 	} else {
 		outs, err = core.Run(s.Decoder, l)
 		if err != nil {

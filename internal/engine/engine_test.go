@@ -155,6 +155,17 @@ func TestBuildJobCancelled(t *testing.T) {
 	}
 }
 
+// TestCheckJobDistributedCancelled: the distributed check runs the
+// message-passing simulator under the job's context, so -timeout stops it.
+func TestCheckJobDistributedCancelled(t *testing.T) {
+	ctx, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	job := Default().CheckJob(CheckConfig{Scheme: "even-cycle", Graph: "cycle:8", Distributed: true})
+	if err := job.Run(ctx, obs.Scope{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
 func TestExperimentsJobSingle(t *testing.T) {
 	var got []string
 	err := Runner{}.Run(nil, Default().ExperimentsJob(ExperimentsConfig{

@@ -50,8 +50,10 @@ func E5Union(ctx context.Context) Table {
 		}
 		return cycleAlpha[rng.Intn(len(cycleAlpha))]
 	}
+	_, workers := parShardsWorkers()
+	sc := scope().Named("E5")
 	for _, g := range []*graph.Graph{graph.MustCycle(5), graph.Petersen(), graph.MustWatermelon([]int{2, 3})} {
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 600, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 600, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}

@@ -66,8 +66,10 @@ func E7Watermelon(ctx context.Context) Table {
 		}
 		return decoders.WatermelonPathLabel(id1, id2, 1+rng.Intn(3), 1+rng.Intn(3), c1, 1+rng.Intn(3), 1-c1)
 	}
+	_, workers := parShardsWorkers()
+	sc := scope().Named("E7")
 	for _, g := range []*graph.Graph{graph.MustCycle(5), graph.MustWatermelon([]int{2, 3}), graph.Petersen()} {
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, core.NewInstance(g), 800, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, core.NewInstance(g), 800, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}
@@ -86,7 +88,7 @@ func E7Watermelon(ctx context.Context) Table {
 	mu52, _ := l2.ViewOf(4, 1)
 	t.AddRow("view(u1,I1) = view(u1,I2)", "P8 pair", mu11.Key() == mu12.Key())
 	t.AddRow("view(u4,I1) = view(u5,I2)", "P8 pair", mu41.Key() == mu52.Key())
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.BuildShardedCtx(ctx, sc, s.Decoder, nbhd.ShardedFromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t

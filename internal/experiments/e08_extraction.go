@@ -22,6 +22,10 @@ func E8Extraction(ctx context.Context) Table {
 		Columns: []string{"scheme", "V(D,n) slice", "2-colorable", "extraction"},
 	}
 
+	// Every slice is small, so each builds sequentially (one shard, one
+	// worker).
+	sc := scope().Named("E8")
+
 	// Forward direction: Trivial(2).
 	triv := decoders.Trivial(2)
 	var insts []core.Instance
@@ -37,7 +41,7 @@ func E8Extraction(ctx context.Context) Table {
 			return true
 		})
 	}
-	ngTriv, err := nbhd.Build(triv.Decoder, nbhd.AllLabelings([]string{"0", "1"}, insts...))
+	ngTriv, err := nbhd.BuildShardedCtx(ctx, sc, triv.Decoder, nbhd.ShardedAllLabelings([]string{"0", "1"}, insts...), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -78,7 +82,7 @@ func E8Extraction(ctx context.Context) Table {
 
 	// Backward direction: the hiding schemes.
 	degOne := decoders.DegreeOne()
-	ngDeg, err := nbhd.Build(degOne.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...))
+	ngDeg, err := nbhd.BuildShardedCtx(ctx, sc, degOne.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -93,7 +97,7 @@ func E8Extraction(ctx context.Context) Table {
 		return t
 	}
 	even := decoders.EvenCycle()
-	ngEven, err := nbhd.Build(even.Decoder, nbhd.FromLabeled(evenFam...))
+	ngEven, err := nbhd.BuildShardedCtx(ctx, sc, even.Decoder, nbhd.ShardedFromLabeled(evenFam...), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -104,7 +108,7 @@ func E8Extraction(ctx context.Context) Table {
 
 	l1, l2 := decoders.ShatterHidingPair()
 	shatter := decoders.Shatter()
-	ngSh, err := nbhd.Build(shatter.Decoder, nbhd.FromLabeled(l1, l2))
+	ngSh, err := nbhd.BuildShardedCtx(ctx, sc, shatter.Decoder, nbhd.ShardedFromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -119,7 +123,7 @@ func E8Extraction(ctx context.Context) Table {
 		return t
 	}
 	melon := decoders.Watermelon()
-	ngW, err := nbhd.Build(melon.Decoder, nbhd.FromLabeled(w1, w2))
+	ngW, err := nbhd.BuildShardedCtx(ctx, sc, melon.Decoder, nbhd.ShardedFromLabeled(w1, w2), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t

@@ -25,6 +25,7 @@ func E9Realize(ctx context.Context) Table {
 		Title:   "realizability and G_bad (Lemmas 5.1-5.5, Fig. 8)",
 		Columns: []string{"stage", "detail", "result"},
 	}
+	sc := scope().Named("E9")
 	okDecoder := core.NewDecoder(1, false, func(mu *view.View) bool {
 		return mu.Labels[view.Center] == "ok"
 	})
@@ -104,7 +105,7 @@ func E9Realize(ctx context.Context) Table {
 		labels[i] = "ok"
 	}
 	l := core.MustNewLabeled(core.NewInstance(host), labels)
-	ng, err := nbhd.Build(okDecoder, nbhd.FromLabeled(l))
+	ng, err := nbhd.BuildShardedCtx(ctx, sc, okDecoder, nbhd.ShardedFromLabeled(l), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -125,7 +126,7 @@ func E9Realize(ctx context.Context) Table {
 
 	// Stage 5: the non-backtracking odd-walk search (Lemma 5.5) on the
 	// assembled G_bad's accepting views.
-	ngBad, err := nbhd.Build(okDecoder, nbhd.FromLabeled(gBad))
+	ngBad, err := nbhd.BuildShardedCtx(ctx, sc, okDecoder, nbhd.ShardedFromLabeled(gBad), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t

@@ -6,6 +6,7 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
+	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/sim"
 )
@@ -33,6 +34,7 @@ func E13Simulator(ctx context.Context) Table {
 		{decoders.Shatter(), "grid 5x5", graph.Grid(5, 5), false},
 		{decoders.Watermelon(), "watermelon 4x8", graph.MustWatermelon([]int{8, 8, 8, 8}), false},
 	}
+	sc := scope().Named("E13")
 	for _, r := range runs {
 		var inst core.Instance
 		if r.anon {
@@ -40,16 +42,12 @@ func E13Simulator(ctx context.Context) Table {
 		} else {
 			inst = core.NewInstance(r.g)
 		}
-		accept, stats, err := sim.RunScheme(r.s, inst)
+		fr, err := sim.RunSchemeFaultsCtx(ctx, sc, r.s, inst, faults.Plan{})
 		if err != nil {
 			t.Err = fmt.Errorf("%s on %s: %w", r.s.Name, r.name, err)
 			return t
 		}
-		all := true
-		for _, ok := range accept {
-			all = all && ok
-		}
-		t.AddRow(r.s.Name, r.name, r.g.N(), stats.Rounds, stats.Messages, stats.Records, all)
+		t.AddRow(r.s.Name, r.name, r.g.N(), fr.Stats.Rounds, fr.Stats.Messages, fr.Stats.Records, fr.AllAccept())
 	}
 	t.Notes = "One message per directed edge per round (2·m·r total), as the synchronous LOCAL " +
 		"model prescribes; the records column counts flooded node records, a bandwidth proxy. " +

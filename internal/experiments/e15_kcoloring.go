@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
@@ -21,6 +22,9 @@ func E15KColoring(ctx context.Context) Table {
 		Title:   "k-coloring generalization of the DegreeOne scheme (extension)",
 		Columns: []string{"k", "completeness", "strong soundness (exhaustive n<=4)", "slice views", "slice k-colorable", "hides a k-coloring at this size"},
 	}
+	// The sweeps and builds run sequentially (one shard, one worker): each
+	// is small enough that sharding only adds overhead.
+	sc := scope().Named("E15")
 	for _, k := range []int{2, 3, 4} {
 		s := decoders.DegreeOneK(k)
 
@@ -56,7 +60,7 @@ func E15KColoring(ctx context.Context) Table {
 		for n := 2; n <= 4 && sound; n++ {
 			graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
 				inst := core.NewAnonymousInstance(g.Clone())
-				if err := core.ExhaustiveStrongSoundness(s.Decoder, s.Promise.Lang, inst, decoders.DegOneKAlphabet(k)); err != nil {
+				if err := core.ExhaustiveStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, inst, decoders.DegOneKAlphabet(k), 1, 1); err != nil {
 					t.Err = err
 					sound = false
 					return false
@@ -80,7 +84,7 @@ func E15KColoring(ctx context.Context) Table {
 				return true
 			})
 		}
-		ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneKAlphabet(k), insts...))
+		ng, err := nbhd.BuildShardedCtx(ctx, sc, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneKAlphabet(k), insts...), 1, 1)
 		if err != nil {
 			t.Err = err
 			return t

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -23,6 +25,23 @@ func TestAllExperiments(t *testing.T) {
 				t.Errorf("render missing ID header")
 			}
 		})
+	}
+}
+
+// TestExperimentsStopOnCancelledContext: every experiment routes its
+// pipelines through the context-taking entry points, so an
+// already-cancelled context surfaces as the table's error instead of a
+// full table.
+func TestExperimentsStopOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, run := range []func(context.Context) Table{
+		E5Union, E7Watermelon, E8Extraction, E9Realize, E13Simulator, E15KColoring,
+	} {
+		table := run(ctx)
+		if !errors.Is(table.Err, context.Canceled) {
+			t.Errorf("%s: Err = %v, want context.Canceled", table.ID, table.Err)
+		}
 	}
 }
 

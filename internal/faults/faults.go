@@ -21,7 +21,7 @@ import (
 	"strings"
 )
 
-// Plan describes the faults injected into one Gather run. The zero value
+// Plan describes the faults injected into one gather. The zero value
 // is the fault-free plan: no drops, no duplicates, no delays, in-order
 // delivery, no crashes, no corruption. Plans are plain data — copy them
 // freely; the same Plan value always drives the same schedule.

@@ -1,6 +1,7 @@
 package forgetful
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -221,7 +223,7 @@ func TestLiftWalk(t *testing.T) {
 	}
 	l := core.MustNewLabeled(inst, labels)
 	d := okDecoder()
-	ng, err := nbhd.Build(d, nbhd.FromLabeled(l))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, d, nbhd.ShardedFromLabeled(l), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestLiftWalkRejectsForeignViews(t *testing.T) {
 	g := graph.MustCycle(4)
 	inst := core.NewInstance(g)
 	l := core.MustNewLabeled(inst, []string{"no", "no", "no", "no"})
-	ng, err := nbhd.Build(okDecoder(), nbhd.FromLabeled(l))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, okDecoder(), nbhd.ShardedFromLabeled(l), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func TestFindOddClosedWalkDegreeOne(t *testing.T) {
 	// The DegreeOne scheme's V(D,4) slice contains an odd closed walk, and
 	// even a non-backtracking one (Lemma 5.5's precondition machinery).
 	s := decoders.DegreeOne()
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +295,7 @@ func TestFindOddClosedWalkBipartite(t *testing.T) {
 	// The trivial revealing scheme's slice is bipartite: no odd walk.
 	s := decoders.Trivial(2)
 	inst := core.NewAnonymousInstance(graph.Path(3))
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings([]string{"0", "1"}, inst))
+	ng, err := nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, nbhd.ShardedAllLabelings([]string{"0", "1"}, inst), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

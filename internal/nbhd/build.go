@@ -24,7 +24,7 @@ func appendLenPrefixed(b []byte, s string) []byte {
 // go through a shared core.MemoDecoder (one inner Decide per view class
 // across all workers), and per-instance view extraction reuses templates
 // whenever the enumerator varies only the labeling of a fixed instance —
-// the AllLabelings/ShardedAllLabelings hot case.
+// the ShardedAllLabelings hot case.
 //
 // The interner and memo are shared across builders; everything else is
 // private to one goroutine.

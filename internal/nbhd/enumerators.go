@@ -7,10 +7,9 @@ import (
 	"hidinglcp/internal/graph"
 )
 
-// FromLabeled returns an enumerator over a fixed list of labeled instances,
-// e.g. the hand-built instance pairs from the paper's hiding proofs
-// (Figs. 3, 5, and the P8/P7 and two-ID constructions of Section 7).
-func FromLabeled(insts ...core.Labeled) Enumerator {
+// fromLabeled returns an enumerator over a fixed list of labeled instances
+// (see ShardedFromLabeled).
+func fromLabeled(insts ...core.Labeled) Enumerator {
 	return func(yield func(core.Labeled) bool) error {
 		for _, l := range insts {
 			if err := l.Validate(); err != nil {
@@ -24,10 +23,9 @@ func FromLabeled(insts ...core.Labeled) Enumerator {
 	}
 }
 
-// ProverLabeled returns an enumerator that labels each instance with the
-// scheme prover's certificate. Instances the prover rejects produce an
-// error (they are outside the promise class and should not be enumerated).
-func ProverLabeled(s core.Scheme, insts ...core.Instance) Enumerator {
+// proverLabeled returns an enumerator that labels each instance with the
+// scheme prover's certificate (see ShardedProverLabeled).
+func proverLabeled(s core.Scheme, insts ...core.Instance) Enumerator {
 	return func(yield func(core.Labeled) bool) error {
 		for _, inst := range insts {
 			labels, err := s.Prover.Certify(inst)
@@ -46,20 +44,10 @@ func ProverLabeled(s core.Scheme, insts ...core.Instance) Enumerator {
 	}
 }
 
-// AllLabelings returns an enumerator producing every labeling of every
-// instance over the given alphabet (|alphabet|^n labelings per instance).
-// This is the Lemma 3.1 search restricted to a family and an alphabet;
-// callers keep instances small. The yielded Labeled's label slice is reused
-// across labelings of one instance and is valid only during the yield; copy
-// it to retain (the builders copy label strings into views immediately).
-func AllLabelings(alphabet []string, insts ...core.Instance) Enumerator {
-	return allLabelingsShard(alphabet, insts, 0, 1)
-}
-
 // allLabelingsShard enumerates, per instance, the labelings assigned to the
 // given shard of the labeling-prefix partition (graph.EnumLabelingsShard).
 // shard 0 of 1 is the full sequential enumeration. One label slice is
-// reused across all labelings of one instance; see AllLabelings.
+// reused across all labelings of one instance; see ShardedAllLabelings.
 func allLabelingsShard(alphabet []string, insts []core.Instance, shard, shards int) Enumerator {
 	return func(yield func(core.Labeled) bool) error {
 		for _, inst := range insts {
@@ -83,13 +71,6 @@ func allLabelingsShard(alphabet []string, insts []core.Instance, shard, shards i
 	}
 }
 
-// AllPortsAllLabelings extends AllLabelings by also ranging over every port
-// assignment of every instance graph. Exponential in both; micro universes
-// only.
-func AllPortsAllLabelings(alphabet []string, insts ...core.Instance) Enumerator {
-	return allPortsAllLabelingsShard(alphabet, insts, 0, 1)
-}
-
 // allPortsAllLabelingsShard ranges over every port assignment of every
 // instance, enumerating only the given labeling-prefix shard under each.
 func allPortsAllLabelingsShard(alphabet []string, insts []core.Instance, shard, shards int) Enumerator {
@@ -106,7 +87,7 @@ func allPortsAllLabelingsShard(alphabet []string, insts []core.Instance, shard, 
 					}
 					return true
 				}); err != nil {
-					panic(fmt.Sprintf("nbhd.AllPortsAllLabelings: %v", err))
+					panic(fmt.Sprintf("nbhd.ShardedAllPortsAllLabelings: %v", err))
 				}
 				return !stopped
 			})
@@ -118,8 +99,8 @@ func allPortsAllLabelingsShard(alphabet []string, insts []core.Instance, shard, 
 	}
 }
 
-// Chain concatenates enumerators.
-func Chain(enums ...Enumerator) Enumerator {
+// chain concatenates enumerators.
+func chain(enums ...Enumerator) Enumerator {
 	return func(yield func(core.Labeled) bool) error {
 		for _, e := range enums {
 			stopped := false

@@ -1,12 +1,14 @@
 package nbhd
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -47,7 +49,7 @@ func alwaysAccept() core.Decoder {
 
 func TestBuildRevealOnEdge(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
+	ng, err := build(revealDecoder(), allLabelings([]string{"0", "1"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestBuildRevealOnEdge(t *testing.T) {
 
 func TestBuildAlwaysAcceptSelfLoop(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(alwaysAccept(), AllLabelings([]string{"x"}, inst))
+	ng, err := build(alwaysAccept(), allLabelings([]string{"x"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestBuildProverLabeled(t *testing.T) {
 		core.NewAnonymousInstance(graph.Path(3)),
 		core.NewAnonymousInstance(graph.MustCycle(4)),
 	}
-	ng, err := Build(s.Decoder, ProverLabeled(s, insts...))
+	ng, err := build(s.Decoder, proverLabeled(s, insts...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestBuildProverLabeled(t *testing.T) {
 
 func TestProverLabeledRejectsNoInstance(t *testing.T) {
 	s := core.Scheme{Name: "reveal", Decoder: revealDecoder(), Prover: revealProver{}}
-	_, err := Build(s.Decoder, ProverLabeled(s, core.NewAnonymousInstance(graph.MustCycle(3))))
+	_, err := build(s.Decoder, proverLabeled(s, core.NewAnonymousInstance(graph.MustCycle(3))))
 	if err == nil {
 		t.Error("prover-labeled enumerator accepted a no-instance")
 	}
@@ -130,7 +132,7 @@ func TestProverLabeledRejectsNoInstance(t *testing.T) {
 
 func TestFromLabeledValidates(t *testing.T) {
 	bad := core.Labeled{Instance: core.Instance{}, Labels: nil}
-	_, err := Build(alwaysAccept(), FromLabeled(bad))
+	_, err := build(alwaysAccept(), fromLabeled(bad))
 	if err == nil {
 		t.Error("invalid instance accepted")
 	}
@@ -139,9 +141,9 @@ func TestFromLabeledValidates(t *testing.T) {
 func TestChain(t *testing.T) {
 	instA := core.NewAnonymousInstance(graph.Path(2))
 	instB := core.NewAnonymousInstance(graph.Path(3))
-	enum := Chain(
-		AllLabelings([]string{"0", "1"}, instA),
-		AllLabelings([]string{"0", "1"}, instB),
+	enum := chain(
+		allLabelings([]string{"0", "1"}, instA),
+		allLabelings([]string{"0", "1"}, instB),
 	)
 	count := 0
 	if err := enum(func(core.Labeled) bool {
@@ -168,7 +170,7 @@ func TestChain(t *testing.T) {
 
 func TestAllPortsAllLabelings(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(3))
-	enum := AllPortsAllLabelings([]string{"a"}, inst)
+	enum := allPortsAllLabelings([]string{"a"}, inst)
 	count := 0
 	if err := enum(func(core.Labeled) bool {
 		count++
@@ -205,7 +207,7 @@ func TestExtractorRoundTrip(t *testing.T) {
 		core.NewAnonymousInstance(graph.MustCycle(4)),
 		core.NewAnonymousInstance(graph.MustCycle(6)),
 	}
-	ng, err := Build(s.Decoder, AllLabelings([]string{"0", "1"}, family...))
+	ng, err := build(s.Decoder, allLabelings([]string{"0", "1"}, family...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func TestExtractorRoundTrip(t *testing.T) {
 
 func TestExtractorFailsWhenHiding(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(alwaysAccept(), AllLabelings([]string{"x"}, inst))
+	ng, err := build(alwaysAccept(), allLabelings([]string{"x"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ func TestExtractorFailsWhenHiding(t *testing.T) {
 
 func TestExtractorUnknownView(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
+	ng, err := build(revealDecoder(), allLabelings([]string{"0", "1"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +261,7 @@ func TestExtractorUnknownView(t *testing.T) {
 
 func TestIndexOfMissing(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
+	ng, err := build(revealDecoder(), allLabelings([]string{"0", "1"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,12 +339,12 @@ func TestBuildParallelEquivalence(t *testing.T) {
 		core.NewAnonymousInstance(graph.Path(4)),
 		core.NewAnonymousInstance(graph.MustCycle(4)),
 	}
-	seq, err := Build(revealDecoder(), AllLabelings([]string{"0", "1", "x"}, insts...))
+	seq, err := build(revealDecoder(), allLabelings([]string{"0", "1", "x"}, insts...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 7} {
-		par, err := BuildParallel(revealDecoder(), ShardedAllLabelings([]string{"0", "1", "x"}, insts...), workers)
+		par, err := BuildShardedCtx(context.Background(), obs.Scope{}, revealDecoder(), ShardedAllLabelings([]string{"0", "1", "x"}, insts...), 0, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +366,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 
 func TestBuildParallelEnumeratorError(t *testing.T) {
 	bad := core.Labeled{Instance: core.Instance{}, Labels: nil}
-	if _, err := BuildParallel(alwaysAccept(), ShardedFromLabeled(bad), 2); err == nil {
+	if _, err := BuildShardedCtx(context.Background(), obs.Scope{}, alwaysAccept(), ShardedFromLabeled(bad), 0, 2); err == nil {
 		t.Error("invalid instance accepted by parallel builder")
 	}
 }

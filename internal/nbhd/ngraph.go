@@ -20,8 +20,6 @@
 package nbhd
 
 import (
-	"fmt"
-
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/view"
@@ -39,29 +37,6 @@ type NGraph struct {
 	hidx  []int          // interner handle -> node index, -1 if not accepting
 	g     *graph.Graph   // loop-free compatibility edges
 	loops map[int]bool   // views adjacent to themselves in some yes-instance
-}
-
-// Build runs the Lemma 3.1 construction over the instances produced by
-// enum, using decoder d to determine acceptance. Views are anonymized before
-// keying iff d is anonymous.
-//
-// Internally Build runs on the canonical-key fast path (binary interned
-// keys, handle-indexed dedupe tables, memoized decoder, template-cached
-// extraction — see builder); the output is bit-identical to the historical
-// string-keyed construction, with nodes in canonical key-sorted order.
-func Build(d core.Decoder, enum Enumerator) (*NGraph, error) {
-	in := view.NewInterner()
-	md := core.NewMemoDecoder(d, in)
-	b := newBuilder(d, md, in, "nbhd.Build")
-	err := enum(func(l core.Labeled) bool {
-		b.absorb(l)
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("enumerating instances: %w", err)
-	}
-	accepting, loops, edges := mergeBuilders([]*builder{b})
-	return assemble(in, accepting, loops, edges)
 }
 
 // Size returns the number of accepting views (nodes of V(D, n)).

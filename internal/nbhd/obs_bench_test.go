@@ -1,6 +1,7 @@
 package nbhd
 
 import (
+	"context"
 	"testing"
 
 	"hidinglcp/internal/decoders"
@@ -23,7 +24,7 @@ func BenchmarkBuildShardedObs(b *testing.B) {
 
 	b.Run("bare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := BuildSharded(s.Decoder, ShardedAllLabelings(alpha, fam...), 16, 4); err != nil {
+			if _, err := BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, ShardedAllLabelings(alpha, fam...), 16, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -31,7 +32,7 @@ func BenchmarkBuildShardedObs(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sc := obs.NewScope()
-			if _, err := BuildShardedScoped(sc, s.Decoder, ShardedAllLabelings(alpha, fam...), 16, 4); err != nil {
+			if _, err := BuildShardedCtx(context.Background(), sc, s.Decoder, ShardedAllLabelings(alpha, fam...), 16, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package nbhd
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -19,12 +20,12 @@ func TestBuildShardedScopedEquivalence(t *testing.T) {
 	fam := decoders.DegOneFamily(3)
 	alpha := decoders.DegOneAlphabet()
 
-	bare, err := BuildSharded(s.Decoder, ShardedAllLabelings(alpha, fam...), 8, 4)
+	bare, err := BuildShardedCtx(context.Background(), obs.Scope{}, s.Decoder, ShardedAllLabelings(alpha, fam...), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := obs.NewScope().WithTracer(obs.NewTracer(64))
-	scoped, err := BuildShardedScoped(sc, s.Decoder, ShardedAllLabelings(alpha, fam...), 8, 4)
+	scoped, err := BuildShardedCtx(context.Background(), sc, s.Decoder, ShardedAllLabelings(alpha, fam...), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestBuildShardedScopedProgress(t *testing.T) {
 
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(3)
-	if _, err := BuildShardedScoped(sc, s.Decoder, ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 6, 2); err != nil {
+	if _, err := BuildShardedCtx(context.Background(), sc, s.Decoder, ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 6, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -9,47 +9,41 @@ import (
 	"hidinglcp/internal/view"
 )
 
-// BuildSharded is Build driven by a sharded enumerator: the instance space
-// splits into `shards` disjoint sub-enumerators claimed work-stealing-style
-// by `workers` goroutines, each accumulating a private builder; the
-// builders merge deterministically (set union over shared interner handles,
-// then canonical key-sorted node order) into the same NGraph Build
-// produces. There is no producer goroutine and no channel on the hot path —
-// each worker enumerates its own shards — which is what lets the
-// construction scale past the single-producer bound measured in DESIGN.md
-// Section 4.
+// BuildShardedCtx runs the Lemma 3.1 construction over the instances se
+// produces, using decoder d to determine acceptance; views are anonymized
+// before keying iff d is anonymous. The instance space splits into `shards`
+// disjoint sub-enumerators claimed work-stealing-style by `workers`
+// goroutines, each accumulating a private builder; the builders merge
+// deterministically (set union over shared interner handles, then canonical
+// key-sorted node order). There is no producer goroutine and no channel on
+// the hot path — each worker enumerates its own shards — which is what lets
+// the construction scale past the single-producer bound measured in
+// DESIGN.md Section 4.
 //
 // All workers share one view.Interner and one core.MemoDecoder, so a view
 // class enumerated by several shards is canonicalized into one handle and
 // pays for exactly one decoder invocation across the whole build.
 //
 // shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS. The
-// output is bit-identical to Build's for every shard/worker count
-// (property-tested in shard_test.go).
-func BuildSharded(d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
-	return buildSharded(nil, obs.Scope{}, d, se, shards, workers)
-}
-
-// BuildShardedCtx is BuildShardedScoped under cooperative cancellation:
-// when ctx fires, every worker stops at its next per-instance checkpoint,
-// the pool drains through the usual WaitGroup barrier (no goroutine
-// outlives the call — pinned by sanitize.ProbeBuildShardedCancel), and the
-// error wraps context.Cause(ctx); no partial graph is returned. With a
-// context that never fires the output is bit-identical to BuildSharded at
-// every shard/worker count — the context adds one watcher goroutine and
-// nothing to the per-instance hot path.
-func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
-	return buildSharded(ctx, sc, d, se, shards, workers)
-}
-
-// BuildShardedScoped is BuildSharded reporting into an observability scope.
-// The instrumentation is barrier-harvested: each worker's builder keeps
-// plain per-goroutine tallies that are summed into the scope's counters only
-// after every worker has finished, and the shared interner/memo-decoder
-// statistics are read once at the end. Nothing atomic is added to the
-// per-instance hot path, which is how the instrumented build stays within
-// the <2% overhead budget pinned by BenchmarkBuildShardedObs. A zero Scope
-// degrades to exactly BuildSharded.
+// output is bit-identical for every shard/worker count (property-tested in
+// shard_test.go); shards = workers = 1 is the sequential construction, since
+// Shards(1) is se.Sequential().
+//
+// Cancellation is cooperative: when ctx fires, every worker stops at its
+// next per-instance checkpoint, the pool drains through the usual WaitGroup
+// barrier (no goroutine outlives the call — pinned by
+// sanitize.ProbeBuildShardedCancel), and the error wraps context.Cause(ctx);
+// no partial graph is returned. A nil ctx is the never-cancelled context
+// (internal/cancel); a live one adds one watcher goroutine and nothing to
+// the per-instance hot path.
+//
+// Instrumentation is barrier-harvested: each worker's builder keeps plain
+// per-goroutine tallies that are summed into sc's counters only after every
+// worker has finished, and the shared interner/memo-decoder statistics are
+// read once at the end. Nothing atomic is added to the per-instance hot
+// path, which is how the instrumented build stays within the <2% overhead
+// budget pinned by BenchmarkBuildShardedObs. A zero Scope makes every
+// instrument call a no-op.
 //
 // Counters recorded (see DESIGN.md Section 8 for the full taxonomy):
 // nbhd.instances, nbhd.views.extracted, nbhd.views.template_memo_hits,
@@ -57,13 +51,7 @@ func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se Shard
 // nbhd.decode.memo_hits, nbhd.decode.inner, nbhd.shards.done/stolen, plus
 // the nbhd.intern.classes and nbhd.views.accepting gauges and the
 // nbhd.build.duration_ns histogram.
-func BuildShardedScoped(sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
-	return buildSharded(nil, sc, d, se, shards, workers)
-}
-
-// buildSharded is the construction beneath BuildSharded and its Scoped and
-// Ctx variants. A nil ctx is the never-cancelled context (internal/cancel).
-func buildSharded(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
+func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
 	shards, workers = resolveShardsWorkers(shards, workers)
 	start := obs.Now()
 	span := sc.Span(sc.Label("nbhd.build"))
@@ -81,12 +69,12 @@ func buildSharded(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedE
 	md := core.NewMemoDecoder(d, in)
 	parts := make([]*builder, workers)
 	for w := range parts {
-		parts[w] = newBuilder(d, md, in, "nbhd.BuildSharded")
+		parts[w] = newBuilder(d, md, in, "nbhd.BuildShardedCtx")
 	}
 	sc.Prog().SetExtra(func() string {
 		return fmt.Sprintf("%d view classes", in.Len())
 	})
-	err := forEachShard(ctx, sc, se, shards, workers, func(w int, l core.Labeled) bool {
+	err := ForEachShardCtx(ctx, sc, se, shards, workers, func(w int, l core.Labeled) bool {
 		parts[w].absorb(l)
 		return true
 	})
@@ -142,11 +130,4 @@ func harvestBuildMetrics(sc obs.Scope, parts []*builder, in *view.Interner, md *
 	sc.Counter("nbhd.decode.calls").Add(int64(calls))
 	sc.Counter("nbhd.decode.memo_hits").Add(int64(calls - inner))
 	sc.Counter("nbhd.decode.inner").Add(int64(inner))
-}
-
-// BuildParallel is BuildSharded with the default shard count. It replaces
-// the previous single-producer worker pool, whose channel hand-off per
-// instance bounded throughput (DESIGN.md Section 4).
-func BuildParallel(d core.Decoder, se ShardedEnumerator, workers int) (*NGraph, error) {
-	return BuildSharded(d, se, 0, workers)
 }

@@ -3,11 +3,13 @@
 package nbhd
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 // TestRaceBuildParallelStress runs several sharded neighborhood-graph
@@ -22,7 +24,7 @@ func TestRaceBuildParallelStress(t *testing.T) {
 		core.NewAnonymousInstance(graph.MustCycle(4)),
 		core.NewAnonymousInstance(graph.MustCycle(5)),
 	}
-	seq, err := Build(revealDecoder(), AllLabelings([]string{"0", "1", "x"}, insts...))
+	seq, err := build(revealDecoder(), allLabelings([]string{"0", "1", "x"}, insts...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestRaceBuildParallelStress(t *testing.T) {
 		wg.Add(1)
 		go func(workers int) {
 			defer wg.Done()
-			par, err := BuildParallel(revealDecoder(), ShardedAllLabelings([]string{"0", "1", "x"}, insts...), workers)
+			par, err := BuildShardedCtx(context.Background(), obs.Scope{}, revealDecoder(), ShardedAllLabelings([]string{"0", "1", "x"}, insts...), 0, workers)
 			if err != nil {
 				t.Errorf("workers=%d: %v", workers, err)
 				return

@@ -1,12 +1,14 @@
 package nbhd
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -125,7 +127,7 @@ func compareAgainstReference(t *testing.T, ng *NGraph, keys []string, edges map[
 	}
 }
 
-// TestBuildMatchesReference runs the interned fast-path Build against the
+// TestBuildMatchesReference runs the interned fast-path build against the
 // string-keyed reference on every decoder archetype: anonymous (DegreeOne,
 // EvenCycle) and identifier-dependent (Shatter), over exhaustive labeling
 // enumerations.
@@ -139,7 +141,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			"degree-one-exhaustive-n4",
 			decoders.DegreeOne().Decoder,
 			func() Enumerator {
-				return AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...)
+				return allLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...)
 			},
 		},
 		{
@@ -150,7 +152,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return FromLabeled(ls...)
+				return fromLabeled(ls...)
 			},
 		},
 		{
@@ -159,21 +161,21 @@ func TestBuildMatchesReference(t *testing.T) {
 			func() Enumerator {
 				g := graph.MustCycle(4)
 				inst := core.Instance{G: g, Prt: graph.DefaultPorts(g), IDs: graph.SequentialIDs(4), NBound: 4}
-				return AllLabelings([]string{"0", "1"}, inst)
+				return allLabelings([]string{"0", "1"}, inst)
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			keys, edges, loops := referenceBuild(t, tc.d, tc.enum())
-			ng, err := Build(tc.d, tc.enum())
+			ng, err := build(tc.d, tc.enum())
 			if err != nil {
 				t.Fatal(err)
 			}
 			compareAgainstReference(t, ng, keys, edges, loops)
 
 			// The sharded construction must agree bit-for-bit as well.
-			sng, err := BuildSharded(tc.d, shardedFromEnum(tc.enum), 4, 3)
+			sng, err := BuildShardedCtx(context.Background(), obs.Scope{}, tc.d, shardedFromEnum(tc.enum), 4, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,7 +14,7 @@ import (
 
 // ShardedEnumerator describes a labeled-instance space that can be
 // deterministically partitioned into disjoint sub-enumerators, so that the
-// parallel drivers (BuildSharded, ForEachShard) can feed independent
+// parallel pipelines (BuildShardedCtx, ForEachShardCtx) can feed independent
 // workers without a single producer goroutine on the hot path.
 //
 // The contract, pinned by the property tests in shard_test.go:
@@ -27,7 +27,7 @@ import (
 //   - k <= 1 yields the sequential enumeration as a single shard.
 //
 // Because the partition is deterministic and results merge through
-// order-insensitive set union (see BuildSharded), every consumer is
+// order-insensitive set union (see BuildShardedCtx), every consumer is
 // bit-identical to its sequential counterpart at any shard/worker count.
 type ShardedEnumerator interface {
 	Sequential() Enumerator
@@ -64,29 +64,39 @@ func subList[T any](xs []T, i, k int) []T {
 	return out
 }
 
-// ShardedFromLabeled is FromLabeled with index-residue sharding: shard i of
-// k holds the instances at positions i, i+k, i+2k, ...
+// ShardedFromLabeled enumerates a fixed list of labeled instances, e.g. the
+// hand-built instance pairs from the paper's hiding proofs (Figs. 3, 5, and
+// the P8/P7 and two-ID constructions of Section 7), with index-residue
+// sharding: shard i of k holds the instances at positions i, i+k, i+2k, ...
 func ShardedFromLabeled(insts ...core.Labeled) ShardedEnumerator {
 	return &sharded{
-		seq:   FromLabeled(insts...),
-		shard: func(i, k int) Enumerator { return FromLabeled(subList(insts, i, k)...) },
+		seq:   fromLabeled(insts...),
+		shard: func(i, k int) Enumerator { return fromLabeled(subList(insts, i, k)...) },
 	}
 }
 
-// ShardedProverLabeled is ProverLabeled with index-residue sharding over the
-// instance list. Each shard runs the prover only on its own instances, so
-// certification cost parallelizes along with view extraction.
+// ShardedProverLabeled labels each instance with the scheme prover's
+// certificate, with index-residue sharding over the instance list. Each
+// shard runs the prover only on its own instances, so certification cost
+// parallelizes along with view extraction. Instances the prover rejects
+// produce an error (they are outside the promise class and should not be
+// enumerated).
 func ShardedProverLabeled(s core.Scheme, insts ...core.Instance) ShardedEnumerator {
 	return &sharded{
-		seq:   ProverLabeled(s, insts...),
-		shard: func(i, k int) Enumerator { return ProverLabeled(s, subList(insts, i, k)...) },
+		seq:   proverLabeled(s, insts...),
+		shard: func(i, k int) Enumerator { return proverLabeled(s, subList(insts, i, k)...) },
 	}
 }
 
-// ShardedAllLabelings is AllLabelings with the labeling space of every
-// instance split by labeling prefix (graph.EnumLabelingsShard): all shards
-// walk the instance list in order, each enumerating only its own slice of
-// the |alphabet|^n labelings.
+// ShardedAllLabelings produces every labeling of every instance over the
+// given alphabet (|alphabet|^n labelings per instance). This is the
+// Lemma 3.1 search restricted to a family and an alphabet; callers keep
+// instances small. The labeling space of every instance is split by
+// labeling prefix (graph.EnumLabelingsShard): all shards walk the instance
+// list in order, each enumerating only its own slice of the labelings. The
+// yielded Labeled's label slice is reused across labelings of one instance
+// and is valid only during the yield; copy it to retain (the builders copy
+// label strings into views immediately).
 func ShardedAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
 	return &sharded{
 		seq:   allLabelingsShard(alphabet, insts, 0, 1),
@@ -94,9 +104,11 @@ func ShardedAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnume
 	}
 }
 
-// ShardedAllPortsAllLabelings is AllPortsAllLabelings sharded on the
-// labeling dimension: every shard ranges over every port assignment but
-// enumerates only its own labeling-prefix slice under each.
+// ShardedAllPortsAllLabelings extends ShardedAllLabelings by also ranging
+// over every port assignment of every instance graph; exponential in both,
+// so micro universes only. It is sharded on the labeling dimension: every
+// shard ranges over every port assignment but enumerates only its own
+// labeling-prefix slice under each.
 func ShardedAllPortsAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
 	return &sharded{
 		seq:   allPortsAllLabelingsShard(alphabet, insts, 0, 1),
@@ -114,7 +126,7 @@ func ShardedChain(ses ...ShardedEnumerator) ShardedEnumerator {
 			for j, se := range ses {
 				enums[j] = se.Sequential()
 			}
-			return Chain(enums...)(yield)
+			return chain(enums...)(yield)
 		},
 		shard: func(i, k int) Enumerator {
 			return func(yield func(core.Labeled) bool) error {
@@ -122,31 +134,7 @@ func ShardedChain(ses ...ShardedEnumerator) ShardedEnumerator {
 				for j, se := range ses {
 					enums[j] = se.Shards(k)[i]
 				}
-				return Chain(enums...)(yield)
-			}
-		},
-	}
-}
-
-// ShardEnumerator adapts an arbitrary Enumerator: shard i of k walks the
-// full enumeration and keeps the instances at sequence positions ≡ i mod k.
-// Enumeration work is repeated per shard — use the family-specific sharded
-// constructors when available, and this fallback when only the expensive
-// per-instance consumption (view extraction, decoding) needs to scale.
-func ShardEnumerator(e Enumerator) ShardedEnumerator {
-	return &sharded{
-		seq: e,
-		shard: func(i, k int) Enumerator {
-			return func(yield func(core.Labeled) bool) error {
-				idx := 0
-				return e(func(l core.Labeled) bool {
-					mine := idx%k == i
-					idx++
-					if !mine {
-						return true
-					}
-					return yield(l)
-				})
+				return chain(enums...)(yield)
 			}
 		},
 	}
@@ -170,45 +158,29 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 	return shards, workers
 }
 
-// ForEachShard drives the shards of se through a pool of workers. Workers
-// claim unstarted shards from a shared counter (work stealing), so fn must
-// be safe for concurrent calls from different worker indices; calls with
-// the same worker index are sequential. Returning false from fn stops the
-// whole drive early. shards <= 0 selects 4 per worker; workers <= 0 selects
-// GOMAXPROCS.
+// ForEachShardCtx drives the shards of se through a pool of workers.
+// Workers claim unstarted shards from a shared counter (work stealing), so
+// fn must be safe for concurrent calls from different worker indices; calls
+// with the same worker index are sequential. Returning false from fn stops
+// the whole drive early. shards <= 0 selects 4 per worker; workers <= 0
+// selects GOMAXPROCS.
 //
 // When several shards fail, the error of the lowest-numbered failing shard
 // is reported, keeping the result independent of scheduling.
-func ForEachShard(se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	return forEachShard(nil, obs.Scope{}, se, shards, workers, fn)
-}
-
-// ForEachShardScoped is ForEachShard reporting into an observability scope:
-// it counts completed and stolen shards (a steal is any claim beyond a
-// worker's first), advances the scope's progress phase by one per finished
-// shard, and emits a per-shard completion event when a tracer is attached.
-// A zero Scope makes every instrument call a nil-receiver no-op, so the
-// uninstrumented path keeps its exact historical behavior and cost.
-func ForEachShardScoped(sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	return forEachShard(nil, sc, se, shards, workers, fn)
-}
-
-// ForEachShardCtx is ForEachShardScoped under cooperative cancellation.
+//
 // When ctx fires, the drive stops at the next per-instance checkpoint —
 // the same stop flag every worker already polls between instances, so a
 // never-cancelled context adds exactly one armed watcher goroutine and
 // nothing to the per-instance hot path (pinned by
 // BenchmarkBuildShardedCtx) — and the error wraps context.Cause(ctx). The
-// engine layer re-tags such errors as engine.ErrCancelled.
+// engine layer re-tags such errors as engine.ErrCancelled. A nil ctx is the
+// never-cancelled context (internal/cancel).
+//
+// sc counts completed and stolen shards (a steal is any claim beyond a
+// worker's first), advances the scope's progress phase by one per finished
+// shard, and emits a per-shard completion event when a tracer is attached.
+// A zero Scope makes every instrument call a nil-receiver no-op.
 func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	return forEachShard(ctx, sc, se, shards, workers, fn)
-}
-
-// forEachShard is the one work-stealing drive beneath the three exported
-// variants. A nil ctx is the never-cancelled context (see internal/cancel):
-// the bare and Scoped entry points pass nil rather than manufacturing a
-// background context, which the ctxflow analyzer forbids in this package.
-func forEachShard(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
 	shards, workers = resolveShardsWorkers(shards, workers)
 	enums := se.Shards(shards)
 	shardsDone := sc.Counter("nbhd.shards.done")
@@ -283,16 +255,4 @@ func forEachShard(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shard
 		return err
 	}
 	return nil
-}
-
-// CountInstances drains the sharded enumerator through ForEachShard and
-// returns the number of instances produced — the raw enumeration-throughput
-// probe used by BenchmarkShardedEnumeration.
-func CountInstances(se ShardedEnumerator, shards, workers int) (int, error) {
-	var n atomic.Int64
-	err := ForEachShard(se, shards, workers, func(int, core.Labeled) bool {
-		n.Add(1)
-		return true
-	})
-	return int(n.Load()), err
 }

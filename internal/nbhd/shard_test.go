@@ -1,6 +1,7 @@
 package nbhd
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 var shardCounts = []int{1, 2, 3, 7, 16}
@@ -122,9 +124,9 @@ func TestShardedEnumeratorPartition(t *testing.T) {
 		{"ProverLabeled/degree-one", ShardedProverLabeled(decoders.DegreeOne(), degFam...)},
 		{"AllLabelings", ShardedAllLabelings([]string{"0", "1", "x"}, smallInstances()...)},
 		{"AllPortsAllLabelings", ShardedAllPortsAllLabelings([]string{"0", "1"}, smallInstances()[:2]...)},
-		{"ShardEnumerator/chain", ShardEnumerator(Chain(
-			FromLabeled(evenFam[:6]...),
-			AllLabelings([]string{"a", "b"}, core.NewAnonymousInstance(graph.Path(4))),
+		{"ShardEnumerator/chain", shardEnumerator(chain(
+			fromLabeled(evenFam[:6]...),
+			allLabelings([]string{"a", "b"}, core.NewAnonymousInstance(graph.Path(4))),
 		))},
 		{"ShardedChain", ShardedChain(
 			ShardedFromLabeled(evenFam[:6]...),
@@ -177,9 +179,10 @@ func ngEqual(a, b *NGraph) string {
 }
 
 // TestBuildShardedDecoderEquivalence: for every decoder in
-// internal/decoders, BuildSharded produces a neighborhood graph deep-equal
-// to the sequential Build at every shard/worker combination. This is the
-// headline equivalence property of the sharded enumeration layer.
+// internal/decoders, BuildShardedCtx produces a neighborhood graph
+// deep-equal to the sequential build at every shard/worker combination.
+// This is the headline equivalence property of the sharded enumeration
+// layer.
 func TestBuildShardedDecoderEquivalence(t *testing.T) {
 	shatterL1, shatterL2 := decoders.ShatterHidingPair()
 	melonFam, err := decoders.WatermelonHidingFamily()
@@ -208,13 +211,13 @@ func TestBuildShardedDecoderEquivalence(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seq, err := Build(c.d, c.se.Sequential())
+			seq, err := build(c.d, c.se.Sequential())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 7} {
 				for _, shards := range []int{0, 1, 3, 16} {
-					par, err := BuildSharded(c.d, c.se, shards, workers)
+					par, err := BuildShardedCtx(context.Background(), obs.Scope{}, c.d, c.se, shards, workers)
 					if err != nil {
 						t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 					}
@@ -234,7 +237,7 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	// below the full space.
 	var mu sync.Mutex
 	count := 0
-	if err := ForEachShard(se, 4, 2, func(_ int, _ core.Labeled) bool {
+	if err := ForEachShardCtx(context.Background(), obs.Scope{}, se, 4, 2, func(_ int, _ core.Labeled) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		count++
@@ -242,7 +245,7 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	total, err := CountInstances(se, 4, 2)
+	total, err := countInstances(se, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +254,7 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	}
 	// Errors: an invalid instance surfaces from whichever shard owns it.
 	bad := core.Labeled{Instance: core.Instance{G: graph.Path(2)}, Labels: []string{"a", "b"}}
-	if err := ForEachShard(ShardedFromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {
+	if err := ForEachShardCtx(context.Background(), obs.Scope{}, ShardedFromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {
 		t.Error("invalid instance not reported")
 	}
 }
@@ -260,12 +263,12 @@ func TestCountInstancesMatchesSequential(t *testing.T) {
 	se := ShardedAllLabelings([]string{"0", "1", "2"}, smallInstances()...)
 	want := len(drain(t, se.Sequential()))
 	for _, k := range shardCounts {
-		got, err := CountInstances(se, k, 3)
+		got, err := countInstances(se, k, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("k=%d: CountInstances = %d, want %d", k, got, want)
+			t.Errorf("k=%d: countInstances = %d, want %d", k, got, want)
 		}
 	}
 }

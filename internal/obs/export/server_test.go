@@ -2,6 +2,7 @@ package export
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -234,6 +235,84 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerDebugVars pins the /debug/vars shape: a JSON object whose
+// "hidinglcp.metrics" member is the registry snapshot, computed per request.
+func TestServerDebugVars(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("demo.count").Add(7)
+	srv := newTestServer(t, ServerOptions{Registry: reg}, nil, nil)
+
+	readVars := func() []obs.MetricSnapshot {
+		t.Helper()
+		code, body := get(t, srv.URL+"/debug/vars")
+		if code != http.StatusOK {
+			t.Fatalf("/debug/vars status = %d", code)
+		}
+		var doc struct {
+			Metrics []obs.MetricSnapshot `json:"hidinglcp.metrics"`
+		}
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Metrics
+	}
+
+	got := readVars()
+	if len(got) != 1 || got[0].Name != "demo.count" || got[0].Value != 7 {
+		t.Errorf("snapshot = %+v", got)
+	}
+	// Live: a later scrape sees later registry state, no expvar caching.
+	reg.Counter("demo.count").Add(3)
+	if got := readVars(); got[0].Value != 10 {
+		t.Errorf("second snapshot = %+v, want value 10", got)
+	}
+}
+
+// TestServerPprofIndex checks the pprof index is wired on the server's own
+// mux (not http.DefaultServeMux).
+func TestServerPprofIndex(t *testing.T) {
+	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry()}, nil, nil)
+	code, body := get(t, srv.URL+"/debug/pprof/")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/pprof/ status = %d", code)
+	}
+	if body == "" {
+		t.Error("pprof index returned an empty body")
+	}
+}
+
+// TestServeIsolatedRegistries runs two servers in one process and checks
+// each serves its own registry: every server owns its mux, so neither can
+// hijack the other's routes.
+func TestServeIsolatedRegistries(t *testing.T) {
+	mk := func(name string, v int64) *Server {
+		reg := obs.NewRegistry()
+		reg.Counter(name).Add(v)
+		s, err := Serve("127.0.0.1:0", ServerOptions{Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	a, b := mk("server.a", 1), mk("server.b", 2)
+	for _, tc := range []struct {
+		s    *Server
+		want string
+	}{{a, "server.a"}, {b, "server.b"}} {
+		_, body := get(t, "http://"+tc.s.Addr()+"/debug/vars")
+		var doc struct {
+			Metrics []obs.MetricSnapshot `json:"hidinglcp.metrics"`
+		}
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("%s: %v", tc.s.Addr(), err)
+		}
+		if len(doc.Metrics) != 1 || doc.Metrics[0].Name != tc.want {
+			t.Errorf("server %s serves %+v, want its own counter %q", tc.s.Addr(), doc.Metrics, tc.want)
+		}
+	}
+}
+
 // TestConcurrentScrapeHammer scrapes /metrics, /trace, and /debug/vars
 // from many goroutines while metrics, spans, and events mutate underneath
 // — the data-race probe for the whole read path (run under -race in CI;
@@ -309,7 +388,7 @@ func TestServerScrapeDuringLiveBuild(t *testing.T) {
 	go func() {
 		s := decoders.DegreeOne()
 		fam := decoders.DegOneFamily(3)
-		_, err := nbhd.BuildShardedScoped(sc, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 8, 4)
+		_, err := nbhd.BuildShardedCtx(context.Background(), sc, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 8, 4)
 		done <- err
 	}()
 

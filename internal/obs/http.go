@@ -2,27 +2,21 @@ package obs
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/pprof"
 )
 
-// DebugMux returns a fresh mux carrying the process-debugging routes:
+// RegisterDebug installs the process-debugging routes on mux:
 // net/http/pprof under /debug/pprof/ and a JSON snapshot of reg's metrics
 // under /debug/vars (shaped like expvar output, {"hidinglcp.metrics": [...]},
 // but computed per request from the given registry — no process-global
 // expvar publication, so any number of servers over different registries
-// can coexist in one process).
-func DebugMux(reg *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	RegisterDebug(mux, reg)
-	return mux
-}
-
-// RegisterDebug installs the /debug/pprof/* and /debug/vars routes on mux.
-// The pprof handlers are registered explicitly rather than by importing
-// net/http/pprof for its side effect, so nothing ever touches
-// http.DefaultServeMux.
+// can coexist in one process). The pprof handlers are registered explicitly
+// rather than by importing net/http/pprof for its side effect, so nothing
+// ever touches http.DefaultServeMux. export.Serve mounts these routes next
+// to the telemetry plane; profile a live run with
+//
+//	go tool pprof http://<addr>/debug/pprof/profile
 func RegisterDebug(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -35,24 +29,4 @@ func RegisterDebug(mux *http.ServeMux, reg *Registry) {
 		enc.SetIndent("", "  ")
 		enc.Encode(map[string]any{"hidinglcp.metrics": reg.Snapshot()}) //nolint:errcheck // best-effort write to the client
 	})
-}
-
-// ServeDebug starts an HTTP server on addr exposing the DebugMux routes for
-// reg: net/http/pprof (/debug/pprof/) and the metrics snapshot
-// (/debug/vars). It returns the bound address (useful with ":0") and a
-// closer. Every server owns its mux, so concurrent servers — common in
-// tests — never serve each other's registries. Profile it with
-//
-//	go tool pprof http://<addr>/debug/pprof/profile
-//
-// For the full telemetry surface (/metrics, /healthz, /trace, /events) see
-// internal/obs/export.Serve, which layers onto the same mux.
-func ServeDebug(addr string, reg *Registry) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: DebugMux(reg)}
-	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return ln.Addr().String(), srv.Close, nil
 }

@@ -9,7 +9,7 @@
 // their hot paths. The zero-value Scope is a complete no-op — every method
 // on it, and on the nil metrics it hands out, is safe and free — so library
 // callers and tests pay nothing unless a CLI opts in with -metrics-json,
-// -trace, -progress, or -pprof.
+// -trace, -progress, or -serve.
 //
 // obs is the sanctioned owner of the wall clock: the nondet analyzer bans
 // time.Now in every other library package, and the obspurity analyzer keeps

@@ -9,6 +9,7 @@ package sanitize_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -66,10 +67,10 @@ func TestHidingScopedPipelines(t *testing.T) {
 	tr := obs.NewTracer(256)
 	sc := obs.NewScope().WithTracer(tr).WithProgress(prog)
 
-	if _, err := nbhd.BuildShardedScoped(sc, markerDecoder{}, nbhd.ShardedAllLabelings(alpha, inst), 4, 2); err != nil {
+	if _, err := nbhd.BuildShardedCtx(context.Background(), sc, markerDecoder{}, nbhd.ShardedAllLabelings(alpha, inst), 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	runErr := core.ExhaustiveStrongSoundnessParallelScoped(sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2)
+	runErr := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2)
 	prog.Close()
 
 	var traceBuf bytes.Buffer
@@ -109,10 +110,10 @@ func TestHidingLiveTelemetryPlane(t *testing.T) {
 	tr := obs.NewTracer(256)
 	sc := obs.NewScope().WithTracer(tr).WithEvents(log, obs.NewRunID("hiding"))
 
-	if _, err := nbhd.BuildShardedScoped(sc, markerDecoder{}, nbhd.ShardedAllLabelings(alpha, inst), 4, 2); err != nil {
+	if _, err := nbhd.BuildShardedCtx(context.Background(), sc, markerDecoder{}, nbhd.ShardedAllLabelings(alpha, inst), 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	if runErr := core.ExhaustiveStrongSoundnessParallelScoped(sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2); runErr != nil {
+	if runErr := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2); runErr != nil {
 		assertHidden(t, "soundness sweep error", runErr.Error())
 	}
 

@@ -1,7 +1,7 @@
 // Goroutine-leak probe: the dynamic complement of the concurrency
 // analyzers (atomicmix, loopcapture, wgmisuse). The parallel pipelines —
-// nbhd.BuildSharded's work-stealing builders and
-// core.ExhaustiveStrongSoundnessParallel's searchers — promise that every
+// nbhd.BuildShardedCtx's work-stealing builders and
+// core.ExhaustiveStrongSoundnessParallelCtx's searchers — promise that every
 // goroutine they spawn has exited by the time they return. A worker that
 // outlives its barrier is a latent bug even when the answer is right: it
 // holds shard state alive, keeps racing with the next phase, and
@@ -11,6 +11,7 @@
 package sanitize
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -19,6 +20,7 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 // GoroutineInfo describes one live goroutine from a runtime stack dump.
@@ -101,14 +103,14 @@ func LeakCheck(f func()) *LeakReport {
 	return &LeakReport{Before: len(before), After: len(after), Leaked: leaked}
 }
 
-// ProbeBuildSharded runs nbhd.BuildSharded under the leak probe. The
+// ProbeBuildSharded runs nbhd.BuildShardedCtx under the leak probe. The
 // builder's contract is that its worker pool has fully exited on return;
 // a non-nil LeakReport is a contract violation regardless of err.
 func ProbeBuildSharded(d core.Decoder, se nbhd.ShardedEnumerator, shards, workers int) (*nbhd.NGraph, *LeakReport, error) {
 	var g *nbhd.NGraph
 	var err error
 	leak := LeakCheck(func() {
-		g, err = nbhd.BuildSharded(d, se, shards, workers)
+		g, err = nbhd.BuildShardedCtx(context.Background(), obs.Scope{}, d, se, shards, workers)
 	})
 	return g, leak, err
 }
@@ -118,7 +120,7 @@ func ProbeBuildSharded(d core.Decoder, se nbhd.ShardedEnumerator, shards, worker
 func ProbeExhaustiveStrongSoundnessParallel(d core.Decoder, lang core.Language, inst core.Instance, alphabet []string, shards, workers int) (*LeakReport, error) {
 	var err error
 	leak := LeakCheck(func() {
-		err = core.ExhaustiveStrongSoundnessParallel(d, lang, inst, alphabet, shards, workers)
+		err = core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, d, lang, inst, alphabet, shards, workers)
 	})
 	return leak, err
 }

@@ -101,7 +101,7 @@ func TestLeakCheckGrantsDrainGrace(t *testing.T) {
 }
 
 // TestProbeBuildSharded pins the shipped builder to its cleanup contract:
-// the work-stealing pool must be fully exited when BuildSharded returns.
+// the work-stealing pool must be fully exited when BuildShardedCtx returns.
 func TestProbeBuildSharded(t *testing.T) {
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(3)
@@ -115,7 +115,7 @@ func TestProbeBuildSharded(t *testing.T) {
 		t.Fatal("probe returned no graph")
 	}
 	if leak != nil {
-		t.Fatalf("BuildSharded leaked goroutines: %v", leak.Error())
+		t.Fatalf("BuildShardedCtx leaked goroutines: %v", leak.Error())
 	}
 }
 

@@ -22,7 +22,7 @@ func TestProbeBuildShardedCancel(t *testing.T) {
 	leak, err := sanitize.ProbeBuildShardedCancel(
 		s.Decoder, nbhd.ShardedAllLabelings(alpha, fam...), 64, 4)
 	if leak != nil {
-		t.Fatalf("cancelled BuildSharded leaked goroutines: %v", leak.Error())
+		t.Fatalf("cancelled BuildShardedCtx leaked goroutines: %v", leak.Error())
 	}
 	if err != nil {
 		t.Fatalf("cancellation contract violated: %v", err)

@@ -1,10 +1,12 @@
 package sanitize
 
 import (
+	"context"
 	"time"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/faults"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/sim"
 	"hidinglcp/internal/view"
 )
@@ -12,7 +14,7 @@ import (
 // ProbeGatherFaults runs the fault-injected gather under the goroutine-leak
 // probe. The scheduler's contract is that every per-node goroutine — the
 // crashed ones included, which leave the round barrier early — has exited
-// by the time GatherFaults returns; a non-nil LeakReport is a contract
+// by the time GatherFaultsCtx returns; a non-nil LeakReport is a contract
 // violation regardless of err.
 func ProbeGatherFaults(l core.Labeled, r int, plan faults.Plan) ([]*view.View, sim.Stats, *faults.Report, *LeakReport, error) {
 	var views []*view.View
@@ -20,7 +22,7 @@ func ProbeGatherFaults(l core.Labeled, r int, plan faults.Plan) ([]*view.View, s
 	var rep *faults.Report
 	var err error
 	leak := LeakCheck(func() {
-		views, stats, rep, err = sim.GatherFaults(l, r, plan)
+		views, stats, rep, err = sim.GatherFaultsCtx(context.Background(), obs.Scope{}, l, r, plan)
 	})
 	return views, stats, rep, leak, err
 }
@@ -32,7 +34,7 @@ func ProbeGatherFaults(l core.Labeled, r int, plan faults.Plan) ([]*view.View, s
 func WatchGatherFaults(timeout time.Duration, l core.Labeled, r int, plan faults.Plan) (*StallReport, error) {
 	var err error
 	stall := Watch(timeout, func() {
-		_, _, _, err = sim.GatherFaults(l, r, plan)
+		_, _, _, err = sim.GatherFaultsCtx(context.Background(), obs.Scope{}, l, r, plan)
 	})
 	if stall != nil {
 		// The probed call never returned; its error is unknowable.

@@ -9,6 +9,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -47,7 +48,7 @@ func TestGatherFaultsZeroPlanMatchesExtract(t *testing.T) {
 		g := graph.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := rng.Intn(3)
-		got, stats, rep, err := GatherFaults(l, r, faults.Plan{})
+		got, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestGatherFaultsReplayDeterministic(t *testing.T) {
 	var baseTrace []string
 	var baseSummary string
 	for run := 0; run < 10; run++ {
-		views, stats, rep, err := GatherFaults(l, 3, plan)
+		views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +116,11 @@ func TestGatherFaultsSeedSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := graph.ConnectedGNP(9, 0.5, rng)
 	l := labeled(g, randomLabels(g.N(), rng))
-	_, _, repA, err := GatherFaults(l, 3, faults.Plan{Seed: 1, Drop: 0.5})
+	_, _, repA, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, faults.Plan{Seed: 1, Drop: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, repB, err := GatherFaults(l, 3, faults.Plan{Seed: 2, Drop: 0.5})
+	_, _, repB, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, faults.Plan{Seed: 2, Drop: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestGatherFaultsCrashRoundZero(t *testing.T) {
 		if g.N() > 4 {
 			crashed[g.N()-1] = 0
 		}
-		views, _, rep, err := GatherFaults(l, r, faults.Plan{Crashes: crashed})
+		views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Crashes: crashed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestGatherFaultsCrashRoundZero(t *testing.T) {
 func TestGatherFaultsMidRunCrash(t *testing.T) {
 	g := graph.Path(5)
 	l := labeled(g, []string{"a", "b", "c", "d", "e"})
-	views, _, rep, err := GatherFaults(l, 3, faults.Plan{Crashes: map[int]int{2: 1}})
+	views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, faults.Plan{Crashes: map[int]int{2: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestGatherFaultsMidRunCrash(t *testing.T) {
 func TestGatherFaultsCrashBeyondHorizonIsNoop(t *testing.T) {
 	g := graph.MustCycle(6)
 	l := labeled(g, make([]string, 6))
-	views, _, rep, err := GatherFaults(l, 2, faults.Plan{Crashes: map[int]int{3: 2}})
+	views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 2, faults.Plan{Crashes: map[int]int{3: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestGatherFaultsDropEverything(t *testing.T) {
 	g := graph.MustCycle(5)
 	l := labeled(g, []string{"a", "b", "c", "d", "e"})
 	r := 2
-	views, stats, rep, err := GatherFaults(l, r, faults.Plan{Drop: 1})
+	views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Drop: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestGatherFaultsDuplicationAndReorderAreInvisible(t *testing.T) {
 		g := graph.ConnectedGNP(3+rng.Intn(6), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(2)
-		views, stats, rep, err := GatherFaults(l, r, faults.Plan{Seed: int64(trial), Duplicate: 0.6, Reorder: true})
+		views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Seed: int64(trial), Duplicate: 0.6, Reorder: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +307,7 @@ func TestGatherFaultsDelaySubviews(t *testing.T) {
 		g := graph.ConnectedGNP(4+rng.Intn(5), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(3)
-		views, _, rep, err := GatherFaults(l, r, faults.Plan{Seed: int64(trial), Delay: 0.5, MaxDelay: 2})
+		views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Seed: int64(trial), Delay: 0.5, MaxDelay: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,8 +331,7 @@ func TestGatherFaultsDelaySubviews(t *testing.T) {
 // TestRunSchemeFaultsGraceful: crashes degrade into verdicts, never
 // errors.
 func TestRunSchemeFaultsGraceful(t *testing.T) {
-	fr, err := RunSchemeFaults(decoders.EvenCycle(), core.NewInstance(graph.MustCycle(10)),
-		faults.Plan{Crashes: map[int]int{3: 0}})
+	fr, err := RunSchemeFaultsCtx(nil, obs.Scope{}, decoders.EvenCycle(), core.NewInstance(graph.MustCycle(10)), faults.Plan{Crashes: map[int]int{3: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestRunSchemeFaultsCorruptionIsCaught(t *testing.T) {
 			}
 			rejectedSomewhere := false
 			for corrupt := 0; corrupt < tt.g.N(); corrupt++ {
-				fr, err := RunSchemeFaults(tt.s, inst, faults.Plan{Seed: 5, CorruptNodes: []int{corrupt}})
+				fr, err := RunSchemeFaultsCtx(nil, obs.Scope{}, tt.s, inst, faults.Plan{Seed: 5, CorruptNodes: []int{corrupt}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -389,21 +389,35 @@ func TestRunSchemeFaultsCorruptionIsCaught(t *testing.T) {
 	}
 }
 
-// TestRunSchemeFaultsZeroPlanMatchesRunScheme pins that the two entry
-// points are the same computation.
+// TestRunSchemeFaultsZeroPlanMatchesRunScheme pins that the zero-plan run
+// of RunSchemeFaultsCtx on an anonymous instance is the fault-free scheme
+// run: the prover's labels decoded centrally by core.Run give the same
+// verdicts, and the sequential reference gather gives the same stats.
 func TestRunSchemeFaultsZeroPlanMatchesRunScheme(t *testing.T) {
 	s := decoders.EvenCycle()
 	inst := core.NewAnonymousInstance(graph.MustCycle(8))
-	accept, stats, err := RunScheme(s, inst)
+	labels, err := s.Prover.Certify(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunSchemeFaults(s, inst, faults.Plan{})
+	l := core.MustNewLabeled(inst, labels)
+	accept, err := core.Run(s.Decoder, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := gatherSequential(l, s.Decoder.Rounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := RunSchemeFaultsCtx(nil, obs.Scope{}, s, inst, faults.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fr.Stats != stats {
 		t.Errorf("stats differ: %+v vs %+v", fr.Stats, stats)
+	}
+	if len(fr.Verdicts) != len(accept) {
+		t.Fatalf("%d verdicts vs %d bools", len(fr.Verdicts), len(accept))
 	}
 	for v, ok := range accept {
 		if ok != fr.Verdicts[v].Accepted() {
@@ -422,11 +436,11 @@ func TestGatherFaultsInvalidPlan(t *testing.T) {
 		{CorruptNodes: []int{-1}},
 	}
 	for _, plan := range bad {
-		if _, _, _, err := GatherFaults(l, 1, plan); err == nil {
+		if _, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, 1, plan); err == nil {
 			t.Errorf("plan %+v accepted", plan)
 		}
 	}
-	if _, _, _, err := GatherFaults(l, -1, faults.Plan{}); err == nil {
+	if _, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, -1, faults.Plan{}); err == nil {
 		t.Error("negative radius accepted")
 	}
 }
@@ -438,7 +452,7 @@ func TestGatherFaultsRetryLimit(t *testing.T) {
 	g := graph.MustCycle(4)
 	l := labeled(g, make([]string, 4))
 	for _, retry := range []int{1, 2, 10} {
-		_, _, rep, err := GatherFaults(l, 2, faults.Plan{Drop: 1, RetryLimit: retry})
+		_, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 2, faults.Plan{Drop: 1, RetryLimit: retry})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +468,7 @@ func TestGatherFaultsAllCrash(t *testing.T) {
 	g := graph.Path(4)
 	l := labeled(g, make([]string, 4))
 	crashes := map[int]int{0: 0, 1: 0, 2: 0, 3: 0}
-	views, stats, rep, err := GatherFaults(l, 2, faults.Plan{Crashes: crashes})
+	views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 2, faults.Plan{Crashes: crashes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,37 +59,24 @@ type pendingMsg struct {
 	payload knowledge
 }
 
-// GatherFaults runs r rounds of synchronous flooding under the fault plan
-// and returns every surviving node's assembled view (nil at crashed
-// nodes), the communication stats, and the structured fault report.
-// Errors are reserved for misuse — negative radius, invalid plan,
-// malformed port assignment — never for injected faults.
-func GatherFaults(l core.Labeled, r int, plan faults.Plan) ([]*view.View, Stats, *faults.Report, error) {
-	return gatherFaults(nil, obs.Scope{}, l, r, plan)
-}
-
-// GatherFaultsScoped is GatherFaults reporting fault counters and a span
-// into the scope.
-func GatherFaultsScoped(sc obs.Scope, l core.Labeled, r int, plan faults.Plan) ([]*view.View, Stats, *faults.Report, error) {
-	return gatherFaults(nil, sc, l, r, plan)
-}
-
-// GatherFaultsCtx is GatherFaultsScoped under cooperative cancellation.
-// When ctx fires, every node goroutine stops at its next round boundary
-// (leaving the barrier like a crash-stopped node, so the survivors never
-// deadlock), the pool drains through the WaitGroup, and the call returns
-// no views and no report — a cancelled gather's partial state depends on
-// which round each node had reached, so none of it is published. With a
-// context that never fires the outputs are bit-identical to
-// GatherFaultsScoped's (cancellation support only widens channel buffers,
-// which no output observes).
+// GatherFaultsCtx runs r rounds of synchronous flooding with one goroutine
+// per node under the fault plan and returns every surviving node's
+// assembled radius-r view (nil at crashed nodes), the communication stats,
+// and the structured fault report. The host indices inside messages are
+// transport bookkeeping only (they never reach the decoders, which see
+// view-local numbering exactly as with view.Extract). Errors are reserved
+// for misuse — negative radius, invalid plan, malformed port assignment —
+// never for injected faults. The zero-value plan is the fault-free run.
+//
+// Cancellation is cooperative: when ctx fires, every node goroutine stops
+// at its next round boundary (leaving the barrier like a crash-stopped
+// node, so the survivors never deadlock), the pool drains through the
+// WaitGroup, and the call returns no views and no report — a cancelled
+// gather's partial state depends on which round each node had reached, so
+// none of it is published. A nil ctx is the never-cancelled context
+// (internal/cancel); a non-nil one only widens channel buffers, which no
+// output observes. Fault counters and a span are reported into sc.
 func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, plan faults.Plan) ([]*view.View, Stats, *faults.Report, error) {
-	return gatherFaults(ctx, sc, l, r, plan)
-}
-
-// gatherFaults is the scheduler beneath the three exported variants. A nil
-// ctx is the never-cancelled context (internal/cancel).
-func gatherFaults(ctx context.Context, sc obs.Scope, l core.Labeled, r int, plan faults.Plan) ([]*view.View, Stats, *faults.Report, error) {
 	n := l.G.N()
 	if r < 0 {
 		return nil, Stats{}, nil, fmt.Errorf("negative radius %d", r)
@@ -269,7 +256,7 @@ func gatherFaults(ctx context.Context, sc obs.Scope, l core.Labeled, r int, plan
 		}(v)
 	}
 	wg.Wait()
-	if err := cancel.Err(ctx, "fault-injected gather"); err != nil {
+	if err := cancel.Err(ctx, "message-passing gather"); err != nil {
 		sc.Counter("sim.gather.cancelled").Inc()
 		if sc.EventsEnabled() {
 			sc.EmitSpanEvent(span, obs.LevelWarn, "sim.gather.cancelled",
@@ -330,7 +317,7 @@ func sortedCrashNodes(plan faults.Plan) []int {
 	return out
 }
 
-// FaultReport is the graceful-degradation outcome of RunSchemeFaults: one
+// FaultReport is the graceful-degradation outcome of RunSchemeFaultsCtx: one
 // verdict per node (crashed nodes issue none), the communication stats,
 // and the scheduler's structured fault report. Degradation is data, not an
 // error — the caller decides what a crash or a rejection means for its
@@ -354,33 +341,21 @@ func (fr *FaultReport) Counts() (accepted, rejected, crashed int) {
 // AllAccept reports whether every node ran to completion and accepted.
 func (fr *FaultReport) AllAccept() bool { return core.AllAcceptVerdicts(fr.Verdicts) }
 
-// RunSchemeFaults certifies the instance with the scheme's prover, runs
+// RunSchemeFaultsCtx certifies the instance with the scheme's prover, runs
 // the fault-injected gather, and evaluates the decoder at every surviving
-// node. Injected faults never produce an error: crashed nodes get
-// VerdictCrashed, nodes with truncated or corrupted views get the
-// decoder's honest verdict on what they saw, and the FaultReport says what
-// was injected. Errors are reserved for misuse: a prover that rejects the
-// instance, an invalid plan, a malformed port assignment.
-func RunSchemeFaults(s core.Scheme, inst core.Instance, plan faults.Plan) (*FaultReport, error) {
-	return runSchemeFaults(nil, obs.Scope{}, s, inst, plan)
-}
-
-// RunSchemeFaultsScoped is RunSchemeFaults reporting into the scope.
-func RunSchemeFaultsScoped(sc obs.Scope, s core.Scheme, inst core.Instance, plan faults.Plan) (*FaultReport, error) {
-	return runSchemeFaults(nil, sc, s, inst, plan)
-}
-
-// RunSchemeFaultsCtx is RunSchemeFaultsScoped under cooperative
-// cancellation: the gather stops at the next round boundary (see
+// node: the end-to-end "distributed certification" entry point. Injected
+// faults never produce an error: crashed nodes get VerdictCrashed, nodes
+// with truncated or corrupted views get the decoder's honest verdict on
+// what they saw, and the FaultReport says what was injected. Errors are
+// reserved for misuse: a prover that rejects the instance, an invalid
+// plan, a malformed port assignment. Under the zero-value plan every node
+// gets the verdict of the fault-free run.
+//
+// When ctx fires, the gather stops at the next round boundary (see
 // GatherFaultsCtx) and the call returns no FaultReport alongside the
-// cancellation error.
+// cancellation error. Verdict counters and a completion event are
+// reported into sc.
 func RunSchemeFaultsCtx(ctx context.Context, sc obs.Scope, s core.Scheme, inst core.Instance, plan faults.Plan) (*FaultReport, error) {
-	return runSchemeFaults(ctx, sc, s, inst, plan)
-}
-
-// runSchemeFaults is the run beneath the three exported variants. A nil
-// ctx is the never-cancelled context (internal/cancel).
-func runSchemeFaults(ctx context.Context, sc obs.Scope, s core.Scheme, inst core.Instance, plan faults.Plan) (*FaultReport, error) {
 	labels, err := s.Prover.Certify(inst)
 	if err != nil {
 		return nil, fmt.Errorf("prover: %w", err)
@@ -389,7 +364,7 @@ func runSchemeFaults(ctx context.Context, sc obs.Scope, s core.Scheme, inst core
 	if err != nil {
 		return nil, err
 	}
-	views, stats, rep, err := gatherFaults(ctx, sc, l, s.Decoder.Rounds(), plan)
+	views, stats, rep, err := GatherFaultsCtx(ctx, sc, l, s.Decoder.Rounds(), plan)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -60,11 +61,11 @@ func FuzzGatherFaults(f *testing.F) {
 			Reorder:   seed%2 == 0,
 			Crashes:   crashes,
 		}
-		viewsA, statsA, repA, err := GatherFaults(l, r, plan)
+		viewsA, statsA, repA, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, plan)
 		if err != nil {
 			t.Fatalf("pre-validated plan errored: %v", err)
 		}
-		viewsB, statsB, repB, err := GatherFaults(l, r, plan)
+		viewsB, statsB, repB, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func FuzzGatherFaults(f *testing.F) {
 			return
 		}
 		crashOnly := faults.Plan{Seed: seed, Crashes: crashes}
-		views, _, _, err := GatherFaults(l, r, crashOnly)
+		views, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, crashOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func FuzzRunSchemeFaults(f *testing.F) {
 			}
 		}
 		plan := faults.Plan{Seed: seed, Drop: float64(dropMilli%1001) / 1000, Crashes: crashes}
-		fr, err := RunSchemeFaults(decoders.EvenCycle(), core.NewAnonymousInstance(g), plan)
+		fr, err := RunSchemeFaultsCtx(nil, obs.Scope{}, decoders.EvenCycle(), core.NewAnonymousInstance(g), plan)
 		if err != nil {
 			t.Fatalf("fault run errored instead of degrading: %v", err)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden fault schedule traces in testdata/")
@@ -53,7 +54,7 @@ func TestGoldenFaultTraces(t *testing.T) {
 				labels[v] = fmt.Sprintf("c%d", v%3)
 			}
 			l := labeled(tc.g, labels)
-			_, _, rep, err := GatherFaults(l, tc.r, tc.plan)
+			_, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, tc.r, tc.plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func TestGoldenFaultTraces(t *testing.T) {
 			}
 			// A second run must reproduce the identical trace before it is
 			// worth pinning.
-			_, _, rep2, err := GatherFaults(l, tc.r, tc.plan)
+			_, _, rep2, err := GatherFaultsCtx(nil, obs.Scope{}, l, tc.r, tc.plan)
 			if err != nil {
 				t.Fatal(err)
 			}

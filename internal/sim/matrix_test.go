@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 // matrixGraphs is the generator side of the differential matrix: one
@@ -37,9 +39,10 @@ func matrixGraphs(t *testing.T) []struct {
 
 // TestDifferentialMatrix runs the full decoder × generator matrix and
 // checks that all four view pipelines agree node-by-node: centralized
-// extraction, sequential simulation, goroutine-per-node simulation, and
-// the fault runtime under the zero-value plan. The radii exercised are
-// exactly the registered decoders' radii — the ones the schemes run at.
+// extraction, sequential simulation, and the zero-plan goroutine-per-node
+// runtime under both the nil context (single-slot links) and a live one
+// (links widened for cancellation). The radii exercised are exactly the
+// registered decoders' radii — the ones the schemes run at.
 func TestDifferentialMatrix(t *testing.T) {
 	// Collect the distinct verification radii of every registered scheme.
 	radii := map[int]bool{}
@@ -65,15 +68,17 @@ func TestDifferentialMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, _, err := Gather(l, r)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				live, _, _, err := GatherFaultsCtx(ctx, obs.Scope{}, l, r, faults.Plan{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq, _, err := GatherSequential(l, r)
+				seq, _, err := gatherSequential(l, r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				zero, _, rep, err := GatherFaults(l, r, faults.Plan{})
+				zero, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,14 +87,14 @@ func TestDifferentialMatrix(t *testing.T) {
 				}
 				for v := range want {
 					wk := want[v].Key()
-					if par[v].Key() != wk {
-						t.Errorf("node %d: Gather differs from Extract", v)
+					if live[v].Key() != wk {
+						t.Errorf("node %d: live-context gather differs from Extract", v)
 					}
 					if seq[v].Key() != wk {
-						t.Errorf("node %d: GatherSequential differs from Extract", v)
+						t.Errorf("node %d: sequential gather differs from Extract", v)
 					}
 					if zero[v].Key() != wk {
-						t.Errorf("node %d: zero-plan GatherFaults differs from Extract", v)
+						t.Errorf("node %d: nil-context gather differs from Extract", v)
 					}
 				}
 			})
@@ -98,8 +103,9 @@ func TestDifferentialMatrix(t *testing.T) {
 }
 
 // TestSchemeMatrixZeroPlan drives every registered scheme end-to-end on a
-// yes-instance of its promise through both RunScheme and the zero-plan
-// fault runtime: identical verdicts, all accepting, no fault events.
+// yes-instance of its promise through the zero-plan runtime and checks it
+// against the centralized run: identical verdicts, all accepting, and the
+// sequential reference gather's communication stats.
 func TestSchemeMatrixZeroPlan(t *testing.T) {
 	yes := map[string]*graph.Graph{
 		"trivial":         graph.Grid(3, 4),
@@ -123,11 +129,20 @@ func TestSchemeMatrixZeroPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			inst := core.NewInstance(g)
-			accept, stats, err := RunScheme(s, inst)
+			labels, err := s.Prover.Certify(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fr, err := RunSchemeFaults(s, inst, faults.Plan{})
+			l := core.MustNewLabeled(inst, labels)
+			accept, err := core.Run(s.Decoder, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats, err := gatherSequential(l, s.Decoder.Rounds())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := RunSchemeFaultsCtx(nil, obs.Scope{}, s, inst, faults.Plan{})
 			if err != nil {
 				t.Fatal(err)
 			}

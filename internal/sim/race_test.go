@@ -11,6 +11,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 // TestRaceGatherStress hammers the message-passing simulator from many
@@ -41,9 +42,9 @@ func TestRaceGatherStress(t *testing.T) {
 				if i%2 != w%2 {
 					continue
 				}
-				got, _, err := Gather(j.l, j.r)
+				got, _, err := gather(j.l, j.r)
 				if err != nil {
-					t.Errorf("worker %d: Gather(r=%d): %v", w, j.r, err)
+					t.Errorf("worker %d: gather(r=%d): %v", w, j.r, err)
 					return
 				}
 				want, err := j.l.Views(j.r)
@@ -81,7 +82,7 @@ func TestRaceGatherFaultsStress(t *testing.T) {
 		Crashes:   map[int]int{2: 1, 8: 0},
 		Trace:     true,
 	}
-	baseViews, baseStats, baseRep, err := GatherFaults(l, 3, plan)
+	baseViews, baseStats, baseRep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRaceGatherFaultsStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				views, stats, rep, err := GatherFaults(l, 3, plan)
+				views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, plan)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return

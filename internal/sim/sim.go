@@ -6,15 +6,16 @@
 // distance-r nodes needs min distance r to either endpoint and therefore
 // never arrives within r rounds.
 //
-// The runtime is fault-injectable: GatherFaults and RunSchemeFaults drive
-// the same scheduler under a seeded faults.Plan — message drop,
-// duplication, delay, and reordering, crash-stop node failures, and
+// The package has two entry points, both taking the caller's context and
+// observability scope: GatherFaultsCtx gathers every node's view, and
+// RunSchemeFaultsCtx certifies an instance and evaluates the decoder at
+// every node. Both drive one scheduler under a seeded faults.Plan — message
+// drop, duplication, delay, and reordering, crash-stop node failures, and
 // adversarial certificate corruption — with bit-identical replays per
 // (seed, plan) and graceful degradation into per-node verdicts plus a
-// structured FaultReport. Gather and RunScheme are the fault-free entry
-// points (the zero-value plan), checked against the centralized
-// view.Extract in tests; GatherSequential provides the single-threaded
-// reference used by the scheduling ablation bench.
+// structured FaultReport. The zero-value plan is the fault-free run, which
+// the tests check against the centralized view.Extract and against a
+// single-threaded reference gather.
 package sim
 
 import (
@@ -22,11 +23,10 @@ import (
 	"sort"
 
 	"hidinglcp/internal/core"
-	"hidinglcp/internal/faults"
 	"hidinglcp/internal/view"
 )
 
-// Stats reports the communication volume of one Gather run.
+// Stats reports the communication volume of one gather.
 type Stats struct {
 	Rounds int
 	// Messages is the total number of point-to-point messages actually
@@ -117,53 +117,6 @@ func initialKnowledge(l core.Labeled, labels []string) ([]knowledge, error) {
 		}
 	}
 	return know, nil
-}
-
-// Gather runs r rounds of synchronous flooding with one goroutine per node
-// and returns every node's assembled radius-r view. The host indices inside
-// messages are transport bookkeeping only (they never reach the decoders,
-// which see view-local numbering exactly as with view.Extract). It is the
-// fault-free run of the injectable scheduler: GatherFaults under the
-// zero-value plan.
-func Gather(l core.Labeled, r int) ([]*view.View, Stats, error) {
-	views, stats, _, err := GatherFaults(l, r, faults.Plan{})
-	return views, stats, err
-}
-
-// GatherSequential computes the same result with a plain round loop and no
-// goroutines — the scheduling ablation baseline.
-func GatherSequential(l core.Labeled, r int) ([]*view.View, Stats, error) {
-	n := l.G.N()
-	if r < 0 {
-		return nil, Stats{}, fmt.Errorf("negative radius %d", r)
-	}
-	know, err := initialKnowledge(l, l.Labels)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{Rounds: r}
-	for round := 0; round < r; round++ {
-		snapshots := make([]knowledge, n)
-		for v := 0; v < n; v++ {
-			snapshots[v] = know[v].clone()
-		}
-		for v := 0; v < n; v++ {
-			for _, w := range l.G.Neighbors(v) {
-				know[v].merge(snapshots[w])
-				stats.Messages++
-				stats.Records += len(snapshots[w].nodes)
-			}
-		}
-	}
-	views := make([]*view.View, n)
-	for v := 0; v < n; v++ {
-		mu, err := assemble(know[v], v, r, l.NBound)
-		if err != nil {
-			return nil, stats, err
-		}
-		views[v] = mu
-	}
-	return views, stats, nil
 }
 
 // assemble turns gathered knowledge into a view.View with the same local
@@ -257,20 +210,4 @@ func assemble(k knowledge, center, r, nBound int) (*view.View, error) {
 		sort.Ints(mu.Adj[i])
 	}
 	return mu, nil
-}
-
-// RunScheme certifies the instance with the scheme's prover, gathers views
-// by message passing, and evaluates the decoder at every node. It is the
-// end-to-end "distributed certification" entry point — the fault-free run
-// of RunSchemeFaults.
-func RunScheme(s core.Scheme, inst core.Instance) (accept []bool, stats Stats, err error) {
-	fr, err := RunSchemeFaults(s, inst, faults.Plan{})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	accept = make([]bool, len(fr.Verdicts))
-	for v, verdict := range fr.Verdicts {
-		accept[v] = verdict.Accepted()
-	}
-	return accept, fr.Stats, nil
 }

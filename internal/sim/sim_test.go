@@ -7,7 +7,9 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
+	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 func labeled(g *graph.Graph, labels []string) core.Labeled {
@@ -31,7 +33,7 @@ func TestGatherMatchesExtract(t *testing.T) {
 		g := graph.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := rng.Intn(3)
-		got, _, err := Gather(l, r)
+		got, _, err := gather(l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func TestGatherSequentialMatchesExtract(t *testing.T) {
 		g := graph.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := rng.Intn(3)
-		got, _, err := GatherSequential(l, r)
+		got, _, err := gatherSequential(l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +75,7 @@ func TestGatherSequentialMatchesExtract(t *testing.T) {
 func TestGatherStats(t *testing.T) {
 	g := graph.MustCycle(6)
 	l := labeled(g, make([]string, 6))
-	_, stats, err := Gather(l, 3)
+	_, stats, err := gather(l, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestGatherStats(t *testing.T) {
 func TestGatherRadiusZero(t *testing.T) {
 	g := graph.Path(4)
 	l := labeled(g, []string{"a", "b", "c", "d"})
-	views, stats, err := Gather(l, 0)
+	views, stats, err := gather(l, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +110,10 @@ func TestGatherRadiusZero(t *testing.T) {
 
 func TestGatherNegativeRadius(t *testing.T) {
 	l := labeled(graph.Path(2), []string{"", ""})
-	if _, _, err := Gather(l, -1); err == nil {
+	if _, _, err := gather(l, -1); err == nil {
 		t.Error("negative radius accepted")
 	}
-	if _, _, err := GatherSequential(l, -1); err == nil {
+	if _, _, err := gatherSequential(l, -1); err == nil {
 		t.Error("negative radius accepted (sequential)")
 	}
 }
@@ -120,7 +122,7 @@ func TestGatherFrontierTruncation(t *testing.T) {
 	// Triangle at radius 1: no gathered view may contain the far edge.
 	g := graph.MustCycle(3)
 	l := labeled(g, make([]string, 3))
-	views, _, err := Gather(l, 1)
+	views, _, err := gather(l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +150,16 @@ func TestRunSchemeEndToEnd(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			accept, stats, err := RunScheme(tt.s, core.NewInstance(tt.g))
+			fr, err := RunSchemeFaultsCtx(nil, obs.Scope{}, tt.s, core.NewInstance(tt.g), faults.Plan{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v, ok := range accept {
-				if !ok {
+			for v, verdict := range fr.Verdicts {
+				if !verdict.Accepted() {
 					t.Errorf("node %d rejects", v)
 				}
 			}
-			if stats.Messages == 0 {
+			if fr.Stats.Messages == 0 {
 				t.Error("no communication happened")
 			}
 		})
@@ -165,7 +167,7 @@ func TestRunSchemeEndToEnd(t *testing.T) {
 }
 
 func TestRunSchemeRejectsOutsidePromise(t *testing.T) {
-	_, _, err := RunScheme(decoders.EvenCycle(), core.NewInstance(graph.MustCycle(5)))
+	_, err := RunSchemeFaultsCtx(nil, obs.Scope{}, decoders.EvenCycle(), core.NewInstance(graph.MustCycle(5)), faults.Plan{})
 	if err == nil {
 		t.Error("prover certified an odd cycle through the simulator")
 	}
@@ -179,19 +181,19 @@ func TestGatherMalformedPorts(t *testing.T) {
 	g := graph.Path(4)
 	inst := core.NewInstance(g).WithPorts(graph.DefaultPorts(graph.Star(4)))
 	l := core.MustNewLabeled(inst, make([]string, 4))
-	if _, _, err := Gather(l, 1); err == nil {
-		t.Error("Gather accepted a malformed port assignment")
+	if _, _, err := gather(l, 1); err == nil {
+		t.Error("gather accepted a malformed port assignment")
 	}
-	if _, _, err := GatherSequential(l, 1); err == nil {
-		t.Error("GatherSequential accepted a malformed port assignment")
+	if _, _, err := gatherSequential(l, 1); err == nil {
+		t.Error("sequential gather accepted a malformed port assignment")
 	}
 	// A nil port assignment is the degenerate malformed case.
 	l.Prt = nil
-	if _, _, err := Gather(l, 1); err == nil {
-		t.Error("Gather accepted a nil port assignment")
+	if _, _, err := gather(l, 1); err == nil {
+		t.Error("gather accepted a nil port assignment")
 	}
-	if _, _, err := GatherSequential(l, 1); err == nil {
-		t.Error("GatherSequential accepted a nil port assignment")
+	if _, _, err := gatherSequential(l, 1); err == nil {
+		t.Error("sequential gather accepted a nil port assignment")
 	}
 }
 
@@ -203,11 +205,11 @@ func TestGatherParallelSequentialAgree(t *testing.T) {
 		g := graph.ConnectedGNP(3+rng.Intn(6), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(2)
-		a, sa, err := Gather(l, r)
+		a, sa, err := gather(l, r)
 		if err != nil {
 			return false
 		}
-		b, sb, err := GatherSequential(l, r)
+		b, sb, err := gatherSequential(l, r)
 		if err != nil {
 			return false
 		}
