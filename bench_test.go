@@ -319,6 +319,22 @@ func BenchmarkSoundnessSearch(b *testing.B) {
 			}
 		})
 	}
+	// The 4^10 sweep on the fixed graph of the bench/ sweep-n10 workload
+	// (edge list copied: bench/ is its own module). w1 runs the sequential
+	// path; w2 runs the sharded one with the workload's 4 shards per worker.
+	sweep := core.NewAnonymousInstance(graph.MustFromEdges(10, [][2]int{
+		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2},
+		{0, 5}, {5, 6}, {5, 7}, {6, 8}, {6, 9},
+	}))
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("exhaustive-4^10-w%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := core.ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, s.Decoder, s.Promise.Lang, sweep, decoders.DegOneAlphabet(), 0, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkGatherFaults measures fault-injected view gathering under a

@@ -1,7 +1,9 @@
 package cli
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hidinglcp/internal/faults"
@@ -127,4 +129,83 @@ func TestFaultFlagsPlanValidates(t *testing.T) {
 	if err := plan.Validate(10); err == nil {
 		t.Error("out-of-range probability survived validation")
 	}
+}
+
+// faultKeys are the field names parseFaultSpec knows.
+var faultKeys = map[string]bool{
+	"drop": true, "dup": true, "delay": true, "reorder": true,
+	"corrupt": true, "retry": true, "trace": true,
+}
+
+// FuzzParseFaultSpec feeds arbitrary -faults values to the parser. It must
+// never panic; a field with an unknown name must be an error; and a spec
+// that parses and passes Plan.Validate — the gate every command applies
+// before running (the flag layer leaves range checks to it) — must carry
+// probabilities in [0,1] and non-negative bounds.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "drop=0.2, dup=0.1, delay=0.3:2, reorder, corrupt=1+4, retry=5, trace",
+		"delay=0.5", "drop=1.5", "drop=NaN", "dup=-0", "delay=1e-300:1",
+		"corrupt=", "retry=-1", ",,reorder,,", "fizzle=1", "drop=0x1p-2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		var plan faults.Plan
+		if err := parseFaultSpec(spec, &plan); err != nil {
+			return
+		}
+		for _, field := range strings.Split(spec, ",") {
+			field = strings.TrimSpace(field)
+			if key, _, _ := strings.Cut(field, "="); field != "" && !faultKeys[key] {
+				t.Fatalf("spec %q parsed despite unknown field %q", spec, field)
+			}
+		}
+		if plan.Validate(math.MaxInt32) != nil {
+			return
+		}
+		for _, p := range []float64{plan.Drop, plan.Duplicate, plan.Delay} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("spec %q accepted with probability %v outside [0,1]: %+v", spec, p, plan)
+			}
+		}
+		if plan.MaxDelay < 0 || plan.RetryLimit < 0 {
+			t.Fatalf("spec %q accepted with a negative bound: %+v", spec, plan)
+		}
+	})
+}
+
+// FuzzParseCrashSpec feeds arbitrary -crash values to the parser. It must
+// never panic; an accepted schedule is non-empty with one entry per
+// non-empty field; and one that also passes Plan.Validate has only
+// non-negative crash nodes and rounds.
+func FuzzParseCrashSpec(f *testing.F) {
+	for _, s := range []string{
+		"3@0, 5@2, 7", "", " , ", "3@0,3@1", "x@0", "3@x", "3@-1", "-2", "4@", "@4",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		crashes, err := parseCrashSpec(spec)
+		if err != nil {
+			return
+		}
+		fields := 0
+		for _, field := range strings.Split(spec, ",") {
+			if strings.TrimSpace(field) != "" {
+				fields++
+			}
+		}
+		if len(crashes) == 0 || len(crashes) != fields {
+			t.Fatalf("spec %q parsed to %d crashes from %d fields", spec, len(crashes), fields)
+		}
+		if (faults.Plan{Crashes: crashes}).Validate(math.MaxInt32) != nil {
+			return
+		}
+		for v, r := range crashes {
+			if v < 0 || r < 0 {
+				t.Fatalf("spec %q accepted with crash %d@%d", spec, v, r)
+			}
+		}
+	})
 }

@@ -37,6 +37,11 @@ func TestExhaustiveScopedEquivalence(t *testing.T) {
 	if decides != memoHits+inner {
 		t.Errorf("decide.calls (%d) != memo_hits (%d) + inner (%d)", decides, memoHits, inner)
 	}
+	// Every node counts one verdict per labeling, including the untouched
+	// nodes whose verdict the incremental sweep reuses.
+	if n := int64(inst.G.N()); decides != n*checked {
+		t.Errorf("decide.calls (%d) != n (%d) × labelings.checked (%d)", decides, n, checked)
+	}
 	// The clean search visits all |alphabet|^n labelings exactly once
 	// across shards (no pruning without a violation).
 	if want := int64(3 * 3 * 3 * 3); checked != want {
@@ -93,12 +98,26 @@ func TestExhaustiveScopedViolationCounters(t *testing.T) {
 // single-worker request must route to the sequential search and say so.
 func TestExhaustiveScopedSequentialFallback(t *testing.T) {
 	sc := obs.NewScope()
-	err := ExhaustiveStrongSoundnessParallelCtx(nil, sc, revealDecoder(), TwoCol(), NewInstance(graph.Path(3)), []string{"0", "1", "x"}, 1, 1)
+	inst := NewInstance(graph.Path(3))
+	err := ExhaustiveStrongSoundnessParallelCtx(nil, sc, revealDecoder(), TwoCol(), inst, []string{"0", "1", "x"}, 1, 1)
 	if err != nil {
 		t.Fatalf("sequential fallback failed: %v", err)
 	}
 	if got := sc.Counter("core.sweep.sequential_fallback").Value(); got != 1 {
 		t.Errorf("sequential_fallback = %d, want 1", got)
+	}
+	checked := sc.Counter("core.sweep.labelings.checked").Value()
+	decides := sc.Counter("core.sweep.decide.calls").Value()
+	memoHits := sc.Counter("core.sweep.decide.memo_hits").Value()
+	inner := sc.Counter("core.sweep.decide.inner").Value()
+	if want := int64(3 * 3 * 3); checked != want {
+		t.Errorf("labelings.checked = %d, want %d", checked, want)
+	}
+	if decides != memoHits+inner {
+		t.Errorf("decide.calls (%d) != memo_hits (%d) + inner (%d)", decides, memoHits, inner)
+	}
+	if n := int64(inst.G.N()); decides != n*checked {
+		t.Errorf("decide.calls (%d) != n (%d) × labelings.checked (%d)", decides, n, checked)
 	}
 }
 

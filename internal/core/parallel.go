@@ -128,7 +128,7 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 					if aborted.Load() {
 						return false
 					}
-					r := graph.LabelingRank(idx, len(alphabet))
+					r := sweep.seek(idx)
 					// Ranks increase within a shard, so everything past the
 					// best violation is prunable: any violation there would
 					// rank higher and lose to the recorded one anyway.
@@ -136,7 +136,7 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 						pruned.Inc()
 						return false
 					}
-					if err := sweep.check(idx); err != nil {
+					if err := sweep.evaluate(); err != nil {
 						record(r, err)
 						return false
 					}

@@ -84,7 +84,8 @@ func (p Plan) Validate(n int) error {
 		p    float64
 	}{{"drop", p.Drop}, {"duplicate", p.Duplicate}, {"delay", p.Delay}}
 	for _, pr := range probs {
-		if pr.p < 0 || pr.p > 1 {
+		// Negated so that NaN, which compares false both ways, is rejected.
+		if !(pr.p >= 0 && pr.p <= 1) {
 			return fmt.Errorf("fault plan: %s probability %v outside [0,1]", pr.name, pr.p)
 		}
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,6 +57,7 @@ func TestPlanValidateErrors(t *testing.T) {
 		{"drop above 1", Plan{Drop: 1.5}},
 		{"negative dup", Plan{Duplicate: -0.1}},
 		{"delay above 1", Plan{Delay: 2}},
+		{"NaN drop", Plan{Drop: math.NaN()}},
 		{"negative max delay", Plan{MaxDelay: -1}},
 		{"negative retry", Plan{RetryLimit: -2}},
 		{"crash node out of range", Plan{Crashes: map[int]int{9: 0}}},

@@ -199,19 +199,9 @@ func EnumGraphsShard(n, shard, shards int, fn func(*Graph) bool) {
 	}
 }
 
-// LabelingRank returns the lexicographic rank of a labeling over the given
-// alphabet size — the position EnumLabelings produces it at. The caller
-// must ensure the space fits in a uint64 (see LabelingRankFits).
-func LabelingRank(idx []int, alphabet int) uint64 {
-	var r uint64
-	for _, a := range idx {
-		r = r*uint64(alphabet) + uint64(a)
-	}
-	return r
-}
-
 // LabelingRankFits reports whether alphabet^n fits a uint64 rank without
-// overflow, i.e. whether LabelingRank is usable for n-node labelings.
+// overflow, i.e. whether the lexicographic rank of every n-node labeling
+// (its EnumLabelings position) is exact in a uint64.
 func LabelingRankFits(n, alphabet int) bool {
 	if alphabet <= 1 {
 		return true

