@@ -90,7 +90,7 @@ func BenchmarkViewExtractOneShot(b *testing.B) {
 
 // BenchmarkViewKey ablates canonical-key construction: identifier-ordered
 // (non-anonymous) vs minimal-serialization (anonymous) canonicalization,
-// each measured fresh (Clone drops the key cache) and cached.
+// each measured fresh (Clone drops the key cache), and a cached read.
 func BenchmarkViewKey(b *testing.B) {
 	g := graph.Grid(5, 5)
 	pt := graph.DefaultPorts(g)
@@ -100,20 +100,10 @@ func BenchmarkViewKey(b *testing.B) {
 	anon := view.MustExtract(g, pt, nil, labels, g.N(), 12, 2)
 	b.Run("with-ids", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = mu.Clone().Key()
-		}
-	})
-	b.Run("anonymous-min-search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = anon.Clone().Key()
-		}
-	})
-	b.Run("with-ids/bin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
 			_ = mu.Clone().BinKey()
 		}
 	})
-	b.Run("anonymous-min-search/bin", func(b *testing.B) {
+	b.Run("anonymous-min-search", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = anon.Clone().BinKey()
 		}
@@ -371,9 +361,9 @@ func BenchmarkRunScheme(b *testing.B) {
 }
 
 // BenchmarkNGraphIndexOfView measures node lookup on a built neighborhood
-// graph through the interner fast path (handle-indexed, no canonical-string
-// materialization): cached-key queries isolate the lookup itself, fresh
-// queries include the binary canonicalization of an un-keyed clone.
+// graph through the interner (handle-indexed): cached-key queries isolate
+// the lookup itself, fresh queries include the canonicalization of an
+// un-keyed clone.
 func BenchmarkNGraphIndexOfView(b *testing.B) {
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(3)
@@ -397,14 +387,6 @@ func BenchmarkNGraphIndexOfView(b *testing.B) {
 			mu := ng.ViewAt(i % ng.Size()).Clone()
 			if ng.IndexOfView(mu) < 0 {
 				b.Fatal("member view not found")
-			}
-		}
-	})
-	b.Run("string-index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			key := ng.ViewAt(i % ng.Size()).Key()
-			if ng.IndexOf(key) < 0 {
-				b.Fatal("member key not found")
 			}
 		}
 	})

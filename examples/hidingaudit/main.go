@@ -107,10 +107,9 @@ func auditHiding() {
 		if err != nil {
 			log.Fatalf("%s: %v", a.name, err)
 		}
-		cyc := ng.OddCycle()
 		_, exErr := nbhd.NewExtractor(ng, 2, anonymous)
 		fmt.Printf("%-28s views=%-4d odd cycle: %-3v extraction: %v\n",
-			a.name, ng.Size(), cyc != nil, exErr)
+			a.name, ng.Size(), ng.Hiding(), exErr)
 	}
 	fmt.Println("-> every hiding scheme's neighborhood slice is non-2-colorable;")
 	fmt.Println("   by Lemma 3.2 no r-round decoder can extract the coloring.")

@@ -65,8 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cyc := ng.OddCycle()
-	fmt.Printf("odd cycle of views (hiding witness): length %d\n", len(cyc))
+	fmt.Printf("shortest odd cycle of views (hiding witness): length %d\n", ng.OddGirth())
 	if _, err := nbhd.NewExtractor(ng, 2, false); err != nil {
 		fmt.Printf("extraction decoder cannot be built: %v\n", err)
 	}

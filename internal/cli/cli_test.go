@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"hidinglcp/internal/graph"
@@ -43,6 +45,36 @@ func TestParseGraph(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseGraph: no spec may panic or build more than the spec limit;
+// every accepted spec yields a valid graph. binarytree:63 used to panic in
+// makeslice and binarytree:64 used to return an empty graph.
+func FuzzParseGraph(f *testing.F) {
+	for _, s := range []string{
+		"path:5", "cycle:6", "grid:3x4", "torus:3x3", "star:4", "complete:3", "binarytree:3",
+		"spider:2,2,2", "watermelon:2,4,2", "petersen", "binarytree:63", "binarytree:64",
+		"complete:100000", "grid:65536x65536", "path:-1", "unknown:3",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		g, err := ParseGraph(spec)
+		if err != nil {
+			return
+		}
+		if g == nil {
+			t.Fatalf("spec %q: nil graph without error", spec)
+		}
+		if g.N()+g.M() > maxSpecSize {
+			t.Fatalf("spec %q built %d nodes and %d edges, over the limit %d", spec, g.N(), g.M(), maxSpecSize)
+		}
+		if arg, ok := strings.CutPrefix(spec, "binarytree:"); ok {
+			if levels, _ := strconv.Atoi(arg); levels >= 1 && g.N() != 1<<levels-1 {
+				t.Fatalf("spec %q built %d nodes, want %d", spec, g.N(), 1<<levels-1)
+			}
+		}
+	})
 }
 
 func TestParseGraphStructure(t *testing.T) {

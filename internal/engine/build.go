@@ -64,8 +64,8 @@ func (r *Registry) runBuild(ctx context.Context, sc obs.Scope, cfg BuildConfig) 
 	fmt.Fprintf(out, "views:   %d accepting\n", ng.Size())
 	fmt.Fprintf(out, "edges:   %d (+%d self-loops)\n", ng.EdgeCount(), ng.LoopCount())
 	fmt.Fprintf(out, "2-colorable: %v\n", ng.IsKColorable(2))
-	if cyc := ng.OddCycle(); cyc != nil {
-		fmt.Fprintf(out, "odd cycle: length %d -> the scheme is HIDING at this size (Lemma 3.2)\n", len(cyc))
+	if girth := ng.OddGirth(); girth > 0 {
+		fmt.Fprintf(out, "odd cycle: shortest has length %d -> the scheme is HIDING at this size (Lemma 3.2)\n", girth)
 	} else {
 		fmt.Fprintf(out, "no odd cycle in this slice -> an extraction decoder exists for it (Lemma 3.2)\n")
 	}

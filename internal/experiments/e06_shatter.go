@@ -87,12 +87,12 @@ func E6Shatter(ctx context.Context) Table {
 		t.Err = err
 		return t
 	}
-	cyc := ng.OddCycle()
-	if cyc == nil {
+	girth := ng.OddGirth()
+	if girth == 0 {
 		t.Err = fmt.Errorf("no odd cycle from the P8/P7 pair")
 		return t
 	}
-	t.AddRow("hiding (P8/P7 pair, Lemma 3.2)", "V(D,8) slice", fmt.Sprintf("odd cycle of length %d (paper: 13)", len(cyc)))
+	t.AddRow("hiding (P8/P7 pair, Lemma 3.2)", "V(D,8) slice", fmt.Sprintf("odd cycle of length %d (paper: 13)", girth))
 
 	// The reproduction finding: the literal decoder accepts an odd 7-cycle.
 	lit := decoders.ShatterLiteral()

@@ -86,19 +86,19 @@ func E7Watermelon(ctx context.Context) Table {
 	mu12, _ := l2.ViewOf(0, 1)
 	mu41, _ := l1.ViewOf(3, 1)
 	mu52, _ := l2.ViewOf(4, 1)
-	t.AddRow("view(u1,I1) = view(u1,I2)", "P8 pair", mu11.Key() == mu12.Key())
-	t.AddRow("view(u4,I1) = view(u5,I2)", "P8 pair", mu41.Key() == mu52.Key())
+	t.AddRow("view(u1,I1) = view(u1,I2)", "P8 pair", mu11.Equal(mu12))
+	t.AddRow("view(u4,I1) = view(u5,I2)", "P8 pair", mu41.Equal(mu52))
 	ng, err := nbhd.BuildShardedCtx(ctx, sc, s.Decoder, nbhd.ShardedFromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
 	}
-	cyc := ng.OddCycle()
-	if cyc == nil {
+	girth := ng.OddGirth()
+	if girth == 0 {
 		t.Err = fmt.Errorf("no odd cycle from the P8 identifier pair")
 		return t
 	}
-	t.AddRow("hiding (odd cycle in V(D,8))", "two identifier assignments", fmt.Sprintf("length %d (paper: 7)", len(cyc)))
+	t.AddRow("hiding (odd cycle in V(D,8))", "two identifier assignments", fmt.Sprintf("length %d (paper: 7)", girth))
 	t.Notes = "Paper: strong and hiding one-round LCP with O(log n) bits; measured: bit counts " +
 		"grow logarithmically in n across the sweep, and the two-assignment construction yields " +
 		"an odd 7-cycle. FINDING: under the paper's stated port assignment (port 1 toward " +

@@ -229,12 +229,6 @@ type decoderSpace struct {
 	// classVec caches, per instance graph key+ports pointer, the class of
 	// every node. Keyed by position in the corpus at construction.
 	vecs map[*graph.Ports][]int
-	// binKeys memoizes the legacy class key per binary canonical key. The
-	// two keys induce the same partition of views, so one legacy minKey
-	// search per class suffices; repeat views ride the cheaper binary key.
-	// The legacy key stays the class identity because the sorted class
-	// order defines the decoder-mask bit semantics.
-	binKeys map[string]string
 	// bip caches, per port assignment, the bipartiteness of the subgraph
 	// induced by each accepting node bitmask (corpus instances have at
 	// most 64 nodes; the verdict depends only on the accepting set).
@@ -255,60 +249,55 @@ type classAdj struct {
 	loops uint64
 }
 
-// classKey returns the legacy class key of a node view, resolving repeat
-// classes through the binary-key memo.
+// classKey returns the class key of a node view: the canonical key of its
+// anonymization. The sorted class keys fix the decoder-mask bit order.
 func (s *decoderSpace) classKey(mu *view.View) string {
-	a := mu.Anonymize()
-	bk := string(a.BinKey())
-	if k, ok := s.binKeys[bk]; ok {
-		return k
-	}
-	k := a.Key()
-	s.binKeys[bk] = k
-	return k
+	return mu.Anonymize().Key()
 }
 
 func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
 	s := &decoderSpace{
 		index:    map[string]int{},
 		vecs:     map[*graph.Ports][]int{},
-		binKeys:  map[string]string{},
 		bip:      map[*graph.Ports]map[uint64]bool{},
 		adjCache: map[*core.Instance]*classAdj{},
 	}
-	// Single pass: collect each instance's per-node class keys once, sort
-	// the class universe, then number the cached vectors under the sorted
-	// index — no second extraction sweep over the corpus. One Extractor
-	// shares its template scratch across the whole corpus.
+	// Single pass: number each instance's nodes by class in first-seen
+	// order, sort the class universe, then renumber the cached vectors by
+	// sorted rank — no second extraction sweep over the corpus. One
+	// Extractor shares its template scratch across the whole corpus.
 	var ex view.Extractor
-	keys := make([][]string, len(corpus))
+	vecs := make([][]int, len(corpus))
 	for ci, inst := range corpus {
 		l := core.MustNewLabeled(inst, make([]string, inst.G.N()))
 		views, err := l.ViewsWith(&ex, 1)
 		if err != nil {
 			return nil, err
 		}
-		ks := make([]string, len(views))
+		vec := make([]int, len(views))
 		for v, mu := range views {
 			key := s.classKey(mu)
-			ks[v] = key
-			if _, ok := s.index[key]; !ok {
-				s.index[key] = 0
+			id, ok := s.index[key]
+			if !ok {
+				id = len(s.classes)
+				s.index[key] = id
 				s.classes = append(s.classes, key)
 			}
+			vec[v] = id
 		}
-		keys[ci] = ks
+		vecs[ci] = vec
 	}
+	rank := make([]int, len(s.classes))
 	sort.Strings(s.classes)
 	for i, c := range s.classes {
+		rank[s.index[c]] = i
 		s.index[c] = i
 	}
 	for ci, inst := range corpus {
-		vec := make([]int, len(keys[ci]))
-		for v, k := range keys[ci] {
-			vec[v] = s.index[k]
+		for v, id := range vecs[ci] {
+			vecs[ci][v] = rank[id]
 		}
-		s.vecs[inst.Prt] = vec
+		s.vecs[inst.Prt] = vecs[ci]
 	}
 	return s, nil
 }

@@ -184,7 +184,7 @@ func VerifyRealization(l core.Labeled, nodeOf map[int]int, anchors Anchors, r in
 		// NBound may legitimately differ between anchor hosts and G_bad;
 		// compare with the anchor's bound.
 		got.NBound = mu.NBound
-		match[id] = got.Key() == mu.Key()
+		match[id] = got.Equal(mu)
 	}
 	return match, nil
 }

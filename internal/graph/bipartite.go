@@ -105,6 +105,44 @@ func (g *Graph) OddCycle() []int {
 	return nil
 }
 
+// OddGirth returns the length of a shortest odd cycle of g, or 0 if g is
+// bipartite. Unlike OddCycle's first find, it does not depend on node
+// numbering. A BFS from each node s looks for an edge {v, w} with both
+// ends at the same distance d from s: the two tree paths and the edge form
+// an odd closed walk of length 2d+1, which contains an odd cycle no longer
+// than it. Conversely, a shortest odd cycle of length 2d+1 is isometric, so
+// the BFS from any of its nodes meets its far edge at level d. The minimum
+// over all sources is therefore exact; each BFS stops once its level can no
+// longer beat the best length found.
+func (g *Graph) OddGirth() int {
+	best := 0
+	dist := make([]int, g.n)
+	queue := make([]int, 0, g.n)
+	for s := 0; s < g.n; s++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s] = 0
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			if best > 0 && 2*dist[v]+1 >= best {
+				break
+			}
+			for _, w := range g.adj[v] {
+				switch {
+				case dist[w] < 0:
+					dist[w] = dist[v] + 1
+					queue = append(queue, w)
+				case dist[w] == dist[v]:
+					best = 2*dist[v] + 1
+				}
+			}
+		}
+	}
+	return best
+}
+
 // spliceOddCycle builds the odd cycle induced by BFS-tree paths to v and w
 // plus the edge {v, w}.
 func spliceOddCycle(parent []int, v, w int) []int {

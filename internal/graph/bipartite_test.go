@@ -177,6 +177,82 @@ func TestBipartiteOddCycleAgreement(t *testing.T) {
 	}
 }
 
+func TestOddGirth(t *testing.T) {
+	tests := []struct {
+		name string
+		g    *Graph
+		want int
+	}{
+		{"empty", New(0), 0},
+		{"path", Path(6), 0},
+		{"even cycle", MustCycle(8), 0},
+		{"odd cycle", MustCycle(9), 9},
+		{"triangle", MustCycle(3), 3},
+		{"k4", Complete(4), 3},
+		{"petersen", Petersen(), 5},
+		{"odd watermelon", MustWatermelon([]int{2, 5}), 7},
+		{"union of C9 and C5", DisjointUnion(MustCycle(9), MustCycle(5)), 5},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := tt.g.OddGirth(); got != tt.want {
+				t.Errorf("OddGirth() = %d, want %d", got, tt.want)
+			}
+		})
+	}
+}
+
+// oddGirthByWalks is the definition-level oracle: the odd girth is the
+// least odd k with a closed walk of length k, found by stepping the
+// reachable-by-exactly-k-steps relation from every node.
+func oddGirthByWalks(g *Graph) int {
+	n := g.N()
+	reach := make([][]bool, n) // reach[s][v]: some s-v walk of the current length
+	for s := range reach {
+		reach[s] = make([]bool, n)
+		reach[s][s] = true
+	}
+	for k := 1; k <= n; k++ {
+		for s := range reach {
+			next := make([]bool, n)
+			for v, ok := range reach[s] {
+				if ok {
+					for _, w := range g.Neighbors(v) {
+						next[w] = true
+					}
+				}
+			}
+			reach[s] = next
+		}
+		if k%2 == 1 {
+			for s := range reach {
+				if reach[s][s] {
+					return k
+				}
+			}
+		}
+	}
+	return 0
+}
+
+// Property: OddGirth matches the closed-walk definition, is positive
+// exactly on non-bipartite graphs, and never exceeds the cycle OddCycle
+// finds.
+func TestOddGirthProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := GNP(2+rng.Intn(10), 0.1+0.3*rng.Float64(), rng)
+		girth := g.OddGirth()
+		if girth != oddGirthByWalks(g) || (girth == 0) != g.IsBipartite() {
+			return false
+		}
+		return girth == 0 || girth <= len(g.OddCycle())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: 2-coloring, when it exists, is proper.
 func TestTwoColoringAlwaysProper(t *testing.T) {
 	f := func(seed int64) bool {

@@ -42,7 +42,8 @@ func (g *Graph) Graph6() (string, error) {
 }
 
 // ParseGraph6 decodes a graph6 string produced by Graph6 (small format,
-// n <= 62).
+// n <= 62). The padding bits of the last byte must be zero, so every
+// accepted string is exactly the encoding of the graph it decodes to.
 func ParseGraph6(s string) (*Graph, error) {
 	if len(s) == 0 {
 		return nil, fmt.Errorf("empty graph6 string")
@@ -79,6 +80,9 @@ func ParseGraph6(s string) (*Graph, error) {
 				}
 			}
 		}
+	}
+	if pad := bitIndex % 6; pad != 0 && (int(s[len(s)-1])-63)&(1<<uint(6-pad)-1) != 0 {
+		return nil, fmt.Errorf("graph6 padding bits of %q are not zero", s[len(s)-1])
 	}
 	return g, nil
 }

@@ -45,12 +45,34 @@ func TestGraph6KnownValues(t *testing.T) {
 }
 
 func TestParseGraph6Errors(t *testing.T) {
-	bad := []string{"", "D", "Dhcc", string(rune(1)), "D\x01\x01"}
+	bad := []string{"", "D", "Dhcc", string(rune(1)), "D\x01\x01", "Dhd"}
 	for _, s := range bad {
 		if _, err := ParseGraph6(s); err == nil {
 			t.Errorf("ParseGraph6(%q) succeeded, want error", s)
 		}
 	}
+}
+
+// FuzzParseGraph6 round-trips every accepted string: it must decode to a
+// graph whose encoding is the same string. Malformed input must error, not
+// panic.
+func FuzzParseGraph6(f *testing.F) {
+	for _, s := range []string{"", "?", "@", "Dhc", "Dhd", "Dhcc", "D", "}", "~", "D\x01\x01", "Ihc?_???"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		g, err := ParseGraph6(s)
+		if err != nil {
+			return
+		}
+		back, err := g.Graph6()
+		if err != nil {
+			t.Fatalf("%q decoded to a graph Graph6 rejects: %v", s, err)
+		}
+		if back != s {
+			t.Fatalf("%q decoded to a graph that encodes as %q", s, back)
+		}
+	})
 }
 
 func TestGraph6TooLarge(t *testing.T) {

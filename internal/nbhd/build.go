@@ -1,9 +1,10 @@
 package nbhd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
@@ -203,31 +204,29 @@ func mergeBuilders(parts []*builder) (accepting, loops []bool, edges []uint64) {
 	return accepting, loops, mergePairs(parts)
 }
 
-// assemble keeps only accepting views and builds the NGraph in the
-// deterministic canonical (legacy string) key-sorted node order — handle
-// values depend on intern order and never leak into the output, so the
-// result is bit-identical to the historical string-keyed construction.
-// edges is the merged CSR pair stream: distinct packed handle pairs in
-// ascending order (mergePairs). Distinct handle pairs map to distinct node
-// pairs (the handle→index map is injective), so no HasEdge filtering is
-// needed.
+// assemble keeps only accepting views and builds the NGraph with its nodes
+// in canonical-key (BinKey) byte order — handle values depend on intern
+// order and never leak into the output, so the result does not depend on
+// sharding or scheduling. edges is the merged CSR pair stream: distinct
+// packed handle pairs in ascending order (mergePairs). Distinct handle
+// pairs map to distinct node pairs (the handle→index map is injective), so
+// no HasEdge filtering is needed.
 func assemble(in *view.Interner, accepting, loops []bool, edges []uint64) (*NGraph, error) {
 	type node struct {
 		h   view.Handle
-		key string
+		key []byte
 	}
 	nodes := make([]node, 0, len(accepting))
 	for h, a := range accepting {
 		if a {
 			hh := view.Handle(h)
-			nodes = append(nodes, node{hh, in.ViewOf(hh).Key()})
+			nodes = append(nodes, node{hh, in.ViewOf(hh).BinKey()})
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].key < nodes[j].key })
+	slices.SortFunc(nodes, func(a, b node) int { return bytes.Compare(a.key, b.key) })
 
 	ng := &NGraph{
 		views: make([]*view.View, len(nodes)),
-		index: make(map[string]int, len(nodes)),
 		in:    in,
 		loops: make(map[int]bool),
 	}
@@ -237,7 +236,6 @@ func assemble(in *view.Interner, accepting, loops []bool, edges []uint64) (*NGra
 	}
 	for i, nd := range nodes {
 		ng.views[i] = in.ViewOf(nd.h)
-		ng.index[nd.key] = i
 		idx[nd.h] = i
 	}
 	ng.hidx = idx

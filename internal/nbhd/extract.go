@@ -96,9 +96,8 @@ func MinExtractionConflicts(d core.Decoder, l core.Labeled, k int) (ConflictRepo
 		if d.Anonymous() {
 			mu = mu.Anonymize()
 		}
-		// Binary keys partition views exactly as the legacy string keys, so
-		// the class numbering (first-occurrence order) is unchanged.
-		key := string(mu.BinKey())
+		// Classes are numbered in first-occurrence order.
+		key := mu.Key()
 		if _, ok := index[key]; !ok {
 			index[key] = len(index)
 		}

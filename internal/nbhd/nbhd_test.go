@@ -66,6 +66,9 @@ func TestBuildRevealOnEdge(t *testing.T) {
 	if ng.Hiding() {
 		t.Error("revealing decoder reported hiding on exhaustive P2 slice")
 	}
+	if g := ng.OddGirth(); g != 0 {
+		t.Errorf("OddGirth = %d on a bipartite slice, want 0", g)
+	}
 	if !ng.IsKColorable(2) {
 		t.Error("V(D,2) of the revealing decoder should be 2-colorable")
 	}
@@ -91,6 +94,9 @@ func TestBuildAlwaysAcceptSelfLoop(t *testing.T) {
 	}
 	if !ng.HasLoop(cyc[0]) {
 		t.Error("odd cycle node is not the looped view")
+	}
+	if g := ng.OddGirth(); g != 1 {
+		t.Errorf("OddGirth = %d with a self-loop, want 1", g)
 	}
 	if ng.IsKColorable(99) {
 		t.Error("looped view should never be colorable")
@@ -265,8 +271,11 @@ func TestIndexOfMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ng.IndexOf("nonsense"); got != -1 {
-		t.Errorf("IndexOf(nonsense) = %d, want -1", got)
+	// A view of a longer path is no node of this slice.
+	p3 := graph.Path(3)
+	other := view.MustExtract(p3, graph.DefaultPorts(p3), nil, []string{"0", "1", "0"}, 3, 1, 1)
+	if got := ng.IndexOfView(other); got != -1 {
+		t.Errorf("IndexOfView(non-member) = %d, want -1", got)
 	}
 	if ng.ViewAt(0) == nil {
 		t.Error("ViewAt(0) = nil")

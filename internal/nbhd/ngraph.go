@@ -32,7 +32,6 @@ type Enumerator func(yield func(core.Labeled) bool) error
 // NGraph is (a slice of) the accepting neighborhood graph V(D, n).
 type NGraph struct {
 	views []*view.View   // views[i] is a representative of node i
-	index map[string]int // canonical view key -> node index
 	in    *view.Interner // the build's interner, for handle-based probes
 	hidx  []int          // interner handle -> node index, -1 if not accepting
 	g     *graph.Graph   // loop-free compatibility edges
@@ -51,22 +50,10 @@ func (ng *NGraph) LoopCount() int { return len(ng.loops) }
 // ViewAt returns the representative view of node i.
 func (ng *NGraph) ViewAt(i int) *view.View { return ng.views[i] }
 
-// IndexOf returns the node index of the view with the given canonical key,
-// or -1 if the view is not an accepting view of the slice.
-func (ng *NGraph) IndexOf(key string) int {
-	if i, ok := ng.index[key]; ok {
-		return i
-	}
-	return -1
-}
-
 // IndexOfView returns the node index of mu's view class, or -1 if mu is not
 // an accepting view of the slice. It resolves through the build's interner
-// handle — one binary-key probe of the striped intern table, then a dense
-// handle→index slice — which is both cheaper than a dedicated key→index map
-// and free of the per-node string-cast copies the old map cost at assembly;
-// callers on the hot path (the Lemma 3.2 extraction decoder, the
-// forgetfulness walks) use it instead of IndexOf(mu.Key()).
+// handle: one canonical-key probe of the striped intern table, then a dense
+// handle→index slice.
 func (ng *NGraph) IndexOfView(mu *view.View) int {
 	if ng.in == nil {
 		return -1
@@ -114,6 +101,18 @@ func (ng *NGraph) OddCycle() []int {
 		}
 	}
 	return ng.g.OddCycle()
+}
+
+// OddGirth returns the length of a shortest odd cycle of V(D, n): 1 when
+// some view carries a self-loop (an odd closed walk of length 1), 0 when
+// V(D, n) is bipartite, and otherwise the odd girth of the loop-free part.
+// Unlike the cycle OddCycle happens to find first, it does not depend on
+// the node order.
+func (ng *NGraph) OddGirth() int {
+	if len(ng.loops) > 0 {
+		return 1
+	}
+	return ng.g.OddGirth()
 }
 
 // Hiding applies the Lemma 3.2 characterization for 2-coloring on this

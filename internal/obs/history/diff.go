@@ -214,6 +214,10 @@ func Diff(base, latest *obs.RunManifest, th Thresholds) *Report {
 //
 //   - extracted = hits + misses (§8): every extracted view either interned
 //     a new equivalence class or hit an existing one.
+//   - decode calls = inner + memo hits (§8): every decoder call on a view
+//     class either ran the decoder or hit the memo. The split depends on
+//     scheduling, so the thresholds may skip these counters; this check
+//     still holds them exactly.
 //   - verdict conservation (§10): every node of a fault-injected run issues
 //     exactly one verdict — accepted + rejected + crashed = nodes.
 //   - crash accounting (§10): every crash the scheduler injected inside the
@@ -241,6 +245,13 @@ func CheckInvariants(m *obs.RunManifest) []Regression {
 			rhs:  []string{"nbhd.intern.hits", "nbhd.intern.misses"},
 			detail: "interning conservation violated: " +
 				"nbhd.views.extracted != nbhd.intern.hits + nbhd.intern.misses",
+		},
+		{
+			name: "nbhd.decode.calls",
+			lhs:  []string{"nbhd.decode.calls"},
+			rhs:  []string{"nbhd.decode.inner", "nbhd.decode.memo_hits"},
+			detail: "decode conservation violated: " +
+				"nbhd.decode.calls != nbhd.decode.inner + nbhd.decode.memo_hits",
 		},
 		{
 			name: "sim.verdicts",

@@ -187,6 +187,23 @@ func TestCheckInvariants(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsDecodeConservation: calls = inner + memo_hits is held
+// exactly even though the thresholds skip the scheduling-dependent split.
+func TestCheckInvariantsDecodeConservation(t *testing.T) {
+	ok := manifest("t", 1, map[string]int64{
+		"nbhd.decode.calls": 94, "nbhd.decode.inner": 48, "nbhd.decode.memo_hits": 46,
+	})
+	if regs := CheckInvariants(ok); len(regs) != 0 {
+		t.Errorf("consistent decode counters flagged: %+v", regs)
+	}
+	bad := manifest("t", 2, map[string]int64{
+		"nbhd.decode.calls": 94, "nbhd.decode.inner": 48, "nbhd.decode.memo_hits": 45,
+	})
+	if regs := CheckInvariants(bad); len(regs) != 1 || regs[0].Metric != "nbhd.decode.calls" {
+		t.Errorf("lost decode call not flagged: %+v", regs)
+	}
+}
+
 // TestCheckInvariantsFaultConservation covers the §10 checks: verdict
 // conservation and crash accounting.
 func TestCheckInvariantsFaultConservation(t *testing.T) {

@@ -1,13 +1,49 @@
 package sanitize
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
+	"hidinglcp/internal/sim"
+	"hidinglcp/internal/view"
 )
+
+// probeGatherFaults runs the fault-injected gather under the goroutine-leak
+// probe. The scheduler's contract is that every per-node goroutine — the
+// crashed ones included, which leave the round barrier early — has exited
+// by the time GatherFaultsCtx returns; a non-nil LeakReport is a contract
+// violation regardless of err.
+func probeGatherFaults(l core.Labeled, r int, plan faults.Plan) ([]*view.View, sim.Stats, *faults.Report, *LeakReport, error) {
+	var views []*view.View
+	var stats sim.Stats
+	var rep *faults.Report
+	var err error
+	leak := LeakCheck(func() {
+		views, stats, rep, err = sim.GatherFaultsCtx(context.Background(), obs.Scope{}, l, r, plan)
+	})
+	return views, stats, rep, leak, err
+}
+
+// watchGatherFaults runs the fault-injected gather under the watchdog. The
+// round barrier must release every party no matter which combination of
+// crashes, drops, and delays the plan injects; a StallReport names the
+// blocked barrier when it does not.
+func watchGatherFaults(timeout time.Duration, l core.Labeled, r int, plan faults.Plan) (*StallReport, error) {
+	var err error
+	stall := Watch(timeout, func() {
+		_, _, _, err = sim.GatherFaultsCtx(context.Background(), obs.Scope{}, l, r, plan)
+	})
+	if stall != nil {
+		// The probed call never returned; its error is unknowable.
+		return stall, nil
+	}
+	return nil, err
+}
 
 func chaosLabeled(t *testing.T, n int) core.Labeled {
 	t.Helper()
@@ -39,7 +75,7 @@ func TestProbeGatherFaultsNoLeak(t *testing.T) {
 			Reorder: true, Crashes: map[int]int{2: 1}, CorruptNodes: []int{4}},
 	}
 	for _, plan := range plans {
-		views, _, _, leak, err := ProbeGatherFaults(l, 3, plan)
+		views, _, _, leak, err := probeGatherFaults(l, 3, plan)
 		if err != nil {
 			t.Fatalf("plan %s: %v", plan, err)
 		}
@@ -56,7 +92,7 @@ func TestProbeGatherFaultsNoLeak(t *testing.T) {
 // invalid plan), no goroutines may survive.
 func TestProbeGatherFaultsNoLeakOnError(t *testing.T) {
 	l := chaosLabeled(t, 4)
-	_, _, _, leak, err := ProbeGatherFaults(l, 2, faults.Plan{Drop: 7})
+	_, _, _, leak, err := probeGatherFaults(l, 2, faults.Plan{Drop: 7})
 	if err == nil {
 		t.Fatal("invalid plan accepted")
 	}
@@ -76,7 +112,7 @@ func TestWatchGatherFaultsCompletes(t *testing.T) {
 		{Seed: 9, Duplicate: 1, Reorder: true, RetryLimit: 1}, // bursty with minimal retry budget
 	}
 	for _, plan := range plans {
-		stall, err := WatchGatherFaults(30*time.Second, l, 3, plan)
+		stall, err := watchGatherFaults(30*time.Second, l, 3, plan)
 		if stall != nil {
 			t.Fatalf("plan %s wedged the scheduler: %v", plan, stall)
 		}

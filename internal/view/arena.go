@@ -45,7 +45,7 @@ func (t *Template) InstantiateIn(a *Arena, labels []string) *View {
 
 // InstantiateInto refills dst with the view for one labeling of the host
 // graph, reusing dst's label-slice capacity and resetting the cached
-// canonical keys. It exists for the decide-and-discard sweeps (strong
+// canonical key. It exists for the decide-and-discard sweeps (strong
 // soundness search), where the view never outlives the decoder call: the
 // result is dst itself, valid only until the next InstantiateInto on the
 // same dst, and must not be retained, interned, or published to another
@@ -67,7 +67,6 @@ func (t *Template) InstantiateInto(dst *View, labels []string) *View {
 	dst.IDs = t.ids
 	dst.Labels = ls
 	dst.NBound = t.nBound
-	dst.cachedKey = ""
 	dst.cachedBin = nil
 	return dst
 }

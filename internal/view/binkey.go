@@ -9,11 +9,11 @@ import (
 	"hidinglcp/internal/mem"
 )
 
-// keyScratch holds every per-call buffer of the canonical-key computations
-// (Key and BinKey): orderings, refinement colors, flat arm storage, and the
-// serialization candidates. The buffers are recycled through keyScratchPool;
-// nothing reachable from a scratch may be returned to a caller — the final
-// key is always a fresh copy (see the escape rules of internal/mem).
+// keyScratch holds every per-call buffer of the canonical-key computation:
+// orderings, refinement colors, flat arm storage, and the serialization
+// candidates. The buffers are recycled through keyScratchPool; nothing
+// reachable from a scratch may be returned to a caller — the final key is
+// always a fresh copy (see the escape rules of internal/mem).
 type keyScratch struct {
 	ord, color, next []int // refinement working set
 	armStart, armNbr []int
@@ -28,13 +28,12 @@ type keyScratch struct {
 
 var keyScratchPool mem.Pool[keyScratch]
 
-// BinKey returns a compact binary canonical key: two views have the same
-// binary key iff they are equal as views, exactly as with Key (the
-// partition equality is enforced by differential and fuzz tests). The
-// encoding is an append-to-[]byte varint serialization — no fmt, no string
-// joins — minimized over the same kind of class-respecting node orderings
-// as Key, with the Weisfeiler-Leman-style refinement run over integer color
-// arrays instead of string signatures.
+// BinKey returns the canonical key of the view: two views have the same
+// key iff they are equal as views (see Key). The encoding is an
+// append-to-[]byte varint serialization — no fmt, no string joins —
+// minimized over the node orderings that respect a Weisfeiler-Leman-style
+// refinement run over integer color arrays. When the identifiers are
+// nonzero and distinct they fix the ordering and no search is needed.
 //
 // The key is computed once and cached. The returned slice is shared; the
 // caller must not modify it.
@@ -104,12 +103,11 @@ func (v *View) appendBinSerialize(dst []byte, order, pos []int) []byte {
 	return dst
 }
 
-// minBinKey is minKey over the binary serialization: the byte-wise minimum
-// over all orderings that put the center first and otherwise permute nodes
-// only within refined invariant classes. Minimizing any injective
-// serialization over an isomorphism-invariant set of orderings is
-// canonical, so minBinKey and minKey induce the same view partition even
-// though the byte strings differ.
+// minBinKey returns the byte-wise minimum serialization over all orderings
+// that put the center first and otherwise permute nodes only within refined
+// invariant classes. Minimizing an injective serialization over an
+// isomorphism-invariant set of orderings is canonical: isomorphic views
+// reach the same minimum, and equal bytes decode to isomorphic views.
 func (v *View) minBinKey(sc *keyScratch) []byte {
 	classes := v.refinedClassesInt(sc)
 	n := v.N()
@@ -172,15 +170,15 @@ func permuteInPlace(s []int, fn func()) {
 	rec(0)
 }
 
-// refinedClassesInt is the integer-color counterpart of refinedClasses:
+// refinedClassesInt partitions the nodes into refined invariant classes:
 // nodes start colored by the rank of their invariant tuple (distance,
 // label, degree, identifier) and are iteratively refined by the multiset of
-// (port out, port back, neighbor color) arms, all over int arrays — no
-// string signatures. The resulting partition is isomorphism-invariant, as
-// is the class order (by color rank, center always first on its own), which
-// is all minBinKey needs for canonicity. All working storage comes from the
-// scratch; the returned class slices alias sc.classNodes and are valid only
-// until the scratch is recycled.
+// (port out, port back, neighbor color) arms, all over int arrays. The
+// resulting partition is isomorphism-invariant, as is the class order (by
+// color rank, center always first on its own), which is all minBinKey needs
+// for canonicity. All working storage comes from the scratch; the returned
+// class slices alias sc.classNodes and are valid only until the scratch is
+// recycled.
 func (v *View) refinedClassesInt(sc *keyScratch) [][]int {
 	n := v.N()
 	ord := mem.Ints(sc.ord, n)

@@ -9,59 +9,103 @@ import (
 	"hidinglcp/internal/view"
 )
 
-// partitionChecker verifies, view by view, that the legacy string key and
-// the binary key induce exactly the same equivalence classes: each legacy
-// key maps to one binary key and vice versa, and Equal agrees with both.
+// isomorphic is the test oracle for view equality, decided from the
+// definition rather than by a second canonicalizer: it searches for a
+// bijection of local nodes that fixes the center and preserves distance,
+// identifier, label and degree per node and, per edge, adjacency and both
+// port directions. Nodes are mapped in local order (by distance), so every
+// non-center node meets an already-mapped neighbor and the search prunes
+// early. Degrees match, so mapping every edge of a onto an edge of b with the
+// same ports makes the edge sets correspond exactly.
+func isomorphic(a, b *view.View) bool {
+	n := a.N()
+	if n != b.N() || a.Radius != b.Radius || a.NBound != b.NBound {
+		return false
+	}
+	f := make([]int, n)
+	used := make([]bool, n)
+	for i := range f {
+		f[i] = -1
+	}
+	fits := func(i, j int) bool {
+		if a.Dist[i] != b.Dist[j] || a.IDs[i] != b.IDs[j] || a.Labels[i] != b.Labels[j] || a.Degree(i) != b.Degree(j) {
+			return false
+		}
+		for _, k := range a.Adj[i] {
+			fk := f[k]
+			if fk < 0 {
+				continue
+			}
+			pOut, ok := b.Port(j, fk)
+			if !ok || pOut != a.Ports[[2]int{i, k}] || b.Ports[[2]int{fk, j}] != a.Ports[[2]int{k, i}] {
+				return false
+			}
+		}
+		return true
+	}
+	var extend func(i int) bool
+	extend = func(i int) bool {
+		if i == n {
+			return true
+		}
+		for j := 0; j < n; j++ {
+			if used[j] || (i == view.Center) != (j == view.Center) || !fits(i, j) {
+				continue
+			}
+			f[i], used[j] = j, true
+			if extend(i + 1) {
+				return true
+			}
+			f[i], used[j] = -1, false
+		}
+		return false
+	}
+	return extend(0)
+}
+
+// partitionChecker verifies, view by view, that BinKey partitions views
+// exactly as the isomorphism oracle does: views with equal keys are
+// isomorphic, views with distinct keys are not, and Equal agrees with both.
 type partitionChecker struct {
-	t     *testing.T
-	byKey map[string]string // legacy key -> binary key
-	byBin map[string]string // binary key -> legacy key
-	rep   map[string]*view.View
-	other *view.View
+	t    *testing.T
+	reps map[string]*view.View // canonical key -> first view seen with it
+	list []*view.View          // the representatives, in first-seen order
 }
 
 func newPartitionChecker(t *testing.T) *partitionChecker {
-	return &partitionChecker{
-		t:     t,
-		byKey: map[string]string{},
-		byBin: map[string]string{},
-		rep:   map[string]*view.View{},
-	}
+	return &partitionChecker{t: t, reps: map[string]*view.View{}}
 }
 
 func (pc *partitionChecker) add(mu *view.View) {
 	pc.t.Helper()
-	k := mu.Key()
 	b := string(mu.BinKey())
-	if prev, ok := pc.byKey[k]; ok && prev != b {
-		pc.t.Fatalf("legacy key maps to two binary keys:\nkey %q\nbin %x\nbin %x", k, prev, b)
-	}
-	pc.byKey[k] = b
-	if prev, ok := pc.byBin[b]; ok && prev != k {
-		pc.t.Fatalf("binary key maps to two legacy keys:\nbin %x\nkey %q\nkey %q", b, prev, k)
-	}
-	pc.byBin[b] = k
-	if rep, ok := pc.rep[b]; ok {
+	if rep, ok := pc.reps[b]; ok {
+		if !isomorphic(rep, mu) {
+			pc.t.Fatalf("equal keys on non-isomorphic views %v and %v", rep, mu)
+		}
 		if !rep.Equal(mu) {
-			pc.t.Fatalf("Equal is false inside one key class %q", k)
+			pc.t.Fatalf("Equal is false inside one key class %v", mu)
 		}
-	} else {
-		pc.rep[b] = mu
+		return
 	}
-	if pc.other != nil && string(pc.other.BinKey()) != b {
-		if pc.other.Equal(mu) {
-			pc.t.Fatalf("Equal is true across distinct key classes %q vs %q", pc.other.Key(), k)
+	for _, rep := range pc.list {
+		if isomorphic(rep, mu) {
+			pc.t.Fatalf("isomorphic views %v and %v have distinct keys", rep, mu)
+		}
+		if rep.Equal(mu) {
+			pc.t.Fatalf("Equal is true across distinct key classes %v vs %v", rep, mu)
 		}
 	}
-	pc.other = mu
+	pc.reps[b] = mu
+	pc.list = append(pc.list, mu)
 }
 
-func (pc *partitionChecker) classes() int { return len(pc.byBin) }
+func (pc *partitionChecker) classes() int { return len(pc.list) }
 
 // TestBinKeyPartitionConnectedGraphs sweeps every connected graph on up to
 // 4 nodes under every 2-letter labeling, with sequential identifiers and
-// anonymously, at radii 1 and 2, and checks that binary and legacy keys
-// partition the views identically.
+// anonymously, at radii 1 and 2, and checks that the keys partition the
+// views exactly as the isomorphism oracle does.
 func TestBinKeyPartitionConnectedGraphs(t *testing.T) {
 	pc := newPartitionChecker(t)
 	alphabet := []string{"a", "b"}
@@ -124,7 +168,8 @@ func TestBinKeyPartitionPortsAndDuplicateIDs(t *testing.T) {
 
 // TestBinKeyCanonicalUnderRelabeling checks canonicity directly: the same
 // anonymous structure presented under permuted host-node numbering must
-// produce identical binary keys (the property the min-search guarantees).
+// produce identical keys (the property the min-search guarantees), and the
+// oracle must agree with the key on every port assignment tried.
 func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	// C5 labeled twice with rotated node numbering.
 	a := graph.MustCycle(5)
@@ -154,15 +199,13 @@ func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	found := false
 	graph.EnumPorts(b, func(pt *graph.Ports) bool {
 		mu := view.MustExtract(b, pt, nil, labelsB, 5, perm(0), 2)
-		if bytes.Equal(mu.BinKey(), muA.BinKey()) {
-			if mu.Key() != muA.Key() {
-				t.Fatal("binary keys match but legacy keys differ")
-			}
+		same := bytes.Equal(mu.BinKey(), muA.BinKey())
+		if iso := isomorphic(mu, muA); iso != same {
+			t.Fatalf("isomorphic=%v but equal keys=%v", iso, same)
+		}
+		if same {
 			found = true
 			return false
-		}
-		if mu.Key() == muA.Key() {
-			t.Fatal("legacy keys match but binary keys differ")
 		}
 		return true
 	})
@@ -185,39 +228,41 @@ func TestKeyCacheCloneSafety(t *testing.T) {
 	}
 	mu := view.MustExtract(g, pt, ids, labels, g.N(), 4, 2)
 
-	k1 := mu.Key()
 	b1 := append([]byte(nil), mu.BinKey()...)
-	if mu.Key() != k1 || !bytes.Equal(mu.BinKey(), b1) {
-		t.Fatal("cached keys are not stable")
+	if !bytes.Equal(mu.BinKey(), b1) || mu.Key() != string(b1) {
+		t.Fatal("cached key is not stable")
 	}
 
-	// A clone mutated before keying must compute its own keys...
+	// A clone mutated before keying must compute its own key...
 	c := mu.Clone()
 	c.Labels[0] = "mutated"
-	if c.Key() == k1 {
-		t.Fatal("legacy key cache leaked into a mutated clone")
+	if isomorphic(c, mu) {
+		t.Fatal("oracle: relabeling the center kept the view")
 	}
-	if bytes.Equal(c.BinKey(), b1) {
-		t.Fatal("binary key cache leaked into a mutated clone")
+	if bytes.Equal(c.BinKey(), b1) || c.Equal(mu) {
+		t.Fatal("key cache leaked into a mutated clone")
 	}
 	// ...and the original's cache must survive the clone's life unchanged.
-	if mu.Key() != k1 || !bytes.Equal(mu.BinKey(), b1) {
-		t.Fatal("original keys changed after mutating a clone")
+	if !bytes.Equal(mu.BinKey(), b1) {
+		t.Fatal("original key changed after mutating a clone")
 	}
 
 	// An unmutated clone agrees with the original without sharing the cache.
 	c2 := mu.Clone()
-	if c2.Key() != k1 || !bytes.Equal(c2.BinKey(), b1) {
+	if !isomorphic(c2, mu) || !bytes.Equal(c2.BinKey(), b1) || !c2.Equal(mu) {
 		t.Fatal("unmutated clone disagrees with original")
 	}
 
-	// Anonymize drops identifiers, so its keys must differ from the cached
-	// identified ones, and the original cache must again be untouched.
+	// Anonymize drops identifiers, so its key must differ from the cached
+	// identified one, and the original cache must again be untouched.
 	a := mu.Anonymize()
-	if a.Key() == k1 || bytes.Equal(a.BinKey(), b1) {
+	if isomorphic(a, mu) {
+		t.Fatal("oracle: anonymizing kept the view")
+	}
+	if bytes.Equal(a.BinKey(), b1) || a.Equal(mu) {
 		t.Fatal("anonymized view reused the identified key cache")
 	}
-	if mu.Key() != k1 {
+	if !bytes.Equal(mu.BinKey(), b1) {
 		t.Fatal("original key changed after Anonymize")
 	}
 
@@ -267,18 +312,18 @@ func TestIDOrderSortCutoff(t *testing.T) {
 		// different views; equality must hold only after aligning ports.
 		ptAligned := graph.DefaultPorts(gA)
 		muAligned := view.MustExtract(gA, ptAligned, idsA, labelsA, n, 0, 1)
-		if muAligned.Key() != muA.Key() || !bytes.Equal(muAligned.BinKey(), muA.BinKey()) {
+		if !isomorphic(muAligned, muA) || !bytes.Equal(muAligned.BinKey(), muA.BinKey()) {
 			t.Fatalf("leaves=%d: identical extraction disagrees with itself", leaves)
 		}
-		if (muA.Key() == muD.Key()) != bytes.Equal(muA.BinKey(), muD.BinKey()) {
-			t.Fatalf("leaves=%d: legacy and binary keys disagree on the port-permuted pair", leaves)
+		if isomorphic(muA, muD) != bytes.Equal(muA.BinKey(), muD.BinKey()) {
+			t.Fatalf("leaves=%d: oracle and key disagree on the port-permuted pair", leaves)
 		}
 	}
 }
 
-// FuzzBinKeyKeyAgreement cross-checks the three equality notions — legacy
-// key, binary key, and Equal — on fuzz-built view pairs, including
-// anonymous and duplicate-identifier cases.
+// FuzzBinKeyKeyAgreement cross-checks the three equality notions — the
+// isomorphism oracle, the canonical key, and Equal — on fuzz-built view
+// pairs, including anonymous and duplicate-identifier cases.
 func FuzzBinKeyKeyAgreement(f *testing.F) {
 	f.Add([]byte{3, 0xff, 1, 0, 1, 2, 3, 4})
 	f.Add([]byte{4, 0x3f, 2, 1, 0, 0, 0, 0, 9, 9})
@@ -326,23 +371,23 @@ func FuzzBinKeyKeyAgreement(f *testing.F) {
 		v1 := view.MustExtract(g, pt, ids, labels, n, c1, r)
 		v2 := view.MustExtract(g, pt, ids, labels, n, c2, r)
 
-		keyEq := v1.Key() == v2.Key()
+		iso := isomorphic(v1, v2)
 		binEq := bytes.Equal(v1.BinKey(), v2.BinKey())
 		eq := v1.Equal(v2)
-		if keyEq != binEq || binEq != eq {
-			t.Fatalf("equality notions disagree: key=%v bin=%v equal=%v\nv1=%q\nv2=%q",
-				keyEq, binEq, eq, v1.Key(), v2.Key())
+		if iso != binEq || binEq != eq {
+			t.Fatalf("equality notions disagree: oracle=%v key=%v equal=%v\nv1=%v\nv2=%v",
+				iso, binEq, eq, v1, v2)
 		}
 		// Determinism across a cache-free recomputation.
-		if v1.Clone().Key() != v1.Key() || !bytes.Equal(v1.Clone().BinKey(), v1.BinKey()) {
-			t.Fatal("keys are not deterministic under Clone")
+		if !bytes.Equal(v1.Clone().BinKey(), v1.BinKey()) {
+			t.Fatal("key is not deterministic under Clone")
 		}
 		// The anonymous projections must agree with each other the same way.
 		a1, a2 := v1.Anonymize(), v2.Anonymize()
-		akeyEq := a1.Key() == a2.Key()
+		aiso := isomorphic(a1, a2)
 		abinEq := bytes.Equal(a1.BinKey(), a2.BinKey())
-		if akeyEq != abinEq {
-			t.Fatalf("anonymous equality notions disagree: key=%v bin=%v", akeyEq, abinEq)
+		if aiso != abinEq {
+			t.Fatalf("anonymous equality notions disagree: oracle=%v key=%v", aiso, abinEq)
 		}
 	})
 }
@@ -363,7 +408,7 @@ func BenchmarkIDOrderCrossover(b *testing.B) {
 		mu := view.MustExtract(g, pt, ids, labels, g.N(), 0, 1)
 		b.Run(fmt.Sprintf("n=%d", leaves+1), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = mu.Clone().Key()
+				_ = mu.Clone().BinKey()
 			}
 		})
 	}

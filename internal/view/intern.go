@@ -9,7 +9,7 @@ import (
 // Interner: handles are assigned 0, 1, 2, … in first-intern order, so they
 // index plain slices where the string-keyed builders used map[string]
 // tables. Handle values depend on intern order and are NOT canonical across
-// runs or workers — never order output by handle; sort by Key instead.
+// runs or workers — never order output by handle; sort by BinKey instead.
 type Handle uint32
 
 const (
@@ -27,7 +27,7 @@ type internStripe struct {
 	m  map[string]Handle
 }
 
-// Interner deduplicates views by binary canonical key and maps each
+// Interner deduplicates views by canonical key (BinKey) and maps each
 // distinct view class to a dense Handle. It is safe for concurrent use: the
 // key→handle table is striped by key hash (read-mostly RWMutex fast path),
 // and handle assignment is serialized behind one small critical section.

@@ -2,47 +2,24 @@ package view
 
 import (
 	"slices"
-	"sort"
-	"strconv"
+	"unsafe"
 
 	"hidinglcp/internal/mem"
 )
 
-// Key returns a canonical string key: two views have the same key iff they
-// are equal as views (same radius, same N bound, and isomorphic via a
-// center-fixing, distance-preserving bijection that matches identifiers,
-// labels, and ports).
-//
-// When identifiers are present and distinct they already determine the
-// canonical node order; otherwise the key is the lexicographic minimum over
-// all distance-class-respecting orderings (views are small, so the search is
-// cheap).
-//
-// The key is computed once and cached; see BinKey for the compact binary
-// encoding used by the interner fast path.
+// Key returns the canonical key as a string, for use as a map key: two
+// views have the same key iff they are equal as views (same radius, same N
+// bound, and isomorphic via a center-fixing, distance-preserving bijection
+// that matches identifiers, labels, and ports). It is BinKey's bytes; the
+// string shares them rather than copying, which is safe because a computed
+// key is never written again.
 func (v *View) Key() string {
-	v.cacheMu.Lock()
-	k := v.cachedKey
-	if k == "" {
-		k = v.computeKey()
-		v.cachedKey = k
-	}
-	v.cacheMu.Unlock()
-	return k
+	k := v.BinKey()
+	return unsafe.String(unsafe.SliceData(k), len(k))
 }
 
-func (v *View) computeKey() string {
-	sc := keyScratchPool.Get()
-	defer keyScratchPool.Put(sc)
-	if v.idOrderInto(sc) {
-		sc.pos = mem.Ints(sc.pos, v.N())
-		return string(v.appendSerialize(nil, sc.order, sc.pos))
-	}
-	return v.minKey(sc)
-}
-
-// Equal reports whether two views are equal in the sense of Key. It compares
-// the cached binary keys, which partition views exactly as Key does.
+// Equal reports whether two views are equal in the sense of Key, by
+// comparing their cached canonical keys.
 func (v *View) Equal(w *View) bool {
 	if v == w {
 		return true
@@ -103,218 +80,6 @@ func (v *View) idOrderInto(sc *keyScratch) bool {
 		}
 	}
 	return true
-}
-
-// minKey computes the lexicographically smallest serialization over all
-// orderings that respect the canonical class sequence (center first, then
-// refined invariant classes in increasing order). Only nodes sharing an
-// isomorphism-invariant signature may swap, which keeps the search tiny on
-// realistic views while remaining canonical.
-func (v *View) minKey(sc *keyScratch) string {
-	classes := v.refinedClasses()
-	n := v.N()
-	sc.pos = mem.Ints(sc.pos, n)
-	order := mem.Ints(sc.order, n)[:0]
-	for _, c := range classes {
-		order = append(order, c...)
-	}
-	sc.order = order
-	sc.best = sc.best[:0]
-	hasBest := false
-	var rec func(ci, lo int)
-	rec = func(ci, lo int) {
-		if ci == len(classes) {
-			sc.cand = v.appendSerialize(sc.cand[:0], order, sc.pos)
-			if !hasBest || string(sc.cand) < string(sc.best) {
-				sc.best = append(sc.best[:0], sc.cand...)
-				hasBest = true
-			}
-			return
-		}
-		permuteInPlace(order[lo:lo+len(classes[ci])], func() {
-			rec(ci+1, lo+len(classes[ci]))
-		})
-	}
-	rec(0, 0)
-	return string(sc.best)
-}
-
-// refinedClasses partitions local nodes into ordered classes by an
-// iteratively refined isomorphism-invariant signature (distance, label,
-// degree, sorted incident-edge descriptors over neighbor signatures — a
-// Weisfeiler-Leman-style coloring). Permuting only within classes preserves
-// canonicity because equal-signature nodes are interchangeable in any
-// serialization-minimal ordering. This is the legacy string-signature
-// refinement behind Key; the BinKey hot path runs refinedClassesInt
-// instead.
-func (v *View) refinedClasses() [][]int {
-	n := v.N()
-	sig := make([]string, n)
-	var buf []byte
-	for i := 0; i < n; i++ {
-		buf = v.appendBaseSig(buf[:0], i)
-		sig[i] = string(buf)
-	}
-	allDistinct := func() bool {
-		seen := make(map[string]bool, n)
-		for _, s := range sig {
-			if seen[s] {
-				return false
-			}
-			seen[s] = true
-		}
-		return true
-	}
-	for round := 0; round < n && !allDistinct(); round++ {
-		next := make([]string, n)
-		changed := false
-		arms := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			arms = arms[:0]
-			for _, w := range v.Adj[i] {
-				buf = strconv.AppendInt(buf[:0], int64(v.Ports[[2]int{i, w}]), 10)
-				buf = append(buf, '>')
-				buf = strconv.AppendInt(buf, int64(v.Ports[[2]int{w, i}]), 10)
-				buf = append(buf, ':')
-				buf = append(buf, sig[w]...)
-				arms = append(arms, string(buf))
-			}
-			sort.Strings(arms)
-			buf = append(buf[:0], sig[i]...)
-			buf = append(buf, '|')
-			for k, a := range arms {
-				if k > 0 {
-					buf = append(buf, ',')
-				}
-				buf = append(buf, a...)
-			}
-			next[i] = string(buf)
-		}
-		// Compress to keep signatures short.
-		index := map[string]int{}
-		var keys []string
-		for _, s := range next {
-			if _, ok := index[s]; !ok {
-				index[s] = 0
-				keys = append(keys, s)
-			}
-		}
-		sort.Strings(keys)
-		for rank, s := range keys {
-			index[s] = rank
-		}
-		for i := 0; i < n; i++ {
-			buf = v.appendBaseSig(buf[:0], i)
-			buf = append(buf, ";c"...)
-			buf = appendPaddedInt(buf, index[next[i]], 6)
-			compressed := string(buf)
-			if compressed != sig[i] {
-				changed = true
-			}
-			sig[i] = compressed
-		}
-		if !changed {
-			break
-		}
-	}
-	// Group by signature; the center is always its own first class.
-	bySig := map[string][]int{}
-	for i := 1; i < n; i++ {
-		bySig[sig[i]] = append(bySig[sig[i]], i)
-	}
-	var sigs []string
-	for s := range bySig {
-		sigs = append(sigs, s)
-	}
-	sort.Strings(sigs)
-	classes := [][]int{{Center}}
-	for _, s := range sigs {
-		classes = append(classes, bySig[s])
-	}
-	return classes
-}
-
-// appendBaseSig appends node i's round-0 refinement signature
-// ("d%03d;l%q;k%03d;i%06d" in the legacy fmt spelling).
-func (v *View) appendBaseSig(b []byte, i int) []byte {
-	b = append(b, 'd')
-	b = appendPaddedInt(b, v.Dist[i], 3)
-	b = append(b, ";l"...)
-	b = strconv.AppendQuote(b, v.Labels[i])
-	b = append(b, ";k"...)
-	b = appendPaddedInt(b, v.Degree(i), 3)
-	b = append(b, ";i"...)
-	b = appendPaddedInt(b, v.IDs[i], 6)
-	return b
-}
-
-// appendPaddedInt appends x zero-padded to the given width, matching
-// fmt's %0<width>d (sign first, digits padded to the remaining width).
-func appendPaddedInt(b []byte, x, width int) []byte {
-	var tmp [20]byte
-	if x < 0 {
-		b = append(b, '-')
-		x = -x
-		width--
-	}
-	s := strconv.AppendInt(tmp[:0], int64(x), 10)
-	for i := len(s); i < width; i++ {
-		b = append(b, '0')
-	}
-	return append(b, s...)
-}
-
-// appendSerialize renders the view under the given node ordering into dst.
-// order[k] is the local node placed at position k; pos is caller-provided
-// scratch of length ≥ N. The output is byte-identical to the historical
-// fmt-based serialization ("r%d#n%d#N%d" header, "|d%d;i%d;l%q" per node,
-// "|e%d,%d:%d,%d" per visible edge in increasing position order).
-func (v *View) appendSerialize(dst []byte, order []int, pos []int) []byte {
-	n := v.N()
-	if dst == nil {
-		dst = make([]byte, 0, 24+20*n)
-	}
-	dst = append(dst, 'r')
-	dst = strconv.AppendInt(dst, int64(v.Radius), 10)
-	dst = append(dst, "#n"...)
-	dst = strconv.AppendInt(dst, int64(n), 10)
-	dst = append(dst, "#N"...)
-	dst = strconv.AppendInt(dst, int64(v.NBound), 10)
-	for _, i := range order {
-		dst = append(dst, "|d"...)
-		dst = strconv.AppendInt(dst, int64(v.Dist[i]), 10)
-		dst = append(dst, ";i"...)
-		dst = strconv.AppendInt(dst, int64(v.IDs[i]), 10)
-		dst = append(dst, ";l"...)
-		dst = strconv.AppendQuote(dst, v.Labels[i])
-	}
-	for k, i := range order {
-		pos[i] = k
-	}
-	var nbArr [16]int
-	nb := nbArr[:0]
-	for ka := 0; ka < n; ka++ {
-		a := order[ka]
-		nb = nb[:0]
-		for _, w := range v.Adj[a] {
-			if kb := pos[w]; kb > ka {
-				nb = append(nb, kb)
-			}
-		}
-		insertionSortInts(nb)
-		for _, kb := range nb {
-			b := order[kb]
-			dst = append(dst, "|e"...)
-			dst = strconv.AppendInt(dst, int64(ka), 10)
-			dst = append(dst, ',')
-			dst = strconv.AppendInt(dst, int64(kb), 10)
-			dst = append(dst, ':')
-			dst = strconv.AppendInt(dst, int64(v.Ports[[2]int{a, b}]), 10)
-			dst = append(dst, ',')
-			dst = strconv.AppendInt(dst, int64(v.Ports[[2]int{b, a}]), 10)
-		}
-	}
-	return dst
 }
 
 // insertionSortInts sorts small int slices in place without the sort

@@ -42,11 +42,10 @@ type View struct {
 	// part of every node's input (Section 2.2).
 	NBound int
 
-	// cacheMu guards the lazily computed canonical-key caches below. Views
-	// are immutable after extraction, so the caches are write-once; clones
-	// start with empty caches and never share them with the original.
+	// cacheMu guards the lazily computed canonical key below. Views are
+	// immutable after extraction, so the cache is write-once; clones start
+	// with an empty cache and never share it with the original.
 	cacheMu   sync.Mutex
-	cachedKey string
 	cachedBin []byte
 }
 
@@ -176,7 +175,7 @@ func (v *View) String() string {
 // apart in diagnostics without revealing the label bytes the key embeds.
 // It is one of the sanctioned sanitizers of the certflow taint analyzer.
 func (v *View) KeyDigest() string {
-	k := v.Key()
+	k := v.BinKey()
 	h := uint32(2166136261)
 	for i := 0; i < len(k); i++ {
 		h = (h ^ uint32(k[i])) * 16777619
