@@ -20,12 +20,12 @@ func appendLenPrefixed(b []byte, s string) []byte {
 
 // builder is one goroutine's accumulator for the Lemma 3.1 construction,
 // running on the canonical-key fast path: views are deduplicated through a
-// shared view.Interner into dense handles, the accepting and loop sets are
-// handle-indexed bool slices instead of map[string] tables, decoder calls
-// go through a shared core.MemoDecoder (one inner Decide per view class
-// across all workers), and per-instance view extraction reuses templates
-// whenever the enumerator varies only the labeling of a fixed instance —
-// the ShardedAllLabelings hot case.
+// shared view.Interner into dense handles, the decided, accepting and loop
+// sets are handle-indexed bool slices instead of map[string] tables, a
+// builder consults the shared core.MemoDecoder (one inner Decide per view
+// class across all workers) at most once per class, and per-instance view
+// extraction reuses templates whenever the enumerator varies only the
+// labeling of a fixed instance — the ShardedAllLabelings hot case.
 //
 // The interner and memo are shared across builders; everything else is
 // private to one goroutine.
@@ -37,6 +37,9 @@ type builder struct {
 	anon  bool
 	r     int
 
+	// decided[h] records that this builder has consulted md for class h;
+	// accepting[h] is then md's verdict.
+	decided   []bool
 	accepting []bool
 	loops     []bool
 	edges     pairSet
@@ -50,8 +53,11 @@ type builder struct {
 	// scratch probes the interner before any arena allocation: most
 	// template-memo misses are still interner hits (another labeling or
 	// another worker saw the class first), and for those the lookup view
-	// never needs to outlive the absorb call.
-	scratch view.View
+	// never needs to outlive the absorb call. probeKey holds the scratch's
+	// canonical key, computed once per template-memo miss and reused for
+	// the intern on a lookup miss.
+	scratch  view.View
+	probeKey []byte
 
 	// Single-entry template cache, keyed on the identity of the instance's
 	// label-independent parts.
@@ -88,6 +94,7 @@ func newBuilder(d core.Decoder, md *core.MemoDecoder, in *view.Interner, where s
 
 func (b *builder) grow(n int) {
 	if n > len(b.accepting) {
+		b.decided = append(b.decided, make([]bool, n-len(b.decided))...)
 		b.accepting = append(b.accepting, make([]bool, n-len(b.accepting))...)
 		b.loops = append(b.loops, make([]bool, n-len(b.loops))...)
 	}
@@ -145,23 +152,26 @@ func (b *builder) absorb(l core.Labeled) {
 		b.nViews++
 		// Probe with the scratch view first: on a hit (the common case) no
 		// durable view is needed at all. Only a genuinely new class — or a
-		// race where another worker interns it between Lookup and Intern,
-		// which Intern resolves — pays for an arena-backed copy the interner
-		// may retain as representative. DecideInterned never retains the
-		// view (decoders are pure), so deciding on the scratch is safe.
+		// race where another worker interns it between LookupKey and
+		// InternKey, which InternKey resolves — pays for an arena-backed
+		// copy the interner may retain as representative; it is interned
+		// under the key already in probeKey. DecideInterned never retains
+		// the view (decoders are pure), so deciding on the scratch is safe.
 		mu := t.InstantiateInto(&b.scratch, l.Labels)
-		h, ok := b.in.Lookup(mu)
+		b.probeKey = mu.AppendBinKey(b.probeKey[:0])
+		h, ok := b.in.LookupKey(b.probeKey)
 		if ok {
 			b.nLookupHits++
 		} else {
 			mu = t.InstantiateIn(&b.arena, l.Labels)
-			h = b.in.Intern(mu)
+			h = b.in.InternKey(b.probeKey, mu)
 		}
 		b.tMemo[v][string(kb)] = h
 		handles = append(handles, h)
 		b.grow(int(h) + 1)
-		if !b.accepting[h] && b.md.DecideInterned(h, mu) {
-			b.accepting[h] = true
+		if !b.decided[h] {
+			b.decided[h] = true
+			b.accepting[h] = b.md.DecideInterned(h, mu)
 		}
 	}
 	b.handles = handles

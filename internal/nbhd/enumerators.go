@@ -44,16 +44,31 @@ func proverLabeled(s core.Scheme, insts ...core.Instance) Enumerator {
 	}
 }
 
-// allLabelingsShard enumerates, per instance, the labelings assigned to the
-// given shard of the labeling-prefix partition (graph.EnumLabelingsShard).
-// shard 0 of 1 is the full sequential enumeration. One label slice is
-// reused across all labelings of one instance; see ShardedAllLabelings.
+// allLabelingsShard enumerates the labelings the instance-major deal
+// assigns to the given shard: each instance's labeling space splits into
+// parts = ceil(shards/len(insts)) labeling-prefix parts
+// (graph.EnumLabelingsShard) — one part whenever there are at least as many
+// instances as shards — and the (instance, part) units, taken in sequential
+// order, go round-robin to the shards. shard 0 of 1 is the full sequential
+// enumeration. One label slice is reused across all labelings of one
+// instance; see ShardedAllLabelings.
 func allLabelingsShard(alphabet []string, insts []core.Instance, shard, shards int) Enumerator {
+	parts := 1
+	if len(insts) > 0 {
+		parts = (shards + len(insts) - 1) / len(insts)
+	}
 	return func(yield func(core.Labeled) bool) error {
-		for _, inst := range insts {
+		for j, inst := range insts {
+			// Instance j's units j*parts … j*parts+parts-1 land on
+			// consecutive shards, and parts <= shards, so at most one of
+			// them is this shard's: the one with part ≡ shard − j·parts.
+			part := ((shard-j*parts)%shards + shards) % shards
+			if part >= parts {
+				continue
+			}
 			stopped := false
 			labels := make([]string, inst.G.N())
-			graph.EnumLabelingsShard(inst.G.N(), len(alphabet), shard, shards, func(idx []int) bool {
+			graph.EnumLabelingsShard(inst.G.N(), len(alphabet), part, parts, func(idx []int) bool {
 				for v, a := range idx {
 					labels[v] = alphabet[a]
 				}
@@ -62,34 +77,6 @@ func allLabelingsShard(alphabet []string, insts []core.Instance, shard, shards i
 					return false
 				}
 				return true
-			})
-			if stopped {
-				return nil
-			}
-		}
-		return nil
-	}
-}
-
-// allPortsAllLabelingsShard ranges over every port assignment of every
-// instance, enumerating only the given labeling-prefix shard under each.
-func allPortsAllLabelingsShard(alphabet []string, insts []core.Instance, shard, shards int) Enumerator {
-	return func(yield func(core.Labeled) bool) error {
-		for _, inst := range insts {
-			stopped := false
-			graph.EnumPorts(inst.G, func(pt *graph.Ports) bool {
-				withPorts := inst.WithPorts(pt)
-				inner := allLabelingsShard(alphabet, []core.Instance{withPorts}, shard, shards)
-				if err := inner(func(l core.Labeled) bool {
-					if !yield(l) {
-						stopped = true
-						return false
-					}
-					return true
-				}); err != nil {
-					panic(fmt.Sprintf("nbhd.ShardedAllPortsAllLabelings: %v", err))
-				}
-				return !stopped
 			})
 			if stopped {
 				return nil

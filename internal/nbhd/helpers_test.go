@@ -2,9 +2,11 @@ package nbhd
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 
 	"hidinglcp/internal/core"
+	"hidinglcp/internal/graph"
 	"hidinglcp/internal/obs"
 )
 
@@ -20,10 +22,50 @@ func allLabelings(alphabet []string, insts ...core.Instance) Enumerator {
 	return allLabelingsShard(alphabet, insts, 0, 1)
 }
 
+// shardedAllPortsAllLabelings extends ShardedAllLabelings by also ranging
+// over every port assignment of every instance; exponential in both, so
+// micro universes only. It is sharded on the labeling dimension: every
+// shard ranges over every port assignment but enumerates only its own
+// labeling-prefix slice under each.
+func shardedAllPortsAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
+	return &sharded{
+		seq:   allPortsAllLabelingsShard(alphabet, insts, 0, 1),
+		shard: func(i, k int) Enumerator { return allPortsAllLabelingsShard(alphabet, insts, i, k) },
+	}
+}
+
 // allPortsAllLabelings is the sequential enumeration of
-// ShardedAllPortsAllLabelings.
+// shardedAllPortsAllLabelings.
 func allPortsAllLabelings(alphabet []string, insts ...core.Instance) Enumerator {
 	return allPortsAllLabelingsShard(alphabet, insts, 0, 1)
+}
+
+// allPortsAllLabelingsShard ranges over every port assignment of every
+// instance, enumerating only the given labeling-prefix shard under each.
+func allPortsAllLabelingsShard(alphabet []string, insts []core.Instance, shard, shards int) Enumerator {
+	return func(yield func(core.Labeled) bool) error {
+		for _, inst := range insts {
+			stopped := false
+			graph.EnumPorts(inst.G, func(pt *graph.Ports) bool {
+				withPorts := inst.WithPorts(pt)
+				inner := allLabelingsShard(alphabet, []core.Instance{withPorts}, shard, shards)
+				if err := inner(func(l core.Labeled) bool {
+					if !yield(l) {
+						stopped = true
+						return false
+					}
+					return true
+				}); err != nil {
+					panic(fmt.Sprintf("shardedAllPortsAllLabelings: %v", err))
+				}
+				return !stopped
+			})
+			if stopped {
+				return nil
+			}
+		}
+		return nil
+	}
 }
 
 // shardEnumerator adapts an arbitrary Enumerator: shard i of k walks the

@@ -58,7 +58,7 @@ func (ng *NGraph) IndexOfView(mu *view.View) int {
 	if ng.in == nil {
 		return -1
 	}
-	if h, ok := ng.in.Lookup(mu); ok && int(h) < len(ng.hidx) {
+	if h, ok := ng.in.LookupKey(mu.BinKey()); ok && int(h) < len(ng.hidx) {
 		return ng.hidx[h]
 	}
 	return -1

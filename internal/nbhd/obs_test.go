@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
+	"hidinglcp/internal/graph"
 	"hidinglcp/internal/obs"
 )
 
@@ -120,4 +122,64 @@ func (l *lockedBuffer) String() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.b.String()
+}
+
+// e15Slice is the E15 k=3 slice: every connected graph on at most 4 nodes
+// with a leaf that is 3-colorable, default ports, N = 4.
+func e15Slice() []core.Instance {
+	var insts []core.Instance
+	for n := 2; n <= 4; n++ {
+		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
+			if g.MinDegree() == 1 && g.IsKColorable(3) {
+				gc := g.Clone()
+				insts = append(insts, core.Instance{G: gc, Prt: graph.DefaultPorts(gc), NBound: 4})
+			}
+			return true
+		})
+	}
+	return insts
+}
+
+// TestBuildCanonicalizesOncePerBuild pins the instance-major deal of
+// ShardedAllLabelings: when there are at least as many instances as
+// shards, every instance lives in one shard, so the build extracts each
+// instance's templates once and canonicalizes each (instance, node,
+// neighborhood labeling) view once — the same counts as the one-shard
+// build, whatever the shard and worker counts. The per-builder verdict
+// table bounds memo-decoder consults by one per class per worker.
+func TestBuildCanonicalizesOncePerBuild(t *testing.T) {
+	cases := []struct {
+		name             string
+		d                core.Decoder
+		se               ShardedEnumerator
+		views, templates int64
+	}{
+		{"degree-one/n4", decoders.DegreeOne().Decoder,
+			ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), 15584, 79},
+		{"E15/k3", decoders.DegreeOneK(3).Decoder,
+			ShardedAllLabelings(decoders.DegOneKAlphabet(3), e15Slice()...), 17775, 32},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, sw := range [][2]int{{1, 1}, {8, 2}, {16, 4}} {
+				shards, workers := sw[0], sw[1]
+				sc := obs.NewScope()
+				if _, err := BuildShardedCtx(context.Background(), sc, c.d, c.se, shards, workers); err != nil {
+					t.Fatal(err)
+				}
+				views := sc.Counter("nbhd.views.extracted").Value()
+				templates := sc.Counter("nbhd.templates.built").Value()
+				if views != c.views || templates != c.templates {
+					t.Errorf("shards=%d workers=%d: views.extracted=%d templates.built=%d, want %d/%d",
+						shards, workers, views, templates, c.views, c.templates)
+				}
+				calls := sc.Counter("nbhd.decode.calls").Value()
+				classes := sc.Gauge("nbhd.intern.classes").Value()
+				if calls > int64(workers)*classes {
+					t.Errorf("shards=%d workers=%d: decode.calls=%d > workers × intern.classes = %d",
+						shards, workers, calls, int64(workers)*classes)
+				}
+			}
+		})
+	}
 }

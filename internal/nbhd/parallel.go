@@ -119,13 +119,14 @@ func harvestBuildMetrics(sc obs.Scope, parts []*builder, in *view.Interner, md *
 	sc.Counter("nbhd.views.extracted").Add(views)
 	sc.Counter("nbhd.views.template_memo_hits").Add(tmplHits)
 	sc.Counter("nbhd.templates.built").Add(templates)
-	// Scratch-probe Lookup hits count as intern hits: every extracted view
-	// still consults the interner exactly once (Lookup on a hit, Intern on a
-	// miss), the probe path just avoids the arena copy.
+	// Scratch-probe LookupKey hits count as intern hits: every extracted
+	// view still consults the interner exactly once (LookupKey on a hit,
+	// InternKey on a miss), the probe path just avoids the arena copy.
 	hits, misses := in.Stats()
 	sc.Counter("nbhd.intern.hits").Add(int64(hits) + lookupHits)
 	sc.Counter("nbhd.intern.misses").Add(int64(misses))
 	sc.Gauge("nbhd.intern.classes").Set(int64(in.Len()))
+	// calls are builder→memo consults, at most one per class per builder.
 	calls, inner := md.Stats()
 	sc.Counter("nbhd.decode.calls").Add(int64(calls))
 	sc.Counter("nbhd.decode.memo_hits").Add(int64(calls - inner))

@@ -91,28 +91,21 @@ func ShardedProverLabeled(s core.Scheme, insts ...core.Instance) ShardedEnumerat
 // ShardedAllLabelings produces every labeling of every instance over the
 // given alphabet (|alphabet|^n labelings per instance). This is the
 // Lemma 3.1 search restricted to a family and an alphabet; callers keep
-// instances small. The labeling space of every instance is split by
-// labeling prefix (graph.EnumLabelingsShard): all shards walk the instance
-// list in order, each enumerating only its own slice of the labelings. The
-// yielded Labeled's label slice is reused across labelings of one instance
-// and is valid only during the yield; copy it to retain (the builders copy
-// label strings into views immediately).
+// instances small. Shards are dealt instance-major: with k shards each
+// instance splits into ceil(k/len(insts)) labeling-prefix parts
+// (graph.EnumLabelingsShard) — a single part whenever there are at least
+// as many instances as shards — and the (instance, part) units go
+// round-robin to the shards in sequential order. No shard holds two parts
+// of one instance, so a builder extracts each instance's templates and
+// memoizes its neighborhood labelings once, not once per shard; a
+// single-instance space degenerates to the plain labeling-prefix split.
+// The yielded Labeled's label slice is reused across labelings of one
+// instance and is valid only during the yield; copy it to retain (the
+// builders copy label strings into views immediately).
 func ShardedAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
 	return &sharded{
 		seq:   allLabelingsShard(alphabet, insts, 0, 1),
 		shard: func(i, k int) Enumerator { return allLabelingsShard(alphabet, insts, i, k) },
-	}
-}
-
-// ShardedAllPortsAllLabelings extends ShardedAllLabelings by also ranging
-// over every port assignment of every instance graph; exponential in both,
-// so micro universes only. It is sharded on the labeling dimension: every
-// shard ranges over every port assignment but enumerates only its own
-// labeling-prefix slice under each.
-func ShardedAllPortsAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
-	return &sharded{
-		seq:   allPortsAllLabelingsShard(alphabet, insts, 0, 1),
-		shard: func(i, k int) Enumerator { return allPortsAllLabelingsShard(alphabet, insts, i, k) },
 	}
 }
 

@@ -115,15 +115,16 @@ func TestShardedEnumeratorPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	degFam := decoders.DegOneFamily(3)
-	families := []struct {
+	type family struct {
 		name string
 		se   ShardedEnumerator
-	}{
+	}
+	families := []family{
 		{"FromLabeled/even-cycle", ShardedFromLabeled(evenFam...)},
 		{"FromLabeled/watermelon", ShardedFromLabeled(melonFam...)},
 		{"ProverLabeled/degree-one", ShardedProverLabeled(decoders.DegreeOne(), degFam...)},
 		{"AllLabelings", ShardedAllLabelings([]string{"0", "1", "x"}, smallInstances()...)},
-		{"AllPortsAllLabelings", ShardedAllPortsAllLabelings([]string{"0", "1"}, smallInstances()[:2]...)},
+		{"AllPortsAllLabelings", shardedAllPortsAllLabelings([]string{"0", "1"}, smallInstances()[:2]...)},
 		{"ShardEnumerator/chain", shardEnumerator(chain(
 			fromLabeled(evenFam[:6]...),
 			allLabelings([]string{"a", "b"}, core.NewAnonymousInstance(graph.Path(4))),
@@ -133,9 +134,29 @@ func TestShardedEnumeratorPartition(t *testing.T) {
 			ShardedAllLabelings([]string{"a", "b"}, core.NewAnonymousInstance(graph.Path(4))),
 		)},
 	}
+	// The instance-major deal splits instances into several parts only when
+	// there are fewer instances than shards: cover lists shorter than,
+	// equal to and longer than every entry of shardCounts.
+	for _, m := range []int{0, 1, 2, 3, 4, 7, 8, 16, 17} {
+		families = append(families, family{fmt.Sprintf("InstanceMajor/%d-instances", m),
+			ShardedAllLabelings([]string{"0", "1"}, connectedInstances(m)...)})
+	}
 	for _, f := range families {
 		t.Run(f.name, func(t *testing.T) { checkShardPartition(t, f.se) })
 	}
+}
+
+// connectedInstances returns m distinct anonymous instances: the connected
+// graphs on 2 to 5 nodes in enumeration order.
+func connectedInstances(m int) []core.Instance {
+	var out []core.Instance
+	for n := 2; n <= 5 && len(out) < m; n++ {
+		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
+			out = append(out, core.NewAnonymousInstance(g.Clone()))
+			return len(out) < m
+		})
+	}
+	return out
 }
 
 func TestShardedEnumeratorEarlyStop(t *testing.T) {

@@ -51,3 +51,34 @@ func TestCachedKeyAllocs(t *testing.T) {
 		t.Errorf("cached Key+BinKey allocate %.1f objects per call, want 0", n)
 	}
 }
+
+// TestProbeKeyAllocs pins the nbhd builders' interner probe at zero
+// allocations: canonicalizing a scratch view into a reused key buffer and
+// finding its class with LookupKey must not touch the heap once the
+// buffer has grown.
+func TestProbeKeyAllocs(t *testing.T) {
+	g := graph.Grid(4, 4)
+	pt := graph.DefaultPorts(g)
+	labels := make([]string, g.N())
+	for i := range labels {
+		labels[i] = []string{"a", "b", "c"}[i%3]
+	}
+	var ex view.Extractor
+	tpl, err := ex.Template(g, pt, nil, g.N(), 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := view.NewInterner()
+	want := in.Intern(tpl.Instantiate(labels))
+	var scratch view.View
+	mu := tpl.InstantiateInto(&scratch, labels)
+	key := mu.AppendBinKey(nil)
+	if n := testing.AllocsPerRun(100, func() {
+		key = mu.AppendBinKey(key[:0])
+		if h, ok := in.LookupKey(key); !ok || h != want {
+			t.Fatalf("LookupKey = %d, %v; want %d, true", h, ok, want)
+		}
+	}); n != 0 {
+		t.Errorf("AppendBinKey + LookupKey hit allocates %.1f objects per probe in steady state, want 0", n)
+	}
+}

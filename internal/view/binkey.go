@@ -13,7 +13,8 @@ import (
 // orderings, refinement colors, flat arm storage, and the serialization
 // candidates. The buffers are recycled through keyScratchPool; nothing
 // reachable from a scratch may be returned to a caller — the final key is
-// always a fresh copy (see the escape rules of internal/mem).
+// always appended to the caller's buffer (see the escape rules of
+// internal/mem).
 type keyScratch struct {
 	ord, color, next []int // refinement working set
 	armStart, armNbr []int
@@ -35,27 +36,31 @@ var keyScratchPool mem.Pool[keyScratch]
 // refinement run over integer color arrays. When the identifiers are
 // nonzero and distinct they fix the ordering and no search is needed.
 //
-// The key is computed once and cached. The returned slice is shared; the
-// caller must not modify it.
+// The key is computed once and cached (AppendBinKey is the uncached form).
+// The returned slice is shared; the caller must not modify it.
 func (v *View) BinKey() []byte {
 	v.cacheMu.Lock()
 	k := v.cachedBin
 	if k == nil {
-		k = v.computeBinKey()
+		k = v.AppendBinKey(nil)
 		v.cachedBin = k
 	}
 	v.cacheMu.Unlock()
 	return k
 }
 
-func (v *View) computeBinKey() []byte {
+// AppendBinKey appends the canonical key of the view to dst and returns the
+// extended slice. Unlike BinKey it neither reads nor fills the view's key
+// cache, so a caller that probes with a reused buffer — the nbhd builders
+// canonicalizing a scratch view — pays no allocation once dst has grown.
+func (v *View) AppendBinKey(dst []byte) []byte {
 	sc := keyScratchPool.Get()
 	defer keyScratchPool.Put(sc)
 	if v.idOrderInto(sc) {
 		sc.pos = mem.Ints(sc.pos, v.N())
-		return v.appendBinSerialize(nil, sc.order, sc.pos)
+		return v.appendBinSerialize(dst, sc.order, sc.pos)
 	}
-	return v.minBinKey(sc)
+	return v.minBinKey(dst, sc)
 }
 
 // appendBinSerialize renders the view under the given node ordering into
@@ -103,12 +108,12 @@ func (v *View) appendBinSerialize(dst []byte, order, pos []int) []byte {
 	return dst
 }
 
-// minBinKey returns the byte-wise minimum serialization over all orderings
-// that put the center first and otherwise permute nodes only within refined
-// invariant classes. Minimizing an injective serialization over an
-// isomorphism-invariant set of orderings is canonical: isomorphic views
-// reach the same minimum, and equal bytes decode to isomorphic views.
-func (v *View) minBinKey(sc *keyScratch) []byte {
+// minBinKey appends to dst the byte-wise minimum serialization over all
+// orderings that put the center first and otherwise permute nodes only
+// within refined invariant classes. Minimizing an injective serialization
+// over an isomorphism-invariant set of orderings is canonical: isomorphic
+// views reach the same minimum, and equal bytes decode to isomorphic views.
+func (v *View) minBinKey(dst []byte, sc *keyScratch) []byte {
 	classes := v.refinedClassesInt(sc)
 	n := v.N()
 	sc.pos = mem.Ints(sc.pos, n)
@@ -126,7 +131,7 @@ func (v *View) minBinKey(sc *keyScratch) []byte {
 	sc.order = order
 	if !multi {
 		// Discrete refinement: the ordering is forced, no search needed.
-		return v.appendBinSerialize(nil, order, sc.pos)
+		return v.appendBinSerialize(dst, order, sc.pos)
 	}
 	// The search permutes each class segment of order in place; the
 	// byte-wise minimum over the whole ordering set is order-independent.
@@ -147,9 +152,7 @@ func (v *View) minBinKey(sc *keyScratch) []byte {
 		})
 	}
 	rec(0, 0)
-	out := make([]byte, len(sc.best))
-	copy(out, sc.best)
-	return out
+	return append(dst, sc.best...)
 }
 
 // permuteInPlace runs fn under every permutation of s, restoring the

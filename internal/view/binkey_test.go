@@ -3,6 +3,8 @@ package view_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hidinglcp/internal/graph"
@@ -213,6 +215,97 @@ func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 		t.Fatal("no port assignment reproduces the rotated view")
 	}
 	_ = muB
+}
+
+// ringView hand-builds a radius-2 anonymous view that Extract never
+// produces: the center reaches six unlabeled neighbors through one repeated
+// port, and every neighbor reaches its two ring neighbors through one
+// repeated port as well. ring lists the edges among the neighbors (local
+// nodes 1..6). Every neighbor then has the same distance, label, degree
+// and arm multiset, so refinement ends with one class of six nodes and only
+// minBinKey's permutation search makes the key canonical.
+func ringView(ring [][2]int) *view.View {
+	v := &view.View{
+		Radius: 2,
+		Adj:    make([][]int, 7),
+		Dist:   []int{0, 1, 1, 1, 1, 1, 1},
+		Ports:  map[[2]int]int{},
+		IDs:    make([]int, 7),
+		Labels: make([]string, 7),
+		NBound: 7,
+	}
+	link := func(a, b, pa, pb int) {
+		v.Adj[a] = append(v.Adj[a], b)
+		v.Adj[b] = append(v.Adj[b], a)
+		v.Ports[[2]int{a, b}] = pa
+		v.Ports[[2]int{b, a}] = pb
+	}
+	for i := 1; i <= 6; i++ {
+		link(view.Center, i, 1, 1)
+	}
+	for _, e := range ring {
+		link(e[0], e[1], 2, 2)
+	}
+	for i := range v.Adj {
+		slices.Sort(v.Adj[i])
+	}
+	return v
+}
+
+// relabel returns v with local node i renumbered perm[i]; perm must fix
+// the center.
+func relabel(v *view.View, perm []int) *view.View {
+	w := &view.View{
+		Radius: v.Radius,
+		Adj:    make([][]int, v.N()),
+		Dist:   make([]int, v.N()),
+		Ports:  map[[2]int]int{},
+		IDs:    make([]int, v.N()),
+		Labels: make([]string, v.N()),
+		NBound: v.NBound,
+	}
+	for i := range v.Adj {
+		pi := perm[i]
+		w.Dist[pi], w.IDs[pi], w.Labels[pi] = v.Dist[i], v.IDs[i], v.Labels[i]
+		for _, j := range v.Adj[i] {
+			w.Adj[pi] = append(w.Adj[pi], perm[j])
+			w.Ports[[2]int{pi, perm[j]}] = v.Ports[[2]int{i, j}]
+		}
+		slices.Sort(w.Adj[pi])
+	}
+	return w
+}
+
+// TestBinKeyPermutationSearch covers the branch of minBinKey that refinement
+// cannot settle: on ringView's six indistinguishable neighbors the key must
+// still be invariant under every relabeling (so skipping the search fails
+// here), agree with the isomorphism oracle, and come out the same from
+// BinKey and from AppendBinKey into a non-empty buffer.
+func TestBinKeyPermutationSearch(t *testing.T) {
+	hexagon := ringView([][2]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 6}})
+	triangles := ringView([][2]int{{1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}})
+	if isomorphic(hexagon, triangles) {
+		t.Fatal("oracle: a hexagon and two triangles are isomorphic")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, base := range []*view.View{hexagon, triangles} {
+		for trial := 0; trial < 20; trial++ {
+			perm := []int{view.Center, 1, 2, 3, 4, 5, 6}
+			rng.Shuffle(6, func(i, j int) { perm[i+1], perm[j+1] = perm[j+1], perm[i+1] })
+			mu := relabel(base, perm)
+			prefix := []byte("prefix")
+			appended := mu.AppendBinKey(prefix)
+			if !bytes.Equal(appended[:len(prefix)], []byte("prefix")) || !bytes.Equal(appended[len(prefix):], mu.BinKey()) {
+				t.Fatalf("perm %v: AppendBinKey and BinKey disagree", perm)
+			}
+			for _, other := range []*view.View{hexagon, triangles} {
+				iso := isomorphic(mu, other)
+				if same := bytes.Equal(mu.BinKey(), other.BinKey()); iso != same {
+					t.Fatalf("perm %v: isomorphic=%v but equal keys=%v", perm, iso, same)
+				}
+			}
+		}
+	}
 }
 
 // TestKeyCacheCloneSafety is the satellite mutation test: keys are cached on

@@ -3,6 +3,7 @@ package view
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Handle is a dense identifier for one canonical view class inside an
@@ -63,7 +64,14 @@ func NewInterner() *Interner {
 // Intern returns the handle of mu's view class, assigning the next dense
 // handle (and retaining mu as representative) on first sight.
 func (it *Interner) Intern(mu *View) Handle {
-	k := mu.BinKey()
+	return it.InternKey(mu.BinKey(), mu)
+}
+
+// InternKey is Intern for a caller that already holds mu's canonical key k
+// (mu.AppendBinKey into its own buffer), so mu is not canonicalized again.
+// k is only read: on first sight the interner keeps a private copy as mu's
+// cached key and as the table entry, so the caller may reuse k at once.
+func (it *Interner) InternKey(k []byte, mu *View) Handle {
 	s := &it.stripes[internHash(k)&(internStripes-1)]
 	s.mu.RLock()
 	h, ok := s.m[string(k)] // compiler avoids the []byte→string copy for map reads
@@ -79,6 +87,9 @@ func (it *Interner) Intern(mu *View) Handle {
 		return h
 	}
 	it.misses.Add(1)
+	// The representative's cached key doubles as the table key: one copy,
+	// never written again (see Key).
+	k = mu.cacheKey(k)
 	it.mu.Lock()
 	h = Handle(it.n.Load())
 	c := h >> internChunkBits
@@ -94,13 +105,13 @@ func (it *Interner) Intern(mu *View) Handle {
 	ch[h&internChunkMask] = mu
 	it.n.Store(uint32(h) + 1)
 	it.mu.Unlock()
-	s.m[string(k)] = h
+	s.m[unsafe.String(unsafe.SliceData(k), len(k))] = h
 	return h
 }
 
-// Lookup returns the handle of mu's view class without interning it.
-func (it *Interner) Lookup(mu *View) (Handle, bool) {
-	k := mu.BinKey()
+// LookupKey returns the handle of the view class with canonical key k
+// without interning anything. It does not retain k and allocates nothing.
+func (it *Interner) LookupKey(k []byte) (Handle, bool) {
 	s := &it.stripes[internHash(k)&(internStripes-1)]
 	s.mu.RLock()
 	h, ok := s.m[string(k)]

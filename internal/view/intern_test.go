@@ -168,8 +168,40 @@ func TestInternerConcurrent(t *testing.T) {
 		if string(rep.BinKey()) != key {
 			t.Fatalf("ViewOf(%d) is not a representative of its class", h)
 		}
-		if got, ok := in.Lookup(rep); !ok || got != h {
-			t.Fatalf("Lookup disagrees with Intern for handle %d", h)
+		if got, ok := in.LookupKey(rep.BinKey()); !ok || got != h {
+			t.Fatalf("LookupKey disagrees with Intern for handle %d", h)
 		}
+	}
+}
+
+// TestInternKeyCopiesProbeBuffer pins InternKey's buffer contract: the
+// caller's key buffer is reused (and overwritten) right after the call, so
+// on first sight the interner must keep its own copy, both as the table
+// entry and as the representative's cached key.
+func TestInternKeyCopiesProbeBuffer(t *testing.T) {
+	in := view.NewInterner()
+	handles := map[string]view.Handle{}
+	var buf []byte
+	for _, mu := range sampleViews(t) {
+		rep := mu.Clone()
+		buf = mu.AppendBinKey(buf[:0])
+		h := in.InternKey(buf, rep)
+		want := string(buf)
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		if prev, ok := handles[want]; ok && prev != h {
+			t.Fatalf("InternKey gave handle %d for a class interned as %d", h, prev)
+		}
+		handles[want] = h
+		if got, ok := in.LookupKey([]byte(want)); !ok || got != h {
+			t.Fatalf("LookupKey after reusing the probe buffer = %d, %v; want %d, true", got, ok, h)
+		}
+		if string(in.ViewOf(h).BinKey()) != want {
+			t.Fatal("representative's cached key aliases the probe buffer")
+		}
+	}
+	if in.Len() != len(handles) {
+		t.Fatalf("interner holds %d classes, want %d", in.Len(), len(handles))
 	}
 }

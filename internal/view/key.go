@@ -1,6 +1,7 @@
 package view
 
 import (
+	"bytes"
 	"slices"
 	"unsafe"
 
@@ -28,6 +29,17 @@ func (v *View) Equal(w *View) bool {
 		return false
 	}
 	return string(v.BinKey()) == string(w.BinKey())
+}
+
+// cacheKey returns v's cached canonical key, first caching a private copy
+// of k — which must be v's canonical key — when none is cached yet.
+func (v *View) cacheKey(k []byte) []byte {
+	v.cacheMu.Lock()
+	defer v.cacheMu.Unlock()
+	if v.cachedBin == nil {
+		v.cachedBin = bytes.Clone(k)
+	}
+	return v.cachedBin
 }
 
 // idOrderSortCutoff is the view size above which idOrderInto switches from
