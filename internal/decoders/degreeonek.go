@@ -3,6 +3,7 @@ package decoders
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,7 +32,7 @@ import (
 func DegreeOneK(k int) core.Scheme {
 	return core.Scheme{
 		Name:    fmt.Sprintf("degree-one-%d-col", k),
-		Decoder: &degOneKDecoder{k: k},
+		Decoder: &degOneKDecoder{k: k, prefix: fmt.Sprintf("K%d:", k)},
 		Prover:  &degOneKProver{k: k},
 		Promise: core.Promise{
 			Lang: core.KCol(k),
@@ -70,8 +71,9 @@ type degOneKCert struct {
 	color int
 }
 
-func parseDegOneKCert(k int, label string) (degOneKCert, error) {
-	prefix := fmt.Sprintf("K%d:", k)
+// parseDegOneKCert parses one certificate of DegreeOneK(k); prefix is the
+// decoder's precomputed "K<k>:" so the hot path builds no strings.
+func parseDegOneKCert(k int, prefix, label string) (degOneKCert, error) {
 	if !strings.HasPrefix(label, prefix) {
 		return degOneKCert{}, fmt.Errorf("label (len=%d) is not a K%d certificate", len(label), k)
 	}
@@ -90,7 +92,8 @@ func parseDegOneKCert(k int, label string) (degOneKCert, error) {
 }
 
 type degOneKDecoder struct {
-	k int
+	k      int
+	prefix string // "K<k>:"
 }
 
 var _ core.Decoder = (*degOneKDecoder)(nil)
@@ -98,42 +101,51 @@ var _ core.Decoder = (*degOneKDecoder)(nil)
 func (d *degOneKDecoder) Rounds() int     { return 1 }
 func (d *degOneKDecoder) Anonymous() bool { return true }
 
+// Decide parses the neighbours one at a time and returns false at the first
+// malformed label or broken rule; every rejection is the same verdict, so
+// the order of the checks does not matter.
 func (d *degOneKDecoder) Decide(mu *view.View) bool {
-	center := view.Center
-	own, err := parseDegOneKCert(d.k, mu.Labels[center])
+	own, err := parseDegOneKCert(d.k, d.prefix, mu.Labels[view.Center])
 	if err != nil {
 		return false
 	}
-	nbs := mu.Adj[center]
-	certs := make([]degOneKCert, len(nbs))
-	for i, w := range nbs {
-		c, err := parseDegOneKCert(d.k, mu.Labels[w])
-		if err != nil {
-			return false
-		}
-		certs[i] = c
-	}
+	nbs := mu.Adj[view.Center]
 	switch own.kind {
 	case 'B':
-		return len(nbs) == 1 && certs[0].kind == 'T'
+		if len(nbs) != 1 {
+			return false
+		}
+		c, err := parseDegOneKCert(d.k, d.prefix, mu.Labels[nbs[0]])
+		return err == nil && c.kind == 'T'
 	case 'T':
 		bottoms := 0
-		seen := make(map[int]bool)
-		for _, c := range certs {
+		var buf [8]int
+		colors := buf[:0] // distinct neighbour colors
+		for _, w := range nbs {
+			c, err := parseDegOneKCert(d.k, d.prefix, mu.Labels[w])
+			if err != nil {
+				return false
+			}
 			switch c.kind {
 			case 'B':
 				bottoms++
 			case 'C':
-				seen[c.color] = true
+				if !slices.Contains(colors, c.color) {
+					colors = append(colors, c.color)
+				}
 			default:
 				return false
 			}
 		}
 		// A free color must remain for ⊤ itself.
-		return bottoms == 1 && len(seen) <= d.k-1
+		return bottoms == 1 && len(colors) <= d.k-1
 	default: // colored
 		tops := 0
-		for _, c := range certs {
+		for _, w := range nbs {
+			c, err := parseDegOneKCert(d.k, d.prefix, mu.Labels[w])
+			if err != nil {
+				return false
+			}
 			switch c.kind {
 			case 'T':
 				tops++

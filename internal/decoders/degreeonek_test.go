@@ -200,11 +200,11 @@ func TestDegreeOneKCertBits(t *testing.T) {
 func TestParseDegOneKCertErrors(t *testing.T) {
 	bad := []string{"", "K3", "K3:", "K3:9", "K3:x", "K2:1", "junk"}
 	for _, l := range bad {
-		if _, err := parseDegOneKCert(3, l); err == nil {
+		if _, err := parseDegOneKCert(3, "K3:", l); err == nil {
 			t.Errorf("parseDegOneKCert(3, %q) succeeded", l)
 		}
 	}
-	if c, err := parseDegOneKCert(3, "K3:2"); err != nil || c.kind != 'C' || c.color != 2 {
+	if c, err := parseDegOneKCert(3, "K3:", "K3:2"); err != nil || c.kind != 'C' || c.color != 2 {
 		t.Errorf("K3:2 parsed as %+v, %v", c, err)
 	}
 }

@@ -61,6 +61,18 @@ func FuzzEvenCycleDecide(f *testing.F) {
 	fuzzDecide(f, decoders.EvenCycle(), decoders.EvenCycleAlphabet())
 }
 
+func FuzzDegreeOneKDecide(f *testing.F) {
+	fuzzDecide(f, decoders.DegreeOneK(3), decoders.DegOneKAlphabet(3))
+}
+
+func FuzzTrivialDecide(f *testing.F) {
+	fuzzDecide(f, decoders.Trivial(3), []string{"0", "1", "2"})
+}
+
+func FuzzUnionDecide(f *testing.F) {
+	fuzzDecide(f, decoders.Union(), append(decoders.DegOneAlphabet(), decoders.EvenCycleAlphabet()...))
+}
+
 // fuzzDecideWithIDs is fuzzDecide for the non-anonymous schemes: instances
 // carry sequential identifiers, and certificates are synthesized from the
 // fuzzed bytes through the scheme's own label constructors (so the decoder

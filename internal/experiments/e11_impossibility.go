@@ -91,11 +91,19 @@ func E11Impossibility(ctx context.Context) Table {
 		anon(graph.Complete(4)),
 		anon(graph.Petersen()),
 	}
+	// One pass over the connected Δ<=3 graphs on up to 6 nodes also
+	// collects the bipartite δ>=2 yes-instances the completeness row uses.
 	no3 := append([]core.Instance{}, no3small...)
+	var yesCorpus []core.Instance
 	for n := 3; n <= 6; n++ {
 		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
-			if g.MaxDegree() <= 3 && !g.IsBipartite() {
+			if g.MaxDegree() > 3 {
+				return true
+			}
+			if !g.IsBipartite() {
 				no3 = append(no3, anon(g.Clone()))
+			} else if g.MinDegree() >= 2 {
+				yesCorpus = append(yesCorpus, anon(g.Clone()))
 			}
 			return true
 		})
@@ -167,15 +175,6 @@ func E11Impossibility(ctx context.Context) Table {
 	// must accept every class occurring in a yes-instance; if those classes
 	// already cover some odd cycle of a no-instance, no complete and
 	// strongly sound 0-bit decoder exists at all.
-	var yesCorpus []core.Instance
-	for n := 3; n <= 6; n++ {
-		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
-			if g.MaxDegree() <= 3 && g.IsBipartite() && g.MinDegree() >= 2 {
-				yesCorpus = append(yesCorpus, anon(g.Clone()))
-			}
-			return true
-		})
-	}
 	var yesMask uint64
 	for _, inst := range yesCorpus {
 		vec, err := space3.classVector(inst)
@@ -221,13 +220,16 @@ func portInstances(g *graph.Graph, nBound int) []core.Instance {
 	return out
 }
 
-// decoderSpace indexes the anonymized single-label view classes of a corpus
+// decoderSpace indexes the anonymous single-label view classes of a corpus
 // so that 0-bit decoders become bitmasks over classes.
 type decoderSpace struct {
+	// classes lists the class keys (canonical view keys), sorted by key
+	// bytes once the corpus is indexed; index maps a key to its position.
+	// The sorted order fixes the decoder-mask bit order.
 	classes []string
 	index   map[string]int
-	// classVec caches, per instance graph key+ports pointer, the class of
-	// every node. Keyed by position in the corpus at construction.
+	// vecs caches the class of every node of each corpus instance, keyed by
+	// the instance's *graph.Ports pointer.
 	vecs map[*graph.Ports][]int
 	// bip caches, per port assignment, the bipartiteness of the subgraph
 	// induced by each accepting node bitmask (corpus instances have at
@@ -239,6 +241,14 @@ type decoderSpace struct {
 	// [64]uint64 rows and each hiding() call runs an allocation-free
 	// mask-BFS instead of building a graph.Graph per decoder sample.
 	adjCache map[*core.Instance]*classAdj
+
+	// Scratch for classVector, which runs on one goroutine: the template
+	// extractor, the view refilled per node, its key buffer, and the
+	// all-empty labeling.
+	ex      view.Extractor
+	scratch view.View
+	key     []byte
+	labels  []string
 }
 
 // classAdj is the class-level slice of a yes corpus: adj[c] is the bitmask
@@ -247,12 +257,6 @@ type decoderSpace struct {
 type classAdj struct {
 	adj   [64]uint64
 	loops uint64
-}
-
-// classKey returns the class key of a node view: the canonical key of its
-// anonymization. The sorted class keys fix the decoder-mask bit order.
-func (s *decoderSpace) classKey(mu *view.View) string {
-	return mu.Anonymize().Key()
 }
 
 func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
@@ -264,26 +268,12 @@ func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
 	}
 	// Single pass: number each instance's nodes by class in first-seen
 	// order, sort the class universe, then renumber the cached vectors by
-	// sorted rank — no second extraction sweep over the corpus. One
-	// Extractor shares its template scratch across the whole corpus.
-	var ex view.Extractor
+	// sorted rank — no second extraction sweep over the corpus.
 	vecs := make([][]int, len(corpus))
 	for ci, inst := range corpus {
-		l := core.MustNewLabeled(inst, make([]string, inst.G.N()))
-		views, err := l.ViewsWith(&ex, 1)
+		vec, err := s.classVector(inst)
 		if err != nil {
 			return nil, err
-		}
-		vec := make([]int, len(views))
-		for v, mu := range views {
-			key := s.classKey(mu)
-			id, ok := s.index[key]
-			if !ok {
-				id = len(s.classes)
-				s.index[key] = id
-				s.classes = append(s.classes, key)
-			}
-			vec[v] = id
 		}
 		vecs[ci] = vec
 	}
@@ -302,20 +292,32 @@ func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
 	return s, nil
 }
 
+// classVector returns the class of every node of inst, numbering a class
+// not yet indexed as len(classes). A class is the canonical key of the
+// node's anonymous, all-empty-label radius-1 view: the view is refilled from
+// an identifier-free template into one scratch view and keyed into one
+// reused buffer, so only a new class copies its key.
 func (s *decoderSpace) classVector(inst core.Instance) ([]int, error) {
-	l := core.MustNewLabeled(inst, make([]string, inst.G.N()))
-	views, err := l.Views(1)
-	if err != nil {
-		return nil, err
+	n := inst.G.N()
+	if cap(s.labels) < n {
+		s.labels = make([]string, n)
 	}
-	vec := make([]int, len(views))
-	for v, mu := range views {
-		key := s.classKey(mu)
-		if _, ok := s.index[key]; !ok {
-			s.index[key] = len(s.classes)
+	labels := s.labels[:n]
+	vec := make([]int, n)
+	for v := range vec {
+		t, err := s.ex.Template(inst.G, inst.Prt, nil, inst.NBound, v, 1)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", v, err)
+		}
+		s.key = t.InstantiateInto(&s.scratch, labels).AppendBinKey(s.key[:0])
+		id, ok := s.index[string(s.key)]
+		if !ok {
+			id = len(s.classes)
+			key := string(s.key)
+			s.index[key] = id
 			s.classes = append(s.classes, key)
 		}
-		vec[v] = s.index[key]
+		vec[v] = id
 	}
 	return vec, nil
 }

@@ -27,6 +27,7 @@ func E15KColoring(ctx context.Context) Table {
 	sc := scope().Named("E15")
 	for _, k := range []int{2, 3, 4} {
 		s := decoders.DegreeOneK(k)
+		alphabet := decoders.DegOneKAlphabet(k)
 
 		// Completeness over k-chromatic-or-less pendant graphs.
 		complete := true
@@ -60,7 +61,7 @@ func E15KColoring(ctx context.Context) Table {
 		for n := 2; n <= 4 && sound; n++ {
 			graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
 				inst := core.NewAnonymousInstance(g.Clone())
-				if err := core.ExhaustiveStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, inst, decoders.DegOneKAlphabet(k), 1, 1); err != nil {
+				if err := core.ExhaustiveStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, inst, alphabet, 1, 1); err != nil {
 					t.Err = err
 					sound = false
 					return false
@@ -84,7 +85,7 @@ func E15KColoring(ctx context.Context) Table {
 				return true
 			})
 		}
-		ng, err := nbhd.BuildShardedCtx(ctx, sc, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneKAlphabet(k), insts...), 1, 1)
+		ng, err := nbhd.BuildShardedCtx(ctx, sc, s.Decoder, nbhd.ShardedAllLabelings(alphabet, insts...), 1, 1)
 		if err != nil {
 			t.Err = err
 			return t

@@ -98,16 +98,18 @@ func pairList(n int) [][2]int {
 	return out
 }
 
+// hasMonoTriangle reports whether the 2-coloring of E(K_n) that gives
+// pairs[i] color bit i of mask has a monochromatic triangle; n <= 6.
 func hasMonoTriangle(n int, pairs [][2]int, mask int) bool {
-	colorOf := make(map[[2]int]int, len(pairs))
+	var color [6][6]int
 	for i, p := range pairs {
-		colorOf[p] = (mask >> i) & 1
+		color[p[0]][p[1]] = (mask >> i) & 1
 	}
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			for c := b + 1; c < n; c++ {
-				x := colorOf[[2]int{a, b}]
-				if x == colorOf[[2]int{a, c}] && x == colorOf[[2]int{b, c}] {
+				x := color[a][b]
+				if x == color[a][c] && x == color[b][c] {
 					return true
 				}
 			}
