@@ -60,7 +60,7 @@ func BenchmarkViewExtract(b *testing.B) {
 	pt := graph.DefaultPorts(g)
 	ids := graph.SequentialIDs(g.N())
 	labels := make([]string, g.N())
-	ex := view.NewExtractor()
+	ex := new(view.Extractor)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := 1; r <= 2; r++ {

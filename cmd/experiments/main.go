@@ -44,14 +44,15 @@ func main() {
 	only := flag.String("only", "", "run a single experiment by ID (e.g. E3)")
 	runID := flag.String("run", "", "run a single experiment by ID, case/zero-insensitive (e.g. e04)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	shards := flag.Int("shards", 0, "shard count for the parallel search/build phases (0 = 4 per worker)")
-	workers := flag.Int("workers", 0, "worker count for the parallel search/build phases (0 = GOMAXPROCS)")
+	var shards, workers int
+	flag.Var((*cli.Count)(&shards), "shards", "shard `count` for the parallel search/build phases (0 = 4 per worker)")
+	flag.Var((*cli.Count)(&workers), "workers", "worker `count` for the parallel search/build phases (0 = GOMAXPROCS)")
 	obsFlags := cli.RegisterObsFlags()
 	faultFlags := cli.RegisterFaultFlags()
 	runFlags := cli.RegisterRunFlags()
 	flag.Parse()
 
-	experiments.SetParallelism(*shards, *workers)
+	experiments.SetParallelism(shards, workers)
 	plan, err := faultFlags.Plan()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -70,8 +71,8 @@ func main() {
 	defer stop()
 
 	sc, manifest, finish := obsFlags.Setup("experiments", os.Args[1:])
-	manifest.SetConfig("shards", strconv.Itoa(*shards))
-	manifest.SetConfig("workers", strconv.Itoa(*workers))
+	manifest.SetConfig("shards", strconv.Itoa(shards))
+	manifest.SetConfig("workers", strconv.Itoa(workers))
 	if sel != "" {
 		manifest.SetConfig("experiment", sel)
 	}

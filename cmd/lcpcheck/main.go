@@ -50,8 +50,8 @@ func main() {
 	flag.BoolVar(&cfg.Distributed, "distributed", false, "verify via the message-passing simulator")
 	flag.BoolVar(&cfg.Sanitize, "sanitize", false, "re-run every decoder decision under the determinism sanitizer")
 	flag.BoolVar(&cfg.Exhaustive, "exhaustive", false, "exhaustively search all labelings of the instance for strong-soundness violations")
-	flag.IntVar(&cfg.Shards, "shards", 0, "shard count for the exhaustive search (0 = 4 per worker)")
-	flag.IntVar(&cfg.Workers, "workers", 0, "worker count for the exhaustive search (0 = GOMAXPROCS)")
+	flag.Var((*cli.Count)(&cfg.Shards), "shards", "shard `count` for the exhaustive search (0 = 4 per worker)")
+	flag.Var((*cli.Count)(&cfg.Workers), "workers", "worker `count` for the exhaustive search (0 = GOMAXPROCS)")
 	obsFlags := cli.RegisterObsFlags()
 	faultFlags := cli.RegisterFaultFlags()
 	runFlags := cli.RegisterRunFlags()

@@ -35,8 +35,8 @@ func main() {
 	flag.StringVar(&cfg.Scheme, "scheme", "degree-one", "scheme whose neighborhood graph to build")
 	flag.StringVar(&cfg.Graphs, "graphs", "", "comma-separated graph specs for a prover-labeled custom family (default: the scheme's canonical hiding family)")
 	flag.StringVar(&cfg.DotPath, "dot", "", "write the neighborhood graph in DOT format to this file")
-	flag.IntVar(&cfg.Shards, "shards", 0, "shard count for the parallel build (0 = 4 per worker)")
-	flag.IntVar(&cfg.Workers, "workers", 0, "worker count for the parallel build (0 = GOMAXPROCS)")
+	flag.Var((*cli.Count)(&cfg.Shards), "shards", "shard `count` for the parallel build (0 = 4 per worker)")
+	flag.Var((*cli.Count)(&cfg.Workers), "workers", "worker `count` for the parallel build (0 = GOMAXPROCS)")
 	obsFlags := cli.RegisterObsFlags()
 	runFlags := cli.RegisterRunFlags()
 	flag.Parse()

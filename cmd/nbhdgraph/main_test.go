@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -71,5 +72,25 @@ func TestRunCancelled(t *testing.T) {
 	err := build(ctx, engine.BuildConfig{Scheme: "degree-one"})
 	if !errors.Is(err, engine.ErrCancelled) {
 		t.Errorf("err = %v, want engine.ErrCancelled", err)
+	}
+}
+
+// TestNegativeParallelismFlagsRejected runs main in a child process: a
+// negative -workers or -shards must fail flag parsing (exit 2) instead of
+// running at the default count.
+func TestNegativeParallelismFlagsRejected(t *testing.T) {
+	if args := os.Getenv("NBHDGRAPH_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"nbhdgraph"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{"-workers -3", "-shards -1"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeParallelismFlagsRejected$")
+		cmd.Env = append(os.Environ(), "NBHDGRAPH_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "must not be negative") {
+			t.Errorf("nbhdgraph %s: err = %v, want exit 2 with a negative-count error; output:\n%s", args, err, out)
+		}
 	}
 }

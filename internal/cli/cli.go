@@ -23,8 +23,8 @@ const maxSpecSize = 1 << 16
 // ParseGraph builds a graph from a specification of the form family:args.
 // Families: path:N, cycle:N, grid:RxC, torus:RxC, star:N, complete:N,
 // binarytree:LEVELS, spider:a,b,c, watermelon:l1,l2,..., petersen. Specs
-// describing more than maxSpecSize nodes plus edges are rejected before
-// anything is built.
+// describing no nodes, or more than maxSpecSize nodes plus edges, are
+// rejected before anything is built.
 func ParseGraph(spec string) (*graph.Graph, error) {
 	name, arg := spec, ""
 	if i := strings.IndexByte(spec, ':'); i >= 0 {
@@ -37,6 +37,9 @@ func ParseGraph(spec string) (*graph.Graph, error) {
 		n, err := parseCount(arg)
 		if err != nil {
 			return nil, err
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("graph spec %q has no nodes", spec)
 		}
 		nodes, edges = int64(n), int64(n)
 		switch name {
@@ -61,6 +64,9 @@ func ParseGraph(spec string) (*graph.Graph, error) {
 		r, c, err := parseDims(arg)
 		if err != nil {
 			return nil, err
+		}
+		if r == 0 || c == 0 {
+			return nil, fmt.Errorf("graph spec %q has no nodes", spec)
 		}
 		nodes = int64(r) * int64(c)
 		edges = 2 * nodes

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 )
 
 func TestParseGraph(t *testing.T) {
@@ -33,6 +34,14 @@ func TestParseGraph(t *testing.T) {
 		{"unknown:3", 0, true},
 		{"grid:axb", 0, true},
 		{"spider:2,x", 0, true},
+		{"path:0", 0, true},
+		{"cycle:0", 0, true},
+		{"star:0", 0, true},
+		{"complete:0", 0, true},
+		{"binarytree:0", 0, true},
+		{"grid:0x4", 0, true},
+		{"grid:3x0", 0, true},
+		{"torus:0x3", 0, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.spec, func(t *testing.T) {
@@ -55,6 +64,7 @@ func FuzzParseGraph(f *testing.F) {
 		"path:5", "cycle:6", "grid:3x4", "torus:3x3", "star:4", "complete:3", "binarytree:3",
 		"spider:2,2,2", "watermelon:2,4,2", "petersen", "binarytree:63", "binarytree:64",
 		"complete:100000", "grid:65536x65536", "path:-1", "unknown:3",
+		"path:0", "grid:0x3",
 	} {
 		f.Add(s)
 	}
@@ -65,6 +75,9 @@ func FuzzParseGraph(f *testing.F) {
 		}
 		if g == nil {
 			t.Fatalf("spec %q: nil graph without error", spec)
+		}
+		if g.N() == 0 {
+			t.Fatalf("spec %q: accepted a graph with no nodes", spec)
 		}
 		if g.N()+g.M() > maxSpecSize {
 			t.Fatalf("spec %q built %d nodes and %d edges, over the limit %d", spec, g.N(), g.M(), maxSpecSize)
@@ -82,7 +95,7 @@ func TestParseGraphStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, v2 := graph.WatermelonEndpoints()
+	v1, v2 := graphtest.WatermelonEndpoints()
 	if !graph.IsWatermelon(g, v1, v2) {
 		t.Error("parsed watermelon is not a watermelon")
 	}

@@ -34,12 +34,6 @@ func RegisterFaultFlags() *FaultFlags {
 	return &f
 }
 
-// Active reports whether any fault flag was set (a bare -seed alone does
-// not activate faults: it only keys decisions).
-func (f *FaultFlags) Active() bool {
-	return f.Spec != "" || f.Crash != ""
-}
-
 // Plan parses the flag values into a faults.Plan. The zero flag set
 // parses to the zero plan (fault-free), so commands can call Plan
 // unconditionally.

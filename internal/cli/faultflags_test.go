@@ -11,9 +11,6 @@ import (
 
 func TestFaultFlagsZeroValue(t *testing.T) {
 	var f FaultFlags
-	if f.Active() {
-		t.Error("zero flags report active")
-	}
 	plan, err := f.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -23,9 +20,6 @@ func TestFaultFlagsZeroValue(t *testing.T) {
 	}
 	// Seed alone keys decisions without activating faults.
 	f.Seed = 7
-	if f.Active() {
-		t.Error("seed-only flags report active")
-	}
 	plan, err = f.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -40,12 +34,12 @@ func TestFaultFlagsFullSpec(t *testing.T) {
 		Spec: "drop=0.2, dup=0.1, delay=0.3:2, reorder, corrupt=1+4, retry=5, trace",
 		Seed: 42,
 	}
-	if !f.Active() {
-		t.Error("spec flags report inactive")
-	}
 	plan, err := f.Plan()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !plan.Active() {
+		t.Error("spec flags parse to an inactive plan")
 	}
 	want := faults.Plan{
 		Seed:         42,
@@ -76,12 +70,12 @@ func TestFaultFlagsDelayWithoutBound(t *testing.T) {
 
 func TestFaultFlagsCrashSpec(t *testing.T) {
 	f := FaultFlags{Crash: "3@0, 5@2, 7"}
-	if !f.Active() {
-		t.Error("crash flags report inactive")
-	}
 	plan, err := f.Plan()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !plan.Active() {
+		t.Error("crash flags parse to an inactive plan")
 	}
 	want := map[int]int{3: 0, 5: 2, 7: 0}
 	if !reflect.DeepEqual(plan.Crashes, want) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -58,4 +59,30 @@ func (f *RunFlags) Context() (context.Context, context.CancelFunc, error) {
 		stop = func() { outer(); inner() }
 	}
 	return ctx, stop, nil
+}
+
+// Count is a flag.Value for a count such as -shards or -workers, where 0
+// selects the default. A negative value fails flag parsing rather than
+// silently running at the default.
+type Count int
+
+// String formats the count.
+func (c *Count) String() string {
+	if c == nil {
+		return "0"
+	}
+	return strconv.Itoa(int(*c))
+}
+
+// Set parses a nonnegative count.
+func (c *Count) Set(s string) error {
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return fmt.Errorf("not an integer: %q", s)
+	}
+	if v < 0 {
+		return fmt.Errorf("must not be negative, got %d", v)
+	}
+	*c = Count(v)
+	return nil
 }

@@ -58,22 +58,6 @@ func CheckStrongSoundness(d Decoder, lang Language, l Labeled) error {
 	return nil
 }
 
-// CheckSoundness verifies plain soundness on one labeled no-instance: at
-// least one node must reject. (Vacuous on yes-instances.)
-func CheckSoundness(d Decoder, lang Language, l Labeled) error {
-	if lang.Contains(l.G) {
-		return nil
-	}
-	all, err := AllAccept(d, l)
-	if err != nil {
-		return err
-	}
-	if all {
-		return fmt.Errorf("soundness violated: all nodes accept on no-instance %v", l.G)
-	}
-	return nil
-}
-
 // CheckAnonymous tests that the decoder's outputs on the labeled instance do
 // not change across the supplied identifier assignments (each paired with an
 // NBound). A genuine anonymity proof would quantify over all assignments;

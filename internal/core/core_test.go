@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
@@ -353,10 +355,6 @@ func TestWithIDsWithPorts(t *testing.T) {
 	if inst.IDs != nil {
 		t.Error("WithIDs mutated the receiver")
 	}
-	pt := graph.DefaultPorts(inst.G)
-	if got := inst.WithPorts(pt); got.Prt != pt {
-		t.Error("WithPorts did not apply")
-	}
 }
 
 // Property: for anonymous decoders, Run is invariant under identifier
@@ -364,7 +362,7 @@ func TestWithIDsWithPorts(t *testing.T) {
 func TestAnonymousRunInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := graph.ConnectedGNP(6, 0.4, rng)
+		g := graphtest.ConnectedGNP(6, 0.4, rng)
 		labels := make([]string, g.N())
 		for v := range labels {
 			labels[v] = strconv.Itoa(rng.Intn(3))
@@ -396,5 +394,34 @@ func TestAnonymousRunInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// CheckSoundness verifies plain soundness on one labeled no-instance: at
+// least one node must reject. (Vacuous on yes-instances.)
+func CheckSoundness(d Decoder, lang Language, l Labeled) error {
+	if lang.Contains(l.G) {
+		return nil
+	}
+	all, err := AllAccept(d, l)
+	if err != nil {
+		return err
+	}
+	if all {
+		return fmt.Errorf("soundness violated: all nodes accept on no-instance %v", l.G)
+	}
+	return nil
+}
+
+// Classify returns +1 for yes-instances, -1 for no-instances, and 0 for
+// graphs covered by neither side of the promise.
+func (p Promise) Classify(g *graph.Graph) int {
+	switch {
+	case p.InClass(g):
+		return 1
+	case !p.Lang.Contains(g):
+		return -1
+	default:
+		return 0
 	}
 }

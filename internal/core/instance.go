@@ -48,12 +48,6 @@ func (inst Instance) WithIDs(ids graph.IDs, nBound int) Instance {
 	return inst
 }
 
-// WithPorts returns a copy of inst using the given port assignment.
-func (inst Instance) WithPorts(pt *graph.Ports) Instance {
-	inst.Prt = pt
-	return inst
-}
-
 // Validate checks internal consistency of the instance.
 func (inst Instance) Validate() error {
 	if inst.G == nil {

@@ -58,16 +58,3 @@ type Promise struct {
 	// InClass reports membership in H (the promise).
 	InClass func(g *graph.Graph) bool
 }
-
-// Classify returns +1 for yes-instances, -1 for no-instances, and 0 for
-// graphs covered by neither side of the promise.
-func (p Promise) Classify(g *graph.Graph) int {
-	switch {
-	case p.InClass(g):
-		return 1
-	case !p.Lang.Contains(g):
-		return -1
-	default:
-		return 0
-	}
-}

@@ -56,12 +56,6 @@ func (m *MemoDecoder) Rounds() int { return m.inner.Rounds() }
 // Anonymous implements Decoder.
 func (m *MemoDecoder) Anonymous() bool { return m.inner.Anonymous() }
 
-// Interner returns the interner backing the memo.
-func (m *MemoDecoder) Interner() *view.Interner { return m.in }
-
-// Inner returns the wrapped decoder.
-func (m *MemoDecoder) Inner() Decoder { return m.inner }
-
 // Decide implements Decoder. The view is interned (canonicalized) first;
 // per the Decoder contract it must already be anonymized iff the inner
 // decoder is anonymous.

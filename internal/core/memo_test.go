@@ -81,8 +81,8 @@ func TestMemoDecoderInterned(t *testing.T) {
 	views := memoTestViews(t)
 	in := view.NewInterner()
 	md := NewMemoDecoder(revealDecoder(), in)
-	if md.Interner() != in {
-		t.Fatal("Interner() does not return the shared interner")
+	if md.in != in {
+		t.Fatal("the memo does not use the shared interner")
 	}
 	for _, mu := range views {
 		h := in.Intern(mu)

@@ -47,10 +47,10 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 // Cancellation is cooperative: when ctx fires, every worker abandons its
 // current shard at the next labeling checkpoint, the pool drains through
 // the WaitGroup barrier (no goroutine outlives the call — pinned by
-// sanitize.ProbeExhaustiveStrongSoundnessParallelCancel), and the error
-// wraps context.Cause(ctx). A cancelled search never reports a violation:
-// its partial answer would depend on scheduling. A nil ctx is the
-// never-cancelled context (internal/cancel).
+// TestProbeExhaustiveStrongSoundnessParallelCancel in internal/sanitize),
+// and the error wraps context.Cause(ctx). A cancelled search never reports
+// a violation: its partial answer would depend on scheduling. A nil ctx is
+// the never-cancelled context (internal/cancel).
 //
 // Per-worker sweep tallies (labelings checked, decoder memo hits, language
 // memo hits) are harvested into sc after the worker barrier, shard

@@ -71,14 +71,3 @@ func CountVerdicts(vs []Verdict) (accepted, rejected, crashed int) {
 	}
 	return accepted, rejected, crashed
 }
-
-// VerdictsFromBools lifts fault-free boolean outputs into verdicts.
-func VerdictsFromBools(outs []bool) []Verdict {
-	vs := make([]Verdict, len(outs))
-	for i, ok := range outs {
-		if ok {
-			vs[i] = VerdictAccept
-		}
-	}
-	return vs
-}

@@ -72,3 +72,14 @@ func TestVerdictsFromBools(t *testing.T) {
 		}
 	}
 }
+
+// VerdictsFromBools lifts fault-free boolean outputs into verdicts.
+func VerdictsFromBools(outs []bool) []Verdict {
+	vs := make([]Verdict, len(outs))
+	for i, ok := range outs {
+		if ok {
+			vs[i] = VerdictAccept
+		}
+	}
+	return vs
+}

@@ -7,6 +7,7 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/nbhd"
 	"hidinglcp/internal/obs"
 )
@@ -31,7 +32,7 @@ func TestDegreeOneCompleteness(t *testing.T) {
 func TestDegreeOneCompletenessDisconnected(t *testing.T) {
 	// δ(G) = 1 globally; a second component without degree-1 nodes is fine.
 	s := DegreeOne()
-	g := graph.DisjointUnion(graph.Path(2), graph.MustCycle(4))
+	g := graphtest.DisjointUnion(graph.Path(2), graph.MustCycle(4))
 	if _, err := core.CheckCompleteness(s, core.NewAnonymousInstance(g)); err != nil {
 		t.Errorf("completeness on disconnected instance: %v", err)
 	}

@@ -1,11 +1,6 @@
 package decoders
 
-import (
-	"fmt"
-	"strings"
-
-	"hidinglcp/internal/core"
-)
+import "hidinglcp/internal/core"
 
 // SchemeEntry is one named scheme in the registry: the constructor plus the
 // certificate alphabet its exhaustive strong-soundness sweeps range over.
@@ -36,42 +31,4 @@ func Schemes() []SchemeEntry {
 		{"shatter-literal", ShatterLiteral, nil},
 		{"watermelon", Watermelon, nil},
 	}
-}
-
-// SchemeNames lists the identifiers accepted by SchemeByName, in registry
-// order.
-func SchemeNames() []string {
-	entries := Schemes()
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// SchemeByName resolves a scheme identifier to its core.Scheme.
-func SchemeByName(name string) (core.Scheme, error) {
-	for _, e := range Schemes() {
-		if e.Name == name {
-			return e.New(), nil
-		}
-	}
-	return core.Scheme{}, fmt.Errorf("unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
-}
-
-// AlphabetFor returns the certificate alphabet used for exhaustive
-// strong-soundness searches over a scheme's label space. Schemes whose
-// certificates embed identifiers have no finite instance-independent
-// alphabet and return an error.
-func AlphabetFor(name string) ([]string, error) {
-	for _, e := range Schemes() {
-		if e.Name != name {
-			continue
-		}
-		if e.Alphabet == nil {
-			return nil, fmt.Errorf("scheme %q has identifier-dependent certificates; no finite alphabet to sweep", name)
-		}
-		return e.Alphabet(), nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q (want one of %s)", name, strings.Join(SchemeNames(), ", "))
 }

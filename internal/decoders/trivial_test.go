@@ -8,6 +8,7 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/nbhd"
 	"hidinglcp/internal/obs"
 )
@@ -16,7 +17,7 @@ func TestTrivialCompleteness(t *testing.T) {
 	s := Trivial(2)
 	for _, g := range []*graph.Graph{
 		graph.Path(5), graph.MustCycle(6), graph.Grid(3, 4),
-		graph.CompleteBipartite(2, 3), graph.Star(5),
+		graphtest.CompleteBipartite(2, 3), graph.Star(5),
 	} {
 		if _, err := core.CheckCompleteness(s, core.NewAnonymousInstance(g)); err != nil {
 			t.Errorf("completeness on %v: %v", g, err)

@@ -7,6 +7,7 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/nbhd"
 	"hidinglcp/internal/obs"
 )
@@ -26,7 +27,7 @@ func TestFindWatermelonStructure(t *testing.T) {
 		{"star", graph.Star(4), 0, true},
 		{"grid", graph.Grid(3, 3), 0, true},
 		{"single edge", graph.Path(2), 0, true},
-		{"disconnected", graph.DisjointUnion(graph.Path(3), graph.Path(3)), 0, true},
+		{"disconnected", graphtest.DisjointUnion(graph.Path(3), graph.Path(3)), 0, true},
 		{"k4", graph.Complete(4), 0, true},
 	}
 	for _, tt := range tests {

@@ -15,7 +15,10 @@ import (
 
 func TestRegistryMatchesDecoders(t *testing.T) {
 	r := Default()
-	want := decoders.SchemeNames()
+	var want []string
+	for _, e := range decoders.Schemes() {
+		want = append(want, e.Name)
+	}
 	got := r.SchemeNames()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d schemes, decoders %d", len(got), len(want))
@@ -36,11 +39,28 @@ func TestRegistryMatchesDecoders(t *testing.T) {
 	if _, err := r.Scheme("nope"); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if _, err := r.Alphabet("degree-one"); err != nil {
-		t.Errorf("Alphabet(degree-one): %v", err)
+	// Every scheme with identifier-free certificates has a non-empty sweep
+	// alphabet; shatter and watermelon embed identifiers and have none.
+	finite := map[string]bool{
+		"trivial": true, "trivial3": true, "degree-one": true,
+		"even-cycle": true, "union": true,
 	}
-	if _, err := r.Alphabet("watermelon"); err == nil {
-		t.Error("identifier-dependent alphabet accepted")
+	for _, name := range want {
+		alphabet, err := r.Alphabet(name)
+		if finite[name] {
+			if err != nil {
+				t.Errorf("Alphabet(%q): %v", name, err)
+			} else if len(alphabet) == 0 {
+				t.Errorf("Alphabet(%q): empty alphabet", name)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "identifier-dependent") {
+			t.Errorf("Alphabet(%q) = %v; want the identifier-dependence error", name, err)
+		}
+	}
+	if _, err := r.Alphabet("nope"); err == nil {
+		t.Error("unknown scheme's alphabet accepted")
 	}
 }
 

@@ -228,9 +228,6 @@ func NewInjector(p Plan) *Injector {
 	return &Injector{plan: p, seed: splitmix64(uint64(p.Seed) ^ 0xD6E8FEB86659FD93)}
 }
 
-// Plan returns the plan the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // splitmix64 is the finalizer of the SplitMix64 generator — a bijective
 // avalanche mix, the standard stateless way to turn coordinates into
 // independent pseudorandom streams.

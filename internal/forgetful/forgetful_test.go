@@ -224,3 +224,17 @@ func TestIsNonBacktracking(t *testing.T) {
 		})
 	}
 }
+
+// IsClosedWalk reports whether walk is a closed walk of g (consecutive
+// nodes adjacent, first node = last node, length >= 1).
+func IsClosedWalk(g *graph.Graph, walk []int) bool {
+	if len(walk) < 2 || walk[0] != walk[len(walk)-1] {
+		return false
+	}
+	for i := 0; i+1 < len(walk); i++ {
+		if !g.HasEdge(walk[i], walk[i+1]) {
+			return false
+		}
+	}
+	return true
+}

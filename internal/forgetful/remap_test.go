@@ -1,6 +1,8 @@
 package forgetful
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"hidinglcp/internal/core"
@@ -181,4 +183,113 @@ func TestSplitIdentifierNoop(t *testing.T) {
 	if out[0] != h[0] || out[1] != h[1] {
 		t.Error("no-op split copied views")
 	}
+}
+
+// SplitIdentifier performs one Lemma 5.2 step on the view collection h
+// (with H-adjacency edges): if identifier id occurs in more than one
+// component of S(id), every component after the first is renamed to a
+// fresh identifier drawn from freshBase, freshBase+1, ... — preserving
+// relative order requires the caller to pick freshBase inside the interval
+// the paper allocates to id. The rewrite changes the decoder's outputs
+// only if the decoder is not order-invariant, which is exactly the
+// hypothesis of Lemma 5.2. It returns the rewritten collection and the
+// number of fresh identifiers used.
+func SplitIdentifier(h []*view.View, edges [][2]int, id, freshBase int) ([]*view.View, int, error) {
+	comps := IDComponents(h, edges, id)
+	if len(comps) <= 1 {
+		return h, 0, nil
+	}
+	out := append([]*view.View(nil), h...)
+	used := 0
+	for ci := 1; ci < len(comps); ci++ {
+		fresh := freshBase + used
+		used++
+		remap := map[int]int{id: fresh}
+		for _, hi := range comps[ci] {
+			replaced, err := RemapIDs([]*view.View{out[hi]}, remap)
+			if err != nil {
+				return nil, 0, fmt.Errorf("splitting identifier %d in view %d: %w", id, hi, err)
+			}
+			out[hi] = replaced[0]
+		}
+	}
+	return out, used, nil
+}
+
+// The helpers below implement the identifier surgery of Lemma 5.2: when a
+// collection of views is only COMPONENT-WISE realizable — the occurrences
+// of some identifier i split into groups that are pairwise incompatible —
+// an order-invariant decoder lets us rename i to a fresh identifier inside
+// all but one group, making the collection realizable outright. The paper
+// allocates the interval I_i = [(i-1)|V(H)|+1, i|V(H)|] per original
+// identifier so the renaming preserves relative order globally.
+
+// IDComponents computes the connected components of S(id) exactly as
+// Section 5.1 defines it: the subgraph of H induced by the views containing
+// a node with the given identifier, under H's own adjacency (edges is the
+// edge list of H over view indices 0..len(h)-1). It returns one sorted
+// slice of view indices per component, components ordered by smallest
+// member.
+func IDComponents(h []*view.View, edges [][2]int, id int) [][]int {
+	holder := make(map[int]bool, len(h))
+	for hi, mu := range h {
+		if mu.LocalNodeWithID(id) >= 0 {
+			holder[hi] = true
+		}
+	}
+	parent := make(map[int]int, len(holder))
+	for hi := range holder {
+		parent[hi] = hi
+	}
+	var find func(x int) int
+	find = func(x int) int {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	for _, e := range edges {
+		if holder[e[0]] && holder[e[1]] {
+			parent[find(e[0])] = find(e[1])
+		}
+	}
+	groups := map[int][]int{}
+	for hi := range holder {
+		root := find(hi)
+		groups[root] = append(groups[root], hi)
+	}
+	var out [][]int
+	for _, g := range groups {
+		sort.Ints(g)
+		out = append(out, g)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
+	return out
+}
+
+// RemapIDs returns deep copies of the views with identifiers substituted
+// according to remap (identifiers not in the map are kept). It errors if
+// the substitution would collide two identifiers within one view.
+func RemapIDs(h []*view.View, remap map[int]int) ([]*view.View, error) {
+	out := make([]*view.View, len(h))
+	for hi, mu := range h {
+		c := mu.Anonymize() // deep copy; IDs restored below
+		seen := map[int]bool{}
+		for i, id := range mu.IDs {
+			next := id
+			if to, ok := remap[id]; ok {
+				next = to
+			}
+			if next != 0 && seen[next] {
+				return nil, fmt.Errorf("view %d: remap collides on identifier %d", hi, next)
+			}
+			seen[next] = true
+			c.IDs[i] = next
+			if next > c.NBound {
+				c.NBound = next
+			}
+		}
+		out[hi] = c
+	}
+	return out, nil
 }

@@ -49,45 +49,6 @@ func (g *Graph) Ball(v, r int) []int {
 	return ball
 }
 
-// ShortestPath returns some shortest path from u to v inclusive of both
-// endpoints, or nil if v is unreachable from u.
-func (g *Graph) ShortestPath(u, v int) []int {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return nil
-	}
-	parent := make([]int, g.n)
-	for i := range parent {
-		parent[i] = -2 // unvisited
-	}
-	parent[u] = -1
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if x == v {
-			break
-		}
-		for _, w := range g.adj[x] {
-			if parent[w] == -2 {
-				parent[w] = x
-				queue = append(queue, w)
-			}
-		}
-	}
-	if parent[v] == -2 {
-		return nil
-	}
-	var rev []int
-	for x := v; x != -1; x = parent[x] {
-		rev = append(rev, x)
-	}
-	path := make([]int, len(rev))
-	for i, x := range rev {
-		path[len(rev)-1-i] = x
-	}
-	return path
-}
-
 // Connected reports whether g is connected. The empty graph and singletons
 // are connected.
 func (g *Graph) Connected() bool {
@@ -219,13 +180,6 @@ func (g *Graph) IsPathGraph() bool {
 		}
 	}
 	return deg1 == 2
-}
-
-// CountCycles returns the cycle rank (circuit rank) of g: m - n + c, the
-// number of independent cycles. A connected graph has at least two cycles in
-// the sense of Section 5.2 of the paper iff its cycle rank is at least 2.
-func (g *Graph) CountCycles() int {
-	return g.M() - g.n + len(g.Components())
 }
 
 // ValidateNode returns an error if v is not a node of g.

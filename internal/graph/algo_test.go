@@ -1,9 +1,13 @@
-package graph
+package graph_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	// An external test package, since graphtest imports graph.
+	. "hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 )
 
 func TestBFSDistancesPath(t *testing.T) {
@@ -17,7 +21,7 @@ func TestBFSDistancesPath(t *testing.T) {
 }
 
 func TestBFSDistancesDisconnected(t *testing.T) {
-	g := DisjointUnion(Path(2), Path(2))
+	g := graphtest.DisjointUnion(Path(2), Path(2))
 	dist := g.BFSDistances(0)
 	if dist[2] != Unreachable || dist[3] != Unreachable {
 		t.Errorf("dist = %v, want unreachable for nodes 2,3", dist)
@@ -67,7 +71,7 @@ func TestShortestPath(t *testing.T) {
 }
 
 func TestShortestPathUnreachable(t *testing.T) {
-	g := DisjointUnion(Path(2), Path(2))
+	g := graphtest.DisjointUnion(Path(2), Path(2))
 	if p := g.ShortestPath(0, 3); p != nil {
 		t.Errorf("path across components = %v, want nil", p)
 	}
@@ -83,7 +87,7 @@ func TestConnected(t *testing.T) {
 		{"singleton", New(1), true},
 		{"two isolated", New(2), false},
 		{"path", Path(5), true},
-		{"union", DisjointUnion(Path(3), Path(2)), false},
+		{"union", graphtest.DisjointUnion(Path(3), Path(2)), false},
 		{"petersen", Petersen(), true},
 	}
 	for _, tt := range tests {
@@ -96,7 +100,7 @@ func TestConnected(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := DisjointUnion(Path(3), MustCycle(3), New(1))
+	g := graphtest.DisjointUnion(Path(3), MustCycle(3), New(1))
 	comps := g.Components()
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3", len(comps))
@@ -119,7 +123,7 @@ func TestDiameter(t *testing.T) {
 		{"cycle7", MustCycle(7), 3},
 		{"complete4", Complete(4), 1},
 		{"grid3x4", Grid(3, 4), 5},
-		{"disconnected", DisjointUnion(Path(2), Path(2)), Unreachable},
+		{"disconnected", graphtest.DisjointUnion(Path(2), Path(2)), Unreachable},
 		{"petersen", Petersen(), 2},
 	}
 	for _, tt := range tests {
@@ -140,7 +144,7 @@ func TestIsCycleGraph(t *testing.T) {
 		{"c3", MustCycle(3), true},
 		{"c8", MustCycle(8), true},
 		{"path", Path(4), false},
-		{"two cycles", DisjointUnion(MustCycle(3), MustCycle(3)), false},
+		{"two cycles", graphtest.DisjointUnion(MustCycle(3), MustCycle(3)), false},
 		{"theta", MustWatermelon([]int{2, 2, 2}), false},
 	}
 	for _, tt := range tests {
@@ -164,7 +168,7 @@ func TestIsPathGraph(t *testing.T) {
 		{"cycle", MustCycle(4), false},
 		{"star", Star(4), false},
 		{"empty", New(0), false},
-		{"disconnected", DisjointUnion(Path(2), Path(2)), false},
+		{"disconnected", graphtest.DisjointUnion(Path(2), Path(2)), false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -185,7 +189,7 @@ func TestCountCycles(t *testing.T) {
 		{"cycle", MustCycle(5), 1},
 		{"theta", MustWatermelon([]int{2, 2, 2}), 2},
 		{"k4", Complete(4), 3},
-		{"forest", DisjointUnion(Path(3), Path(4)), 0},
+		{"forest", graphtest.DisjointUnion(Path(3), Path(4)), 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -200,7 +204,7 @@ func TestCountCycles(t *testing.T) {
 func TestBFSEdgeLipschitz(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := ConnectedGNP(8, 0.35, rng)
+		g := graphtest.ConnectedGNP(8, 0.35, rng)
 		dist := g.BFSDistances(0)
 		for _, e := range g.Edges() {
 			d := dist[e[0]] - dist[e[1]]
@@ -219,7 +223,7 @@ func TestBFSEdgeLipschitz(t *testing.T) {
 func TestShortestPathMatchesDist(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := ConnectedGNP(7, 0.4, rng)
+		g := graphtest.ConnectedGNP(7, 0.4, rng)
 		u, v := rng.Intn(7), rng.Intn(7)
 		p := g.ShortestPath(u, v)
 		return len(p)-1 == g.Dist(u, v)

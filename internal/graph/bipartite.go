@@ -374,16 +374,3 @@ func (g *Graph) IsKColorable(k int) bool {
 	_, ok := g.KColoring(k)
 	return ok
 }
-
-// ChromaticNumber returns χ(G), computed by incremental backtracking.
-// Intended for small graphs only.
-func (g *Graph) ChromaticNumber() int {
-	if g.n == 0 {
-		return 0
-	}
-	for k := 1; ; k++ {
-		if g.IsKColorable(k) {
-			return k
-		}
-	}
-}

@@ -1,9 +1,13 @@
-package graph
+package graph_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	// An external test package, since graphtest imports graph.
+	. "hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 )
 
 func TestIsBipartite(t *testing.T) {
@@ -18,13 +22,13 @@ func TestIsBipartite(t *testing.T) {
 		{"even cycle", MustCycle(8), true},
 		{"odd cycle", MustCycle(7), false},
 		{"triangle", MustCycle(3), false},
-		{"complete bipartite", CompleteBipartite(3, 4), true},
+		{"complete bipartite", graphtest.CompleteBipartite(3, 4), true},
 		{"k4", Complete(4), false},
 		{"grid", Grid(4, 5), true},
 		{"petersen", Petersen(), false},
 		{"even watermelon", MustWatermelon([]int{2, 4, 2}), true},
 		{"odd watermelon", MustWatermelon([]int{2, 3}), false},
-		{"union of odd and even", DisjointUnion(MustCycle(4), MustCycle(5)), false},
+		{"union of odd and even", graphtest.DisjointUnion(MustCycle(4), MustCycle(5)), false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -84,7 +88,7 @@ func TestOddCycle(t *testing.T) {
 }
 
 func TestOddCycleNilOnBipartite(t *testing.T) {
-	for _, g := range []*Graph{Path(5), MustCycle(6), Grid(3, 3), CompleteBipartite(2, 3)} {
+	for _, g := range []*Graph{Path(5), MustCycle(6), Grid(3, 3), graphtest.CompleteBipartite(2, 3)} {
 		if cyc := g.OddCycle(); cyc != nil {
 			t.Errorf("OddCycle() = %v on bipartite graph %v", cyc, g)
 		}
@@ -191,7 +195,7 @@ func TestOddGirth(t *testing.T) {
 		{"k4", Complete(4), 3},
 		{"petersen", Petersen(), 5},
 		{"odd watermelon", MustWatermelon([]int{2, 5}), 7},
-		{"union of C9 and C5", DisjointUnion(MustCycle(9), MustCycle(5)), 5},
+		{"union of C9 and C5", graphtest.DisjointUnion(MustCycle(9), MustCycle(5)), 5},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

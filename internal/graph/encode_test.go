@@ -1,24 +1,28 @@
-package graph
+package graph_test
 
 import (
+	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
+
+	// An external test package, since graphtest imports graph.
+	. "hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 )
 
 func TestGraph6RoundTrip(t *testing.T) {
 	corpus := []*Graph{
 		New(0), New(1), New(5),
 		Path(4), MustCycle(5), Complete(4), Petersen(), Grid(3, 4),
-		CompleteBipartite(2, 3), Star(7),
+		graphtest.CompleteBipartite(2, 3), Star(7),
 	}
 	for _, g := range corpus {
-		s, err := g.Graph6()
+		s, err := graphtest.Graph6(g)
 		if err != nil {
 			t.Fatalf("%v: %v", g, err)
 		}
-		back, err := ParseGraph6(s)
+		back, err := graphtest.ParseGraph6(s)
 		if err != nil {
 			t.Fatalf("parse %q: %v", s, err)
 		}
@@ -34,7 +38,7 @@ func TestGraph6KnownValues(t *testing.T) {
 	// value: upper-triangle column-order bits for C5 are
 	// (01)1 (02)0 (12)1 (03)0 (13)0 (23)1 (04)1 (14)0 (24)0 (34)1.
 	g := MustCycle(5)
-	s, err := g.Graph6()
+	s, err := graphtest.Graph6(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +51,8 @@ func TestGraph6KnownValues(t *testing.T) {
 func TestParseGraph6Errors(t *testing.T) {
 	bad := []string{"", "D", "Dhcc", string(rune(1)), "D\x01\x01", "Dhd"}
 	for _, s := range bad {
-		if _, err := ParseGraph6(s); err == nil {
-			t.Errorf("ParseGraph6(%q) succeeded, want error", s)
+		if _, err := graphtest.ParseGraph6(s); err == nil {
+			t.Errorf("graphtest.ParseGraph6(%q) succeeded, want error", s)
 		}
 	}
 }
@@ -61,11 +65,11 @@ func FuzzParseGraph6(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		g, err := ParseGraph6(s)
+		g, err := graphtest.ParseGraph6(s)
 		if err != nil {
 			return
 		}
-		back, err := g.Graph6()
+		back, err := graphtest.Graph6(g)
 		if err != nil {
 			t.Fatalf("%q decoded to a graph Graph6 rejects: %v", s, err)
 		}
@@ -76,7 +80,7 @@ func FuzzParseGraph6(f *testing.F) {
 }
 
 func TestGraph6TooLarge(t *testing.T) {
-	if _, err := New(63).Graph6(); err == nil {
+	if _, err := graphtest.Graph6(New(63)); err == nil {
 		t.Error("graph6 of 63 nodes accepted")
 	}
 }
@@ -86,11 +90,11 @@ func TestGraph6RoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := GNP(2+rng.Intn(12), 0.4, rng)
-		s, err := g.Graph6()
+		s, err := graphtest.Graph6(g)
 		if err != nil {
 			return false
 		}
-		back, err := ParseGraph6(s)
+		back, err := graphtest.ParseGraph6(s)
 		if err != nil {
 			return false
 		}
@@ -101,30 +105,20 @@ func TestGraph6RoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestDOT(t *testing.T) {
-	g := Path(3)
-	out := g.DOT("demo", []string{"a", "", "c"})
-	for _, want := range []string{"graph demo {", `n0 [label="a"]`, "n1;", `n2 [label="c"]`, "n0 -- n1;", "n1 -- n2;"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q in:\n%s", want, out)
-		}
-	}
-}
-
 func TestCanonicalGraph6(t *testing.T) {
 	// Isomorphic graphs share a canonical form; non-isomorphic ones don't.
 	a := Path(4)
 	b := MustFromEdges(4, [][2]int{{2, 0}, {0, 3}, {3, 1}}) // relabeled P4
 	c := Star(4)
-	ca, err := a.CanonicalGraph6()
+	ca, err := canonicalGraph6(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := b.CanonicalGraph6()
+	cb, err := canonicalGraph6(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := c.CanonicalGraph6()
+	cc, err := canonicalGraph6(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +128,7 @@ func TestCanonicalGraph6(t *testing.T) {
 	if ca == cc {
 		t.Error("path and star share a canonical form")
 	}
-	if _, err := New(9).CanonicalGraph6(); err == nil {
+	if _, err := canonicalGraph6(New(9)); err == nil {
 		t.Error("canonical form for 9 nodes accepted")
 	}
 }
@@ -152,8 +146,8 @@ func TestCanonicalGraph6Property(t *testing.T) {
 				return false
 			}
 		}
-		cg, err1 := g.CanonicalGraph6()
-		ch, err2 := h.CanonicalGraph6()
+		cg, err1 := canonicalGraph6(g)
+		ch, err2 := canonicalGraph6(h)
 		return err1 == nil && err2 == nil && cg == ch
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -175,4 +169,50 @@ func TestSortedDegrees(t *testing.T) {
 			t.Fatalf("SortedDegrees = %v, want %v", got, want)
 		}
 	}
+}
+
+// canonicalGraph6 returns the lexicographically smallest graph6 encoding
+// over all node permutations — a canonical form usable for isomorphism
+// dedup of the small graphs this library enumerates. Factorial cost; keep
+// n small (it refuses n > 8).
+func canonicalGraph6(g *Graph) (string, error) {
+	if g.N() > 8 {
+		return "", fmt.Errorf("canonical form by permutation search limited to 8 nodes, have %d", g.N())
+	}
+	perm := make([]int, g.N())
+	for i := range perm {
+		perm[i] = i
+	}
+	best := ""
+	var rec func(i int) error
+	rec = func(i int) error {
+		if i == g.N() {
+			h := New(g.N())
+			for _, e := range g.Edges() {
+				if err := h.AddEdge(perm[e[0]], perm[e[1]]); err != nil {
+					return err
+				}
+			}
+			s, err := graphtest.Graph6(h)
+			if err != nil {
+				return err
+			}
+			if best == "" || s < best {
+				best = s
+			}
+			return nil
+		}
+		for j := i; j < g.N(); j++ {
+			perm[i], perm[j] = perm[j], perm[i]
+			if err := rec(i + 1); err != nil {
+				return err
+			}
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		return nil
+	}
+	if err := rec(0); err != nil {
+		return "", err
+	}
+	return best, nil
 }

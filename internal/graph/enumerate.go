@@ -196,16 +196,3 @@ func Combinations(n, k int, fn func([]int) bool) {
 	}
 	rec(0, 0)
 }
-
-// CountGraphs returns the number of graphs on n labeled nodes satisfying
-// pred. Exponential; intended for tiny n in tests.
-func CountGraphs(n int, pred func(*Graph) bool) int {
-	count := 0
-	EnumGraphs(n, func(g *Graph) bool {
-		if pred(g) {
-			count++
-		}
-		return true
-	})
-	return count
-}

@@ -53,17 +53,6 @@ func Complete(n int) *Graph {
 	return g
 }
 
-// CompleteBipartite returns K_{a,b} with parts {0..a-1} and {a..a+b-1}.
-func CompleteBipartite(a, b int) *Graph {
-	g := New(a + b)
-	for u := 0; u < a; u++ {
-		for v := a; v < a+b; v++ {
-			mustAddEdge(g, u, v)
-		}
-	}
-	return g
-}
-
 // Grid returns the rows x cols grid graph. Node (r, c) is r*cols + c.
 func Grid(rows, cols int) *Graph {
 	g := New(rows * cols)
@@ -136,26 +125,6 @@ func GNP(n int, p float64, rng *rand.Rand) *Graph {
 	return g
 }
 
-// ConnectedGNP draws G(n, p) graphs until a connected one appears; it gives
-// up after 1000 attempts and then returns a random tree plus GNP edges,
-// which is always connected.
-func ConnectedGNP(n int, p float64, rng *rand.Rand) *Graph {
-	for attempt := 0; attempt < 1000; attempt++ {
-		if g := GNP(n, p, rng); g.Connected() {
-			return g
-		}
-	}
-	g := RandomTree(n, rng)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) && rng.Float64() < p {
-				mustAddEdge(g, u, v)
-			}
-		}
-	}
-	return g
-}
-
 // Watermelon returns the watermelon graph (Section 7.2) with endpoints
 // v1 = 0 and v2 = 1 joined by len(pathLens) internally disjoint paths; path i
 // has pathLens[i] edges (so pathLens[i]-1 internal nodes). Every length must
@@ -196,10 +165,6 @@ func MustWatermelon(pathLens []int) *Graph {
 	}
 	return g
 }
-
-// WatermelonEndpoints returns the endpoint nodes of graphs built by
-// Watermelon.
-func WatermelonEndpoints() (v1, v2 int) { return 0, 1 }
 
 // IsWatermelon reports whether g is a watermelon graph with the given
 // endpoints: all other nodes have degree 2, the endpoints are nonadjacent...
@@ -310,33 +275,6 @@ func Petersen() *Graph {
 	return g
 }
 
-// Theta returns the theta graph: two nodes joined by three internally
-// disjoint paths of the given edge lengths (each >= 2). It is the smallest
-// interesting watermelon with more than two paths... and, with suitable
-// parities, the canonical graph with two independent cycles used in
-// Section 5.2.
-func Theta(a, b, c int) (*Graph, error) {
-	return Watermelon([]int{a, b, c})
-}
-
-// DisjointUnion returns the disjoint union of gs, with nodes renumbered in
-// order.
-func DisjointUnion(gs ...*Graph) *Graph {
-	n := 0
-	for _, g := range gs {
-		n += g.N()
-	}
-	u := New(n)
-	base := 0
-	for _, g := range gs {
-		for _, e := range g.Edges() {
-			mustAddEdge(u, base+e[0], base+e[1])
-		}
-		base += g.N()
-	}
-	return u
-}
-
 // AttachPendant returns a copy of g with one fresh degree-1 node attached to
 // v, yielding a graph with δ(G) = 1 as required by the class H1 of
 // Theorem 1.1. The pendant node is the last node of the result.
@@ -357,103 +295,4 @@ func mustAddEdge(g *Graph, u, v int) {
 	if err := g.AddEdge(u, v); err != nil {
 		panic(fmt.Sprintf("graph: internal generator bug: %v", err))
 	}
-}
-
-// Hypercube returns the d-dimensional hypercube graph Q_d on 2^d nodes
-// (bipartite, d-regular; large hypercubes are further witnesses for the
-// graph class of Theorem 1.2).
-func Hypercube(d int) *Graph {
-	n := 1 << d
-	g := New(n)
-	for v := 0; v < n; v++ {
-		for b := 0; b < d; b++ {
-			w := v ^ (1 << b)
-			if v < w {
-				mustAddEdge(g, v, w)
-			}
-		}
-	}
-	return g
-}
-
-// Ladder returns the ladder graph P_k x K_2 on 2k nodes: two parallel
-// paths with rungs. Bipartite with minimum degree 2 (for k >= 2) and not a
-// cycle for k >= 3.
-func Ladder(k int) *Graph {
-	g := New(2 * k)
-	for i := 0; i < k; i++ {
-		mustAddEdge(g, 2*i, 2*i+1) // rung
-		if i+1 < k {
-			mustAddEdge(g, 2*i, 2*(i+1))
-			mustAddEdge(g, 2*i+1, 2*(i+1)+1)
-		}
-	}
-	return g
-}
-
-// MobiusLadder returns the Möbius ladder M_k: the cycle C_{2k} plus the k
-// antipodal chords. Each chord closes a (k+1)-cycle, so M_k is bipartite
-// iff k is odd (M_3 = K_{3,3}); even k gives a 3-regular non-bipartite
-// no-instance family. Requires k >= 3.
-func MobiusLadder(k int) (*Graph, error) {
-	if k < 3 {
-		return nil, fmt.Errorf("Möbius ladder needs k >= 3, got %d", k)
-	}
-	g, err := Cycle(2 * k)
-	if err != nil {
-		return nil, err
-	}
-	for v := 0; v < k; v++ {
-		mustAddEdge(g, v, v+k)
-	}
-	return g, nil
-}
-
-// Wheel returns the wheel graph W_n: a hub (node 0) joined to every node
-// of an outer (n-1)-cycle. Requires n >= 4.
-func Wheel(n int) (*Graph, error) {
-	if n < 4 {
-		return nil, fmt.Errorf("wheel needs at least 4 nodes, got %d", n)
-	}
-	g := New(n)
-	for v := 1; v < n; v++ {
-		mustAddEdge(g, 0, v)
-		next := v + 1
-		if next == n {
-			next = 1
-		}
-		mustAddEdge(g, v, next)
-	}
-	return g, nil
-}
-
-// Caterpillar returns a caterpillar tree: a spine path on spine nodes with
-// legs[i] pendant leaves attached to spine node i. Caterpillars are trees
-// with minimum degree 1 — instances of the DegreeOne scheme's class H1.
-func Caterpillar(spine int, legs []int) (*Graph, error) {
-	if spine < 1 {
-		return nil, fmt.Errorf("caterpillar needs a non-empty spine")
-	}
-	if len(legs) > spine {
-		return nil, fmt.Errorf("more leg specs (%d) than spine nodes (%d)", len(legs), spine)
-	}
-	n := spine
-	for _, l := range legs {
-		if l < 0 {
-			return nil, fmt.Errorf("negative leg count")
-		}
-		n += l
-	}
-	g := New(n)
-	for i := 0; i+1 < spine; i++ {
-		mustAddEdge(g, i, i+1)
-	}
-	next := spine
-	for i, l := range legs {
-		for j := 0; j < l; j++ {
-			mustAddEdge(g, i, next)
-			next++
-		}
-	}
-	return g, nil
 }

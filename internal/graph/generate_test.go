@@ -1,9 +1,13 @@
-package graph
+package graph_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	// An external test package, since graphtest imports graph.
+	. "hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 )
 
 func TestPath(t *testing.T) {
@@ -41,7 +45,7 @@ func TestStarComplete(t *testing.T) {
 	if g := Complete(5); g.M() != 10 {
 		t.Errorf("K5 has %d edges, want 10", g.M())
 	}
-	if g := CompleteBipartite(2, 3); g.M() != 6 || !g.IsBipartite() {
+	if g := graphtest.CompleteBipartite(2, 3); g.M() != 6 || !g.IsBipartite() {
 		t.Errorf("K23 malformed: %v", g)
 	}
 }
@@ -115,7 +119,7 @@ func TestGNPExtremes(t *testing.T) {
 func TestConnectedGNP(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
-		g := ConnectedGNP(8, 0.2, rng)
+		g := graphtest.ConnectedGNP(8, 0.2, rng)
 		if !g.Connected() {
 			t.Fatal("ConnectedGNP returned disconnected graph")
 		}
@@ -128,7 +132,7 @@ func TestWatermelon(t *testing.T) {
 	if g.N() != 8 || g.M() != 9 {
 		t.Fatalf("watermelon n=%d m=%d, want 8,9", g.N(), g.M())
 	}
-	v1, v2 := WatermelonEndpoints()
+	v1, v2 := graphtest.WatermelonEndpoints()
 	if g.Degree(v1) != 3 || g.Degree(v2) != 3 {
 		t.Errorf("endpoint degrees = (%d,%d), want (3,3)", g.Degree(v1), g.Degree(v2))
 	}
@@ -242,7 +246,7 @@ func TestPetersen(t *testing.T) {
 }
 
 func TestDisjointUnion(t *testing.T) {
-	g := DisjointUnion(Path(3), MustCycle(4))
+	g := graphtest.DisjointUnion(Path(3), MustCycle(4))
 	if g.N() != 7 || g.M() != 6 {
 		t.Errorf("union n=%d m=%d, want 7,6", g.N(), g.M())
 	}
@@ -288,7 +292,7 @@ func TestWatermelonInvariants(t *testing.T) {
 			paths[i] = 2 + rng.Intn(4)
 		}
 		g := MustWatermelon(paths)
-		v1, v2 := WatermelonEndpoints()
+		v1, v2 := graphtest.WatermelonEndpoints()
 		return g.Connected() &&
 			g.Degree(v1) == k &&
 			g.Degree(v2) == k &&

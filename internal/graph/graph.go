@@ -160,22 +160,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// RemoveEdge deletes the undirected edge {u, v}.
-// It returns an error if the edge is not present.
-func (g *Graph) RemoveEdge(u, v int) error {
-	if !g.HasEdge(u, v) {
-		return fmt.Errorf("edge {%d,%d} not present", u, v)
-	}
-	g.adj[u] = removeSorted(g.adj[u], v)
-	g.adj[v] = removeSorted(g.adj[v], u)
-	return nil
-}
-
-func removeSorted(s []int, x int) []int {
-	i := sort.SearchInts(s, x)
-	return append(s[:i], s[i+1:]...)
-}
-
 // InducedSubgraph returns the subgraph of g induced by keep, together with
 // the mapping orig such that node i of the subgraph corresponds to node
 // orig[i] of g. Duplicate entries in keep are ignored; the mapping is sorted.

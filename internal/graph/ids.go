@@ -38,16 +38,6 @@ func (ids IDs) Validate(n, maxID int) error {
 	return nil
 }
 
-// NodeWithID returns the node carrying identifier id, or -1 if absent.
-func (ids IDs) NodeWithID(id int) int {
-	for v, x := range ids {
-		if x == id {
-			return v
-		}
-	}
-	return -1
-}
-
 // Max returns the largest identifier in use, or 0 for an empty assignment.
 func (ids IDs) Max() int {
 	max := 0

@@ -1,6 +1,12 @@
-package graph
+package graph_test
 
-import "testing"
+import (
+	"testing"
+
+	// An external test package, since graphtest imports graph.
+	. "hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
+)
 
 func TestSequentialIDs(t *testing.T) {
 	ids := SequentialIDs(4)
@@ -176,7 +182,7 @@ func TestIsomorphic(t *testing.T) {
 		{"relabeled path", Path(3), MustFromEdges(3, [][2]int{{0, 2}, {2, 1}}), true},
 		{"path vs star", Path(4), Star(4), false},
 		{"cycle sizes", MustCycle(4), MustCycle(5), false},
-		{"k33 vs c6", CompleteBipartite(3, 3), MustCycle(6), false},
+		{"k33 vs c6", graphtest.CompleteBipartite(3, 3), MustCycle(6), false},
 		{"empty", New(0), New(0), true},
 		{"petersen to itself", Petersen(), Petersen(), true},
 	}

@@ -72,23 +72,6 @@ func PortsFromPerm(g *Graph, perm [][]int) (*Ports, error) {
 	return ports, nil
 }
 
-// NeighborAt returns the neighbor of v behind port p (1-based), or an error
-// if p is not a valid port of v.
-func (pt *Ports) NeighborAt(v, p int) (int, error) {
-	if v < 0 || v >= len(pt.nbrByPort) {
-		return 0, fmt.Errorf("node %d out of range", v)
-	}
-	if p < 1 || p > len(pt.nbrByPort[v]) {
-		return 0, fmt.Errorf("port %d out of range [1,%d] at node %d", p, len(pt.nbrByPort[v]), v)
-	}
-	if w := pt.nbrByPort[v][p-1]; w >= 0 {
-		return w, nil
-	}
-	// Gap in a partial assignment (see InducedPorts): the port number was
-	// held by an edge that does not survive in the restricted graph.
-	return 0, fmt.Errorf("port %d of node %d is unassigned in this restriction", p, v)
-}
-
 // Port returns prt(v, {v,w}): the port number of edge {v,w} at v, or an
 // error if w is not a neighbor of v. The lookup scans v's port row, which
 // is linear in deg(v) — faster than a map at the degrees that occur here.
@@ -116,41 +99,18 @@ func (pt *Ports) MustPort(v, w int) int {
 	return p
 }
 
-// DegreeOf returns the number of ports at v.
-func (pt *Ports) DegreeOf(v int) int { return len(pt.nbrByPort[v]) }
-
-// Restrict returns the port assignment induced on the subgraph sub of the
-// original graph, where orig maps sub's nodes to original nodes (as returned
-// by Graph.InducedSubgraph). Ports of surviving edges keep their original
-// numbers; this is the restriction used when forming views.
-//
-// Note the result is not a valid Ports for sub in the Section 2.2 sense
-// (port numbers may exceed the induced degree); it is a partial map kept for
-// view bookkeeping. Use PortView for read access.
-func (pt *Ports) Restrict(sub *Graph, orig []int) *PortView {
-	pv := &PortView{port: make(map[[2]int]int)}
-	for _, e := range sub.Edges() {
-		u, v := orig[e[0]], orig[e[1]]
-		pv.port[[2]int{e[0], e[1]}] = pt.MustPort(u, v)
-		pv.port[[2]int{e[1], e[0]}] = pt.MustPort(v, u)
-	}
-	return pv
-}
-
 // InducedPorts returns the restriction of pt to the subgraph sub of the
 // original graph, where orig maps sub's nodes to original nodes (as
 // returned by Graph.InducedSubgraph). Every surviving edge keeps its
 // original port number at both endpoints.
 //
-// Like Restrict's output, the result is generally NOT a valid Section 2.2
-// port assignment for sub: port numbers of vanished edges leave gaps, so
-// the surviving numbers need not cover 1..deg. It exists for view
-// bookkeeping — centralized extraction over a crash-induced subgraph must
-// see exactly the port numbers the surviving nodes always had, which is
-// what the fault-injected simulator's truncated views carry. Port and
-// MustPort work as usual; NeighborAt errors on gap ports; Validate fails
-// by design; DegreeOf reports the highest surviving port number, not the
-// induced degree.
+// The result is generally NOT a valid Section 2.2 port assignment for sub:
+// port numbers of vanished edges leave gaps, so the surviving numbers need
+// not cover 1..deg. It exists for view bookkeeping — centralized extraction
+// over a crash-induced subgraph must see exactly the port numbers the
+// surviving nodes always had, which is what the fault-injected simulator's
+// truncated views carry. Port and MustPort work as usual; Validate fails by
+// design.
 func InducedPorts(pt *Ports, sub *Graph, orig []int) (*Ports, error) {
 	if len(orig) != sub.N() {
 		return nil, fmt.Errorf("orig maps %d nodes, subgraph has %d", len(orig), sub.N())
@@ -181,18 +141,6 @@ func InducedPorts(pt *Ports, sub *Graph, orig []int) (*Ports, error) {
 		out.nbrByPort[v] = row
 	}
 	return out, nil
-}
-
-// PortView is a partial, read-only port map over the nodes of a view.
-type PortView struct {
-	port map[[2]int]int
-}
-
-// Port returns the port number of the ordered pair (v, w) and whether it is
-// present.
-func (pv *PortView) Port(v, w int) (int, bool) {
-	p, ok := pv.port[[2]int{v, w}]
-	return p, ok
 }
 
 // Validate checks that pt is a consistent port assignment for g.

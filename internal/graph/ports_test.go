@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestDefaultPorts(t *testing.T) {
 	g := Star(4)
@@ -99,24 +102,6 @@ func TestPortRoundTrip(t *testing.T) {
 				t.Errorf("port round trip at (%d,%d): got %d", v, p, back)
 			}
 		}
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	g := MustCycle(5)
-	pt := DefaultPorts(g)
-	sub, orig := g.InducedSubgraph([]int{0, 1, 2})
-	pv := pt.Restrict(sub, orig)
-	// Edge 0-1 in sub corresponds to 0-1 in g.
-	p, ok := pv.Port(0, 1)
-	if !ok {
-		t.Fatal("restricted port missing for surviving edge")
-	}
-	if want := pt.MustPort(0, 1); p != want {
-		t.Errorf("restricted port = %d, want %d", p, want)
-	}
-	if _, ok := pv.Port(0, 2); ok {
-		t.Error("restricted port present for non-edge")
 	}
 }
 
@@ -225,3 +210,23 @@ func TestInducedPortsErrors(t *testing.T) {
 		t.Error("non-edge mapping accepted")
 	}
 }
+
+// NeighborAt returns the neighbor of v behind port p (1-based), or an error
+// if p is not a valid port of v.
+func (pt *Ports) NeighborAt(v, p int) (int, error) {
+	if v < 0 || v >= len(pt.nbrByPort) {
+		return 0, fmt.Errorf("node %d out of range", v)
+	}
+	if p < 1 || p > len(pt.nbrByPort[v]) {
+		return 0, fmt.Errorf("port %d out of range [1,%d] at node %d", p, len(pt.nbrByPort[v]), v)
+	}
+	if w := pt.nbrByPort[v][p-1]; w >= 0 {
+		return w, nil
+	}
+	// Gap in a partial assignment (see InducedPorts): the port number was
+	// held by an edge that does not survive in the restricted graph.
+	return 0, fmt.Errorf("port %d of node %d is unassigned in this restriction", p, v)
+}
+
+// DegreeOf returns the number of ports at v.
+func (pt *Ports) DegreeOf(v int) int { return len(pt.nbrByPort[v]) }

@@ -1,9 +1,13 @@
-package graph
+package graph_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	// An external test package, since graphtest imports graph.
+	. "hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 )
 
 func TestGirth(t *testing.T) {
@@ -27,7 +31,7 @@ func TestGirth(t *testing.T) {
 		{"grid", Grid(3, 3), 4},
 		{"theta(2,3)", MustWatermelon([]int{2, 3}), 5},
 		{"mobius 3", mustMobius(3), 4},
-		{"forest", DisjointUnion(Path(3), MustCycle(4)), 4},
+		{"forest", graphtest.DisjointUnion(Path(3), MustCycle(4)), 4},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -71,7 +75,7 @@ func TestCutVertices(t *testing.T) {
 func TestCutVerticesDefinition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := ConnectedGNP(7, 0.3, rng)
+		g := graphtest.ConnectedGNP(7, 0.3, rng)
 		cuts := make(map[int]bool)
 		for _, v := range g.CutVertices() {
 			cuts[v] = true
@@ -106,7 +110,7 @@ func TestIsTree(t *testing.T) {
 		{"path", Path(5), true},
 		{"star", Star(4), true},
 		{"cycle", MustCycle(4), false},
-		{"forest", DisjointUnion(Path(2), Path(2)), false},
+		{"forest", graphtest.DisjointUnion(Path(2), Path(2)), false},
 		{"empty", New(0), false},
 		{"singleton", New(1), true},
 	}

@@ -1,6 +1,6 @@
 // Package mem provides the allocation-discipline building blocks of the hot
 // enumeration paths: chunked slab arenas for objects that live exactly as
-// long as one build, capacity-reusing scratch helpers, and typed free lists
+// long as one build, a capacity-reusing scratch helper, and a typed pool
 // with an explicit Reset contract.
 //
 // Escape rules (safe by construction):
@@ -10,13 +10,13 @@
 //     only objects whose lifetime is tied to the arena owner (e.g. interned
 //     view representatives owned by a builder). Pointers into a slab stay
 //     valid for the arena's lifetime, so handing them out is safe.
-//   - Pool/FreeList buffers are REUSED: a buffer obtained from a pool must
+//   - Pool buffers are REUSED: a buffer obtained from a pool must
 //     not be returned, stored in a struct, or otherwise retained past the
 //     Put that recycles it, unless defensively copied first. The poolescape
 //     analyzer (cmd/lcplint) enforces this rule over the repository.
-//   - The scratch helpers (Ints, Bytes, and friends) return slices with
-//     undefined contents that alias the input's backing array; callers own
-//     the result exactly as they owned the input.
+//   - The scratch helper Ints returns a slice with undefined contents that
+//     aliases the input's backing array; callers own the result exactly as
+//     they owned the input.
 package mem
 
 // slabChunkMin is the element count of the first chunk of a Slab or
@@ -34,7 +34,6 @@ const (
 // use. A Slab is not safe for concurrent use; give each goroutine its own.
 type Slab[T any] struct {
 	chunks [][]T
-	n      int
 }
 
 // Alloc returns a pointer to a new zero value of T from the slab.
@@ -48,12 +47,8 @@ func (s *Slab[T]) Alloc() *T {
 	}
 	c := &s.chunks[len(s.chunks)-1]
 	*c = (*c)[:len(*c)+1]
-	s.n++
 	return &(*c)[len(*c)-1]
 }
-
-// Len returns the number of values allocated from the slab.
-func (s *Slab[T]) Len() int { return s.n }
 
 // SliceSlab carves variable-length []T slices out of shared chunk backings.
 // Returned slices have full length n, undefined contents, capped capacity
@@ -62,7 +57,6 @@ func (s *Slab[T]) Len() int { return s.n }
 type SliceSlab[T any] struct {
 	cur    []T
 	nextSz int
-	n      int
 }
 
 // Make returns a fresh slice of length and capacity n from the slab.
@@ -85,12 +79,8 @@ func (s *SliceSlab[T]) Make(n int) []T {
 	}
 	off := len(s.cur)
 	s.cur = s.cur[:off+n]
-	s.n += n
 	return s.cur[off : off+n : off+n]
 }
-
-// Len returns the total number of elements handed out by Make.
-func (s *SliceSlab[T]) Len() int { return s.n }
 
 // Ints returns a slice of length n with undefined contents, reusing buf's
 // backing array when it is large enough. The idiomatic call site is
@@ -100,22 +90,4 @@ func Ints(buf []int, n int) []int {
 		return buf[:n]
 	}
 	return make([]int, n)
-}
-
-// ZeroInts is Ints with the result cleared.
-func ZeroInts(buf []int, n int) []int {
-	buf = Ints(buf, n)
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// Bytes returns a slice of length n with undefined contents, reusing buf's
-// backing array when it is large enough.
-func Bytes(buf []byte, n int) []byte {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]byte, n)
 }

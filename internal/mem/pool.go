@@ -34,36 +34,3 @@ func (p *Pool[T]) Get() *T {
 // Put recycles x. The caller must not use x (or any buffer it owns) after
 // Put; escape sites are flagged by the poolescape analyzer.
 func (p *Pool[T]) Put(x *T) { p.p.Put(x) }
-
-// FreeList is a single-owner typed free list: the goroutine-private
-// counterpart of Pool with deterministic reuse (LIFO) and no interface
-// boxing. The zero value is empty and ready to use.
-type FreeList[T any] struct {
-	// New builds a fresh object when the list is empty; nil means new(T).
-	New func() *T
-	// Reset restores a recycled object before Get returns it.
-	Reset func(*T)
-
-	free []*T
-}
-
-// Get returns a ready-to-use object: the most recently Put one (after
-// Reset), or a freshly built one.
-func (f *FreeList[T]) Get() *T {
-	if n := len(f.free); n > 0 {
-		x := f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-		if f.Reset != nil {
-			f.Reset(x)
-		}
-		return x
-	}
-	if f.New != nil {
-		return f.New()
-	}
-	return new(T)
-}
-
-// Put recycles x for a later Get. The caller must not use x after Put.
-func (f *FreeList[T]) Put(x *T) { f.free = append(f.free, x) }

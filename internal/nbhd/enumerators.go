@@ -85,39 +85,3 @@ func allLabelingsShard(alphabet []string, insts []core.Instance, shard, shards i
 		return nil
 	}
 }
-
-// chain concatenates enumerators.
-func chain(enums ...Enumerator) Enumerator {
-	return func(yield func(core.Labeled) bool) error {
-		for _, e := range enums {
-			stopped := false
-			if err := e(func(l core.Labeled) bool {
-				if !yield(l) {
-					stopped = true
-					return false
-				}
-				return true
-			}); err != nil {
-				return err
-			}
-			if stopped {
-				return nil
-			}
-		}
-		return nil
-	}
-}
-
-// ClassInstances builds anonymous instances (default ports, no IDs) from a
-// list of graphs, filtered by pred (pass nil for no filter). It is a
-// convenience for assembling promise-class families.
-func ClassInstances(gs []*graph.Graph, pred func(*graph.Graph) bool) []core.Instance {
-	var out []core.Instance
-	for _, g := range gs {
-		if pred != nil && !pred(g) {
-			continue
-		}
-		out = append(out, core.NewAnonymousInstance(g))
-	}
-	return out
-}

@@ -47,7 +47,8 @@ func allPortsAllLabelingsShard(alphabet []string, insts []core.Instance, shard, 
 		for _, inst := range insts {
 			stopped := false
 			graph.EnumPorts(inst.G, func(pt *graph.Ports) bool {
-				withPorts := inst.WithPorts(pt)
+				withPorts := inst
+				withPorts.Prt = pt
 				inner := allLabelingsShard(alphabet, []core.Instance{withPorts}, shard, shards)
 				if err := inner(func(l core.Labeled) bool {
 					if !yield(l) {

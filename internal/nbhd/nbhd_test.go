@@ -391,3 +391,17 @@ func TestMinExtractionConflictsBudgetGuard(t *testing.T) {
 		t.Error("oversized conflict search accepted")
 	}
 }
+
+// ClassInstances builds anonymous instances (default ports, no IDs) from a
+// list of graphs, filtered by pred (pass nil for no filter). It is a
+// convenience for assembling promise-class families.
+func ClassInstances(gs []*graph.Graph, pred func(*graph.Graph) bool) []core.Instance {
+	var out []core.Instance
+	for _, g := range gs {
+		if pred != nil && !pred(g) {
+			continue
+		}
+		out = append(out, core.NewAnonymousInstance(g))
+	}
+	return out
+}

@@ -32,10 +32,10 @@ import (
 // Cancellation is cooperative: when ctx fires, every worker stops at its
 // next per-instance checkpoint, the pool drains through the usual WaitGroup
 // barrier (no goroutine outlives the call — pinned by
-// sanitize.ProbeBuildShardedCancel), and the error wraps context.Cause(ctx);
-// no partial graph is returned. A nil ctx is the never-cancelled context
-// (internal/cancel); a live one adds one watcher goroutine and nothing to
-// the per-instance hot path.
+// TestProbeBuildShardedCancel in internal/sanitize), and the error wraps
+// context.Cause(ctx); no partial graph is returned. A nil ctx is the
+// never-cancelled context (internal/cancel); a live one adds one watcher
+// goroutine and nothing to the per-instance hot path.
 //
 // Instrumentation is barrier-harvested: each worker's builder keeps plain
 // per-goroutine tallies that are summed into sc's counters only after every

@@ -109,30 +109,6 @@ func ShardedAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnume
 	}
 }
 
-// ShardedChain concatenates sharded enumerators: the sequential order chains
-// the children's sequential orders, and shard i chains the children's i-th
-// shards, preserving disjointness and relative order.
-func ShardedChain(ses ...ShardedEnumerator) ShardedEnumerator {
-	return &sharded{
-		seq: func(yield func(core.Labeled) bool) error {
-			enums := make([]Enumerator, len(ses))
-			for j, se := range ses {
-				enums[j] = se.Sequential()
-			}
-			return chain(enums...)(yield)
-		},
-		shard: func(i, k int) Enumerator {
-			return func(yield func(core.Labeled) bool) error {
-				enums := make([]Enumerator, len(ses))
-				for j, se := range ses {
-					enums[j] = se.Shards(k)[i]
-				}
-				return chain(enums...)(yield)
-			}
-		},
-	}
-}
-
 // defaultShardCount oversubscribes workers so that the work-stealing drivers
 // can smooth uneven shard costs: a worker finishing a cheap shard steals the
 // next unclaimed one.

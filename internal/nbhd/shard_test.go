@@ -10,6 +10,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/obs"
 )
 
@@ -21,7 +22,7 @@ var shardCounts = []int{1, 2, 3, 7, 16}
 // and the labels.
 func fingerprint(t testing.TB, l core.Labeled) string {
 	t.Helper()
-	g6, err := l.G.Graph6()
+	g6, err := graphtest.Graph6(l.G)
 	if err != nil {
 		t.Fatalf("fingerprint: %v", err)
 	}
@@ -291,5 +292,51 @@ func TestCountInstancesMatchesSequential(t *testing.T) {
 		if got != want {
 			t.Errorf("k=%d: countInstances = %d, want %d", k, got, want)
 		}
+	}
+}
+
+// ShardedChain concatenates sharded enumerators: the sequential order chains
+// the children's sequential orders, and shard i chains the children's i-th
+// shards, preserving disjointness and relative order.
+func ShardedChain(ses ...ShardedEnumerator) ShardedEnumerator {
+	return &sharded{
+		seq: func(yield func(core.Labeled) bool) error {
+			enums := make([]Enumerator, len(ses))
+			for j, se := range ses {
+				enums[j] = se.Sequential()
+			}
+			return chain(enums...)(yield)
+		},
+		shard: func(i, k int) Enumerator {
+			return func(yield func(core.Labeled) bool) error {
+				enums := make([]Enumerator, len(ses))
+				for j, se := range ses {
+					enums[j] = se.Shards(k)[i]
+				}
+				return chain(enums...)(yield)
+			}
+		},
+	}
+}
+
+// chain concatenates enumerators.
+func chain(enums ...Enumerator) Enumerator {
+	return func(yield func(core.Labeled) bool) error {
+		for _, e := range enums {
+			stopped := false
+			if err := e(func(l core.Labeled) bool {
+				if !yield(l) {
+					stopped = true
+					return false
+				}
+				return true
+			}); err != nil {
+				return err
+			}
+			if stopped {
+				return nil
+			}
+		}
+		return nil
 	}
 }

@@ -224,16 +224,6 @@ func (l *EventLog) Subscribe(buf int) (<-chan obs.LogEvent, func()) {
 	}
 }
 
-// Dropped returns the total events discarded by the rate limiter.
-func (l *EventLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
 // Close flushes and closes the file generation and reports the first
 // write or rotation error the log swallowed while appending. Subscribers
 // are closed so SSE tails terminate.

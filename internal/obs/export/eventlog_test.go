@@ -207,3 +207,13 @@ func TestEventLogSurfacesWriteErrors(t *testing.T) {
 		t.Error("Close returned nil after a failed append")
 	}
 }
+
+// Dropped returns the total events discarded by the rate limiter.
+func (l *EventLog) Dropped() int64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
+}

@@ -82,13 +82,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -141,14 +134,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.buckets[bits.Len64(uint64(v))].Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Bucket is one populated histogram bucket: Count observations with value

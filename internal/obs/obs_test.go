@@ -184,3 +184,29 @@ func (b *syncBuffer) Reset() {
 	defer b.mu.Unlock()
 	b.buf.Reset()
 }
+
+// Add adjusts the gauge by delta.
+func (g *Gauge) Add(delta int64) {
+	if g != nil {
+		g.v.Add(delta)
+	}
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
+// Child opens a span nested under s.
+func (s *Span) Child(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.tr.Start(name, s)
+}
+
+// Name returns the label prefix set by Named.
+func (s Scope) Name() string { return s.name }

@@ -53,9 +53,6 @@ func (s Scope) Named(name string) Scope {
 	return s
 }
 
-// Name returns the label prefix set by Named.
-func (s Scope) Name() string { return s.name }
-
 // Label renders a phase label: "<name>: <op>" under Named, else op.
 func (s Scope) Label(op string) string {
 	if s.name == "" {
@@ -101,9 +98,6 @@ func (s Scope) Event(name, detail string) {
 // Prog returns the attached progress reporter; the nil Progress returned on
 // a plain scope accepts every method.
 func (s Scope) Prog() *Progress { return s.prog }
-
-// Run returns the run correlation ID set by WithEvents ("" when none).
-func (s Scope) Run() string { return s.run }
 
 // EventsEnabled reports whether an event sink is attached. Hot call sites
 // check it before assembling field slices, so the disabled path costs one

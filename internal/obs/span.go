@@ -104,14 +104,6 @@ func (s *Span) ID() uint64 {
 	return s.id
 }
 
-// Child opens a span nested under s.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tr.Start(name, s)
-}
-
 // SetAttr attaches a key/value pair to the span. Spans are single-owner
 // until End, so attributes need no locking.
 func (s *Span) SetAttr(key, value string) {

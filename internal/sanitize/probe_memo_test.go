@@ -28,7 +28,7 @@ func TestSanitizeMemoDecoder(t *testing.T) {
 			md := core.NewMemoDecoder(tc.d, nil)
 			san, res := sanitize.WithScheme(core.Scheme{Name: tc.name, Decoder: md}, sanitize.Config{})
 
-			ex := view.NewExtractor()
+			ex := new(view.Extractor)
 			labels := make([]string, tc.g.N())
 			for i := range labels {
 				labels[i] = []string{"0", "1"}[i%2]

@@ -88,7 +88,7 @@ func TestProbeGatherFaultsNoLeak(t *testing.T) {
 	}
 }
 
-// TestProbeGatherFaultsLeakOnError: even when the gather errors out (an
+// TestProbeGatherFaultsNoLeakOnError: even when the gather errors out (an
 // invalid plan), no goroutines may survive.
 func TestProbeGatherFaultsNoLeakOnError(t *testing.T) {
 	l := chaosLabeled(t, 4)

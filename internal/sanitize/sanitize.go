@@ -28,7 +28,7 @@
 //     remap desynchronizing labels from identifiers.
 //
 // Wrap the decoder of any scheme before running core or nbhd checks to
-// sanitize every view the check visits; CheckScheme bundles that pattern.
+// sanitize every view the check visits; WithScheme bundles that pattern.
 package sanitize
 
 import (
@@ -130,11 +130,6 @@ func (s *Sanitizer) Anonymous() bool { return s.inner.Anonymous() }
 
 // Decisions returns the number of Decide calls sanitized so far.
 func (s *Sanitizer) Decisions() int { return s.count }
-
-// InstrumentationProbes returns how many times the instrumented copy of the
-// decoder has been invoked, i.e. how often the instrumentation-transparency
-// probe actually ran.
-func (s *Sanitizer) InstrumentationProbes() int64 { return s.instrProbes.Value() }
 
 // Decide forwards to the wrapped decoder and probes the call. On a clean
 // decoder it is output-equivalent to the wrapped Decide.

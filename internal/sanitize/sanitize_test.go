@@ -42,12 +42,10 @@ func candidateGraphs(t *testing.T) []*graph.Graph {
 // check "sanitizer wrapper passes for every decoder in internal/decoders".
 func TestEveryDecoderSatisfiesContract(t *testing.T) {
 	pool := candidateGraphs(t)
-	for _, name := range decoders.SchemeNames() {
+	for _, e := range decoders.Schemes() {
+		name := e.Name
 		t.Run(name, func(t *testing.T) {
-			s, err := decoders.SchemeByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := e.New()
 			var insts []core.Instance
 			for _, g := range pool {
 				if s.Promise.InClass != nil && !s.Promise.InClass(g) {

@@ -9,6 +9,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
@@ -45,7 +46,7 @@ func viewKeys(views []*view.View) []string {
 func TestGatherFaultsZeroPlanMatchesExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
-		g := graph.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
+		g := graphtest.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := rng.Intn(3)
 		got, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
@@ -76,7 +77,7 @@ func TestGatherFaultsZeroPlanMatchesExtract(t *testing.T) {
 // 10 runs.
 func TestGatherFaultsReplayDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	g := graph.ConnectedGNP(9, 0.4, rng)
+	g := graphtest.ConnectedGNP(9, 0.4, rng)
 	l := labeled(g, randomLabels(g.N(), rng))
 	plan := chaoticPlan(77)
 	plan.Trace = true
@@ -114,7 +115,7 @@ func TestGatherFaultsReplayDeterministic(t *testing.T) {
 // plan on a non-trivial instance) produce different schedules.
 func TestGatherFaultsSeedSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	g := graph.ConnectedGNP(9, 0.5, rng)
+	g := graphtest.ConnectedGNP(9, 0.5, rng)
 	l := labeled(g, randomLabels(g.N(), rng))
 	_, _, repA, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, faults.Plan{Seed: 1, Drop: 0.5})
 	if err != nil {
@@ -136,7 +137,7 @@ func TestGatherFaultsSeedSensitivity(t *testing.T) {
 func TestGatherFaultsCrashRoundZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 15; trial++ {
-		g := graph.ConnectedGNP(4+rng.Intn(6), 0.5, rng)
+		g := graphtest.ConnectedGNP(4+rng.Intn(6), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(3)
 		crashed := map[int]int{rng.Intn(g.N()): 0}
@@ -275,7 +276,7 @@ func TestGatherFaultsDropEverything(t *testing.T) {
 func TestGatherFaultsDuplicationAndReorderAreInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 10; trial++ {
-		g := graph.ConnectedGNP(3+rng.Intn(6), 0.5, rng)
+		g := graphtest.ConnectedGNP(3+rng.Intn(6), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(2)
 		views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Seed: int64(trial), Duplicate: 0.6, Reorder: true})
@@ -304,7 +305,7 @@ func TestGatherFaultsDuplicationAndReorderAreInvisible(t *testing.T) {
 func TestGatherFaultsDelaySubviews(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 10; trial++ {
-		g := graph.ConnectedGNP(4+rng.Intn(5), 0.5, rng)
+		g := graphtest.ConnectedGNP(4+rng.Intn(5), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(3)
 		views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Seed: int64(trial), Delay: 0.5, MaxDelay: 2})

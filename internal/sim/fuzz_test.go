@@ -8,6 +8,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
@@ -26,7 +27,7 @@ import (
 // always terminate.
 func FuzzGatherFaults(f *testing.F) {
 	for _, g := range []*graph.Graph{graph.Path(4), graph.MustCycle(6), graph.Grid(3, 3), graph.Star(5)} {
-		g6, err := g.Graph6()
+		g6, err := graphtest.Graph6(g)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -34,7 +35,7 @@ func FuzzGatherFaults(f *testing.F) {
 		f.Add(g6, int64(7), uint16(0), uint16(0), uint16(0), uint8(0), uint8(0b1010))
 	}
 	f.Fuzz(func(t *testing.T, g6 string, seed int64, dropMilli, dupMilli, delayMilli uint16, maxDelay, crashMask uint8) {
-		g, err := graph.ParseGraph6(g6)
+		g, err := graphtest.ParseGraph6(g6)
 		if err != nil || g.N() == 0 || g.N() > 12 {
 			t.Skip()
 		}

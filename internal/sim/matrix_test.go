@@ -46,11 +46,8 @@ func matrixGraphs(t *testing.T) []struct {
 func TestDifferentialMatrix(t *testing.T) {
 	// Collect the distinct verification radii of every registered scheme.
 	radii := map[int]bool{}
-	for _, name := range decoders.SchemeNames() {
-		s, err := decoders.SchemeByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range decoders.Schemes() {
+		s := e.New()
 		radii[s.Decoder.Rounds()] = true
 	}
 	if len(radii) == 0 {
@@ -117,17 +114,15 @@ func TestSchemeMatrixZeroPlan(t *testing.T) {
 		"shatter-literal": graph.Grid(3, 3),
 		"watermelon":      graph.MustWatermelon([]int{2, 4, 2}),
 	}
-	for _, name := range decoders.SchemeNames() {
+	for _, e := range decoders.Schemes() {
+		name := e.Name
 		g, ok := yes[name]
 		if !ok {
 			t.Errorf("no yes-instance registered for scheme %q; extend the matrix", name)
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			s, err := decoders.SchemeByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := e.New()
 			inst := core.NewInstance(g)
 			labels, err := s.Prover.Certify(inst)
 			if err != nil {

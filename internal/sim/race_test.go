@@ -10,7 +10,7 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/faults"
-	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/obs"
 )
 
@@ -27,7 +27,7 @@ func TestRaceGatherStress(t *testing.T) {
 	}
 	var jobs []job
 	for trial := 0; trial < 6; trial++ {
-		g := graph.ConnectedGNP(8+rng.Intn(6), 0.35, rng)
+		g := graphtest.ConnectedGNP(8+rng.Intn(6), 0.35, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		for r := 0; r <= 3; r++ {
 			jobs = append(jobs, job{l, r})
@@ -70,7 +70,7 @@ func TestRaceGatherStress(t *testing.T) {
 // pending-delivery queues, and the crash barrier bookkeeping.
 func TestRaceGatherFaultsStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	g := graph.ConnectedGNP(11, 0.35, rng)
+	g := graphtest.ConnectedGNP(11, 0.35, rng)
 	l := labeled(g, randomLabels(g.N(), rng))
 	plan := faults.Plan{
 		Seed:      99,

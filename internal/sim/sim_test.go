@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 	"hidinglcp/internal/obs"
 )
 
@@ -30,7 +32,7 @@ func randomLabels(n int, rng *rand.Rand) []string {
 func TestGatherMatchesExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 30; trial++ {
-		g := graph.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
+		g := graphtest.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := rng.Intn(3)
 		got, _, err := gather(l, r)
@@ -53,7 +55,7 @@ func TestGatherMatchesExtract(t *testing.T) {
 func TestGatherSequentialMatchesExtract(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {
-		g := graph.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
+		g := graphtest.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := rng.Intn(3)
 		got, _, err := gatherSequential(l, r)
@@ -127,7 +129,7 @@ func TestGatherFrontierTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, mu := range views {
-		if mu.HasEdge(1, 2) {
+		if slices.Contains(mu.Adj[1], 2) {
 			t.Errorf("node %d sees the frontier edge", v)
 		}
 	}
@@ -179,7 +181,8 @@ func TestRunSchemeRejectsOutsidePromise(t *testing.T) {
 // so running them against Path(4) (which has edge 2-3) is malformed.
 func TestGatherMalformedPorts(t *testing.T) {
 	g := graph.Path(4)
-	inst := core.NewInstance(g).WithPorts(graph.DefaultPorts(graph.Star(4)))
+	inst := core.NewInstance(g)
+	inst.Prt = graph.DefaultPorts(graph.Star(4))
 	l := core.MustNewLabeled(inst, make([]string, 4))
 	if _, _, err := gather(l, 1); err == nil {
 		t.Error("gather accepted a malformed port assignment")
@@ -202,7 +205,7 @@ func TestGatherMalformedPorts(t *testing.T) {
 func TestGatherParallelSequentialAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := graph.ConnectedGNP(3+rng.Intn(6), 0.5, rng)
+		g := graphtest.ConnectedGNP(3+rng.Intn(6), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(2)
 		a, sa, err := gather(l, r)

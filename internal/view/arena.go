@@ -20,9 +20,6 @@ func (a *Arena) NewView() *View { return a.views.Alloc() }
 // Labels returns an uninitialized label slice of length n from the arena.
 func (a *Arena) Labels(n int) []string { return a.labels.Make(n) }
 
-// Len returns the number of views allocated from the arena.
-func (a *Arena) Len() int { return a.views.Len() }
-
 // InstantiateIn is Instantiate with the View and its label slice allocated
 // from the arena: the steady-state cost is two bump-pointer increments
 // instead of two heap objects. The returned view is immutable and shares

@@ -25,9 +25,6 @@ type Extractor struct {
 	deg   []int
 }
 
-// NewExtractor returns a fresh Extractor.
-func NewExtractor() *Extractor { return &Extractor{} }
-
 // ensure sizes the scratch for a host graph of n nodes and opens a new
 // epoch, logically clearing the stamped buffers in O(1).
 func (ex *Extractor) ensure(n int) {

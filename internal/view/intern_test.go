@@ -64,7 +64,7 @@ func TestExtractorReuseDoesNotCorrupt(t *testing.T) {
 			}
 		}
 	}
-	ex := view.NewExtractor()
+	ex := new(view.Extractor)
 	// Two passes in opposite orders: scratch state from any job must not
 	// leak into any other.
 	for pass := 0; pass < 2; pass++ {
@@ -96,7 +96,7 @@ func TestExtractorReuseDoesNotCorrupt(t *testing.T) {
 func TestTemplateInstantiateIsolation(t *testing.T) {
 	g := graph.MustCycle(5)
 	pt := graph.DefaultPorts(g)
-	ex := view.NewExtractor()
+	ex := new(view.Extractor)
 	tpl, err := ex.Template(g, pt, nil, g.N(), 0, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -58,16 +58,6 @@ func (v *View) N() int { return len(v.Adj) }
 // Degree returns the local degree of node i.
 func (v *View) Degree(i int) int { return len(v.Adj[i]) }
 
-// HasEdge reports whether local nodes i and j are adjacent in the view.
-func (v *View) HasEdge(i, j int) bool {
-	for _, w := range v.Adj[i] {
-		if w == j {
-			return true
-		}
-	}
-	return false
-}
-
 // Port returns the port number prt(i, {i,j}) of the visible edge (i, j) and
 // whether the edge is visible.
 func (v *View) Port(i, j int) (int, bool) {

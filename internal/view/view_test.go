@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/graph/graphtest"
 )
 
 func blankLabels(n int) []string { return make([]string, n) }
@@ -342,7 +343,7 @@ func TestCompatibleAnonymousFails(t *testing.T) {
 func TestKeyDeterministic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := graph.ConnectedGNP(7, 0.4, rng)
+		g := graphtest.ConnectedGNP(7, 0.4, rng)
 		pt := graph.DefaultPorts(g)
 		ids := graph.SequentialIDs(g.N())
 		c := rng.Intn(g.N())
@@ -361,7 +362,7 @@ func TestKeyDeterministic(t *testing.T) {
 func TestViewDistanceInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := graph.ConnectedGNP(8, 0.3, rng)
+		g := graphtest.ConnectedGNP(8, 0.3, rng)
 		pt := graph.DefaultPorts(g)
 		c := rng.Intn(g.N())
 		r := 1 + rng.Intn(2)
@@ -388,7 +389,7 @@ func TestViewDistanceInvariant(t *testing.T) {
 func TestNoFrontierEdges(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := graph.ConnectedGNP(8, 0.35, rng)
+		g := graphtest.ConnectedGNP(8, 0.35, rng)
 		pt := graph.DefaultPorts(g)
 		c := rng.Intn(g.N())
 		r := 1 + rng.Intn(2)
@@ -460,4 +461,14 @@ func TestRadius1KeyOrdersByPort(t *testing.T) {
 	if a.Radius1Key(Center) == b.Radius1Key(Center) {
 		t.Error("port-to-label association lost in Radius1Key")
 	}
+}
+
+// HasEdge reports whether local nodes i and j are adjacent in the view.
+func (v *View) HasEdge(i, j int) bool {
+	for _, w := range v.Adj[i] {
+		if w == j {
+			return true
+		}
+	}
+	return false
 }
