@@ -5,6 +5,9 @@ package nbhd
 import (
 	"testing"
 
+	"hidinglcp/internal/core"
+	"hidinglcp/internal/decoders"
+	"hidinglcp/internal/graph"
 	"hidinglcp/internal/view"
 )
 
@@ -32,5 +35,35 @@ func TestPairSetSteadyStateAllocs(t *testing.T) {
 	}
 	if s.len() != want {
 		t.Errorf("pair count changed across duplicate sweeps: %d -> %d", want, s.len())
+	}
+}
+
+// TestAbsorbShapeMemoAllocs pins the builders' steady state at zero
+// allocations: once an instance's shapes are computed and its views'
+// classes are in the shape memo, absorbing another labeling whose views
+// all hit the memo must not touch the heap.
+func TestAbsorbShapeMemoAllocs(t *testing.T) {
+	s := decoders.DegreeOne()
+	in := view.NewInterner()
+	b := newBuilder(s.Decoder, core.NewMemoDecoder(s.Decoder, in), in, "test")
+	inst := core.NewAnonymousInstance(graph.Star(4))
+	a := decoders.DegOneAlphabet()
+	first := core.MustNewLabeled(inst, []string{a[0], a[1], a[2], a[3]})
+	second := core.MustNewLabeled(inst, []string{a[1], a[0], a[3], a[2]})
+	// The first labeling is canonicalized directly; the second computes
+	// the shapes and fills the memo; a third pass puts the first
+	// labeling's classes in the memo as well.
+	b.absorb(first)
+	b.absorb(second)
+	b.absorb(first)
+	hits := b.nTmplMemoHits
+	if n := testing.AllocsPerRun(100, func() {
+		b.absorb(second)
+		b.absorb(first)
+	}); n != 0 {
+		t.Errorf("absorbing memo-hit labelings allocates %.1f objects per pair, want 0", n)
+	}
+	if want := hits + 101*2*int64(inst.G.N()); b.nTmplMemoHits != want {
+		t.Errorf("shape-memo hits = %d, want %d (every view of every measured absorb)", b.nTmplMemoHits, want)
 	}
 }

@@ -23,12 +23,21 @@ func appendLenPrefixed(b []byte, s string) []byte {
 // shared view.Interner into dense handles, the decided, accepting and loop
 // sets are handle-indexed bool slices instead of map[string] tables, a
 // builder consults the shared core.MemoDecoder (one inner Decide per view
-// class across all workers) at most once per class, and per-instance view
-// extraction reuses templates whenever the enumerator varies only the
-// labeling of a fixed instance — the ShardedAllLabelings hot case.
+// class across all workers) at most once per class, and views whose class
+// the builder has already met skip canonicalization through the shape memo.
 //
-// The interner and memo are shared across builders; everything else is
-// private to one goroutine.
+// The shape memo spans every instance the builder absorbs. It is keyed on a
+// template's shape (view.Template.AppendShape) and the labels at the
+// shape's canonical positions, a pair that determines the view class, so
+// two nodes of different instances with isomorphic neighborhoods share one
+// canonicalization, one interner probe and one decide. Shapes are computed
+// lazily, on an instance's second labeling: the first labeling of every
+// instance is canonicalized directly, so builds that see each instance once
+// (ShardedFromLabeled, ShardedProverLabeled) pay nothing for the memo,
+// while ShardedAllLabelings sweeps hit it on all but a few views.
+//
+// The interner and memo decoder are shared across builders; everything
+// else, the shape memo included, is private to one goroutine.
 type builder struct {
 	md    *core.MemoDecoder
 	in    *view.Interner
@@ -48,14 +57,14 @@ type builder struct {
 	// arena backs the instantiated candidate views: the interner may retain
 	// any of them as a class representative, so they are slab-allocated and
 	// released wholesale with the builder instead of one heap object per
-	// template-memo miss.
+	// canonicalization.
 	arena view.Arena
 	// scratch probes the interner before any arena allocation: most
-	// template-memo misses are still interner hits (another labeling or
+	// canonicalizations are still interner hits (another instance or
 	// another worker saw the class first), and for those the lookup view
 	// never needs to outlive the absorb call. probeKey holds the scratch's
-	// canonical key, computed once per template-memo miss and reused for
-	// the intern on a lookup miss.
+	// canonical key, computed once per canonicalization and reused for the
+	// intern on a lookup miss.
 	scratch  view.View
 	probeKey []byte
 
@@ -67,28 +76,40 @@ type builder struct {
 	tIDs    *int
 	tpl     []*view.Template
 	tEdges  [][2]int
-	// tMemo[v] maps node v's host-labels key to the interned handle of its
-	// view, so repeat neighborhood labelings of a cached instance skip
-	// instantiation, canonicalization, and interning entirely.
-	tMemo  []map[string]view.Handle
-	keyBuf []byte
+	// Once the cached instance's shapes are computed (tShape is empty
+	// until then), tShape[v] is the shape id of node v's template (-1 when
+	// unshaped) and tHosts[tHostAt[v]:tHostAt[v+1]] its host nodes in
+	// canonical order.
+	tShape  []int32
+	tHostAt []int
+	tHosts  []int
+
+	// shapeIDs numbers the distinct shapes this builder has met, and memo
+	// maps (shape id, labels at the canonical hosts) to the interned handle
+	// of that view class. Both persist across instances.
+	shapeIDs map[string]int32
+	memo     map[string]view.Handle
+	shapeBuf []byte
+	keyBuf   []byte
 
 	// Plain (non-atomic) tallies, private to the owning goroutine; the
 	// parallel driver reads them only after its WaitGroup barrier.
 	nInstances      int64 // labeled instances absorbed
-	nViews          int64 // views instantiated + interned (template-memo misses)
+	nViews          int64 // views canonicalized and probed in the interner
 	nLookupHits     int64 // scratch-probe interner hits (no arena copy needed)
-	nTmplMemoHits   int64 // views served from the per-node label-key memo
+	nTmplMemoHits   int64 // views served from the shape memo
 	nTemplatesBuilt int64 // template cache rebuilds (instance identity changed)
 }
 
 func newBuilder(d core.Decoder, md *core.MemoDecoder, in *view.Interner, where string) *builder {
 	return &builder{
-		md:    md,
-		in:    in,
-		where: where,
-		anon:  d.Anonymous(),
-		r:     d.Rounds(),
+		md:       md,
+		in:       in,
+		where:    where,
+		anon:     d.Anonymous(),
+		r:        d.Rounds(),
+		shapeIDs: make(map[string]int32),
+		memo:     make(map[string]view.Handle),
 	}
 }
 
@@ -114,6 +135,7 @@ func (b *builder) absorb(l core.Labeled) {
 	if len(ids) > 0 {
 		idsHead = &ids[0]
 	}
+	handles := b.handles[:0]
 	if b.tpl == nil || b.tG != l.G || b.tPrt != l.Prt || b.tNBound != l.NBound || b.tIDs != idsHead {
 		n := l.G.N()
 		b.tpl = b.tpl[:0]
@@ -127,51 +149,37 @@ func (b *builder) absorb(l core.Labeled) {
 		}
 		b.tEdges = l.G.Edges()
 		b.tG, b.tPrt, b.tNBound, b.tIDs = l.G, l.Prt, l.NBound, idsHead
+		b.tShape = b.tShape[:0]
 		b.nTemplatesBuilt++
-		b.tMemo = make([]map[string]view.Handle, n)
-		for v := range b.tMemo {
-			b.tMemo[v] = make(map[string]view.Handle)
+		// First labeling of this instance: canonicalize directly.
+		for _, t := range b.tpl {
+			handles = append(handles, b.canonicalize(t, l.Labels))
 		}
-	}
-
-	handles := b.handles[:0]
-	for v := range b.tpl {
-		t := b.tpl[v]
-		kb := b.keyBuf[:0]
-		for _, w := range t.Hosts() {
-			kb = appendLenPrefixed(kb, l.Labels[w])
+	} else {
+		if len(b.tShape) == 0 {
+			b.shapeTemplates()
 		}
-		b.keyBuf = kb
-		if h, ok := b.tMemo[v][string(kb)]; ok {
-			// The identical (template, neighborhood labels) pair was already
-			// interned and decided by this builder.
-			b.nTmplMemoHits++
+		for v, t := range b.tpl {
+			id := b.tShape[v]
+			if id < 0 {
+				handles = append(handles, b.canonicalize(t, l.Labels))
+				continue
+			}
+			kb := binary.AppendUvarint(b.keyBuf[:0], uint64(id))
+			for _, w := range b.tHosts[b.tHostAt[v]:b.tHostAt[v+1]] {
+				kb = appendLenPrefixed(kb, l.Labels[w])
+			}
+			b.keyBuf = kb
+			h, ok := b.memo[string(kb)]
+			if ok {
+				// A view of this class was already interned and decided by
+				// this builder.
+				b.nTmplMemoHits++
+			} else {
+				h = b.canonicalize(t, l.Labels)
+				b.memo[string(kb)] = h
+			}
 			handles = append(handles, h)
-			continue
-		}
-		b.nViews++
-		// Probe with the scratch view first: on a hit (the common case) no
-		// durable view is needed at all. Only a genuinely new class — or a
-		// race where another worker interns it between LookupKey and
-		// InternKey, which InternKey resolves — pays for an arena-backed
-		// copy the interner may retain as representative; it is interned
-		// under the key already in probeKey. DecideInterned never retains
-		// the view (decoders are pure), so deciding on the scratch is safe.
-		mu := t.InstantiateInto(&b.scratch, l.Labels)
-		b.probeKey = mu.AppendBinKey(b.probeKey[:0])
-		h, ok := b.in.LookupKey(b.probeKey)
-		if ok {
-			b.nLookupHits++
-		} else {
-			mu = t.InstantiateIn(&b.arena, l.Labels)
-			h = b.in.InternKey(b.probeKey, mu)
-		}
-		b.tMemo[v][string(kb)] = h
-		handles = append(handles, h)
-		b.grow(int(h) + 1)
-		if !b.decided[h] {
-			b.decided[h] = true
-			b.accepting[h] = b.md.DecideInterned(h, mu)
 		}
 	}
 	b.handles = handles
@@ -184,6 +192,55 @@ func (b *builder) absorb(l core.Labeled) {
 		}
 		b.edges.add(packPair(ha, hb))
 	}
+}
+
+// shapeTemplates computes the cached instance's template shapes and
+// numbers them in the builder-wide shape table.
+func (b *builder) shapeTemplates() {
+	b.tHostAt = append(b.tHostAt[:0], 0)
+	b.tHosts = b.tHosts[:0]
+	for _, t := range b.tpl {
+		var ok bool
+		b.shapeBuf, b.tHosts, ok = t.AppendShape(b.shapeBuf[:0], b.tHosts)
+		id := int32(-1)
+		if ok {
+			var seen bool
+			if id, seen = b.shapeIDs[string(b.shapeBuf)]; !seen {
+				id = int32(len(b.shapeIDs))
+				b.shapeIDs[string(b.shapeBuf)] = id
+			}
+		}
+		b.tShape = append(b.tShape, id)
+		b.tHostAt = append(b.tHostAt, len(b.tHosts))
+	}
+}
+
+// canonicalize finds the class of t's view under labels, interning it if
+// it is new, and decides it if this builder has not yet.
+func (b *builder) canonicalize(t *view.Template, labels []string) view.Handle {
+	b.nViews++
+	// Probe with the scratch view first: on a hit (the common case) no
+	// durable view is needed at all. Only a genuinely new class — or a race
+	// where another worker interns it between LookupKey and InternKey,
+	// which InternKey resolves — pays for an arena-backed copy the interner
+	// may retain as representative; it is interned under the key already
+	// in probeKey. DecideInterned never retains the view (decoders are
+	// pure), so deciding on the scratch is safe.
+	mu := t.InstantiateInto(&b.scratch, labels)
+	b.probeKey = mu.AppendBinKey(b.probeKey[:0])
+	h, ok := b.in.LookupKey(b.probeKey)
+	if ok {
+		b.nLookupHits++
+	} else {
+		mu = t.InstantiateIn(&b.arena, labels)
+		h = b.in.InternKey(b.probeKey, mu)
+	}
+	b.grow(int(h) + 1)
+	if !b.decided[h] {
+		b.decided[h] = true
+		b.accepting[h] = b.md.DecideInterned(h, mu)
+	}
+	return h
 }
 
 // mergeBuilders unions the per-worker accepting/loop sets and CSR edge

@@ -143,40 +143,56 @@ func e15Slice() []core.Instance {
 }
 
 // TestBuildCanonicalizesOncePerBuild pins the instance-major deal of
-// ShardedAllLabelings: when there are at least as many instances as
-// shards, every instance lives in one shard, so the build extracts each
-// instance's templates once and canonicalizes each (instance, node,
-// neighborhood labeling) view once — the same counts as the one-shard
-// build, whatever the shard and worker counts. The per-builder verdict
-// table bounds memo-decoder consults by one per class per worker.
+// ShardedAllLabelings and the builders' shape memo. When there are at least
+// as many instances as shards, every instance lives in one shard, so the
+// build extracts each instance's templates once, whatever the shard and
+// worker counts. A builder canonicalizes the views of an instance's first
+// labeling directly and, after that, each view class at most once, so at
+// one worker views.extracted is exact, and at several it is bounded by
+// workers × intern.classes plus the instances' total size: which classes
+// a worker meets first under which labeling depends on how the shards are
+// dealt. The per-builder verdict table bounds memo-decoder consults by one
+// per class per worker.
 func TestBuildCanonicalizesOncePerBuild(t *testing.T) {
 	cases := []struct {
 		name             string
 		d                core.Decoder
-		se               ShardedEnumerator
+		alphabet         []string
+		insts            []core.Instance
 		views, templates int64
 	}{
 		{"degree-one/n4", decoders.DegreeOne().Decoder,
-			ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), 15584, 79},
+			decoders.DegOneAlphabet(), decoders.DegOneFamily(4), 803, 79},
 		{"E15/k3", decoders.DegreeOneK(3).Decoder,
-			ShardedAllLabelings(decoders.DegOneKAlphabet(3), e15Slice()...), 17775, 32},
+			decoders.DegOneKAlphabet(3), e15Slice(), 4817, 32},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			var nodes int64
+			for _, inst := range c.insts {
+				nodes += int64(inst.G.N())
+			}
+			se := ShardedAllLabelings(c.alphabet, c.insts...)
 			for _, sw := range [][2]int{{1, 1}, {8, 2}, {16, 4}} {
 				shards, workers := sw[0], sw[1]
 				sc := obs.NewScope()
-				if _, err := BuildShardedCtx(context.Background(), sc, c.d, c.se, shards, workers); err != nil {
+				if _, err := BuildShardedCtx(context.Background(), sc, c.d, se, shards, workers); err != nil {
 					t.Fatal(err)
 				}
 				views := sc.Counter("nbhd.views.extracted").Value()
 				templates := sc.Counter("nbhd.templates.built").Value()
-				if views != c.views || templates != c.templates {
-					t.Errorf("shards=%d workers=%d: views.extracted=%d templates.built=%d, want %d/%d",
-						shards, workers, views, templates, c.views, c.templates)
+				classes := sc.Gauge("nbhd.intern.classes").Value()
+				if templates != c.templates {
+					t.Errorf("shards=%d workers=%d: templates.built=%d, want %d", shards, workers, templates, c.templates)
+				}
+				if workers == 1 && views != c.views {
+					t.Errorf("shards=%d workers=%d: views.extracted=%d, want %d", shards, workers, views, c.views)
+				}
+				if limit := int64(workers)*classes + nodes; views > limit {
+					t.Errorf("shards=%d workers=%d: views.extracted=%d > workers × intern.classes + Σ instance sizes = %d",
+						shards, workers, views, limit)
 				}
 				calls := sc.Counter("nbhd.decode.calls").Value()
-				classes := sc.Gauge("nbhd.intern.classes").Value()
 				if calls > int64(workers)*classes {
 					t.Errorf("shards=%d workers=%d: decode.calls=%d > workers × intern.classes = %d",
 						shards, workers, calls, int64(workers)*classes)

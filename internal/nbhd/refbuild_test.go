@@ -128,7 +128,10 @@ func compareAgainstReference(t *testing.T, ng *NGraph, keys []string, edges map[
 // TestBuildMatchesReference runs the interned fast-path build against the
 // string-keyed reference on every decoder archetype: anonymous (DegreeOne,
 // EvenCycle) and identifier-dependent (Shatter), over exhaustive labeling
-// enumerations.
+// enumerations. The E15 slice and the all-ports sweeps repeat template
+// shapes across instances — different graphs, and one graph under each of
+// its port numberings — so they check that the builders' shape memo only
+// ever shares a canonicalization between views of one class.
 func TestBuildMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -160,6 +163,30 @@ func TestBuildMatchesReference(t *testing.T) {
 				g := graph.MustCycle(4)
 				inst := core.Instance{G: g, Prt: graph.DefaultPorts(g), IDs: graph.SequentialIDs(4), NBound: 4}
 				return allLabelings([]string{"0", "1"}, inst)
+			},
+		},
+		{
+			"degree-one-k3-E15-slice",
+			decoders.DegreeOneK(3).Decoder,
+			func() Enumerator {
+				return allLabelings(decoders.DegOneKAlphabet(3), e15Slice()...)
+			},
+		},
+		{
+			"degree-one-all-ports",
+			decoders.DegreeOne().Decoder,
+			func() Enumerator {
+				return allPortsAllLabelings(decoders.DegOneAlphabet(),
+					core.NewAnonymousInstance(graph.Star(3)), core.NewAnonymousInstance(graph.Path(4)))
+			},
+		},
+		{
+			"shatter-with-ids-all-ports",
+			decoders.Shatter().Decoder,
+			func() Enumerator {
+				g := graph.MustCycle(4)
+				inst := core.Instance{G: g, Prt: graph.DefaultPorts(g), IDs: graph.SequentialIDs(4), NBound: 4}
+				return allPortsAllLabelings([]string{"0", "1"}, inst)
 			},
 		},
 	}

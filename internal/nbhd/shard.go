@@ -96,9 +96,10 @@ func ShardedProverLabeled(s core.Scheme, insts ...core.Instance) ShardedEnumerat
 // (graph.EnumLabelingsShard) — a single part whenever there are at least
 // as many instances as shards — and the (instance, part) units go
 // round-robin to the shards in sequential order. No shard holds two parts
-// of one instance, so a builder extracts each instance's templates and
-// memoizes its neighborhood labelings once, not once per shard; a
-// single-instance space degenerates to the plain labeling-prefix split.
+// of one instance, so one builder extracts each instance's templates, and
+// canonicalizes its first labeling directly, once rather than once per
+// shard; the builder's shape memo serves the instance's later labelings.
+// A single-instance space degenerates to the plain labeling-prefix split.
 // The yielded Labeled's label slice is reused across labelings of one
 // instance and is valid only during the yield; copy it to retain (the
 // builders copy label strings into views immediately).

@@ -82,3 +82,25 @@ func TestProbeKeyAllocs(t *testing.T) {
 		t.Errorf("AppendBinKey + LookupKey hit allocates %.1f objects per probe in steady state, want 0", n)
 	}
 }
+
+// TestAppendShapeAllocs pins the shape computation at zero allocations
+// once the caller's key and host buffers have grown: the refinement and
+// serialization run on the pooled key scratch, like AppendBinKey.
+func TestAppendShapeAllocs(t *testing.T) {
+	g := graph.Grid(4, 4)
+	pt := graph.DefaultPorts(g)
+	var ex view.Extractor
+	tpl, err := ex.Template(g, pt, nil, g.N(), 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, hosts, ok := tpl.AppendShape(nil, nil)
+	if !ok {
+		t.Fatal("grid template has no shape")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		key, hosts, _ = tpl.AppendShape(key[:0], hosts[:0])
+	}); n != 0 {
+		t.Errorf("AppendShape allocates %.1f objects per call in steady state, want 0", n)
+	}
+}

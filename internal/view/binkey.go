@@ -20,11 +20,12 @@ type keyScratch struct {
 	armStart, armNbr []int
 	armPorts         [][2]int
 	arms             [][3]int
-	classNodes       []int   // center + color-grouped rest; classes subslice it
-	classes          [][]int // class headers over classNodes
-	tmp              []int   // idOrder duplicate detection
-	order, pos       []int   // serialization ordering and its inverse
-	cand, best       []byte  // minimization candidates
+	classNodes       []int    // center + color-grouped rest; classes subslice it
+	classes          [][]int  // class headers over classNodes
+	tmp              []int    // idOrder duplicate detection
+	order, pos       []int    // serialization ordering and its inverse
+	cand, best       []byte   // minimization candidates
+	noLabels         []string // all empty: a template's views without labels
 }
 
 var keyScratchPool mem.Pool[keyScratch]
@@ -61,6 +62,47 @@ func (v *View) AppendBinKey(dst []byte) []byte {
 		return v.appendBinSerialize(dst, sc.order, sc.pos)
 	}
 	return v.minBinKey(dst, sc)
+}
+
+// AppendShape appends the template's shape to dst and the host node at
+// each of its canonical positions to hosts, and returns both. The shape is
+// the serialization of the template's views with every label empty, under
+// the order of their label-free refinement. That order is a function of the
+// unlabeled view's isomorphism class, so two templates with equal shapes
+// are isomorphic position by position. Labeled views instantiated from them
+// are then in the same class exactly when they carry the same labels at the
+// same canonical positions, which lets a caller memoize canonical keys by
+// (shape, labels in canonical order) across instances.
+//
+// ok is false, with dst and hosts returned unchanged, when the refinement
+// is not discrete: only then could an automorphism make the canonical
+// positions ambiguous. Extract never builds such templates — the ports at
+// the center separate its neighbors and each node's ports separate its
+// children — so that branch exists only to stay exact on arbitrary input.
+// Apart from growing dst and hosts, the call allocates nothing.
+func (t *Template) AppendShape(dst []byte, hosts []int) (shape []byte, canonHosts []int, ok bool) {
+	sc := keyScratchPool.Get()
+	defer keyScratchPool.Put(sc)
+	n := len(t.hosts)
+	if cap(sc.noLabels) < n {
+		sc.noLabels = make([]string, n)
+	}
+	v := View{Radius: t.radius, Adj: t.adj, Dist: t.dist, Ports: t.ports, IDs: t.ids, Labels: sc.noLabels[:n], NBound: t.nBound}
+	classes := v.refinedClassesInt(sc)
+	if len(classes) != n {
+		return dst, hosts, false
+	}
+	order := mem.Ints(sc.order, n)[:0]
+	for _, c := range classes {
+		order = append(order, c[0])
+	}
+	sc.order = order
+	sc.pos = mem.Ints(sc.pos, n)
+	dst = v.appendBinSerialize(dst, order, sc.pos)
+	for _, i := range order {
+		hosts = append(hosts, t.hosts[i])
+	}
+	return dst, hosts, true
 }
 
 // appendBinSerialize renders the view under the given node ordering into
