@@ -225,7 +225,9 @@ func portInstances(g *graph.Graph, nBound int) []core.Instance {
 type decoderSpace struct {
 	// classes lists the class keys (canonical view keys), sorted by key
 	// bytes once the corpus is indexed; index maps a key to its position.
-	// The sorted order fixes the decoder-mask bit order.
+	// The sorted order fixes the decoder-mask bit order, so the table's
+	// sampled rows follow the key order: a key that orders view nodes
+	// differently draws different masks from the same seed.
 	classes []string
 	index   map[string]int
 	// vecs caches the class of every node of each corpus instance, keyed by

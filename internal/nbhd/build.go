@@ -30,11 +30,13 @@ func appendLenPrefixed(b []byte, s string) []byte {
 // template's shape (view.Template.AppendShape) and the labels at the
 // shape's canonical positions, a pair that determines the view class, so
 // two nodes of different instances with isomorphic neighborhoods share one
-// canonicalization, one interner probe and one decide. Shapes are computed
-// lazily, on an instance's second labeling: the first labeling of every
-// instance is canonicalized directly, so builds that see each instance once
-// (ShardedFromLabeled, ShardedProverLabeled) pay nothing for the memo,
-// while ShardedAllLabelings sweeps hit it on all but a few views.
+// canonicalization, one interner probe and one decide. Every template has a
+// shape: the canonical node order is the port order, which labels do not
+// affect. Shapes are computed lazily, on an instance's second labeling:
+// the first labeling of every instance is canonicalized directly, so builds
+// that see each instance once (ShardedFromLabeled, ShardedProverLabeled)
+// pay nothing for the memo, while ShardedAllLabelings sweeps hit it on all
+// but a few views.
 //
 // The interner and memo decoder are shared across builders; everything
 // else, the shape memo included, is private to one goroutine.
@@ -77,9 +79,8 @@ type builder struct {
 	tpl     []*view.Template
 	tEdges  [][2]int
 	// Once the cached instance's shapes are computed (tShape is empty
-	// until then), tShape[v] is the shape id of node v's template (-1 when
-	// unshaped) and tHosts[tHostAt[v]:tHostAt[v+1]] its host nodes in
-	// canonical order.
+	// until then), tShape[v] is the shape id of node v's template and
+	// tHosts[tHostAt[v]:tHostAt[v+1]] its host nodes in canonical order.
 	tShape  []int32
 	tHostAt []int
 	tHosts  []int
@@ -160,12 +161,7 @@ func (b *builder) absorb(l core.Labeled) {
 			b.shapeTemplates()
 		}
 		for v, t := range b.tpl {
-			id := b.tShape[v]
-			if id < 0 {
-				handles = append(handles, b.canonicalize(t, l.Labels))
-				continue
-			}
-			kb := binary.AppendUvarint(b.keyBuf[:0], uint64(id))
+			kb := binary.AppendUvarint(b.keyBuf[:0], uint64(b.tShape[v]))
 			for _, w := range b.tHosts[b.tHostAt[v]:b.tHostAt[v+1]] {
 				kb = appendLenPrefixed(kb, l.Labels[w])
 			}
@@ -200,15 +196,11 @@ func (b *builder) shapeTemplates() {
 	b.tHostAt = append(b.tHostAt[:0], 0)
 	b.tHosts = b.tHosts[:0]
 	for _, t := range b.tpl {
-		var ok bool
-		b.shapeBuf, b.tHosts, ok = t.AppendShape(b.shapeBuf[:0], b.tHosts)
-		id := int32(-1)
-		if ok {
-			var seen bool
-			if id, seen = b.shapeIDs[string(b.shapeBuf)]; !seen {
-				id = int32(len(b.shapeIDs))
-				b.shapeIDs[string(b.shapeBuf)] = id
-			}
+		b.shapeBuf, b.tHosts = t.AppendShape(b.shapeBuf[:0], b.tHosts)
+		id, seen := b.shapeIDs[string(b.shapeBuf)]
+		if !seen {
+			id = int32(len(b.shapeIDs))
+			b.shapeIDs[string(b.shapeBuf)] = id
 		}
 		b.tShape = append(b.tShape, id)
 		b.tHostAt = append(b.tHostAt, len(b.tHosts))

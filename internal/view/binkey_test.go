@@ -152,7 +152,7 @@ func TestBinKeyPartitionPortsAndDuplicateIDs(t *testing.T) {
 	})
 	pt := graph.DefaultPorts(g)
 	idCases := []graph.IDs{
-		{7, 7, 3, 5}, // duplicate nonzero: disables the idOrder fast path
+		{7, 7, 3, 5}, // duplicate nonzero identifiers
 		{0, 1, 2, 3}, // zero mixed in
 		{9, 8, 7, 6}, // descending
 		{1, 2, 3, 4}, // ascending
@@ -170,7 +170,7 @@ func TestBinKeyPartitionPortsAndDuplicateIDs(t *testing.T) {
 
 // TestBinKeyCanonicalUnderRelabeling checks canonicity directly: the same
 // anonymous structure presented under permuted host-node numbering must
-// produce identical keys (the property the min-search guarantees), and the
+// produce identical keys (the property the port order guarantees), and the
 // oracle must agree with the key on every port assignment tried.
 func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	// C5 labeled twice with rotated node numbering.
@@ -217,16 +217,17 @@ func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	_ = muB
 }
 
-// ringView hand-builds a radius-2 anonymous view that Extract never
-// produces: the center reaches six unlabeled neighbors through one repeated
-// port, and every neighbor reaches its two ring neighbors through one
-// repeated port as well. ring lists the edges among the neighbors (local
-// nodes 1..6). Every neighbor then has the same distance, label, degree
-// and arm multiset, so refinement ends with one class of six nodes and only
-// minBinKey's permutation search makes the key canonical.
+// ringView hand-builds a radius-1 anonymous view: the center reaches its
+// six unlabeled neighbors (local nodes 1..6) through ports 1..6, and each
+// neighbor reaches the center through its port 1. ring lists directed edges
+// among the neighbors; for each (a, b), a reaches b through its port 2 and
+// b reaches a through its port 3. When ring is a union of directed cycles
+// covering every neighbor once, all six neighbors look alike locally —
+// same distance, label, degree, and port pattern — and only the center's
+// ports tell them apart.
 func ringView(ring [][2]int) *view.View {
 	v := &view.View{
-		Radius: 2,
+		Radius: 1,
 		Adj:    make([][]int, 7),
 		Dist:   []int{0, 1, 1, 1, 1, 1, 1},
 		Ports:  map[[2]int]int{},
@@ -241,10 +242,10 @@ func ringView(ring [][2]int) *view.View {
 		v.Ports[[2]int{b, a}] = pb
 	}
 	for i := 1; i <= 6; i++ {
-		link(view.Center, i, 1, 1)
+		link(view.Center, i, i, 1)
 	}
 	for _, e := range ring {
-		link(e[0], e[1], 2, 2)
+		link(e[0], e[1], 2, 3)
 	}
 	for i := range v.Adj {
 		slices.Sort(v.Adj[i])
@@ -276,29 +277,40 @@ func relabel(v *view.View, perm []int) *view.View {
 	return w
 }
 
-// TestBinKeyPermutationSearch covers the branch of minBinKey that refinement
-// cannot settle: on ringView's six indistinguishable neighbors the key must
-// still be invariant under every relabeling (so skipping the search fails
-// here), agree with the isomorphism oracle, and come out the same from
-// BinKey and from AppendBinKey into a non-empty buffer.
+// TestBinKeyPermutationSearch checks the key on views whose nodes are
+// locally alike: ringView's hexagon and two triangles (each neighbor's
+// port 2 leads on around its cycle), and the hexagon traversed the other
+// way. Under random renumberings of the local nodes the key must stay
+// invariant, agree with the isomorphism oracle against every base view,
+// and come out the same from BinKey and from AppendBinKey into a non-empty
+// buffer.
 func TestBinKeyPermutationSearch(t *testing.T) {
-	hexagon := ringView([][2]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 6}})
-	triangles := ringView([][2]int{{1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}})
-	if isomorphic(hexagon, triangles) {
-		t.Fatal("oracle: a hexagon and two triangles are isomorphic")
+	hexagon := ringView([][2]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 1}})
+	reversed := ringView([][2]int{{2, 1}, {3, 2}, {4, 3}, {5, 4}, {6, 5}, {1, 6}})
+	triangles := ringView([][2]int{{1, 2}, {2, 3}, {3, 1}, {4, 5}, {5, 6}, {6, 4}})
+	bases := []*view.View{hexagon, reversed, triangles}
+	for i, a := range bases {
+		for _, b := range bases[i+1:] {
+			if isomorphic(a, b) {
+				t.Fatal("oracle: two different rings are isomorphic")
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	for _, base := range []*view.View{hexagon, triangles} {
+	for _, base := range bases {
 		for trial := 0; trial < 20; trial++ {
 			perm := []int{view.Center, 1, 2, 3, 4, 5, 6}
 			rng.Shuffle(6, func(i, j int) { perm[i+1], perm[j+1] = perm[j+1], perm[i+1] })
 			mu := relabel(base, perm)
+			if !bytes.Equal(mu.BinKey(), base.BinKey()) {
+				t.Fatalf("perm %v: renumbering changed the key", perm)
+			}
 			prefix := []byte("prefix")
 			appended := mu.AppendBinKey(prefix)
 			if !bytes.Equal(appended[:len(prefix)], []byte("prefix")) || !bytes.Equal(appended[len(prefix):], mu.BinKey()) {
 				t.Fatalf("perm %v: AppendBinKey and BinKey disagree", perm)
 			}
-			for _, other := range []*view.View{hexagon, triangles} {
+			for _, other := range bases {
 				iso := isomorphic(mu, other)
 				if same := bytes.Equal(mu.BinKey(), other.BinKey()); iso != same {
 					t.Fatalf("perm %v: isomorphic=%v but equal keys=%v", perm, iso, same)
@@ -366,61 +378,99 @@ func TestKeyCacheCloneSafety(t *testing.T) {
 	}
 }
 
-// TestIDOrderSortCutoff exercises both sides of the idOrder crossover (the
-// insertion sort below the cutoff, sort.Slice above): keys must stay
-// canonical under host renumbering at both sizes.
+// TestIDOrderSortCutoff keys stars with 8 and 40 leaves, with identifiers
+// and anonymously, so the center's degree exceeds any small neighbor
+// buffer. Keys must be invariant under renumbering of the local nodes, and
+// agree with the oracle on stars whose hosts or center ports are numbered
+// the other way round.
 func TestIDOrderSortCutoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	for _, leaves := range []int{8, 40} {
-		star := func(order []int) (*graph.Graph, graph.IDs, []string, int) {
-			g := graph.New(leaves + 1)
-			for _, v := range order {
-				if err := g.AddEdge(0, v); err != nil {
+		for _, withIDs := range []bool{true, false} {
+			// star gives leaf k (1..leaves) label and identifier by k and
+			// puts it at host node k, or leaves+1-k when flipHosts; the
+			// center reaches leaf k through port k, or leaves+1-k when
+			// flipPorts.
+			star := func(flipHosts, flipPorts bool) *view.View {
+				g := graph.New(leaves + 1)
+				host := func(k int) int {
+					if flipHosts {
+						return leaves + 1 - k
+					}
+					return k
+				}
+				var ids graph.IDs
+				if withIDs {
+					ids = make(graph.IDs, leaves+1)
+					ids[0] = 1000
+				}
+				labels := make([]string, leaves+1)
+				labels[0] = "c"
+				for k := 1; k <= leaves; k++ {
+					if err := g.AddEdge(0, host(k)); err != nil {
+						t.Fatal(err)
+					}
+					if withIDs {
+						ids[host(k)] = 2000 + k
+					}
+					labels[host(k)] = fmt.Sprintf("leaf%d", k%5)
+				}
+				// perm[0][p-1] is the rank among the center's neighbors,
+				// that is the host index minus one, of the leaf behind port p.
+				perm := make([][]int, leaves+1)
+				perm[0] = make([]int, leaves)
+				for p := 1; p <= leaves; p++ {
+					k := p
+					if flipPorts {
+						k = leaves + 1 - p
+					}
+					perm[0][p-1] = host(k) - 1
+				}
+				for v := 1; v <= leaves; v++ {
+					perm[v] = []int{0}
+				}
+				pt, err := graph.PortsFromPerm(g, perm)
+				if err != nil {
 					t.Fatal(err)
 				}
+				return view.MustExtract(g, pt, ids, labels, leaves+1, 0, 1)
 			}
-			ids := make(graph.IDs, leaves+1)
-			labels := make([]string, leaves+1)
-			ids[0] = 1000
-			labels[0] = "c"
-			for v := 1; v <= leaves; v++ {
-				ids[v] = 2000 + v
-				labels[v] = fmt.Sprintf("leaf%d", v%5)
+			base := star(false, false)
+			for trial := 0; trial < 5; trial++ {
+				perm := make([]int, leaves+1)
+				for i := range perm {
+					perm[i] = i
+				}
+				rng.Shuffle(leaves, func(i, j int) { perm[i+1], perm[j+1] = perm[j+1], perm[i+1] })
+				if mu := relabel(base, perm); !bytes.Equal(mu.BinKey(), base.BinKey()) {
+					t.Fatalf("leaves=%d ids=%v: renumbering changed the key", leaves, withIDs)
+				}
 			}
-			return g, ids, labels, leaves + 1
-		}
-		asc := make([]int, leaves)
-		desc := make([]int, leaves)
-		for i := 0; i < leaves; i++ {
-			asc[i] = i + 1
-			desc[i] = leaves - i
-		}
-		gA, idsA, labelsA, n := star(asc)
-		gD, idsD, labelsD, _ := star(desc)
-		muA := view.MustExtract(gA, graph.DefaultPorts(gA), idsA, labelsA, n, 0, 1)
-		muD := view.MustExtract(gD, graph.DefaultPorts(gD), idsD, labelsD, n, 0, 1)
-		// Edge insertion order changed the port assignment; star ports from
-		// the center are the adjacency positions, so DefaultPorts gives the
-		// ascending star port p to neighbor with id 2000+p+1 and the
-		// descending star port p to id 2000+leaves-p. Those are genuinely
-		// different views; equality must hold only after aligning ports.
-		ptAligned := graph.DefaultPorts(gA)
-		muAligned := view.MustExtract(gA, ptAligned, idsA, labelsA, n, 0, 1)
-		if !isomorphic(muAligned, muA) || !bytes.Equal(muAligned.BinKey(), muA.BinKey()) {
-			t.Fatalf("leaves=%d: identical extraction disagrees with itself", leaves)
-		}
-		if isomorphic(muA, muD) != bytes.Equal(muA.BinKey(), muD.BinKey()) {
-			t.Fatalf("leaves=%d: oracle and key disagree on the port-permuted pair", leaves)
+			for _, c := range []struct {
+				flipHosts, flipPorts, iso bool
+			}{{true, false, true}, {false, true, false}, {true, true, false}} {
+				mu := star(c.flipHosts, c.flipPorts)
+				iso := isomorphic(mu, base)
+				if iso != c.iso || iso != bytes.Equal(mu.BinKey(), base.BinKey()) {
+					t.Fatalf("leaves=%d ids=%v flipHosts=%v flipPorts=%v: oracle %v, equal keys %v, want %v",
+						leaves, withIDs, c.flipHosts, c.flipPorts, iso, bytes.Equal(mu.BinKey(), base.BinKey()), c.iso)
+				}
+			}
 		}
 	}
 }
 
 // FuzzBinKeyKeyAgreement cross-checks the three equality notions — the
 // isomorphism oracle, the canonical key, and Equal — on fuzz-built view
-// pairs, including anonymous and duplicate-identifier cases.
+// pairs, including anonymous and duplicate-identifier cases. data[2]/3
+// picks the port numbering: 0 is DefaultPorts, anything else a numbering
+// drawn from the fuzz bytes.
 func FuzzBinKeyKeyAgreement(f *testing.F) {
 	f.Add([]byte{3, 0xff, 1, 0, 1, 2, 3, 4})
 	f.Add([]byte{4, 0x3f, 2, 1, 0, 0, 0, 0, 9, 9})
 	f.Add([]byte{5, 0xaa, 1, 2, 3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add([]byte{5, 0xff, 4, 0, 1, 2, 3, 4, 7, 1, 8, 2})
+	f.Add([]byte{7, 0x3f, 23, 1, 2, 0, 1, 0, 6, 3, 5, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -459,6 +509,23 @@ func FuzzBinKeyKeyAgreement(f *testing.F) {
 			labels[v] = string(rune('a' + int(data[(5+v)%len(data)])%3))
 		}
 		pt := graph.DefaultPorts(g)
+		if data[2]/3 != 0 {
+			perm := make([][]int, n)
+			for v := range perm {
+				perm[v] = make([]int, g.Degree(v))
+				for i := range perm[v] {
+					perm[v][i] = i
+				}
+				for i := len(perm[v]) - 1; i > 0; i-- {
+					j := int(data[(7*v+i+int(data[2]))%len(data)]) % (i + 1)
+					perm[v][i], perm[v][j] = perm[v][j], perm[v][i]
+				}
+			}
+			var err error
+			if pt, err = graph.PortsFromPerm(g, perm); err != nil {
+				t.Fatal(err)
+			}
+		}
 		c1 := int(data[4]) % n
 		c2 := int(data[len(data)-1]) % n
 		v1 := view.MustExtract(g, pt, ids, labels, n, c1, r)
@@ -483,26 +550,4 @@ func FuzzBinKeyKeyAgreement(f *testing.F) {
 			t.Fatalf("anonymous equality notions disagree: oracle=%v key=%v", aiso, abinEq)
 		}
 	})
-}
-
-// BenchmarkIDOrderCrossover measures identifier-ordered canonicalization at
-// view sizes straddling the insertion-sort/sort.Slice cutoff (24).
-func BenchmarkIDOrderCrossover(b *testing.B) {
-	for _, leaves := range []int{8, 16, 24, 32, 64, 128} {
-		g := graph.New(leaves + 1)
-		for v := 1; v <= leaves; v++ {
-			if err := g.AddEdge(0, v); err != nil {
-				b.Fatal(err)
-			}
-		}
-		pt := graph.DefaultPorts(g)
-		ids := graph.SequentialIDs(g.N())
-		labels := make([]string, g.N())
-		mu := view.MustExtract(g, pt, ids, labels, g.N(), 0, 1)
-		b.Run(fmt.Sprintf("n=%d", leaves+1), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = mu.Clone().BinKey()
-			}
-		})
-	}
 }

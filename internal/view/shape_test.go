@@ -1,7 +1,6 @@
 package view
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,10 +11,10 @@ import (
 
 // TestTemplateShapeDeterminesClass is the property behind the nbhd shape
 // memo. Over random connected graphs under random port numberings, at
-// radius 1 and 2, anonymous and with distinct identifiers: every template
-// Extract builds has a discrete label-free refinement, and two labeled
-// views get equal canonical keys exactly when their templates have equal
-// shapes and they carry the same labels at the same canonical positions.
+// radius 1 and 2, anonymous and with distinct identifiers: every shape
+// lists all of its template's hosts, center first, and two labeled views
+// get equal canonical keys exactly when their templates have equal shapes
+// and they carry the same labels at the same canonical positions.
 func TestTemplateShapeDeterminesClass(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	alphabet := []string{"a", "b", "c"}
@@ -50,10 +49,7 @@ func TestTemplateShapeDeterminesClass(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						key, hosts, ok := tpl.AppendShape(nil, nil)
-						if !ok {
-							t.Fatalf("graph %v node %d r=%d: label-free refinement is not discrete", g, v, r)
-						}
+						key, hosts := tpl.AppendShape(nil, nil)
 						if len(hosts) != tpl.N() || hosts[0] != v {
 							t.Fatalf("graph %v node %d r=%d: canonical hosts %v, want %d nodes starting at the center", g, v, r, hosts, tpl.N())
 						}
@@ -111,28 +107,4 @@ func randomPortPerm(g *graph.Graph, rng *rand.Rand) [][]int {
 		perm[v] = rng.Perm(g.Degree(v))
 	}
 	return perm
-}
-
-// TestAppendShapeNonDiscrete covers the branch Extract never reaches: a
-// center whose six neighbors share one port, so the label-free refinement
-// leaves them in one class. AppendShape must decline and leave its buffers
-// as they were.
-func TestAppendShapeNonDiscrete(t *testing.T) {
-	tpl := &Template{
-		radius: 1,
-		nBound: 7,
-		adj:    [][]int{{1, 2, 3, 4, 5, 6}, {0}, {0}, {0}, {0}, {0}, {0}},
-		dist:   []int{0, 1, 1, 1, 1, 1, 1},
-		ports:  map[[2]int]int{},
-		ids:    make([]int, 7),
-		hosts:  []int{0, 1, 2, 3, 4, 5, 6},
-	}
-	for i := 1; i <= 6; i++ {
-		tpl.ports[[2]int{0, i}] = 1
-		tpl.ports[[2]int{i, 0}] = 1
-	}
-	key, hosts, ok := tpl.AppendShape([]byte("k"), []int{9})
-	if ok || !bytes.Equal(key, []byte("k")) || len(hosts) != 1 || hosts[0] != 9 {
-		t.Fatalf("AppendShape on a non-discrete template = %q, %v, %v; want the buffers unchanged and ok=false", key, hosts, ok)
-	}
 }

@@ -21,6 +21,12 @@ import (
 // 0..N-1 with the center always local node 0 and nodes sorted by
 // (distance from center, host-graph index) at extraction time.
 //
+// The canonical key (BinKey) relies on two properties of every view: the
+// ports at each node are distinct, and every node is reachable from the
+// center through visible edges. The three producers of views guarantee
+// both: Extract and Template, internal/sim's assemble and
+// internal/sanitize's relabelView. A hand-built view must too.
+//
 // Views are immutable after extraction.
 type View struct {
 	// Radius is the r of view_r.
