@@ -425,3 +425,60 @@ func (p Promise) Classify(g *graph.Graph) int {
 		return 0
 	}
 }
+
+// TestRepresentatives checks the instance quotient on small families: P4
+// under its four port numberings falls into three classes (reflection
+// maps "port 1 toward the leaves" at one inner node onto the other), the
+// first instance of each class is kept in input order, identifiers and
+// NBound separate classes, and disconnected instances or instances without
+// ports are never merged.
+func TestRepresentatives(t *testing.T) {
+	p4 := graph.Path(4)
+	var ported []Instance
+	graph.EnumPorts(p4, func(pt *graph.Ports) bool {
+		ported = append(ported, Instance{G: p4, Prt: pt, NBound: 4})
+		return true
+	})
+	reps := Representatives(ported)
+	if len(reps) != 3 {
+		t.Fatalf("P4 under %d port numberings: %d classes, want 3", len(ported), len(reps))
+	}
+	same := func(a, b Instance) bool { return len(Representatives([]Instance{a, b})) == 1 }
+	next := 0
+	for j, inst := range ported {
+		opens := true
+		for _, r := range reps[:next] {
+			if same(r, inst) {
+				opens = false
+				break
+			}
+		}
+		if !opens {
+			continue
+		}
+		if next == len(reps) || reps[next].Prt != inst.Prt {
+			t.Fatalf("instance %d is the first of its class but not representative %d", j, next)
+		}
+		next++
+	}
+
+	anon := NewAnonymousInstance(p4)
+	cases := []struct {
+		name  string
+		insts []Instance
+		want  int
+	}{
+		{"relabeled copy", []Instance{anon, NewAnonymousInstance(graph.MustFromEdges(4, [][2]int{{1, 0}, {0, 3}, {3, 2}}))}, 1},
+		{"identifiers", []Instance{NewInstance(p4), anon}, 2},
+		{"identifier assignments", []Instance{NewInstance(p4), NewInstance(p4).WithIDs(graph.IDs{2, 1, 3, 4}, 4)}, 2},
+		{"NBound", []Instance{anon, anon.WithIDs(nil, 5)}, 2},
+		{"disconnected", []Instance{NewAnonymousInstance(graphtest.DisjointUnion(graph.Path(2), graph.Path(2))),
+			NewAnonymousInstance(graphtest.DisjointUnion(graph.Path(2), graph.Path(2)))}, 2},
+		{"no ports", []Instance{{G: p4, NBound: 4}, {G: p4, NBound: 4}}, 2},
+	}
+	for _, c := range cases {
+		if got := len(Representatives(c.insts)); got != c.want {
+			t.Errorf("%s: %d classes, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -67,6 +67,35 @@ func (inst Instance) Validate() error {
 	return nil
 }
 
+// Representatives returns the first instance of each port-preserving
+// isomorphism class of insts, in input order: two instances are in one
+// class when a bijection of their nodes preserves edges, ports,
+// identifiers and NBound (graph.Ports.AppendForm). Isomorphic instances
+// have the same labelings up to that bijection, hence the same views,
+// view edges and soundness verdicts, so a sweep over every labeling of
+// the representatives covers the same V(D,n) and the same violations as
+// one over insts. Disconnected instances, and instances without a port
+// assignment, are never merged.
+func Representatives(insts []Instance) []Instance {
+	out := make([]Instance, 0, len(insts))
+	seen := make(map[string]bool, len(insts))
+	var form []byte
+	for _, inst := range insts {
+		if inst.Prt != nil {
+			var ok bool
+			form, ok = inst.Prt.AppendForm(form[:0], inst.IDs, inst.NBound)
+			if ok {
+				if seen[string(form)] {
+					continue
+				}
+				seen[string(form)] = true
+			}
+		}
+		out = append(out, inst)
+	}
+	return out
+}
+
 // Labeled is an instance with a certificate assignment: the labeled
 // yes-instance tuple (G, prt, Id, ℓ) of Section 3 when the labels are
 // accepted everywhere.

@@ -19,7 +19,10 @@ import (
 // one on 2..maxN labeled nodes, as anonymous instances with every port
 // assignment. Together with ShardedAllLabelings over DegOneAlphabet this is
 // the exhaustive Lemma 3.1 slice of V(D, maxN) for the DegreeOne scheme
-// restricted to connected instances.
+// restricted to connected instances. Most of the list repeats a few
+// port-preserving isomorphism classes (for maxN = 4, 79 instances fall into
+// 6 classes: P2, P3, K1,3 and three port numberings of P4), and
+// ShardedAllLabelings sweeps one instance per class.
 func DegOneFamily(maxN int) []core.Instance {
 	var out []core.Instance
 	for n := 2; n <= maxN; n++ {

@@ -35,3 +35,16 @@ func TestEnumGraphsAllocs(t *testing.T) {
 		t.Errorf("EnumGraphs(4) allocates %.1f objects per full enumeration, want <= 8", n)
 	}
 }
+
+func TestAppendFormAllocs(t *testing.T) {
+	g := Petersen()
+	pt := DefaultPorts(g)
+	for _, ids := range []IDs{nil, SequentialIDs(g.N())} {
+		buf, _ := pt.AppendForm(nil, ids, g.N())
+		if n := testing.AllocsPerRun(50, func() {
+			buf, _ = pt.AppendForm(buf[:0], ids, g.N())
+		}); n != 0 {
+			t.Errorf("AppendForm (ids %v) allocates %.1f objects per call once its buffer has grown, want 0", ids != nil, n)
+		}
+	}
+}

@@ -1,6 +1,12 @@
 package graph
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+
+	"hidinglcp/internal/mem"
+)
 
 // Ports is a port assignment in the sense of Section 2.2: at every node v,
 // the incident edges are numbered bijectively with 1..deg(v). Port numbers
@@ -97,6 +103,95 @@ func (pt *Ports) MustPort(v, w int) int {
 		panic(fmt.Sprintf("graph.MustPort: %v", err))
 	}
 	return p
+}
+
+// formScratch holds AppendForm's breadth-first order and its inverse.
+type formScratch struct {
+	order, pos []int
+}
+
+var formScratchPool mem.Pool[formScratch]
+
+// AppendForm appends the canonical form of the port-numbered network
+// (pt, ids, nBound) to dst: two networks get equal forms iff a bijection of
+// their nodes preserves edges, the port numbers at both ends of every edge,
+// the identifiers and nBound. ids == nil is an anonymous network.
+//
+// Fixing a root fixes the whole isomorphism: a port-preserving bijection
+// that maps root to root maps the breadth-first order that takes each
+// node's neighbors in port order onto the other network's, so the
+// serialization under that order (see appendRooted) is equal for
+// isomorphic networks, and it determines the network up to renaming. The
+// form is the byte-wise minimum of the serialization over all n roots,
+// which costs O(n·(n+m)) and no search.
+//
+// ok is false, with dst returned unextended, when the network is empty or
+// disconnected, has a port gap (InducedPorts) or ids does not cover every
+// node: such a network gets no form and is equal only to itself. Apart from
+// growing dst to twice the form's length, the call allocates nothing.
+func (pt *Ports) AppendForm(dst []byte, ids IDs, nBound int) (form []byte, ok bool) {
+	n := len(pt.nbrByPort)
+	if n == 0 || (ids != nil && len(ids) != n) {
+		return dst, false
+	}
+	sc := formScratchPool.Get()
+	defer formScratchPool.Put(sc)
+	start, bestEnd := len(dst), len(dst)
+	for root := 0; root < n; root++ {
+		mid := len(dst)
+		if dst, ok = pt.appendRooted(dst, sc, ids, nBound, root); !ok {
+			return dst[:start], false
+		}
+		if root == 0 || bytes.Compare(dst[mid:], dst[start:bestEnd]) < 0 {
+			bestEnd = start + copy(dst[start:], dst[mid:])
+		}
+		dst = dst[:bestEnd]
+	}
+	return dst, true
+}
+
+// appendRooted appends AppendForm's serialization from root: the varints
+// n and nBound and an anonymity flag, then, for each node of the
+// breadth-first order from root that takes every node's unseen neighbors
+// in port order, its identifier (omitted when anonymous), its degree and
+// the order positions of its neighbors in port order. An edge's port at
+// its far end needs no field of its own: it is where the near end's
+// position sits in the far end's row. ok is false when the order misses a
+// node or meets a port gap.
+func (pt *Ports) appendRooted(dst []byte, sc *formScratch, ids IDs, nBound, root int) ([]byte, bool) {
+	n := len(pt.nbrByPort)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, uint64(nBound))
+	if ids == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, 1)
+	}
+	pos := mem.Ints(sc.pos, n)
+	order := mem.Ints(sc.order, n)[:1]
+	sc.pos, sc.order = pos, order
+	for i := range pos {
+		pos[i] = -1
+	}
+	order[0], pos[root] = root, 0
+	for k := 0; k < len(order); k++ {
+		v := order[k]
+		if ids != nil {
+			dst = binary.AppendVarint(dst, int64(ids[v]))
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(pt.nbrByPort[v])))
+		for _, w := range pt.nbrByPort[v] {
+			if w < 0 {
+				return dst, false
+			}
+			if pos[w] < 0 {
+				pos[w] = len(order)
+				order = append(order, w)
+			}
+			dst = binary.AppendUvarint(dst, uint64(pos[w]))
+		}
+	}
+	return dst, len(order) == n
 }
 
 // InducedPorts returns the restriction of pt to the subgraph sub of the

@@ -142,35 +142,55 @@ func e15Slice() []core.Instance {
 	return insts
 }
 
-// TestBuildCanonicalizesOncePerBuild pins the instance-major deal of
-// ShardedAllLabelings and the builders' shape memo. When there are at least
-// as many instances as shards, every instance lives in one shard, so the
-// build extracts each instance's templates once, whatever the shard and
-// worker counts. A builder canonicalizes the views of an instance's first
-// labeling directly and, after that, each view class at most once, so at
-// one worker views.extracted is exact, and at several it is bounded by
-// workers × intern.classes plus the instances' total size: which classes
-// a worker meets first under which labeling depends on how the shards are
-// dealt. The per-builder verdict table bounds memo-decoder consults by one
-// per class per worker.
+// TestBuildCanonicalizesOncePerBuild pins the quotient and the
+// instance-major deal of ShardedAllLabelings and the builders' shape memo.
+// The build sweeps one instance per port-preserving isomorphism class.
+// When there are at least as many classes as shards, every class lives in
+// one shard, so the build extracts each representative's templates
+// exactly once, whatever the shard and worker counts. With more shards
+// than classes, a representative's labeling parts land on several shards,
+// and whether one worker meets two parts of it in a row depends on
+// scheduling: templates.built then lies between the class count and the
+// number of (instance, part) units. A builder canonicalizes the views of
+// an instance's first labeling directly and, after that, each view class
+// at most once, so at one worker views.extracted is exact, and at several
+// it is bounded by workers × intern.classes plus the representatives'
+// total size: which classes a worker meets first under which labeling
+// depends on how the shards are dealt. The per-builder verdict table
+// bounds memo-decoder consults by one per class per worker. At every shard
+// and worker count the build absorbs every labeling of every
+// representative once (nbhd.instances).
 func TestBuildCanonicalizesOncePerBuild(t *testing.T) {
 	cases := []struct {
-		name             string
-		d                core.Decoder
-		alphabet         []string
-		insts            []core.Instance
-		views, templates int64
+		name           string
+		d              core.Decoder
+		alphabet       []string
+		insts          []core.Instance
+		views, classes int64
+		labeled        int64 // labelings of the representatives
 	}{
 		{"degree-one/n4", decoders.DegreeOne().Decoder,
-			decoders.DegOneAlphabet(), decoders.DegOneFamily(4), 803, 79},
+			decoders.DegOneAlphabet(), decoders.DegOneFamily(4), 516, 6, 1104},
 		{"E15/k3", decoders.DegreeOneK(3).Decoder,
-			decoders.DegOneKAlphabet(3), e15Slice(), 4817, 32},
+			decoders.DegOneKAlphabet(3), e15Slice(), 4751, 15, 8275},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var nodes int64
-			for _, inst := range c.insts {
+			reps := core.Representatives(c.insts)
+			if int64(len(reps)) != c.classes {
+				t.Fatalf("%d instances in %d classes, want %d", len(c.insts), len(reps), c.classes)
+			}
+			var nodes, labeled int64
+			for _, inst := range reps {
 				nodes += int64(inst.G.N())
+				l := int64(1)
+				for range inst.G.N() {
+					l *= int64(len(c.alphabet))
+				}
+				labeled += l
+			}
+			if labeled != c.labeled {
+				t.Fatalf("representatives have %d labelings, want %d", labeled, c.labeled)
 			}
 			se := ShardedAllLabelings(c.alphabet, c.insts...)
 			for _, sw := range [][2]int{{1, 1}, {8, 2}, {16, 4}} {
@@ -182,14 +202,25 @@ func TestBuildCanonicalizesOncePerBuild(t *testing.T) {
 				views := sc.Counter("nbhd.views.extracted").Value()
 				templates := sc.Counter("nbhd.templates.built").Value()
 				classes := sc.Gauge("nbhd.intern.classes").Value()
-				if templates != c.templates {
-					t.Errorf("shards=%d workers=%d: templates.built=%d, want %d", shards, workers, templates, c.templates)
+				if got := sc.Counter("nbhd.instances").Value(); got != c.labeled {
+					t.Errorf("shards=%d workers=%d: instances=%d, want %d", shards, workers, got, c.labeled)
+				}
+				if int64(shards) <= c.classes {
+					if templates != c.classes {
+						t.Errorf("shards=%d workers=%d: templates.built=%d, want %d", shards, workers, templates, c.classes)
+					}
+				} else {
+					units := c.classes * ((int64(shards) + c.classes - 1) / c.classes)
+					if templates < c.classes || templates > units {
+						t.Errorf("shards=%d workers=%d: templates.built=%d outside [classes %d, (instance, part) units %d]",
+							shards, workers, templates, c.classes, units)
+					}
 				}
 				if workers == 1 && views != c.views {
 					t.Errorf("shards=%d workers=%d: views.extracted=%d, want %d", shards, workers, views, c.views)
 				}
 				if limit := int64(workers)*classes + nodes; views > limit {
-					t.Errorf("shards=%d workers=%d: views.extracted=%d > workers × intern.classes + Σ instance sizes = %d",
+					t.Errorf("shards=%d workers=%d: views.extracted=%d > workers × intern.classes + Σ representative sizes = %d",
 						shards, workers, views, limit)
 				}
 				calls := sc.Counter("nbhd.decode.calls").Value()

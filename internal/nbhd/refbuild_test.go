@@ -207,6 +207,49 @@ func TestBuildMatchesReference(t *testing.T) {
 			compareAgainstReference(t, sng, keys, edges, loops)
 		})
 	}
+
+	// The production path: ShardedAllLabelings sweeps one instance per
+	// port-preserving isomorphism class, and must build what the
+	// reference builds from every instance of the family.
+	c4Ports := func() []core.Instance {
+		g := graph.MustCycle(4)
+		var insts []core.Instance
+		graph.EnumPorts(g, func(pt *graph.Ports) bool {
+			insts = append(insts, core.Instance{G: g, Prt: pt, IDs: graph.SequentialIDs(4), NBound: 4})
+			return true
+		})
+		return insts
+	}
+	twoEdges := graph.MustFromEdges(4, [][2]int{{0, 1}, {2, 3}})
+	withDisconnected := append(decoders.DegOneFamily(3),
+		core.NewAnonymousInstance(twoEdges), core.NewAnonymousInstance(twoEdges.Clone()))
+	quotients := []struct {
+		name     string
+		d        core.Decoder
+		alphabet []string
+		insts    []core.Instance
+	}{
+		{"quotient/degree-one-n4", decoders.DegreeOne().Decoder, decoders.DegOneAlphabet(), decoders.DegOneFamily(4)},
+		{"quotient/degree-one-k3-E15-slice", decoders.DegreeOneK(3).Decoder, decoders.DegOneKAlphabet(3), e15Slice()},
+		{"quotient/shatter-with-ids-all-ports", decoders.Shatter().Decoder, []string{"0", "1"}, c4Ports()},
+		// Shatter accepts none of these labels; a decoder that accepts
+		// every view puts each (identifier, port) pattern into V(D,n).
+		{"quotient/accept-all-with-ids-all-ports", core.NewDecoder(1, false, func(*view.View) bool { return true }), []string{"0", "1"}, c4Ports()},
+		{"quotient/degree-one-with-disconnected", decoders.DegreeOne().Decoder, decoders.DegOneAlphabet(), withDisconnected},
+	}
+	for _, tc := range quotients {
+		t.Run(tc.name, func(t *testing.T) {
+			keys, edges, loops := referenceBuild(t, tc.d, allLabelings(tc.alphabet, tc.insts...))
+			se := ShardedAllLabelings(tc.alphabet, tc.insts...)
+			for _, sw := range [][2]int{{1, 1}, {4, 3}} {
+				ng, err := BuildShardedCtx(context.Background(), obs.Scope{}, tc.d, se, sw[0], sw[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareAgainstReference(t, ng, keys, edges, loops)
+			}
+		})
+	}
 }
 
 // shardedFromEnum adapts an enumerator factory to a ShardedEnumerator whose

@@ -88,25 +88,40 @@ func ShardedProverLabeled(s core.Scheme, insts ...core.Instance) ShardedEnumerat
 	}
 }
 
-// ShardedAllLabelings produces every labeling of every instance over the
-// given alphabet (|alphabet|^n labelings per instance). This is the
-// Lemma 3.1 search restricted to a family and an alphabet; callers keep
-// instances small. Shards are dealt instance-major: with k shards each
-// instance splits into ceil(k/len(insts)) labeling-prefix parts
+// ShardedAllLabelings produces every labeling of one instance per
+// port-preserving isomorphism class of insts over the given alphabet
+// (|alphabet|^n labelings per instance). This is the Lemma 3.1 search
+// restricted to a family and an alphabet; callers keep instances small.
+//
+// The instance list is quotiented when the enumerator is constructed
+// (core.Representatives): the first instance of each class, in input
+// order, stands for the class. Isomorphic instances contribute the same
+// views and view edges, so every build over the quotient equals the build
+// over insts; DegOneFamily(4), for one, holds 79 instances in 6 classes.
+// Disconnected instances are never merged.
+//
+// Shards are dealt instance-major over the representatives: with k shards
+// each representative splits into ceil(k/classes) labeling-prefix parts
 // (graph.EnumLabelingsShard) — a single part whenever there are at least
-// as many instances as shards — and the (instance, part) units go
+// as many classes as shards — and the (instance, part) units go
 // round-robin to the shards in sequential order. No shard holds two parts
-// of one instance, so one builder extracts each instance's templates, and
-// canonicalizes its first labeling directly, once rather than once per
-// shard; the builder's shape memo serves the instance's later labelings.
-// A single-instance space degenerates to the plain labeling-prefix split.
+// of one instance, so with at least as many classes as shards one builder
+// extracts each instance's templates, and canonicalizes its first
+// labeling directly, once; the builder's shape memo serves the instance's
+// later labelings. The quotient often leaves fewer classes than shards
+// (6 classes under the default 4 shards per worker on two workers); then
+// an instance's parts land on several shards, and which worker reuses a
+// template depends on scheduling. A single-instance space degenerates to
+// the plain labeling-prefix split.
+//
 // The yielded Labeled's label slice is reused across labelings of one
 // instance and is valid only during the yield; copy it to retain (the
 // builders copy label strings into views immediately).
 func ShardedAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
+	reps := core.Representatives(insts)
 	return &sharded{
-		seq:   allLabelingsShard(alphabet, insts, 0, 1),
-		shard: func(i, k int) Enumerator { return allLabelingsShard(alphabet, insts, i, k) },
+		seq:   allLabelingsShard(alphabet, reps, 0, 1),
+		shard: func(i, k int) Enumerator { return allLabelingsShard(alphabet, reps, i, k) },
 	}
 }
 

@@ -147,13 +147,14 @@ func TestShardedEnumeratorPartition(t *testing.T) {
 	}
 }
 
-// connectedInstances returns m distinct anonymous instances: the connected
-// graphs on 2 to 5 nodes in enumeration order.
+// connectedInstances returns m pairwise non-isomorphic instances: the
+// connected graphs on 2 to 5 nodes in enumeration order, with sequential
+// identifiers, so that ShardedAllLabelings keeps every one of them.
 func connectedInstances(m int) []core.Instance {
 	var out []core.Instance
 	for n := 2; n <= 5 && len(out) < m; n++ {
 		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
-			out = append(out, core.NewAnonymousInstance(g.Clone()))
+			out = append(out, core.NewInstance(g.Clone()))
 			return len(out) < m
 		})
 	}
