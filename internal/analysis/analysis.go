@@ -6,7 +6,7 @@
 // library's go/ast, go/parser, and go/types so the linter works offline
 // with no external modules.
 //
-// Twelve analyzers are provided (see All). Five enforce the determinism
+// Eleven analyzers are provided (see All). Five enforce the determinism
 // contract:
 //
 //   - decoderpurity: a Decide method must not write receiver fields,
@@ -29,13 +29,11 @@
 //     observability and logging sinks; raw label bytes must never become
 //     observable — only lengths and digests (obs.Redact*, view.KeyDigest).
 //
-// And four audit the concurrent pipelines:
+// And three audit the concurrent pipelines (copies of values holding a
+// lock or a typed atomic are left to go vet's copylocks pass):
 //
 //   - atomicmix: a location accessed through sync/atomic must never also
 //     be accessed plainly.
-//   - mutexcopy: values containing sync primitives or typed atomics must
-//     not be copied (by-value parameters, receivers, assignments, range
-//     clauses).
 //   - loopcapture: goroutines spawned in a loop take their iteration state
 //     as arguments, never by capture.
 //   - wgmisuse: WaitGroup.Add precedes the go statement it accounts for.
@@ -126,7 +124,6 @@ func All() []*Analyzer {
 		ObsPurityAnalyzer,
 		CertflowAnalyzer,
 		AtomicMixAnalyzer,
-		MutexCopyAnalyzer,
 		LoopCaptureAnalyzer,
 		WGMisuseAnalyzer,
 		PoolEscapeAnalyzer,

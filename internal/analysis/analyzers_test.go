@@ -38,10 +38,6 @@ func TestAtomicMix(t *testing.T) {
 	analysistest.Run(t, "testdata", "atomicmix", analysis.AtomicMixAnalyzer)
 }
 
-func TestMutexCopy(t *testing.T) {
-	analysistest.Run(t, "testdata", "mutexcopy", analysis.MutexCopyAnalyzer)
-}
-
 func TestLoopCapture(t *testing.T) {
 	analysistest.Run(t, "testdata", "loopcapture", analysis.LoopCaptureAnalyzer)
 }
@@ -71,7 +67,7 @@ func TestAllListsEveryAnalyzer(t *testing.T) {
 	}
 	for _, want := range []string{
 		"decoderpurity", "maporder", "nondet", "anonid", "obspurity",
-		"certflow", "atomicmix", "mutexcopy", "loopcapture", "wgmisuse",
+		"certflow", "atomicmix", "loopcapture", "wgmisuse",
 		"poolescape", "ctxflow",
 	} {
 		if !names[want] {

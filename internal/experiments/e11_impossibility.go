@@ -245,12 +245,12 @@ type decoderSpace struct {
 	adjCache map[*core.Instance]*classAdj
 
 	// Scratch for classVector, which runs on one goroutine: the template
-	// extractor, the view refilled per node, its key buffer, and the
+	// extractor, the skeleton rewritten per node, its key buffer, and the
 	// all-empty labeling.
-	ex      view.Extractor
-	scratch view.View
-	key     []byte
-	labels  []string
+	ex     view.Extractor
+	skel   view.Skeleton
+	key    []byte
+	labels []string
 }
 
 // classAdj is the class-level slice of a yes corpus: adj[c] is the bitmask
@@ -296,9 +296,9 @@ func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
 
 // classVector returns the class of every node of inst, numbering a class
 // not yet indexed as len(classes). A class is the canonical key of the
-// node's anonymous, all-empty-label radius-1 view: the view is refilled from
-// an identifier-free template into one scratch view and keyed into one
-// reused buffer, so only a new class copies its key.
+// node's anonymous, all-empty-label radius-1 view: the identifier-free
+// template's skeleton is written into one reused Skeleton and the empty
+// labels spliced into one reused buffer, so only a new class copies its key.
 func (s *decoderSpace) classVector(inst core.Instance) ([]int, error) {
 	n := inst.G.N()
 	if cap(s.labels) < n {
@@ -311,7 +311,8 @@ func (s *decoderSpace) classVector(inst core.Instance) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", v, err)
 		}
-		s.key = t.InstantiateInto(&s.scratch, labels).AppendBinKey(s.key[:0])
+		t.SkeletonInto(&s.skel)
+		s.key = s.skel.AppendKey(s.key[:0], labels)
 		id, ok := s.index[string(s.key)]
 		if !ok {
 			id = len(s.classes)

@@ -39,9 +39,9 @@ func TestPairSetSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAbsorbShapeMemoAllocs pins the builders' steady state at zero
-// allocations: once an instance's shapes are computed and its views'
-// classes are in the shape memo, absorbing another labeling whose views
-// all hit the memo must not touch the heap.
+// allocations: once an instance's skeletons are written and its views'
+// classes are interned and decided, absorbing another labeling whose views
+// all hit the interner must not touch the heap.
 func TestAbsorbShapeMemoAllocs(t *testing.T) {
 	s := decoders.DegreeOne()
 	in := view.NewInterner()
@@ -50,20 +50,21 @@ func TestAbsorbShapeMemoAllocs(t *testing.T) {
 	a := decoders.DegOneAlphabet()
 	first := core.MustNewLabeled(inst, []string{a[0], a[1], a[2], a[3]})
 	second := core.MustNewLabeled(inst, []string{a[1], a[0], a[3], a[2]})
-	// The first labeling is canonicalized directly; the second computes
-	// the shapes and fills the memo; a third pass puts the first
-	// labeling's classes in the memo as well.
+	// The first pass writes the skeletons and interns both labelings'
+	// classes.
 	b.absorb(first)
 	b.absorb(second)
-	b.absorb(first)
-	hits := b.nTmplMemoHits
+	hits := b.nLookupHits
 	if n := testing.AllocsPerRun(100, func() {
 		b.absorb(second)
 		b.absorb(first)
 	}); n != 0 {
-		t.Errorf("absorbing memo-hit labelings allocates %.1f objects per pair, want 0", n)
+		t.Errorf("absorbing labelings with interned classes allocates %.1f objects per pair, want 0", n)
 	}
-	if want := hits + 101*2*int64(inst.G.N()); b.nTmplMemoHits != want {
-		t.Errorf("shape-memo hits = %d, want %d (every view of every measured absorb)", b.nTmplMemoHits, want)
+	if want := hits + 101*2*int64(inst.G.N()); b.nLookupHits != want {
+		t.Errorf("interner hits = %d, want %d (every view of every measured absorb)", b.nLookupHits, want)
+	}
+	if b.nTemplatesBuilt != 1 {
+		t.Errorf("templates built %d times, want once for the one instance", b.nTemplatesBuilt)
 	}
 }

@@ -2,7 +2,6 @@ package nbhd
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -11,35 +10,26 @@ import (
 	"hidinglcp/internal/view"
 )
 
-// appendLenPrefixed appends s with a varint length prefix, making
-// concatenations of several strings unambiguous.
-func appendLenPrefixed(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // builder is one goroutine's accumulator for the Lemma 3.1 construction,
 // running on the canonical-key fast path: views are deduplicated through a
 // shared view.Interner into dense handles, the decided, accepting and loop
-// sets are handle-indexed bool slices instead of map[string] tables, a
+// sets are handle-indexed bool slices instead of map[string] tables, and a
 // builder consults the shared core.MemoDecoder (one inner Decide per view
-// class across all workers) at most once per class, and views whose class
-// the builder has already met skip canonicalization through the shape memo.
+// class across all workers) at most once per class.
 //
-// The shape memo spans every instance the builder absorbs. It is keyed on a
-// template's shape (view.Template.AppendShape) and the labels at the
-// shape's canonical positions, a pair that determines the view class, so
-// two nodes of different instances with isomorphic neighborhoods share one
-// canonicalization, one interner probe and one decide. Every template has a
-// shape: the canonical node order is the port order, which labels do not
-// affect. Shapes are computed lazily, on an instance's second labeling:
-// the first labeling of every instance is canonicalized directly, so builds
-// that see each instance once (ShardedFromLabeled, ShardedProverLabeled)
-// pay nothing for the memo, while ShardedAllLabelings sweeps hit it on all
-// but a few views.
+// Keys come from skeletons. When the cached instance changes, the builder
+// writes each node's template skeleton (view.Template.SkeletonInto) into a
+// reused buffer; after that, a view's key is its skeleton with the labels
+// spliced in (view.Skeleton.AppendKey), probed with Interner.LookupKey. A
+// view is instantiated only on an interner miss, and the first decide of a
+// class the builder has not met runs on the interner's representative.
+//
+// Only edges and loops between accepting classes are accumulated, the only
+// ones assemble keeps: every handle of an absorbed instance has been
+// decided by this builder, and a verdict depends only on the class.
 //
 // The interner and memo decoder are shared across builders; everything
-// else, the shape memo included, is private to one goroutine.
+// else is private to one goroutine.
 type builder struct {
 	md    *core.MemoDecoder
 	in    *view.Interner
@@ -56,61 +46,41 @@ type builder struct {
 	edges     pairSet
 	handles   []view.Handle
 
-	// arena backs the instantiated candidate views: the interner may retain
-	// any of them as a class representative, so they are slab-allocated and
-	// released wholesale with the builder instead of one heap object per
-	// canonicalization.
+	// arena backs the views instantiated on interner misses: the interner
+	// retains each as its class representative, so they are slab-allocated
+	// and released wholesale with the builder instead of one heap object
+	// per class.
 	arena view.Arena
-	// scratch probes the interner before any arena allocation: most
-	// canonicalizations are still interner hits (another instance or
-	// another worker saw the class first), and for those the lookup view
-	// never needs to outlive the absorb call. probeKey holds the scratch's
-	// canonical key, computed once per canonicalization and reused for the
-	// intern on a lookup miss.
-	scratch  view.View
-	probeKey []byte
+	// keyBuf holds the current view's spliced key, reused across views.
+	keyBuf []byte
 
 	// Single-entry template cache, keyed on the identity of the instance's
-	// label-independent parts.
+	// label-independent parts: tpl[v] is node v's template and skel[v] its
+	// skeleton. skel only grows, so its buffers are reused across
+	// instances.
 	tG      *graph.Graph
 	tPrt    *graph.Ports
 	tNBound int
 	tIDs    *int
 	tpl     []*view.Template
+	skel    []view.Skeleton
 	tEdges  [][2]int
-	// Once the cached instance's shapes are computed (tShape is empty
-	// until then), tShape[v] is the shape id of node v's template and
-	// tHosts[tHostAt[v]:tHostAt[v+1]] its host nodes in canonical order.
-	tShape  []int32
-	tHostAt []int
-	tHosts  []int
-
-	// shapeIDs numbers the distinct shapes this builder has met, and memo
-	// maps (shape id, labels at the canonical hosts) to the interned handle
-	// of that view class. Both persist across instances.
-	shapeIDs map[string]int32
-	memo     map[string]view.Handle
-	shapeBuf []byte
-	keyBuf   []byte
 
 	// Plain (non-atomic) tallies, private to the owning goroutine; the
 	// parallel driver reads them only after its WaitGroup barrier.
 	nInstances      int64 // labeled instances absorbed
-	nViews          int64 // views canonicalized and probed in the interner
-	nLookupHits     int64 // scratch-probe interner hits (no arena copy needed)
-	nTmplMemoHits   int64 // views served from the shape memo
+	nViews          int64 // views keyed and probed in the interner
+	nLookupHits     int64 // LookupKey hits (no instantiation needed)
 	nTemplatesBuilt int64 // template cache rebuilds (instance identity changed)
 }
 
 func newBuilder(d core.Decoder, md *core.MemoDecoder, in *view.Interner, where string) *builder {
 	return &builder{
-		md:       md,
-		in:       in,
-		where:    where,
-		anon:     d.Anonymous(),
-		r:        d.Rounds(),
-		shapeIDs: make(map[string]int32),
-		memo:     make(map[string]view.Handle),
+		md:    md,
+		in:    in,
+		where: where,
+		anon:  d.Anonymous(),
+		r:     d.Rounds(),
 	}
 }
 
@@ -136,52 +106,21 @@ func (b *builder) absorb(l core.Labeled) {
 	if len(ids) > 0 {
 		idsHead = &ids[0]
 	}
-	handles := b.handles[:0]
 	if b.tpl == nil || b.tG != l.G || b.tPrt != l.Prt || b.tNBound != l.NBound || b.tIDs != idsHead {
-		n := l.G.N()
-		b.tpl = b.tpl[:0]
-		for v := 0; v < n; v++ {
-			t, err := b.ex.Template(l.G, l.Prt, ids, l.NBound, v, b.r)
-			if err != nil {
-				// Enumerators produce valid instances by construction.
-				panic(fmt.Sprintf("%s: invalid instance from enumerator: %v", b.where, fmt.Errorf("node %d: %w", v, err)))
-			}
-			b.tpl = append(b.tpl, t)
-		}
-		b.tEdges = l.G.Edges()
+		b.cacheTemplates(l, ids)
 		b.tG, b.tPrt, b.tNBound, b.tIDs = l.G, l.Prt, l.NBound, idsHead
-		b.tShape = b.tShape[:0]
-		b.nTemplatesBuilt++
-		// First labeling of this instance: canonicalize directly.
-		for _, t := range b.tpl {
-			handles = append(handles, b.canonicalize(t, l.Labels))
-		}
-	} else {
-		if len(b.tShape) == 0 {
-			b.shapeTemplates()
-		}
-		for v, t := range b.tpl {
-			kb := binary.AppendUvarint(b.keyBuf[:0], uint64(b.tShape[v]))
-			for _, w := range b.tHosts[b.tHostAt[v]:b.tHostAt[v+1]] {
-				kb = appendLenPrefixed(kb, l.Labels[w])
-			}
-			b.keyBuf = kb
-			h, ok := b.memo[string(kb)]
-			if ok {
-				// A view of this class was already interned and decided by
-				// this builder.
-				b.nTmplMemoHits++
-			} else {
-				h = b.canonicalize(t, l.Labels)
-				b.memo[string(kb)] = h
-			}
-			handles = append(handles, h)
-		}
+	}
+	handles := b.handles[:0]
+	for v, t := range b.tpl {
+		handles = append(handles, b.canonicalize(t, &b.skel[v], l.Labels))
 	}
 	b.handles = handles
 
 	for _, e := range b.tEdges {
 		ha, hb := handles[e[0]], handles[e[1]]
+		if !b.accepting[ha] || !b.accepting[hb] {
+			continue
+		}
 		if ha == hb {
 			b.loops[ha] = true
 			continue
@@ -190,47 +129,47 @@ func (b *builder) absorb(l core.Labeled) {
 	}
 }
 
-// shapeTemplates computes the cached instance's template shapes and
-// numbers them in the builder-wide shape table.
-func (b *builder) shapeTemplates() {
-	b.tHostAt = append(b.tHostAt[:0], 0)
-	b.tHosts = b.tHosts[:0]
-	for _, t := range b.tpl {
-		b.shapeBuf, b.tHosts = t.AppendShape(b.shapeBuf[:0], b.tHosts)
-		id, seen := b.shapeIDs[string(b.shapeBuf)]
-		if !seen {
-			id = int32(len(b.shapeIDs))
-			b.shapeIDs[string(b.shapeBuf)] = id
-		}
-		b.tShape = append(b.tShape, id)
-		b.tHostAt = append(b.tHostAt, len(b.tHosts))
+// cacheTemplates extracts the templates of l's nodes and writes their
+// skeletons into the builder's reused buffers.
+func (b *builder) cacheTemplates(l core.Labeled, ids graph.IDs) {
+	n := l.G.N()
+	b.tpl = b.tpl[:0]
+	if len(b.skel) < n {
+		b.skel = append(b.skel, make([]view.Skeleton, n-len(b.skel))...)
 	}
+	for v := 0; v < n; v++ {
+		t, err := b.ex.Template(l.G, l.Prt, ids, l.NBound, v, b.r)
+		if err != nil {
+			// Enumerators produce valid instances by construction.
+			panic(fmt.Sprintf("%s: invalid instance from enumerator: %v", b.where, fmt.Errorf("node %d: %w", v, err)))
+		}
+		b.tpl = append(b.tpl, t)
+		t.SkeletonInto(&b.skel[v])
+	}
+	b.tEdges = l.G.Edges()
+	b.nTemplatesBuilt++
 }
 
-// canonicalize finds the class of t's view under labels, interning it if
-// it is new, and decides it if this builder has not yet.
-func (b *builder) canonicalize(t *view.Template, labels []string) view.Handle {
+// canonicalize finds the class of t's view under labels through its
+// skeleton sk, interning it if it is new, and decides it if this builder
+// has not yet.
+func (b *builder) canonicalize(t *view.Template, sk *view.Skeleton, labels []string) view.Handle {
 	b.nViews++
-	// Probe with the scratch view first: on a hit (the common case) no
-	// durable view is needed at all. Only a genuinely new class — or a race
-	// where another worker interns it between LookupKey and InternKey,
-	// which InternKey resolves — pays for an arena-backed copy the interner
-	// may retain as representative; it is interned under the key already
-	// in probeKey. DecideInterned never retains the view (decoders are
-	// pure), so deciding on the scratch is safe.
-	mu := t.InstantiateInto(&b.scratch, labels)
-	b.probeKey = mu.AppendBinKey(b.probeKey[:0])
-	h, ok := b.in.LookupKey(b.probeKey)
+	// On a hit (the common case) no view is instantiated at all. Only a
+	// genuinely new class — or a race where another worker interns it
+	// between LookupKey and InternKey, which InternKey resolves — pays for
+	// an arena-backed view the interner may retain as representative.
+	b.keyBuf = sk.AppendKey(b.keyBuf[:0], labels)
+	h, ok := b.in.LookupKey(b.keyBuf)
 	if ok {
 		b.nLookupHits++
 	} else {
-		mu = t.InstantiateIn(&b.arena, labels)
-		h = b.in.InternKey(b.probeKey, mu)
+		h = b.in.InternKey(b.keyBuf, t.InstantiateIn(&b.arena, labels))
 	}
 	b.grow(int(h) + 1)
 	if !b.decided[h] {
 		b.decided[h] = true
-		b.accepting[h] = b.md.DecideInterned(h, mu)
+		b.accepting[h] = b.md.DecideInterned(h, b.in.ViewOf(h))
 	}
 	return h
 }
@@ -267,9 +206,10 @@ func mergeBuilders(parts []*builder) (accepting, loops []bool, edges []uint64) {
 // in canonical-key (BinKey) byte order — handle values depend on intern
 // order and never leak into the output, so the result does not depend on
 // sharding or scheduling. edges is the merged CSR pair stream: distinct
-// packed handle pairs in ascending order (mergePairs). Distinct handle
-// pairs map to distinct node pairs (the handle→index map is injective), so
-// no HasEdge filtering is needed.
+// packed pairs of accepting handles in ascending order, and loops marks
+// accepting handles only (the builders drop the rest at absorb;
+// mergePairs sorts). Distinct handle pairs map to distinct node pairs (the
+// handle→index map is injective), so no HasEdge filtering is needed.
 func assemble(in *view.Interner, accepting, loops []bool, edges []uint64) (*NGraph, error) {
 	type node struct {
 		h   view.Handle
@@ -301,19 +241,13 @@ func assemble(in *view.Interner, accepting, loops []bool, edges []uint64) (*NGra
 	ng.g = graph.New(len(nodes))
 	for _, e := range edges {
 		a, b := unpackPair(e)
-		ia, ib := idx[a], idx[b]
-		if ia < 0 || ib < 0 {
-			continue // an endpoint never accepts anywhere
-		}
-		if err := ng.g.AddEdge(ia, ib); err != nil {
+		if err := ng.g.AddEdge(idx[a], idx[b]); err != nil {
 			return nil, fmt.Errorf("adding compatibility edge: %w", err)
 		}
 	}
 	for h, lo := range loops {
 		if lo {
-			if i := idx[h]; i >= 0 {
-				ng.loops[i] = true
-			}
+			ng.loops[idx[h]] = true
 		}
 	}
 	return ng, nil

@@ -3,10 +3,12 @@ package nbhd
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
 
 	"hidinglcp/internal/core"
+	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
@@ -103,6 +105,63 @@ func TestBuildAlwaysAcceptSelfLoop(t *testing.T) {
 	}
 	if !ng.Hiding() {
 		t.Error("self-loop should imply hiding")
+	}
+}
+
+// TestAbsorbKeepsOnlyAcceptedEdges pins the builders' edge filter: a
+// one-worker build accumulates exactly the edges and loops that assemble
+// keeps. All but one case reject some classes, so the filter has pairs to
+// drop; the revealing decoder's "2"-labeled P2 endpoints share a rejected,
+// self-looped view, and always-accept keeps its loop. assemble itself no
+// longer filters: a pair with a rejected endpoint is an error.
+func TestAbsorbKeepsOnlyAcceptedEdges(t *testing.T) {
+	cases := []struct {
+		name    string
+		d       core.Decoder
+		se      ShardedEnumerator
+		rejects bool // some class is rejected
+	}{
+		{"reveal-P2-P3", revealDecoder(), ShardedAllLabelings([]string{"0", "1", "2"},
+			core.NewAnonymousInstance(graph.Path(2)), core.NewAnonymousInstance(graph.Path(3))), true},
+		{"always-accept-P2", alwaysAccept(), ShardedAllLabelings([]string{"x"}, core.NewAnonymousInstance(graph.Path(2))), false},
+		{"degree-one-n4", decoders.DegreeOne().Decoder, ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), true},
+		{"E15-k3", decoders.DegreeOneK(3).Decoder, ShardedAllLabelings(decoders.DegOneKAlphabet(3), e15Slice()...), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in := view.NewInterner()
+			b := newBuilder(c.d, core.NewMemoDecoder(c.d, in), in, "test")
+			if err := c.se.Sequential()(func(l core.Labeled) bool {
+				b.absorb(l)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			edges := b.edges.len()
+			accepting, loops, pairs := mergeBuilders([]*builder{b})
+			ng, err := assemble(in, accepting, loops, pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rejected := ng.Size() < in.Len(); rejected != c.rejects {
+				t.Fatalf("%d of %d classes accept, want rejections %v", ng.Size(), in.Len(), c.rejects)
+			}
+			if edges != ng.EdgeCount() {
+				t.Errorf("builder accumulated %d edges, V(D,n) has %d", edges, ng.EdgeCount())
+			}
+			for h, lo := range b.loops {
+				i := ng.hidx[h]
+				if want := i >= 0 && ng.HasLoop(i); lo != want {
+					t.Errorf("class %d: builder loop %v, V(D,n) loop %v", h, lo, want)
+				}
+			}
+			if c.rejects {
+				bad := packPair(view.Handle(slices.Index(accepting, true)), view.Handle(slices.Index(accepting, false)))
+				if _, err := assemble(in, accepting, loops, []uint64{bad}); err == nil {
+					t.Error("assemble took an edge with a rejected endpoint")
+				}
+			}
+		})
 	}
 }
 

@@ -46,11 +46,11 @@ import (
 // instrument call a no-op.
 //
 // Counters recorded (see DESIGN.md Section 8 for the full taxonomy):
-// nbhd.instances, nbhd.views.extracted, nbhd.views.template_memo_hits,
-// nbhd.templates.built, nbhd.intern.hits/misses, nbhd.decode.calls,
-// nbhd.decode.memo_hits, nbhd.decode.inner, nbhd.shards.done/stolen, plus
-// the nbhd.intern.classes and nbhd.views.accepting gauges and the
-// nbhd.build.duration_ns histogram.
+// nbhd.instances, nbhd.views.extracted (every view of every absorbed
+// instance), nbhd.templates.built, nbhd.intern.hits/misses (which sum to
+// nbhd.views.extracted), nbhd.decode.calls, nbhd.decode.memo_hits,
+// nbhd.decode.inner, nbhd.shards.done/stolen, plus the nbhd.intern.classes
+// and nbhd.views.accepting gauges and the nbhd.build.duration_ns histogram.
 func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
 	shards, workers = resolveShardsWorkers(shards, workers)
 	start := obs.Now()
@@ -107,21 +107,19 @@ func harvestBuildMetrics(sc obs.Scope, parts []*builder, in *view.Interner, md *
 	if !sc.Enabled() {
 		return
 	}
-	var instances, views, tmplHits, templates, lookupHits int64
+	var instances, views, templates, lookupHits int64
 	for _, p := range parts {
 		instances += p.nInstances
 		views += p.nViews
-		tmplHits += p.nTmplMemoHits
 		templates += p.nTemplatesBuilt
 		lookupHits += p.nLookupHits
 	}
 	sc.Counter("nbhd.instances").Add(instances)
 	sc.Counter("nbhd.views.extracted").Add(views)
-	sc.Counter("nbhd.views.template_memo_hits").Add(tmplHits)
 	sc.Counter("nbhd.templates.built").Add(templates)
-	// Scratch-probe LookupKey hits count as intern hits: every extracted
-	// view still consults the interner exactly once (LookupKey on a hit,
-	// InternKey on a miss), the probe path just avoids the arena copy.
+	// LookupKey hits count as intern hits: every view consults the
+	// interner exactly once (LookupKey on a hit, InternKey on a miss), the
+	// probe just avoids instantiating the view.
 	hits, misses := in.Stats()
 	sc.Counter("nbhd.intern.hits").Add(int64(hits) + lookupHits)
 	sc.Counter("nbhd.intern.misses").Add(int64(misses))

@@ -129,9 +129,9 @@ func compareAgainstReference(t *testing.T, ng *NGraph, keys []string, edges map[
 // string-keyed reference on every decoder archetype: anonymous (DegreeOne,
 // EvenCycle) and identifier-dependent (Shatter), over exhaustive labeling
 // enumerations. The E15 slice and the all-ports sweeps repeat template
-// shapes across instances — different graphs, and one graph under each of
-// its port numberings — so they check that the builders' shape memo only
-// ever shares a canonicalization between views of one class.
+// skeletons across instances — different graphs, and one graph under each
+// of its port numberings — so they check that a spliced skeleton key only
+// ever puts views of one class together.
 func TestBuildMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string

@@ -106,9 +106,8 @@ func ShardedProverLabeled(s core.Scheme, insts ...core.Instance) ShardedEnumerat
 // as many classes as shards — and the (instance, part) units go
 // round-robin to the shards in sequential order. No shard holds two parts
 // of one instance, so with at least as many classes as shards one builder
-// extracts each instance's templates, and canonicalizes its first
-// labeling directly, once; the builder's shape memo serves the instance's
-// later labelings. The quotient often leaves fewer classes than shards
+// extracts each instance's templates and writes their key skeletons once,
+// for all of the instance's labelings. The quotient often leaves fewer classes than shards
 // (6 classes under the default 4 shards per worker on two workers); then
 // an instance's parts land on several shards, and which worker reuses a
 // template depends on scheduling. A single-instance space degenerates to

@@ -275,6 +275,25 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	if count >= total {
 		t.Errorf("early stop processed %d of %d instances", count, total)
 	}
+	// The fixed-list enumerators stop too: one worker whose fn refuses the
+	// first instance sees exactly one.
+	p3 := core.NewAnonymousInstance(graph.Path(3))
+	reveal := core.Scheme{Name: "reveal", Decoder: revealDecoder(), Prover: revealProver{}}
+	for _, c := range []struct {
+		name string
+		se   ShardedEnumerator
+	}{
+		{"from-labeled", ShardedFromLabeled(core.MustNewLabeled(p3, []string{"0", "1", "0"}), core.MustNewLabeled(p3, []string{"1", "0", "1"}))},
+		{"prover-labeled", ShardedProverLabeled(reveal, p3, p3)},
+	} {
+		seen := 0
+		if err := ForEachShardCtx(context.Background(), obs.Scope{}, c.se, 1, 1, func(int, core.Labeled) bool {
+			seen++
+			return false
+		}); err != nil || seen != 1 {
+			t.Errorf("%s: early stop saw %d instances (err %v), want 1", c.name, seen, err)
+		}
+	}
 	// Errors: an invalid instance surfaces from whichever shard owns it.
 	bad := core.Labeled{Instance: core.Instance{G: graph.Path(2)}, Labels: []string{"a", "b"}}
 	if err := ForEachShardCtx(context.Background(), obs.Scope{}, ShardedFromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {

@@ -53,9 +53,9 @@ func TestCachedKeyAllocs(t *testing.T) {
 }
 
 // TestProbeKeyAllocs pins the nbhd builders' interner probe at zero
-// allocations: canonicalizing a scratch view into a reused key buffer and
-// finding its class with LookupKey must not touch the heap once the
-// buffer has grown. The cases cover an anonymous radius-2 grid view, the
+// allocations: splicing labels into a template's skeleton in a reused key
+// buffer and finding its class with LookupKey must not touch the heap once
+// the buffer has grown. The cases cover an anonymous radius-2 grid view, the
 // same view with distinct identifiers, and a star center of degree 40,
 // larger than any small fixed neighbor buffer.
 func TestProbeKeyAllocs(t *testing.T) {
@@ -89,36 +89,44 @@ func TestProbeKeyAllocs(t *testing.T) {
 			}
 			in := view.NewInterner()
 			want := in.Intern(tpl.Instantiate(labels))
-			var scratch view.View
-			mu := tpl.InstantiateInto(&scratch, labels)
-			key := mu.AppendBinKey(nil)
+			var sk view.Skeleton
+			tpl.SkeletonInto(&sk)
+			key := sk.AppendKey(nil, labels)
 			if n := testing.AllocsPerRun(100, func() {
-				key = mu.AppendBinKey(key[:0])
+				key = sk.AppendKey(key[:0], labels)
 				if h, ok := in.LookupKey(key); !ok || h != want {
 					t.Fatalf("LookupKey = %d, %v; want %d, true", h, ok, want)
 				}
 			}); n != 0 {
-				t.Errorf("AppendBinKey + LookupKey hit allocates %.1f objects per probe in steady state, want 0", n)
+				t.Errorf("AppendKey + LookupKey hit allocates %.1f objects per probe in steady state, want 0", n)
 			}
 		})
 	}
 }
 
-// TestAppendShapeAllocs pins the shape computation at zero allocations
-// once the caller's key and host buffers have grown: the port order and
-// serialization run on the pooled key scratch, like AppendBinKey.
+// TestAppendShapeAllocs pins the skeleton path at zero allocations once
+// the buffers have grown: SkeletonInto runs the port order and
+// serialization on the pooled key scratch, like BinKey, and reuses
+// the Skeleton's buffers; AppendKey only splices into the caller's buffer.
 func TestAppendShapeAllocs(t *testing.T) {
 	g := graph.Grid(4, 4)
 	pt := graph.DefaultPorts(g)
+	labels := make([]string, g.N())
+	for i := range labels {
+		labels[i] = []string{"a", "b", "c"}[i%3]
+	}
 	var ex view.Extractor
 	tpl, err := ex.Template(g, pt, nil, g.N(), 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, hosts := tpl.AppendShape(nil, nil)
+	var sk view.Skeleton
+	tpl.SkeletonInto(&sk)
+	key := sk.AppendKey(nil, labels)
 	if n := testing.AllocsPerRun(100, func() {
-		key, hosts = tpl.AppendShape(key[:0], hosts[:0])
+		tpl.SkeletonInto(&sk)
+		key = sk.AppendKey(key[:0], labels)
 	}); n != 0 {
-		t.Errorf("AppendShape allocates %.1f objects per call in steady state, want 0", n)
+		t.Errorf("SkeletonInto + AppendKey allocate %.1f objects per call in steady state, want 0", n)
 	}
 }

@@ -17,7 +17,6 @@ type keyScratch struct {
 	order, pos []int    // canonical node order and its inverse
 	arms       [][2]int // (port, neighbor) of one node, sorted by port
 	nb         []int    // one node's later positions, for serialization
-	noLabels   []string // all empty: a template's views without labels
 }
 
 var keyScratchPool mem.Pool[keyScratch]
@@ -38,54 +37,64 @@ var keyScratchPool mem.Pool[keyScratch]
 // Template, internal/sim's assemble and internal/sanitize's relabelView
 // guarantee both properties; nothing checks them at run time.
 //
-// The key is computed once and cached (AppendBinKey is the uncached form).
-// The returned slice is shared; the caller must not modify it.
+// The key is computed once and cached, and the returned slice is shared;
+// the caller must not modify it. A caller that keys many views of one
+// template into a reused buffer uses the template's Skeleton instead.
 func (v *View) BinKey() []byte {
 	v.cacheMu.Lock()
 	k := v.cachedBin
 	if k == nil {
-		k = v.AppendBinKey(nil)
+		sc := keyScratchPool.Get()
+		v.portOrder(sc)
+		k = v.appendBinSerialize(nil, sc, nil)
+		keyScratchPool.Put(sc)
 		v.cachedBin = k
 	}
 	v.cacheMu.Unlock()
 	return k
 }
 
-// AppendBinKey appends the canonical key of the view to dst and returns the
-// extended slice. Unlike BinKey it neither reads nor fills the view's key
-// cache, so a caller that probes with a reused buffer — the nbhd builders
-// canonicalizing a scratch view — pays no allocation once dst has grown.
-func (v *View) AppendBinKey(dst []byte) []byte {
-	sc := keyScratchPool.Get()
-	defer keyScratchPool.Put(sc)
-	v.portOrder(sc)
-	return v.appendBinSerialize(dst, sc)
+// Skeleton is a template's canonical key with the labels left out. The
+// canonical node order is the port order, which labels do not affect, so
+// the key of any view instantiated from the template is the skeleton with
+// each canonical position's label spliced in at a fixed offset. A Skeleton
+// reuses its buffers across SkeletonInto calls; the zero value is ready to
+// use. Not safe for concurrent use.
+type Skeleton struct {
+	key   []byte // the key's bytes, every label field left out
+	at    []int  // at[k]: offset in key of canonical position k's label field
+	hosts []int  // hosts[k]: host node at canonical position k
 }
 
-// AppendShape appends the template's shape to dst and the host node at
-// each of its canonical positions to hosts, and returns both. The shape is
-// the serialization of the template's views with every label empty, under
-// their port order. That order does not depend on labels, so a labeled
-// view's key is its template's shape with the labels filled in at the same
-// positions: two labeled views are in the same class exactly when their
-// templates have equal shapes and they carry the same labels at the same
-// canonical positions, which lets a caller memoize canonical keys by
-// (shape, labels in canonical order) across instances. Apart from growing
-// dst and hosts, the call allocates nothing.
-func (t *Template) AppendShape(dst []byte, hosts []int) (shape []byte, canonHosts []int) {
+// SkeletonInto writes the template's skeleton into s, reusing s's buffers:
+// apart from growing them, the call allocates nothing.
+func (t *Template) SkeletonInto(s *Skeleton) {
 	sc := keyScratchPool.Get()
 	defer keyScratchPool.Put(sc)
-	n := len(t.hosts)
-	if cap(sc.noLabels) < n {
-		sc.noLabels = make([]string, n)
-	}
-	v := View{Radius: t.radius, Adj: t.adj, Dist: t.dist, Ports: t.ports, IDs: t.ids, Labels: sc.noLabels[:n], NBound: t.nBound}
+	v := View{Radius: t.radius, Adj: t.adj, Dist: t.dist, Ports: t.ports, IDs: t.ids, NBound: t.nBound}
 	v.portOrder(sc)
-	dst = v.appendBinSerialize(dst, sc)
+	s.at = s.at[:0]
+	s.key = v.appendBinSerialize(s.key[:0], sc, s)
+	s.hosts = s.hosts[:0]
 	for _, i := range sc.order {
-		hosts = append(hosts, t.hosts[i])
+		s.hosts = append(s.hosts, t.hosts[i])
 	}
-	return dst, hosts
+}
+
+// AppendKey appends to dst the canonical key of the skeleton's template
+// instantiated under labels, which covers the host graph as in
+// Template.Instantiate, and returns the extended slice. The bytes equal
+// that view's BinKey.
+func (s *Skeleton) AppendKey(dst []byte, labels []string) []byte {
+	prev := 0
+	for k, off := range s.at {
+		l := labels[s.hosts[k]]
+		dst = append(dst, s.key[prev:off]...)
+		dst = binary.AppendUvarint(dst, uint64(len(l)))
+		dst = append(dst, l...)
+		prev = off
+	}
+	return append(dst, s.key[prev:]...)
 }
 
 // portOrder fills sc.order with the view's nodes in port order and sc.pos
@@ -124,7 +133,9 @@ func (v *View) portOrder(sc *keyScratch) {
 // kb, port a→b, port b→a) for positions ka < kb in increasing (ka, kb)
 // order. Every field is self-delimiting, so the encoding determines the
 // ordered view — equal bytes mean equal views under the chosen orderings.
-func (v *View) appendBinSerialize(dst []byte, sc *keyScratch) []byte {
+// With a non-nil skel, the label fields are left out (v.Labels is not read)
+// and their offsets in dst are appended to skel.at instead.
+func (v *View) appendBinSerialize(dst []byte, sc *keyScratch, skel *Skeleton) []byte {
 	n := v.N()
 	order, pos := sc.order, sc.pos
 	if dst == nil {
@@ -136,6 +147,10 @@ func (v *View) appendBinSerialize(dst []byte, sc *keyScratch) []byte {
 	for _, i := range order {
 		dst = binary.AppendUvarint(dst, uint64(v.Dist[i]))
 		dst = binary.AppendVarint(dst, int64(v.IDs[i]))
+		if skel != nil {
+			skel.at = append(skel.at, len(dst))
+			continue
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(v.Labels[i])))
 		dst = append(dst, v.Labels[i]...)
 	}

@@ -217,17 +217,18 @@ func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	_ = muB
 }
 
-// ringView hand-builds a radius-1 anonymous view: the center reaches its
+// ringView hand-builds a radius-2 anonymous view: the center reaches its
 // six unlabeled neighbors (local nodes 1..6) through ports 1..6, and each
 // neighbor reaches the center through its port 1. ring lists directed edges
 // among the neighbors; for each (a, b), a reaches b through its port 2 and
 // b reaches a through its port 3. When ring is a union of directed cycles
 // covering every neighbor once, all six neighbors look alike locally —
 // same distance, label, degree, and port pattern — and only the center's
-// ports tell them apart.
+// ports tell them apart. The view is the radius-2 view of node 0 of
+// ringHost(ring).
 func ringView(ring [][2]int) *view.View {
 	v := &view.View{
-		Radius: 1,
+		Radius: 2,
 		Adj:    make([][]int, 7),
 		Dist:   []int{0, 1, 1, 1, 1, 1, 1},
 		Ports:  map[[2]int]int{},
@@ -251,6 +252,40 @@ func ringView(ring [][2]int) *view.View {
 		slices.Sort(v.Adj[i])
 	}
 	return v
+}
+
+// ringHost returns the host graph ringView(ring) is the view of: node 0
+// is the center and nodes 1..6 its neighbors, with the same edges and
+// ports.
+func ringHost(t *testing.T, ring [][2]int) (*graph.Graph, *graph.Ports) {
+	t.Helper()
+	g := graph.New(7)
+	rows := make([][]int, 7) // rows[v][p-1]: the neighbor behind port p
+	add := func(a, b int) {
+		if err := g.AddEdge(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 6; i++ {
+		add(view.Center, i)
+		rows[view.Center] = append(rows[view.Center], i)
+		rows[i] = []int{view.Center, -1, -1}
+	}
+	for _, e := range ring {
+		add(e[0], e[1])
+		rows[e[0]][1], rows[e[1]][2] = e[1], e[0]
+	}
+	perm := make([][]int, 7)
+	for v, row := range rows {
+		for _, w := range row {
+			perm[v] = append(perm[v], slices.Index(g.Neighbors(v), w))
+		}
+	}
+	pt, err := graph.PortsFromPerm(g, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, pt
 }
 
 // relabel returns v with local node i renumbered perm[i]; perm must fix
@@ -282,13 +317,18 @@ func relabel(v *view.View, perm []int) *view.View {
 // port 2 leads on around its cycle), and the hexagon traversed the other
 // way. Under random renumberings of the local nodes the key must stay
 // invariant, agree with the isomorphism oracle against every base view,
-// and come out the same from BinKey and from AppendBinKey into a non-empty
-// buffer.
+// and equal the host template's skeleton with the labels spliced in
+// (Skeleton.AppendKey) into a non-empty buffer.
 func TestBinKeyPermutationSearch(t *testing.T) {
-	hexagon := ringView([][2]int{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 1}})
-	reversed := ringView([][2]int{{2, 1}, {3, 2}, {4, 3}, {5, 4}, {6, 5}, {1, 6}})
-	triangles := ringView([][2]int{{1, 2}, {2, 3}, {3, 1}, {4, 5}, {5, 6}, {6, 4}})
-	bases := []*view.View{hexagon, reversed, triangles}
+	rings := [][][2]int{
+		{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 1}}, // hexagon
+		{{2, 1}, {3, 2}, {4, 3}, {5, 4}, {6, 5}, {1, 6}}, // reversed
+		{{1, 2}, {2, 3}, {3, 1}, {4, 5}, {5, 6}, {6, 4}}, // triangles
+	}
+	bases := make([]*view.View, len(rings))
+	for i, ring := range rings {
+		bases[i] = ringView(ring)
+	}
 	for i, a := range bases {
 		for _, b := range bases[i+1:] {
 			if isomorphic(a, b) {
@@ -297,7 +337,16 @@ func TestBinKeyPermutationSearch(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	for _, base := range bases {
+	var ex view.Extractor
+	var sk view.Skeleton
+	labels := make([]string, 7)
+	for bi, base := range bases {
+		g, pt := ringHost(t, rings[bi])
+		tpl, err := ex.Template(g, pt, nil, g.N(), view.Center, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tpl.SkeletonInto(&sk)
 		for trial := 0; trial < 20; trial++ {
 			perm := []int{view.Center, 1, 2, 3, 4, 5, 6}
 			rng.Shuffle(6, func(i, j int) { perm[i+1], perm[j+1] = perm[j+1], perm[i+1] })
@@ -306,9 +355,9 @@ func TestBinKeyPermutationSearch(t *testing.T) {
 				t.Fatalf("perm %v: renumbering changed the key", perm)
 			}
 			prefix := []byte("prefix")
-			appended := mu.AppendBinKey(prefix)
+			appended := sk.AppendKey(prefix, labels)
 			if !bytes.Equal(appended[:len(prefix)], []byte("prefix")) || !bytes.Equal(appended[len(prefix):], mu.BinKey()) {
-				t.Fatalf("perm %v: AppendBinKey and BinKey disagree", perm)
+				t.Fatalf("perm %v: spliced skeleton key and BinKey disagree", perm)
 			}
 			for _, other := range bases {
 				iso := isomorphic(mu, other)
@@ -462,9 +511,11 @@ func TestIDOrderSortCutoff(t *testing.T) {
 
 // FuzzBinKeyKeyAgreement cross-checks the three equality notions — the
 // isomorphism oracle, the canonical key, and Equal — on fuzz-built view
-// pairs, including anonymous and duplicate-identifier cases. data[2]/3
-// picks the port numbering: 0 is DefaultPorts, anything else a numbering
-// drawn from the fuzz bytes.
+// pairs, including anonymous and duplicate-identifier cases, and checks
+// that each view's template skeleton with its labels spliced in
+// (Skeleton.AppendKey) is its canonical key. data[2]/3 picks the port
+// numbering: 0 is DefaultPorts, anything else a numbering drawn from the
+// fuzz bytes.
 func FuzzBinKeyKeyAgreement(f *testing.F) {
 	f.Add([]byte{3, 0xff, 1, 0, 1, 2, 3, 4})
 	f.Add([]byte{4, 0x3f, 2, 1, 0, 0, 0, 0, 9, 9})
@@ -530,6 +581,23 @@ func FuzzBinKeyKeyAgreement(f *testing.F) {
 		c2 := int(data[len(data)-1]) % n
 		v1 := view.MustExtract(g, pt, ids, labels, n, c1, r)
 		v2 := view.MustExtract(g, pt, ids, labels, n, c2, r)
+
+		// The spliced skeleton key is the key, at both centers.
+		var ex view.Extractor
+		var sk view.Skeleton
+		for _, v := range []struct {
+			mu     *view.View
+			center int
+		}{{v1, c1}, {v2, c2}} {
+			tpl, err := ex.Template(g, pt, ids, n, v.center, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tpl.SkeletonInto(&sk)
+			if !bytes.Equal(sk.AppendKey(nil, labels), v.mu.BinKey()) {
+				t.Fatalf("spliced skeleton key differs from BinKey at center %d: %v", v.center, v.mu)
+			}
+		}
 
 		iso := isomorphic(v1, v2)
 		binEq := bytes.Equal(v1.BinKey(), v2.BinKey())

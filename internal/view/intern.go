@@ -68,7 +68,8 @@ func (it *Interner) Intern(mu *View) Handle {
 }
 
 // InternKey is Intern for a caller that already holds mu's canonical key k
-// (mu.AppendBinKey into its own buffer), so mu is not canonicalized again.
+// (a Skeleton's AppendKey into its own buffer), so mu is not canonicalized
+// again.
 // k is only read: on first sight the interner keeps a private copy as mu's
 // cached key and as the table entry, so the caller may reuse k at once.
 func (it *Interner) InternKey(k []byte, mu *View) Handle {

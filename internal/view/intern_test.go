@@ -184,7 +184,7 @@ func TestInternKeyCopiesProbeBuffer(t *testing.T) {
 	var buf []byte
 	for _, mu := range sampleViews(t) {
 		rep := mu.Clone()
-		buf = mu.AppendBinKey(buf[:0])
+		buf = append(buf[:0], mu.BinKey()...)
 		h := in.InternKey(buf, rep)
 		want := string(buf)
 		for i := range buf {
