@@ -32,8 +32,8 @@
 // And three audit the concurrent pipelines (copies of values holding a
 // lock or a typed atomic are left to go vet's copylocks pass):
 //
-//   - atomicmix: a location accessed through sync/atomic must never also
-//     be accessed plainly.
+//   - atomicmix: no function-style sync/atomic calls; the typed atomics
+//     make a plain access to an atomic location inexpressible.
 //   - loopcapture: goroutines spawned in a loop take their iteration state
 //     as arguments, never by capture.
 //   - wgmisuse: WaitGroup.Add precedes the go statement it accounts for.

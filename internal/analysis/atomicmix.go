@@ -2,132 +2,44 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
-// AtomicMixAnalyzer reports variables and struct fields that are accessed
-// both through sync/atomic operations and through plain loads or stores in
-// the same package. Mixing the two voids every guarantee the atomic side
-// was bought for: the plain access races with the atomic one, and the race
-// detector only catches the schedules it happens to see. The parallel
-// pipelines (work-stealing shard builders, the lock-striped interner, the
-// parallel soundness search) coordinate exclusively through typed atomics
-// today; this analyzer keeps any future function-style atomic
-// (atomic.AddInt64(&x, ...)) from acquiring a non-atomic twin.
-//
-// Every access to a location that is the &-argument of some sync/atomic
-// call must itself be such an argument. Initialization through a composite
-// literal or constructor counts as an access: publish the value before the
-// goroutines start instead, or use the typed atomic wrappers
-// (atomic.Int64 and friends), whose methods make non-atomic access
-// inexpressible.
+// AtomicMixAnalyzer reports every call to a package-level sync/atomic
+// function (atomic.AddInt64(&x, 1), atomic.LoadInt64(&x), ...). A location
+// reached through such calls is a plain variable, so nothing stops another
+// access from reading or writing it without sync/atomic, and that plain
+// access races with every atomic one; the race detector only catches the
+// schedules it happens to see. The typed wrappers (atomic.Int64,
+// atomic.Bool and friends) make such mixing inexpressible, and their
+// methods stay legal. The parallel pipelines (work-stealing shard
+// builders, the lock-striped interner, the parallel soundness search)
+// coordinate exclusively through them.
 var AtomicMixAnalyzer = &Analyzer{
 	Name: "atomicmix",
-	Doc:  "report plain accesses to variables that are elsewhere accessed through sync/atomic",
+	Doc:  "report calls to package-level sync/atomic functions; use the typed atomics (atomic.Int64 and friends)",
 	Run:  runAtomicMix,
 }
 
 func runAtomicMix(pass *Pass) error {
-	// Pass 1: find every object whose address feeds a sync/atomic call,
-	// remembering the positions of those sanctioned uses.
-	atomicObjs := map[types.Object]string{}
-	sanctioned := map[token.Pos]bool{}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicPkgCall(pass.Info, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				obj, use := accessedObject(pass.Info, un.X)
-				if obj == nil {
-					continue
-				}
-				atomicObjs[obj] = objLabel(obj)
-				sanctioned[use] = true
-			}
-			return true
-		})
-	}
-	if len(atomicObjs) == 0 {
-		return nil
-	}
-
-	// Pass 2: every other use of those objects is a plain, racy access.
-	type finding struct {
-		pos token.Pos
-		obj types.Object
-	}
-	var findings []finding
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			obj := pass.Info.Uses[id]
-			if obj == nil {
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
 				return true
 			}
-			if _, tracked := atomicObjs[obj]; tracked && !sanctioned[id.Pos()] {
-				findings = append(findings, finding{id.Pos(), obj})
+			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(call.Pos(),
+					"function-style sync/atomic call atomic.%s; use a typed atomic (atomic.Int64 and friends), whose methods make plain access inexpressible",
+					fn.Name())
 			}
 			return true
 		})
 	}
-	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
-	for _, f := range findings {
-		pass.Reportf(f.pos,
-			"non-atomic access to %s, which is accessed with sync/atomic elsewhere in this package; every access must go through sync/atomic (or switch the field to a typed atomic like atomic.Int64)",
-			atomicObjs[f.obj])
-	}
 	return nil
-}
-
-// isAtomicPkgCall reports whether call invokes a function from sync/atomic
-// (the function-style API; typed-atomic methods need no address-taking).
-func isAtomicPkgCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	pkgIdent, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkgName, ok := info.Uses[pkgIdent].(*types.PkgName)
-	if !ok {
-		return false
-	}
-	return pkgName.Imported().Path() == "sync/atomic"
-}
-
-// accessedObject resolves the variable or field named by an addressable
-// expression (x, s.f, p.f after any parens) together with the position of
-// the resolving identifier.
-func accessedObject(info *types.Info, expr ast.Expr) (types.Object, token.Pos) {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		return info.Uses[e], e.Pos()
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel], e.Sel.Pos()
-	case *ast.IndexExpr:
-		return accessedObject(info, e.X)
-	}
-	return nil, token.NoPos
-}
-
-// objLabel renders an object for diagnostics: fields as Type.field,
-// variables by name.
-func objLabel(obj types.Object) string {
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		return "field " + v.Name()
-	}
-	return "variable " + obj.Name()
 }

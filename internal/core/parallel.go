@@ -5,27 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/obs"
 )
-
-func resolveShardsWorkers(shards, workers int) (int, int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if shards <= 0 {
-		shards = 4 * workers
-	}
-	if workers > shards {
-		workers = shards
-	}
-	return shards, workers
-}
 
 // ExhaustiveStrongSoundnessParallelCtx checks strong soundness of d against
 // every labeling of inst over the given label alphabet and returns the
@@ -45,8 +30,8 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 // when the labeling space is too large for 64-bit ranks.
 //
 // Cancellation is cooperative: when ctx fires, every worker abandons its
-// current shard at the next labeling checkpoint, the pool drains through
-// the WaitGroup barrier (no goroutine outlives the call — pinned by
+// current shard at the next labeling checkpoint, the pool drains before
+// the call returns (no goroutine outlives it — pinned by
 // TestProbeExhaustiveStrongSoundnessParallelCancel in internal/sanitize),
 // and the error wraps context.Cause(ctx). A cancelled search never reports
 // a violation: its partial answer would depend on scheduling. A nil ctx is
@@ -60,7 +45,7 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 // sanitizer's instrumentation probe).
 func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
 	n := inst.G.N()
-	shards, workers = resolveShardsWorkers(shards, workers)
+	shards, workers = cancel.Workers(shards, workers, 4)
 	if workers == 1 || shards == 1 || !graph.LabelingRankFits(n, len(alphabet)) {
 		sc.Counter("core.sweep.sequential_fallback").Inc()
 		return exhaustiveSequential(ctx, sc, d, lang, inst, alphabet)
@@ -79,75 +64,42 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	shardsDone := sc.Counter("core.sweep.shards.done")
 	pruned := sc.Counter("core.sweep.shards.pruned")
 
-	var best atomic.Uint64
-	best.Store(math.MaxUint64)
-	var mu sync.Mutex
-	found := map[uint64]error{}
-	record := func(r uint64, err error) {
-		for {
-			cur := best.Load()
-			if r >= cur {
-				return
-			}
-			if best.CompareAndSwap(cur, r) {
-				mu.Lock()
-				found[r] = err
-				mu.Unlock()
-				return
-			}
-		}
-	}
-
-	sweeps := make([]*labelSweep, workers)
 	// Cancellation checkpoints sit at shard claims and at every labeling:
-	// the watcher arms the flag when ctx fires, workers abandon their
-	// current shard position, and the WaitGroup barrier drains the pool.
+	// the watcher arms the flag when ctx fires and workers abandon their
+	// current shard position.
 	var aborted atomic.Bool
-	release := cancel.Watch(ctx, &aborted)
-	defer release()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each worker owns a sweep: templates and verdict memos are
-			// per-goroutine, so workers never contend on them.
-			sweep, serr := newLabelSweep(d, lang, inst, alphabet)
-			if serr != nil {
-				record(0, fmt.Errorf("extracting views: %w", serr))
-				return
+	var first cancel.First
+	sweeps := make([]*labelSweep, workers)
+	cancel.Each(ctx, &aborted, shards, workers, func(w, s int) bool {
+		// Each worker owns a sweep: templates and verdict memos are
+		// per-goroutine, so workers never contend on them.
+		sweep, err := workerSweep(sweeps, w, d, lang, inst, alphabet)
+		if err != nil {
+			first.Offer(0, err)
+			return false
+		}
+		graph.EnumLabelingsShard(n, len(alphabet), s, shards, func(idx []int) bool {
+			if aborted.Load() {
+				return false
 			}
-			sweeps[w] = sweep
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards || aborted.Load() {
-					return
-				}
-				graph.EnumLabelingsShard(n, len(alphabet), s, shards, func(idx []int) bool {
-					if aborted.Load() {
-						return false
-					}
-					r := sweep.seek(idx)
-					// Ranks increase within a shard, so everything past the
-					// best violation is prunable: any violation there would
-					// rank higher and lose to the recorded one anyway.
-					if r >= best.Load() {
-						pruned.Inc()
-						return false
-					}
-					if err := sweep.evaluate(); err != nil {
-						record(r, err)
-						return false
-					}
-					return true
-				})
-				shardsDone.Inc()
-				sc.Prog().Add(1)
+			r := sweep.seek(idx)
+			// Ranks increase within a shard, so everything past the
+			// best violation is prunable: any violation there would
+			// rank higher and lose to the recorded one anyway.
+			if r >= first.Best() {
+				pruned.Inc()
+				return false
 			}
-		}(w)
-	}
-	wg.Wait()
+			if err := sweep.evaluate(); err != nil {
+				first.Offer(r, err)
+				return false
+			}
+			return true
+		})
+		shardsDone.Inc()
+		sc.Prog().Add(1)
+		return true
+	})
 	for _, sweep := range sweeps {
 		sweep.harvest(sc)
 	}
@@ -160,7 +112,7 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 		return err
 	}
 
-	r := best.Load()
+	r := first.Best()
 	if r == math.MaxUint64 {
 		if sc.EventsEnabled() {
 			sc.EmitSpanEvent(span, obs.LevelInfo, "core.sweep.done",
@@ -176,9 +128,20 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 		sc.EmitSpanEvent(span, obs.LevelWarn, "core.sweep.violation",
 			obs.F("rank", fmt.Sprint(r)))
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	return found[r]
+	return first.Err()
+}
+
+// workerSweep returns worker w's labelSweep, building it on the worker's
+// first claim. A construction error is the same for every worker.
+func workerSweep(sweeps []*labelSweep, w int, d Decoder, lang Language, inst Instance, alphabet []string) (*labelSweep, error) {
+	if sweeps[w] == nil {
+		s, err := newLabelSweep(d, lang, inst, alphabet)
+		if err != nil {
+			return nil, fmt.Errorf("extracting views: %w", err)
+		}
+		sweeps[w] = s
+	}
+	return sweeps[w], nil
 }
 
 // exhaustiveSequential is the single-goroutine exhaustive search with a
@@ -237,9 +200,7 @@ func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Lan
 // makes every instrument call a no-op.
 func FuzzStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
 	n := inst.G.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	_, workers = cancel.Workers(trials, workers, 1)
 	span := sc.Span(sc.Label("core.fuzz"))
 	span.SetAttr("trials", fmt.Sprint(trials))
 	span.SetAttr("workers", fmt.Sprint(workers))
@@ -257,59 +218,27 @@ func FuzzStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder
 		drawn[t] = labels
 	}
 
-	bestT := int64(trials)
-	var best atomic.Int64
-	best.Store(bestT)
-	var mu sync.Mutex
-	found := map[int64]error{}
-	sweeps := make([]*labelSweep, workers)
 	var aborted atomic.Bool
-	release := cancel.Watch(ctx, &aborted)
-	defer release()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sweep, serr := newLabelSweep(d, lang, inst, nil)
-			if serr == nil {
-				sweeps[w] = sweep
-			}
-			for {
-				t := next.Add(1) - 1
-				// Trials are claimed in increasing order, so once t passes
-				// the best violation every later claim does too.
-				if t >= int64(trials) || t >= best.Load() || aborted.Load() {
-					return
-				}
-				var err error
-				if serr != nil {
-					err = fmt.Errorf("extracting views: %w", serr)
-				} else {
-					err = sweep.checkLabels(drawn[t])
-				}
-				trialsChecked.Inc()
-				sc.Prog().Add(1)
-				if err != nil {
-					for {
-						cur := best.Load()
-						if t >= cur {
-							break
-						}
-						if best.CompareAndSwap(cur, t) {
-							mu.Lock()
-							found[t] = err
-							mu.Unlock()
-							break
-						}
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	var first cancel.First
+	sweeps := make([]*labelSweep, workers)
+	cancel.Each(ctx, &aborted, trials, workers, func(w, t int) bool {
+		// Trials are claimed in increasing order, so once t passes the
+		// best violation every later claim does too.
+		if uint64(t) >= first.Best() {
+			return false
+		}
+		sweep, err := workerSweep(sweeps, w, d, lang, inst, nil)
+		if err == nil {
+			err = sweep.checkLabels(drawn[t])
+		}
+		trialsChecked.Inc()
+		sc.Prog().Add(1)
+		if err != nil {
+			first.Offer(uint64(t), err)
+			return false
+		}
+		return true
+	})
 	for _, sweep := range sweeps {
 		sweep.harvest(sc)
 	}
@@ -318,12 +247,10 @@ func FuzzStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder
 		return err
 	}
 
-	t := best.Load()
-	if t == int64(trials) {
+	t := first.Best()
+	if t == math.MaxUint64 {
 		return nil
 	}
 	sc.Counter("core.fuzz.violations").Inc()
-	mu.Lock()
-	defer mu.Unlock()
-	return fmt.Errorf("trial %d: %w", t, found[t])
+	return fmt.Errorf("trial %d: %w", t, first.Err())
 }

@@ -133,7 +133,7 @@ type labelSweep struct {
 
 	// Plain tallies, private to the owning goroutine (a labelSweep is
 	// single-goroutine by contract); the scoped parallel drivers harvest
-	// them after their WaitGroup barrier.
+	// them after their worker barrier.
 	nChecked        int64 // labelings verified
 	nDecide         int64 // per-node verdicts requested
 	nDecideMemoHits int64 // verdicts served from the verdict tables (untouched nodes included)

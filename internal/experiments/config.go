@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -95,40 +94,12 @@ func configuredFaultPlan() (faults.Plan, bool) {
 // ctx is the never-cancelled context, and the return is then always nil.
 func parallelEach(ctx context.Context, n int, fn func(i int)) error {
 	_, workers := parShardsWorkers()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	_, workers = cancel.Workers(n, workers, 1)
 	defer scope().Counter("experiments.parallel_each.items").Add(int64(n))
 	var aborted atomic.Bool
-	release := cancel.Watch(ctx, &aborted)
-	defer release()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if aborted.Load() {
-				break
-			}
-			fn(i)
-		}
-		return cancel.Err(ctx, "experiment item sweep")
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || aborted.Load() {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	cancel.Each(ctx, &aborted, n, workers, func(_, i int) bool {
+		fn(i)
+		return true
+	})
 	return cancel.Err(ctx, "experiment item sweep")
 }

@@ -67,7 +67,7 @@ type builder struct {
 	tEdges  [][2]int
 
 	// Plain (non-atomic) tallies, private to the owning goroutine; the
-	// parallel driver reads them only after its WaitGroup barrier.
+	// parallel driver reads them only after its worker barrier.
 	nInstances      int64 // labeled instances absorbed
 	nViews          int64 // views keyed and probed in the interner
 	nLookupHits     int64 // LookupKey hits (no instantiation needed)

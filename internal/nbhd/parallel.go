@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
@@ -27,12 +28,13 @@ import (
 // shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS. The
 // output is bit-identical for every shard/worker count (property-tested in
 // shard_test.go); shards = workers = 1 is the sequential construction, since
-// Shards(1) is se.Sequential().
+// Shards(1) is se.Sequential(). When enumeration fails, the error is, for a
+// fixed shard count, the lowest-numbered failing shard's (ForEachShardCtx).
 //
 // Cancellation is cooperative: when ctx fires, every worker stops at its
-// next per-instance checkpoint, the pool drains through the usual WaitGroup
-// barrier (no goroutine outlives the call — pinned by
-// TestProbeBuildShardedCancel in internal/sanitize), and the error wraps
+// next per-instance checkpoint, the pool drains before the call returns
+// (no goroutine outlives it — pinned by TestProbeBuildShardedCancel in
+// internal/sanitize), and the error wraps
 // context.Cause(ctx); no partial graph is returned. A nil ctx is the
 // never-cancelled context (internal/cancel); a live one adds one watcher
 // goroutine and nothing to the per-instance hot path.
@@ -52,7 +54,7 @@ import (
 // nbhd.decode.inner, nbhd.shards.done/stolen, plus the nbhd.intern.classes
 // and nbhd.views.accepting gauges and the nbhd.build.duration_ns histogram.
 func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
-	shards, workers = resolveShardsWorkers(shards, workers)
+	shards, workers = cancel.Workers(shards, workers, shardsPerWorker)
 	start := obs.Now()
 	span := sc.Span(sc.Label("nbhd.build"))
 	span.SetAttr("shards", fmt.Sprint(shards))
@@ -101,8 +103,8 @@ func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se Shard
 }
 
 // harvestBuildMetrics folds the per-builder tallies and the shared
-// interner/memo statistics into the scope. Called after the worker
-// WaitGroup barrier, so the plain builder fields are safely visible.
+// interner/memo statistics into the scope. Called after every worker has
+// finished, so the plain builder fields are safely visible.
 func harvestBuildMetrics(sc obs.Scope, parts []*builder, in *view.Interner, md *core.MemoDecoder) {
 	if !sc.Enabled() {
 		return

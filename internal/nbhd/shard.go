@@ -3,8 +3,6 @@ package nbhd
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
@@ -124,33 +122,23 @@ func ShardedAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnume
 	}
 }
 
-// defaultShardCount oversubscribes workers so that the work-stealing drivers
+// shardsPerWorker oversubscribes workers so that the work-stealing drivers
 // can smooth uneven shard costs: a worker finishing a cheap shard steals the
 // next unclaimed one.
 const shardsPerWorker = 4
 
-func resolveShardsWorkers(shards, workers int) (int, int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if shards <= 0 {
-		shards = shardsPerWorker * workers
-	}
-	if workers > shards {
-		workers = shards
-	}
-	return shards, workers
-}
-
 // ForEachShardCtx drives the shards of se through a pool of workers.
-// Workers claim unstarted shards from a shared counter (work stealing), so
-// fn must be safe for concurrent calls from different worker indices; calls
-// with the same worker index are sequential. Returning false from fn stops
-// the whole drive early. shards <= 0 selects 4 per worker; workers <= 0
-// selects GOMAXPROCS.
+// Workers claim unstarted shards in increasing order from a shared counter
+// (work stealing, cancel.Each), so fn must be safe for concurrent calls
+// from different worker indices; calls with the same worker index are
+// sequential. Returning false from fn stops the whole drive early.
+// shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS.
 //
-// When several shards fail, the error of the lowest-numbered failing shard
-// is reported, keeping the result independent of scheduling.
+// A failing shard stops only the shards numbered above it: those abandon
+// their next instance, while lower-numbered shards run on. For a fixed
+// shard count the error reported is therefore the lowest-numbered failing
+// shard's, whatever the worker count and scheduling (unless fn stops the
+// drive or ctx fires first).
 //
 // When ctx fires, the drive stops at the next per-instance checkpoint —
 // the same stop flag every worker already polls between instances, so a
@@ -165,70 +153,54 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 // shard, and emits a per-shard completion event when a tracer is attached.
 // A zero Scope makes every instrument call a nil-receiver no-op.
 func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	shards, workers = resolveShardsWorkers(shards, workers)
+	shards, workers = cancel.Workers(shards, workers, shardsPerWorker)
 	enums := se.Shards(shards)
 	shardsDone := sc.Counter("nbhd.shards.done")
 	shardsStolen := sc.Counter("nbhd.shards.stolen")
 	sc.Gauge("nbhd.shards.total").Set(int64(len(enums)))
 	sc.Gauge("nbhd.workers").Set(int64(workers))
-	errs := make([]error, len(enums))
-	var next atomic.Int64
+	claimed := make([]int, workers)
 	var stop atomic.Bool
-	// Cancellation rides the existing stop flag: the watcher arms it when
-	// ctx fires, every worker observes it at its next instance (the same
-	// checkpoint early-stopping fn returns use), and the release reclaims
-	// the watcher before this function returns.
-	release := cancel.Watch(ctx, &stop)
-	defer release()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			claimed := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(enums) || stop.Load() {
-					return
-				}
-				if claimed > 0 {
-					shardsStolen.Inc()
-				}
-				claimed++
-				err := enums[i](func(l core.Labeled) bool {
-					if stop.Load() {
-						return false
-					}
-					if !fn(w, l) {
-						stop.Store(true)
-						return false
-					}
-					return true
-				})
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				shardsDone.Inc()
-				sc.Prog().Add(1)
-				sc.Event("shard.done", fmt.Sprintf("shard %d/%d on worker %d", i+1, len(enums), w))
-				if sc.EventsEnabled() {
-					// Per-shard, not per-instance: the event log sees O(shards)
-					// appends for a build, never the hot enumeration path.
-					sc.EmitEvent(obs.LevelDebug, "nbhd.shard.done",
-						obs.Fi("shard", int64(i)),
-						obs.Fi("worker", int64(w)),
-						obs.Fi("stolen", int64(claimed-1)))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var first cancel.First
+	cancel.Each(ctx, &stop, len(enums), workers, func(w, i int) bool {
+		// Claims increase, so once one passes a failed shard every later
+		// claim of this worker would too.
+		if uint64(i) > first.Best() {
+			return false
 		}
+		if claimed[w] > 0 {
+			shardsStolen.Inc()
+		}
+		claimed[w]++
+		err := enums[i](func(l core.Labeled) bool {
+			if stop.Load() || uint64(i) > first.Best() {
+				return false
+			}
+			if !fn(w, l) {
+				stop.Store(true)
+				return false
+			}
+			return true
+		})
+		if err != nil {
+			first.Offer(uint64(i), err)
+			return false
+		}
+		shardsDone.Inc()
+		sc.Prog().Add(1)
+		sc.Event("shard.done", fmt.Sprintf("shard %d/%d on worker %d", i+1, len(enums), w))
+		if sc.EventsEnabled() {
+			// Per-shard, not per-instance: the event log sees O(shards)
+			// appends for a build, never the hot enumeration path.
+			sc.EmitEvent(obs.LevelDebug, "nbhd.shard.done",
+				obs.Fi("shard", int64(i)),
+				obs.Fi("worker", int64(w)),
+				obs.Fi("stolen", int64(claimed[w]-1)))
+		}
+		return true
+	})
+	if err := first.Err(); err != nil {
+		return err
 	}
 	if err := cancel.Err(ctx, "sharded enumeration"); err != nil {
 		sc.Counter("nbhd.shards.cancelled").Inc()

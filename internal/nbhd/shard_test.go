@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
@@ -298,6 +299,53 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	bad := core.Labeled{Instance: core.Instance{G: graph.Path(2)}, Labels: []string{"a", "b"}}
 	if err := ForEachShardCtx(context.Background(), obs.Scope{}, ShardedFromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {
 		t.Error("invalid instance not reported")
+	}
+}
+
+// TestForEachShardErrorIndependentOfWorkers pins the error contract: for a
+// fixed shard count the reported error is the lowest-numbered failing
+// shard's at every worker count. Shard 1 fails at once on its first
+// (port-less) instance while shard 0 fails only after 200 slow valid
+// instances, so a driver that let any error stop every shard would report
+// shard 1's error whenever the two shards run concurrently.
+func TestForEachShardErrorIndependentOfWorkers(t *testing.T) {
+	p3 := core.NewAnonymousInstance(graph.Path(3))
+	valid := core.MustNewLabeled(p3, []string{"0", "1", "0"})
+	bad2 := core.Labeled{Instance: core.Instance{G: graph.Path(2)}, Labels: []string{"a", "b"}}
+	bad3 := core.Labeled{Instance: core.Instance{G: graph.Path(3)}, Labels: []string{"a", "b", "c"}}
+	// Index-residue sharding over 2 shards: even positions form shard 0
+	// (200 valid instances, then bad3), odd positions shard 1 (bad2 first).
+	var insts []core.Labeled
+	for j := 0; j <= 200; j++ {
+		even, odd := valid, valid
+		if j == 200 {
+			even = bad3
+		}
+		if j == 0 {
+			odd = bad2
+		}
+		insts = append(insts, even, odd)
+	}
+	se := ShardedFromLabeled(insts...)
+	var want string
+	for _, workers := range []int{1, 2, 3} {
+		err := ForEachShardCtx(context.Background(), obs.Scope{}, se, 2, workers, func(int, core.Labeled) bool {
+			time.Sleep(50 * time.Microsecond)
+			return true
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: no error", workers)
+		}
+		if workers == 1 {
+			want = err.Error()
+			if !strings.Contains(want, fmt.Sprint(bad3.G)) {
+				t.Fatalf("workers=1: error %q is not shard 0's", want)
+			}
+			continue
+		}
+		if err.Error() != want {
+			t.Errorf("workers=%d: error %q, want shard 0's %q", workers, err, want)
+		}
 	}
 }
 

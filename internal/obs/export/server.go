@@ -146,7 +146,7 @@ func serveEvents(w http.ResponseWriter, r *http.Request, log *EventLog, closing 
 		select {
 		case <-r.Context().Done():
 			return
-		case <-closingOrNever(closing):
+		case <-closing: // a nil closing never fires
 			return
 		case <-heartbeat.C:
 			if _, err := fmt.Fprintf(w, ": ping\n\n"); err != nil {
@@ -164,9 +164,6 @@ func serveEvents(w http.ResponseWriter, r *http.Request, log *EventLog, closing 
 		}
 	}
 }
-
-// closingOrNever treats a nil channel as never-closing.
-func closingOrNever(ch <-chan struct{}) <-chan struct{} { return ch }
 
 // Serve starts the telemetry server on addr (":0" picks a free port; the
 // bound address is Server.Addr). The server starts unready — call
