@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-run e04 | -only E4] [-list] [-shards N] [-workers N]
+//	experiments [-run e04] [-list] [-shards N] [-workers N]
 //	            [-timeout 5m] [-deadline 2026-08-07T17:30:00Z]
 //	            [-metrics-json out.json] [-trace trace.json] [-progress] [-serve addr]
 //	            [-faults spec] [-crash spec] [-seed N]
@@ -41,7 +41,6 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment by ID (e.g. E3)")
 	runID := flag.String("run", "", "run a single experiment by ID, case/zero-insensitive (e.g. e04)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	var shards, workers int
@@ -59,10 +58,7 @@ func main() {
 		os.Exit(1)
 	}
 	experiments.SetFaultPlan(plan)
-	sel := *only
-	if *runID != "" {
-		sel = engine.NormalizeExperimentID(*runID)
-	}
+	sel := engine.NormalizeExperimentID(*runID)
 	ctx, stop, err := runFlags.Context()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

@@ -40,9 +40,9 @@
 //
 // One guards the memory-reuse discipline (internal/mem):
 //
-//   - poolescape: a buffer borrowed from a recycler (mem.Pool, mem.FreeList,
-//     sync.Pool) must not escape its borrow scope — returned or stored into
-//     caller-visible state — without a defensive copy.
+//   - poolescape: no Get on a recycler (mem.Pool, mem.FreeList, sync.Pool);
+//     per-call scratch lives on the caller's stack, so no borrowed buffer
+//     can outlive its Put.
 //
 // And one enforces the cancellation-plumbing discipline (internal/engine):
 //

@@ -825,7 +825,7 @@ func (e *taintEnv) sinkDesc(call *ast.CallExpr) (string, bool) {
 		}
 	}
 	// Method form: any method declared in a package named "obs" is an
-	// observability sink (SetAttr, Event, SetConfig, SetExtra, ...).
+	// observability sink (SetAttr, EmitEvent, SetConfig, SetExtra, ...).
 	if s, ok := info.Selections[sel]; ok {
 		if fn, ok := s.Obj().(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Name() == "obs" {
 			if strings.HasPrefix(fn.Name(), "Redact") {

@@ -1,7 +1,7 @@
 // Package mem is a minimal replica of hidinglcp/internal/mem for analyzer
 // fixtures: the poolescape analyzer matches recyclers structurally (a named
-// Pool or FreeList type in a package named mem with a zero-argument Get), so
-// the fixture only needs the shape, not the implementation.
+// Pool or FreeList type in a package named mem), so the fixture only needs
+// the shape, not the implementation.
 package mem
 
 // Pool is a typed free list over recycled objects.

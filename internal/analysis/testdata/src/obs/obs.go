@@ -21,7 +21,7 @@ type Scope struct{}
 // Counter returns the named counter.
 func (s Scope) Counter(name string) *Counter { return &Counter{} }
 
-// Event mirrors the real trace-event emitter; a certflow sink.
+// Event stands for any obs method taking strings; a certflow sink.
 func (s Scope) Event(name, detail string) {}
 
 // Span mirrors the real trace span.

@@ -17,7 +17,7 @@ import (
 type ObsFlags struct {
 	// MetricsJSON is the path the run manifest is written to ("" = off).
 	MetricsJSON string
-	// TracePath is the path the span/event trace is written to ("" = off).
+	// TracePath is the path the span trace is written to ("" = off).
 	TracePath string
 	// Progress enables periodic progress lines on stderr.
 	Progress bool
@@ -42,7 +42,7 @@ type ObsFlags struct {
 func RegisterObsFlags() *ObsFlags {
 	var f ObsFlags
 	flag.StringVar(&f.MetricsJSON, "metrics-json", "", "write a run manifest (metrics, config, timings) to this JSON file")
-	flag.StringVar(&f.TracePath, "trace", "", "write the span/event trace to this JSON file")
+	flag.StringVar(&f.TracePath, "trace", "", "write the span trace to this JSON file")
 	flag.BoolVar(&f.Progress, "progress", false, "print periodic progress lines with ETA to stderr")
 	flag.StringVar(&f.Serve, "serve", "", "serve live telemetry (/metrics, /healthz, /trace, /events, pprof) on this address (e.g. :9090)")
 	flag.StringVar(&f.EventsPath, "events", "", "write the structured event log (JSONL) to this file")

@@ -105,12 +105,10 @@ func (pt *Ports) MustPort(v, w int) int {
 	return p
 }
 
-// formScratch holds AppendForm's breadth-first order and its inverse.
-type formScratch struct {
-	order, pos []int
-}
-
-var formScratchPool mem.Pool[formScratch]
+// formInline is the node count up to which AppendForm keeps its
+// breadth-first order and its inverse in fixed arrays on the stack; a
+// larger network grows them on the heap.
+const formInline = 32
 
 // AppendForm appends the canonical form of the port-numbered network
 // (pt, ids, nBound) to dst: two networks get equal forms iff a bijection of
@@ -134,12 +132,12 @@ func (pt *Ports) AppendForm(dst []byte, ids IDs, nBound int) (form []byte, ok bo
 	if n == 0 || (ids != nil && len(ids) != n) {
 		return dst, false
 	}
-	sc := formScratchPool.Get()
-	defer formScratchPool.Put(sc)
+	var orderBuf, posBuf [formInline]int
+	order, pos := mem.Ints(orderBuf[:], n), mem.Ints(posBuf[:], n)
 	start, bestEnd := len(dst), len(dst)
 	for root := 0; root < n; root++ {
 		mid := len(dst)
-		if dst, ok = pt.appendRooted(dst, sc, ids, nBound, root); !ok {
+		if dst, ok = pt.appendRooted(dst, order, pos, ids, nBound, root); !ok {
 			return dst[:start], false
 		}
 		if root == 0 || bytes.Compare(dst[mid:], dst[start:bestEnd]) < 0 {
@@ -156,9 +154,10 @@ func (pt *Ports) AppendForm(dst []byte, ids IDs, nBound int) (form []byte, ok bo
 // in port order, its identifier (omitted when anonymous), its degree and
 // the order positions of its neighbors in port order. An edge's port at
 // its far end needs no field of its own: it is where the near end's
-// position sits in the far end's row. ok is false when the order misses a
-// node or meets a port gap.
-func (pt *Ports) appendRooted(dst []byte, sc *formScratch, ids IDs, nBound, root int) ([]byte, bool) {
+// position sits in the far end's row. order and pos, of length n, are
+// buffers for the order and its inverse. ok is false when the order misses
+// a node or meets a port gap.
+func (pt *Ports) appendRooted(dst []byte, order, pos []int, ids IDs, nBound, root int) ([]byte, bool) {
 	n := len(pt.nbrByPort)
 	dst = binary.AppendUvarint(dst, uint64(n))
 	dst = binary.AppendUvarint(dst, uint64(nBound))
@@ -167,12 +166,10 @@ func (pt *Ports) appendRooted(dst []byte, sc *formScratch, ids IDs, nBound, root
 	} else {
 		dst = append(dst, 1)
 	}
-	pos := mem.Ints(sc.pos, n)
-	order := mem.Ints(sc.order, n)[:1]
-	sc.pos, sc.order = pos, order
 	for i := range pos {
 		pos[i] = -1
 	}
+	order = order[:1]
 	order[0], pos[root] = root, 0
 	for k := 0; k < len(order); k++ {
 		v := order[k]

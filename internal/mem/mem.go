@@ -1,7 +1,9 @@
 // Package mem provides the allocation-discipline building blocks of the hot
 // enumeration paths: chunked slab arenas for objects that live exactly as
-// long as one build, a capacity-reusing scratch helper, and a typed pool
-// with an explicit Reset contract.
+// long as one build and a capacity-reusing scratch helper. There is no
+// recycling pool: per-call scratch lives on the caller's stack (see
+// view.BinKey and graph.Ports.AppendForm), and the poolescape analyzer
+// (cmd/lcplint) reports any Get on a recycler.
 //
 // Escape rules (safe by construction):
 //
@@ -10,10 +12,6 @@
 //     only objects whose lifetime is tied to the arena owner (e.g. interned
 //     view representatives owned by a builder). Pointers into a slab stay
 //     valid for the arena's lifetime, so handing them out is safe.
-//   - Pool buffers are REUSED: a buffer obtained from a pool must
-//     not be returned, stored in a struct, or otherwise retained past the
-//     Put that recycles it, unless defensively copied first. The poolescape
-//     analyzer (cmd/lcplint) enforces this rule over the repository.
 //   - The scratch helper Ints returns a slice with undefined contents that
 //     aliases the input's backing array; callers own the result exactly as
 //     they owned the input.

@@ -75,18 +75,3 @@ func TestScratchHelpers(t *testing.T) {
 		t.Fatalf("Ints grow: len = %d", len(got))
 	}
 }
-
-func TestPoolResetDiscipline(t *testing.T) {
-	type scratch struct{ buf []int }
-	p := Pool[scratch]{
-		New:   func() *scratch { return &scratch{buf: make([]int, 0, 8)} },
-		Reset: func(s *scratch) { s.buf = s.buf[:0] },
-	}
-	s := p.Get()
-	s.buf = append(s.buf, 1, 2, 3)
-	p.Put(s)
-	s2 := p.Get()
-	if len(s2.buf) != 0 {
-		t.Fatalf("recycled scratch not Reset: len = %d", len(s2.buf))
-	}
-}

@@ -2,7 +2,6 @@ package nbhd
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
@@ -188,7 +187,6 @@ func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, sh
 		}
 		shardsDone.Inc()
 		sc.Prog().Add(1)
-		sc.Event("shard.done", fmt.Sprintf("shard %d/%d on worker %d", i+1, len(enums), w))
 		if sc.EventsEnabled() {
 			// Per-shard, not per-instance: the event log sees O(shards)
 			// appends for a build, never the hot enumeration path.

@@ -14,7 +14,7 @@ const ManifestSchema = "hidinglcp/run-manifest/v1"
 
 // RunManifest is the single JSON artifact a CLI run leaves behind: what ran
 // (tool, args, config, git revision), when and for how long, how it ended,
-// and a snapshot of every metric plus any retained spans and events.
+// and a snapshot of every metric plus any retained spans.
 type RunManifest struct {
 	Schema      string            `json:"schema"`
 	Tool        string            `json:"tool"`
@@ -30,7 +30,6 @@ type RunManifest struct {
 	Error       string            `json:"error,omitempty"`
 	Metrics     []MetricSnapshot  `json:"metrics"`
 	Spans       []SpanRecord      `json:"spans,omitempty"`
-	Events      []EventRecord     `json:"events,omitempty"`
 }
 
 // NewManifest opens a manifest for one run of tool, stamping the start
@@ -61,7 +60,7 @@ func (m *RunManifest) SetConfig(key, value string) {
 }
 
 // Finalize stamps the end time and outcome and freezes the scope's metrics
-// (and the tracer's spans and events, when one is attached).
+// (and the tracer's spans, when one is attached).
 func (m *RunManifest) Finalize(sc Scope, runErr error) {
 	if m == nil {
 		return
@@ -82,9 +81,6 @@ func (m *RunManifest) Finalize(sc Scope, runErr error) {
 		// Leave empty slices nil so omitempty keeps the JSON round-trippable.
 		if spans := tr.Spans(); len(spans) > 0 {
 			m.Spans = spans
-		}
-		if events := tr.Events(); len(events) > 0 {
-			m.Events = events
 		}
 	}
 }

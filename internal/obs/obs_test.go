@@ -33,7 +33,6 @@ func TestZeroScopeIsNoOp(t *testing.T) {
 	sp.SetAttr("k", "v")
 	sp.Child("child").End()
 	sp.End()
-	sc.Event("e", "detail")
 	sc.Prog().StartPhase("p", 10)
 	sc.Prog().Add(1)
 	sc.Prog().SetExtra(func() string { return "x" })

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// TestConcurrentScopeHammer drives counters, gauges, histograms, spans,
-// events, and progress from many goroutines at once — the exact access
+// TestConcurrentScopeHammer drives counters, gauges, histograms, spans and
+// progress from many goroutines at once — the exact access
 // pattern of the shard workers — and checks the totals. Run with -race
 // (CI does) to certify the whole layer data-race-free.
 func TestConcurrentScopeHammer(t *testing.T) {
@@ -38,7 +38,6 @@ func TestConcurrentScopeHammer(t *testing.T) {
 					child := root.Child("batch")
 					child.SetAttr("i", fmt.Sprint(i))
 					child.End()
-					sc.Event("batch", fmt.Sprintf("w%d i%d", w, i))
 				}
 				sc.Prog().Add(1)
 			}
@@ -66,7 +65,6 @@ func TestConcurrentScopeHammer(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		_ = sc.Registry().Snapshot()
 		_ = sc.Tracer().Spans()
-		_ = sc.Tracer().Events()
 	}
 	wg2.Wait()
 }

@@ -1,10 +1,10 @@
 package obs
 
 // Scope is the observability handle the pipelines thread through their hot
-// paths: a Registry for metrics, an optional Tracer for spans and events,
-// an optional Progress for periodic status lines, and a name that prefixes
-// phase labels so concurrent consumers (lcpcheck schemes, experiments) can
-// be told apart in the output.
+// paths: a Registry for metrics, an optional Tracer for spans, an optional
+// Progress for periodic status lines, and a name that prefixes phase labels
+// so concurrent consumers (lcpcheck schemes, experiments) can be told apart
+// in the output.
 //
 // The zero value is a complete no-op — Enabled() is false, every metric
 // accessor returns nil (whose methods are nil-safe), Span returns a nil
@@ -25,8 +25,7 @@ func NewScope() Scope {
 	return Scope{reg: NewRegistry()}
 }
 
-// WithTracer returns a copy of the scope that records spans and events
-// through t.
+// WithTracer returns a copy of the scope that records spans through t.
 func (s Scope) WithTracer(t *Tracer) Scope {
 	s.tr = t
 	return s
@@ -86,13 +85,6 @@ func (s Scope) Span(name string) *Span {
 		return nil
 	}
 	return s.tr.Start(name, nil)
-}
-
-// Event records a point-in-time event into the tracer's ring buffer.
-func (s Scope) Event(name, detail string) {
-	if s.tr != nil {
-		s.tr.Event(name, detail)
-	}
 }
 
 // Prog returns the attached progress reporter; the nil Progress returned on

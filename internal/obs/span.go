@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// defaultTraceCapacity bounds the span and event rings when NewTracer is
-// given no explicit capacity.
+// defaultTraceCapacity bounds the span ring when NewTracer is given no
+// explicit capacity.
 const defaultTraceCapacity = 4096
 
 // SpanRecord is one completed span, as retained by the Tracer and
@@ -29,17 +29,11 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// EventRecord is one ring-buffered point-in-time event.
-type EventRecord struct {
-	TimeUnixNS int64  `json:"time_unix_ns"`
-	Name       string `json:"name"`
-	Detail     string `json:"detail,omitempty"`
-}
-
-// Tracer records spans and events into fixed-capacity ring buffers: when a
-// run produces more than the capacity, the oldest records are dropped and
-// counted, so tracing a multi-minute sweep stays bounded. Safe for
-// concurrent use by the shard workers.
+// Tracer records spans into a fixed-capacity ring buffer: when a run
+// produces more than the capacity, the oldest records are dropped and
+// counted, so tracing a multi-minute sweep stays bounded. Point-in-time
+// events go to the structured event sink instead (Scope.EmitEvent). Safe
+// for concurrent use by the shard workers.
 type Tracer struct {
 	mu     sync.Mutex
 	nextID uint64
@@ -47,23 +41,18 @@ type Tracer struct {
 	spans     []SpanRecord
 	spanNext  int
 	spanCount int
-
-	events   []EventRecord
-	evNext   int
-	evCount  int
-	dropped  int64
-	capacity int
+	dropped   int64
+	capacity  int
 }
 
-// NewTracer returns a tracer whose span and event rings each hold capacity
-// records (<= 0 selects the default of 4096).
+// NewTracer returns a tracer whose span ring holds capacity records (<= 0
+// selects the default of 4096).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = defaultTraceCapacity
 	}
 	return &Tracer{
 		spans:    make([]SpanRecord, capacity),
-		events:   make([]EventRecord, capacity),
 		capacity: capacity,
 	}
 }
@@ -138,23 +127,6 @@ func (s *Span) End() {
 	t.mu.Unlock()
 }
 
-// Event records a point-in-time event.
-func (t *Tracer) Event(name, detail string) {
-	if t == nil {
-		return
-	}
-	rec := EventRecord{TimeUnixNS: Now(), Name: name, Detail: detail}
-	t.mu.Lock()
-	if t.evCount == t.capacity {
-		t.dropped++
-	} else {
-		t.evCount++
-	}
-	t.events[t.evNext] = rec
-	t.evNext = (t.evNext + 1) % t.capacity
-	t.mu.Unlock()
-}
-
 // Spans returns the retained span records, oldest first.
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
@@ -170,22 +142,7 @@ func (t *Tracer) Spans() []SpanRecord {
 	return out
 }
 
-// Events returns the retained event records, oldest first.
-func (t *Tracer) Events() []EventRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]EventRecord, 0, t.evCount)
-	start := (t.evNext - t.evCount + t.capacity) % t.capacity
-	for i := 0; i < t.evCount; i++ {
-		out = append(out, t.events[(start+i)%t.capacity])
-	}
-	return out
-}
-
-// Dropped returns how many records were evicted from full rings.
+// Dropped returns how many span records were evicted from the full ring.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
@@ -197,14 +154,13 @@ func (t *Tracer) Dropped() int64 {
 
 // trace is the JSON shape WriteJSON emits.
 type trace struct {
-	Spans   []SpanRecord  `json:"spans"`
-	Events  []EventRecord `json:"events,omitempty"`
-	Dropped int64         `json:"dropped,omitempty"`
+	Spans   []SpanRecord `json:"spans"`
+	Dropped int64        `json:"dropped,omitempty"`
 }
 
-// WriteJSON serializes the retained spans and events.
+// WriteJSON serializes the retained spans.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(trace{Spans: t.Spans(), Events: t.Events(), Dropped: t.Dropped()})
+	return enc.Encode(trace{Spans: t.Spans(), Dropped: t.Dropped()})
 }

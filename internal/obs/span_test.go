@@ -50,15 +50,15 @@ func TestSpanNesting(t *testing.T) {
 func TestTracerRingEviction(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Event("e", fmt.Sprintf("%d", i))
+		tr.Start(fmt.Sprintf("s%d", i), nil).End()
 	}
-	events := tr.Events()
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want ring capacity 4", len(events))
+	spans := tr.Spans()
+	if len(spans) != 4 {
+		t.Fatalf("got %d spans, want ring capacity 4", len(spans))
 	}
-	for i, e := range events {
-		if want := fmt.Sprintf("%d", 6+i); e.Detail != want {
-			t.Errorf("event %d detail = %q, want %q (oldest-first after eviction)", i, e.Detail, want)
+	for i, s := range spans {
+		if want := fmt.Sprintf("s%d", 6+i); s.Name != want {
+			t.Errorf("span %d name = %q, want %q (oldest-first after eviction)", i, s.Name, want)
 		}
 	}
 	if tr.Dropped() != 6 {
@@ -70,22 +70,17 @@ func TestTracerWriteJSON(t *testing.T) {
 	tr := NewTracer(8)
 	sp := tr.Start("phase", nil)
 	sp.End()
-	tr.Event("note", "hello")
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {
-		Spans  []SpanRecord  `json:"spans"`
-		Events []EventRecord `json:"events"`
+		Spans []SpanRecord `json:"spans"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("trace output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	if len(decoded.Spans) != 1 || decoded.Spans[0].Name != "phase" {
 		t.Errorf("spans = %+v", decoded.Spans)
-	}
-	if len(decoded.Events) != 1 || decoded.Events[0].Detail != "hello" {
-		t.Errorf("events = %+v", decoded.Events)
 	}
 }

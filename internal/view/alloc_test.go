@@ -52,6 +52,35 @@ func TestCachedKeyAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshKeyAllocs pins a fresh canonical key at one allocation, the
+// key's bytes: the port order and the serialization buffers of a view of up
+// to 32 nodes live on the stack. Each call refills a scratch view with
+// InstantiateInto, which clears its cached key, and keys it with BinKey.
+// Larger views grow those buffers on the heap; the 40-leaf stars of
+// TestIDOrderSortCutoff and TestProbeKeyAllocs cover that path.
+func TestFreshKeyAllocs(t *testing.T) {
+	g := graph.Grid(4, 4)
+	labels := make([]string, g.N())
+	for i := range labels {
+		labels[i] = []string{"a", "b", "c"}[i%3]
+	}
+	for _, ids := range []graph.IDs{nil, graph.SequentialIDs(g.N())} {
+		var ex view.Extractor
+		tpl, err := ex.Template(g, graph.DefaultPorts(g), ids, g.N(), 5, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scratch view.View
+		tpl.InstantiateInto(&scratch, labels) // size the label slice once
+		if n := testing.AllocsPerRun(100, func() {
+			tpl.InstantiateInto(&scratch, labels)
+			_ = scratch.BinKey()
+		}); n != 1 {
+			t.Errorf("InstantiateInto + BinKey (ids %v) allocate %.1f objects per call, want 1 (the key bytes)", ids != nil, n)
+		}
+	}
+}
+
 // TestProbeKeyAllocs pins the nbhd builders' interner probe at zero
 // allocations: splicing labels into a template's skeleton in a reused key
 // buffer and finding its class with LookupKey must not touch the heap once
@@ -106,8 +135,8 @@ func TestProbeKeyAllocs(t *testing.T) {
 
 // TestAppendShapeAllocs pins the skeleton path at zero allocations once
 // the buffers have grown: SkeletonInto runs the port order and
-// serialization on the pooled key scratch, like BinKey, and reuses
-// the Skeleton's buffers; AppendKey only splices into the caller's buffer.
+// serialization on stack scratch, like BinKey, and reuses the Skeleton's
+// buffers; AppendKey only splices into the caller's buffer.
 func TestAppendShapeAllocs(t *testing.T) {
 	g := graph.Grid(4, 4)
 	pt := graph.DefaultPorts(g)

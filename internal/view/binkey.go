@@ -7,19 +7,10 @@ import (
 	"hidinglcp/internal/mem"
 )
 
-// keyScratch holds every per-call buffer of the canonical-key computation:
-// the node order, its inverse, and the neighbor buffers of the order and of
-// the serialization. The buffers are recycled through keyScratchPool;
-// nothing reachable from a scratch may be returned to a caller — the final
-// key is always appended to the caller's buffer (see the escape rules of
-// internal/mem).
-type keyScratch struct {
-	order, pos []int    // canonical node order and its inverse
-	arms       [][2]int // (port, neighbor) of one node, sorted by port
-	nb         []int    // one node's later positions, for serialization
-}
-
-var keyScratchPool mem.Pool[keyScratch]
+// keyInline is the node count up to which the canonical-key computation
+// keeps its buffers in fixed arrays on the stack; a larger view grows them
+// on the heap.
+const keyInline = 32
 
 // BinKey returns the canonical key of the view: two views have the same
 // key iff they are equal as views (see Key). The encoding is an
@@ -44,10 +35,7 @@ func (v *View) BinKey() []byte {
 	v.cacheMu.Lock()
 	k := v.cachedBin
 	if k == nil {
-		sc := keyScratchPool.Get()
-		v.portOrder(sc)
-		k = v.appendBinSerialize(nil, sc, nil)
-		keyScratchPool.Put(sc)
+		k = v.appendKey(nil, nil, nil)
 		v.cachedBin = k
 	}
 	v.cacheMu.Unlock()
@@ -69,16 +57,31 @@ type Skeleton struct {
 // SkeletonInto writes the template's skeleton into s, reusing s's buffers:
 // apart from growing them, the call allocates nothing.
 func (t *Template) SkeletonInto(s *Skeleton) {
-	sc := keyScratchPool.Get()
-	defer keyScratchPool.Put(sc)
 	v := View{Radius: t.radius, Adj: t.adj, Dist: t.dist, Ports: t.ports, IDs: t.ids, NBound: t.nBound}
-	v.portOrder(sc)
-	s.at = s.at[:0]
-	s.key = v.appendBinSerialize(s.key[:0], sc, s)
-	s.hosts = s.hosts[:0]
-	for _, i := range sc.order {
-		s.hosts = append(s.hosts, t.hosts[i])
+	s.at, s.hosts = s.at[:0], s.hosts[:0]
+	s.key = v.appendKey(s.key[:0], s, t.hosts)
+}
+
+// appendKey appends v's canonical key to dst, or with a non-nil skel its
+// skeleton: the label fields left out, their offsets appended to skel.at and
+// the host node hosts[i] of each canonical position to skel.hosts. The
+// order, its inverse and the neighbor buffers live in this frame's arrays
+// up to keyInline nodes; keeping them out of BinKey's frame keeps its
+// cached path short.
+//
+//go:noinline
+func (v *View) appendKey(dst []byte, skel *Skeleton, hosts []int) []byte {
+	var orderBuf, posBuf, nbBuf [keyInline]int
+	var armBuf [keyInline][2]int
+	n := v.N()
+	pos := mem.Ints(posBuf[:], n)
+	order := v.portOrder(mem.Ints(orderBuf[:], n), pos, armBuf[:0])
+	if skel != nil {
+		for _, i := range order {
+			skel.hosts = append(skel.hosts, hosts[i])
+		}
 	}
+	return v.appendBinSerialize(dst, order, pos, nbBuf[:0], skel)
 }
 
 // AppendKey appends to dst the canonical key of the skeleton's template
@@ -97,19 +100,17 @@ func (s *Skeleton) AppendKey(dst []byte, labels []string) []byte {
 	return append(dst, s.key[prev:]...)
 }
 
-// portOrder fills sc.order with the view's nodes in port order and sc.pos
-// with its inverse. The order starts with the center and is walked as a
-// breadth-first queue: each dequeued node appends its not yet ordered
-// neighbors, sorted by their port at that node.
-func (v *View) portOrder(sc *keyScratch) {
-	n := v.N()
-	pos := mem.Ints(sc.pos, n)
+// portOrder writes the view's nodes in port order into order and returns
+// it, and writes its inverse into pos; both must have length v.N(), and
+// arms is a buffer for one node's neighbors. The order starts with the
+// center and is walked as a breadth-first queue: each dequeued node appends
+// its not yet ordered neighbors, sorted by their port at that node.
+func (v *View) portOrder(order, pos []int, arms [][2]int) []int {
 	for i := range pos {
 		pos[i] = -1
 	}
-	order := mem.Ints(sc.order, n)[:1]
+	order = order[:1]
 	order[0], pos[Center] = Center, 0
-	arms := sc.arms
 	for k := 0; k < len(order); k++ {
 		a := order[k]
 		arms = arms[:0]
@@ -124,20 +125,19 @@ func (v *View) portOrder(sc *keyScratch) {
 			order = append(order, arm[1])
 		}
 	}
-	sc.order, sc.pos, sc.arms = order, pos, arms
+	return order
 }
 
-// appendBinSerialize renders the view under the node order sc.order, whose
-// inverse is sc.pos, into dst: a varint header (radius, n, NBound), per
-// node (dist, id, length-prefixed label), then every visible edge as (ka,
-// kb, port a→b, port b→a) for positions ka < kb in increasing (ka, kb)
-// order. Every field is self-delimiting, so the encoding determines the
+// appendBinSerialize renders the view under the node order order, whose
+// inverse is pos, into dst, using nb as the buffer for one node's later
+// positions: a varint header (radius, n, NBound), per node (dist, id,
+// length-prefixed label), then every visible edge as (ka, kb, port a→b,
+// port b→a) for positions ka < kb in increasing (ka, kb) order. Every field is self-delimiting, so the encoding determines the
 // ordered view — equal bytes mean equal views under the chosen orderings.
 // With a non-nil skel, the label fields are left out (v.Labels is not read)
 // and their offsets in dst are appended to skel.at instead.
-func (v *View) appendBinSerialize(dst []byte, sc *keyScratch, skel *Skeleton) []byte {
+func (v *View) appendBinSerialize(dst []byte, order, pos, nb []int, skel *Skeleton) []byte {
 	n := v.N()
-	order, pos := sc.order, sc.pos
 	if dst == nil {
 		dst = make([]byte, 0, 16+8*n)
 	}
@@ -154,7 +154,6 @@ func (v *View) appendBinSerialize(dst []byte, sc *keyScratch, skel *Skeleton) []
 		dst = binary.AppendUvarint(dst, uint64(len(v.Labels[i])))
 		dst = append(dst, v.Labels[i]...)
 	}
-	nb := sc.nb
 	for ka := 0; ka < n; ka++ {
 		a := order[ka]
 		nb = nb[:0]
@@ -172,6 +171,5 @@ func (v *View) appendBinSerialize(dst []byte, sc *keyScratch, skel *Skeleton) []
 			dst = binary.AppendUvarint(dst, uint64(v.Ports[[2]int{b, a}]))
 		}
 	}
-	sc.nb = nb
 	return dst
 }
