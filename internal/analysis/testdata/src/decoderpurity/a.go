@@ -29,7 +29,7 @@ func (d *badMutator) Anonymous() bool { return true }
 func (d *badMutator) Decide(mu *view.View) bool {
 	mu.IDs[0] = 7                      // want "write to view argument mu.IDs"
 	mu.Labels = append(mu.Labels, "x") // want "write to view argument mu.Labels"
-	delete(mu.Ports, [2]int{0, 1})     // want "write to view argument mu.Ports"
+	mu.Ports.Rows[0][1] = -1           // want "write to view argument mu.Ports"
 	mu.NBound++                        // want "write to view argument mu.NBound"
 	return true
 }

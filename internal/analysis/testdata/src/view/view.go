@@ -8,10 +8,16 @@ type View struct {
 	Radius int
 	Adj    [][]int
 	Dist   []int
-	Ports  map[[2]int]int
+	Ports  *PortRows
 	IDs    []int
 	Labels []string
 	NBound int
+}
+
+// PortRows mirrors the real per-node port rows: Rows[i][p-1] is the local
+// node behind port p at i, or -1.
+type PortRows struct {
+	Rows [][]int
 }
 
 // N returns the number of nodes in the view.

@@ -5,6 +5,7 @@ package decoders
 import (
 	"testing"
 
+	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/view"
 )
@@ -31,6 +32,44 @@ func TestDegreeOneKDecideAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { d.Decide(mu) }); n != 0 {
 			t.Errorf("%s: Decide allocates %.1f objects per call, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestMelonShatterDecideAllocs pins the Watermelon and Shatter decoders at
+// zero allocations at every node of a certified instance, on the accepting
+// views and on the views where the center's certificate is replaced by a
+// malformed one (the reject path builds no error).
+func TestMelonShatterDecideAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		s core.Scheme
+		g *graph.Graph
+	}{
+		{Watermelon(), graph.MustWatermelon([]int{2, 2, 2})},
+		{Shatter(), graph.Spider([]int{2, 2, 2})},
+		{ShatterLiteral(), graph.Path(7)},
+	} {
+		inst := core.NewInstance(tc.g)
+		labels, err := tc.s.Prover.Certify(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range labels {
+			mu := view.MustExtract(inst.G, inst.Prt, inst.IDs, labels, inst.NBound, v, 1)
+			if !tc.s.Decoder.Decide(mu) {
+				t.Fatalf("%s: Decide rejected the certified view of node %d", tc.s.Name, v)
+			}
+			bad := append([]string(nil), labels...)
+			bad[v] = labels[v] + ":9"
+			muBad := view.MustExtract(inst.G, inst.Prt, inst.IDs, bad, inst.NBound, v, 1)
+			if tc.s.Decoder.Decide(muBad) {
+				t.Fatalf("%s: Decide accepted a malformed certificate at node %d", tc.s.Name, v)
+			}
+			for _, m := range []*view.View{mu, muBad} {
+				if n := testing.AllocsPerRun(20, func() { tc.s.Decoder.Decide(m) }); n != 0 {
+					t.Errorf("%s: Decide at node %d allocates %.1f objects per call, want 0", tc.s.Name, v, n)
+				}
+			}
 		}
 	}
 }

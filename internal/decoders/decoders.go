@@ -20,11 +20,7 @@
 // the paper's certificate-size claims.
 package decoders
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "math"
 
 // bitsFor returns the number of bits needed to distinguish values 0..m-1
 // (at least 1).
@@ -52,16 +48,47 @@ func bitsForValue(v int) int {
 	return b
 }
 
-// parseInts splits s on sep and parses each part as a non-negative integer.
-func parseInts(s, sep string) ([]int, error) {
-	parts := strings.Split(s, sep)
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("field %d (len=%d) is not a non-negative integer", i, len(p))
-		}
-		out[i] = v
+// scanNat parses the decimal integer that starts at s[i] and runs to the
+// first byte that is not a digit, and returns its value and the index after
+// it. It accepts exactly the fields strconv.Atoi turns into a non-negative
+// int: an optional sign, at least one digit, no overflow (so "-0" parses and
+// "-1" does not).
+func scanNat(s string, i int) (v, next int, ok bool) {
+	neg := false
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		neg = s[i] == '-'
+		i++
 	}
-	return out, nil
+	start := i
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		d := int(s[i] - '0')
+		if v > (math.MaxInt-d)/10 {
+			return 0, i, false
+		}
+		v = v*10 + d
+	}
+	return v, i, i > start && (!neg || v == 0)
+}
+
+// scanNats parses s as len(out) non-negative integers (see scanNat), the
+// k-th followed by the separator byte seps[k] and the last by the end of s.
+// The certificate parsers read their fields with it in place, with no
+// splitting and no allocation.
+func scanNats(s, seps string, out []int) bool {
+	i := 0
+	for k := range out {
+		v, next, ok := scanNat(s, i)
+		if !ok {
+			return false
+		}
+		out[k] = v
+		if k == len(out)-1 {
+			return next == len(s)
+		}
+		if next == len(s) || s[next] != seps[k] {
+			return false
+		}
+		i = next + 1
+	}
+	return true
 }

@@ -93,8 +93,8 @@ func FlipCycleLabelColors(labels []string) []string {
 func FlipWatermelonLabelColors(labels []string) []string {
 	out := make([]string, len(labels))
 	for i, l := range labels {
-		c, err := parseMelonCert(l)
-		if err != nil || c.typ != 2 {
+		c, ok := parseMelonCert(l)
+		if !ok || c.typ != 2 {
 			out[i] = l
 			continue
 		}

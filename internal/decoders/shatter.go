@@ -2,7 +2,6 @@ package decoders
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"hidinglcp/internal/core"
@@ -103,59 +102,48 @@ func colorBits(colors []int) string {
 type shatterCert struct {
 	typ    int
 	id     int
-	colors []int // types 0 (patched) and 1
-	comp   int   // type 2
-	x      int   // type 2
+	colors string // types 0 (patched) and 1: the vector as '0'/'1' bytes
+	comp   int    // type 2
+	x      int    // type 2
 }
 
-func parseShatterCert(label string) (shatterCert, error) {
+// color returns entry i (0-based) of a type-0 or type-1 color vector.
+func (c shatterCert) color(i int) int { return int(c.colors[i] - '0') }
+
+// parseShatterCert parses one Shatter certificate in place and reports
+// whether it is well formed; the color vector stays a substring of label,
+// so the decoder's hot path builds no strings, slices or errors.
+func parseShatterCert(label string) (shatterCert, bool) {
 	var c shatterCert
-	parts := strings.Split(label, ":")
-	switch parts[0] {
-	case "S0", "S1":
-		if len(parts) != 3 {
-			return c, fmt.Errorf("type S0/S1 wants 2 fields, got %d", len(parts)-1)
+	if len(label) < 3 || label[0] != 'S' || label[2] != ':' {
+		return c, false
+	}
+	switch label[1] {
+	case '0', '1':
+		id, next, ok := scanNat(label, 3)
+		if !ok || id < 1 || next == len(label) || label[next] != ':' {
+			return c, false
 		}
-		id, err := strconv.Atoi(parts[1])
-		if err != nil || id < 1 {
-			return c, fmt.Errorf("bad identifier (len=%d)", len(parts[1]))
-		}
-		colors := make([]int, len(parts[2]))
-		for i, ch := range parts[2] {
-			switch ch {
-			case '0':
-				colors[i] = 0
-			case '1':
-				colors[i] = 1
-			default:
-				return c, fmt.Errorf("bad color vector (len=%d)", len(parts[2]))
+		colors := label[next+1:]
+		for i := 0; i < len(colors); i++ {
+			if colors[i] != '0' && colors[i] != '1' {
+				return c, false
 			}
 		}
-		typ := 0
-		if parts[0] == "S1" {
-			typ = 1
+		return shatterCert{typ: int(label[1] - '0'), id: id, colors: colors}, true
+	case '2':
+		var f [3]int
+		if !scanNats(label[3:], "::", f[:]) || f[0] < 1 || f[1] < 1 || f[2] > 1 {
+			return c, false
 		}
-		return shatterCert{typ: typ, id: id, colors: colors}, nil
-	case "S2":
-		if len(parts) != 4 {
-			return c, fmt.Errorf("type 2 wants 3 fields, got %d", len(parts)-1)
-		}
-		vals, err := parseInts(strings.Join(parts[1:], ":"), ":")
-		if err != nil {
-			return c, err
-		}
-		if vals[0] < 1 || vals[1] < 1 || (vals[2] != 0 && vals[2] != 1) {
-			return c, fmt.Errorf("fields out of range (len=%d)", len(label))
-		}
-		return shatterCert{typ: 2, id: vals[0], comp: vals[1], x: vals[2]}, nil
-	default:
-		return c, fmt.Errorf("unknown type (len=%d)", len(parts[0]))
+		return shatterCert{typ: 2, id: f[0], comp: f[1], x: f[2]}, true
 	}
+	return c, false
 }
 
 func shatterCertBits(label string) int {
-	c, err := parseShatterCert(label)
-	if err != nil {
+	c, ok := parseShatterCert(label)
+	if !ok {
 		return 8 * len(label)
 	}
 	switch c.typ {
@@ -177,22 +165,17 @@ func (d *shatterDecoder) Anonymous() bool { return false }
 
 // Decide implements the decoder of Theorem 1.3 (conditions 1, 2(a)-(c),
 // 3(a)-(c) of its proof), plus — unless literal — the vector-anchoring
-// checks documented on Shatter.
+// checks documented on Shatter. It parses the neighbours one at a time and
+// returns false at the first malformed label or broken condition; every
+// rejection is the same verdict, so the order of the checks does not
+// matter.
 func (d *shatterDecoder) Decide(mu *view.View) bool {
 	center := view.Center
-	own, err := parseShatterCert(mu.Labels[center])
-	if err != nil {
+	own, ok := parseShatterCert(mu.Labels[center])
+	if !ok {
 		return false
 	}
 	nbs := mu.Adj[center]
-	certs := make([]shatterCert, len(nbs))
-	for i, w := range nbs {
-		c, err := parseShatterCert(mu.Labels[w])
-		if err != nil {
-			return false
-		}
-		certs[i] = c
-	}
 	switch own.typ {
 	case 0:
 		// Condition 1: own id field matches own identifier; all neighbors
@@ -200,8 +183,9 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 		if own.id != mu.IDs[center] {
 			return false
 		}
-		for i, w := range nbs {
-			if certs[i].typ != 1 || certs[i].id != own.id {
+		for _, w := range nbs {
+			c, ok := parseShatterCert(mu.Labels[w])
+			if !ok || c.typ != 1 || c.id != own.id {
 				return false
 			}
 			if mu.Labels[w] != mu.Labels[nbs[0]] {
@@ -217,31 +201,35 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 		// Condition 2(c): every type-2 neighbor matches id and its color
 		// equals colors[comp].
 		shatters := 0
-		for i, w := range nbs {
-			switch certs[i].typ {
+		for _, w := range nbs {
+			c, ok := parseShatterCert(mu.Labels[w])
+			if !ok {
+				return false
+			}
+			switch c.typ {
 			case 1:
 				return false
 			case 0:
 				shatters++
-				if certs[i].id != own.id {
+				if c.id != own.id {
 					return false
 				}
 				if !d.literal {
 					if mu.IDs[w] != own.id {
 						return false
 					}
-					if !equalInts(certs[i].colors, own.colors) {
+					if c.colors != own.colors {
 						return false
 					}
 				}
 			case 2:
-				if certs[i].id != own.id {
+				if c.id != own.id {
 					return false
 				}
-				if certs[i].comp > len(own.colors) {
+				if c.comp > len(own.colors) {
 					return false
 				}
-				if own.colors[certs[i].comp-1] != certs[i].x {
+				if own.color(c.comp-1) != c.x {
 					return false
 				}
 			}
@@ -252,40 +240,32 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 		// Condition 3(b): type-1 neighbors match id and colors[comp] = x.
 		// Condition 3(c): type-2 neighbors match id and comp, with the
 		// opposite color.
-		for i := range nbs {
-			switch certs[i].typ {
+		for _, w := range nbs {
+			c, ok := parseShatterCert(mu.Labels[w])
+			if !ok {
+				return false
+			}
+			switch c.typ {
 			case 0:
 				return false
 			case 1:
-				if certs[i].id != own.id {
+				if c.id != own.id {
 					return false
 				}
-				if own.comp > len(certs[i].colors) {
+				if own.comp > len(c.colors) {
 					return false
 				}
-				if certs[i].colors[own.comp-1] != own.x {
+				if c.color(own.comp-1) != own.x {
 					return false
 				}
 			case 2:
-				if certs[i].id != own.id || certs[i].comp != own.comp || certs[i].x == own.x {
+				if c.id != own.id || c.comp != own.comp || c.x == own.x {
 					return false
 				}
 			}
 		}
 		return true
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 type shatterProver struct {

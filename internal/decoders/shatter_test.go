@@ -322,8 +322,8 @@ func TestParseShatterCertErrors(t *testing.T) {
 		"S2:1:0:0", "S2:1:1:7", "S1:abc:00",
 	}
 	for _, l := range bad {
-		if _, err := parseShatterCert(l); err == nil {
-			t.Errorf("parseShatterCert(%q) succeeded, want error", l)
+		if _, ok := parseShatterCert(l); ok {
+			t.Errorf("parseShatterCert(%q) succeeded, want rejection", l)
 		}
 	}
 }

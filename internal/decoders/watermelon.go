@@ -2,7 +2,7 @@ package decoders
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
@@ -58,63 +58,44 @@ type melonCert struct {
 	color    [3]int
 }
 
-func parseMelonCert(label string) (melonCert, error) {
+// parseMelonCert parses one Watermelon certificate in place and reports
+// whether it is well formed; the decoder's hot path builds no strings and
+// no errors.
+func parseMelonCert(label string) (melonCert, bool) {
 	var c melonCert
-	parts := strings.Split(label, ":")
-	switch parts[0] {
-	case "W1":
-		if len(parts) != 3 {
-			return c, fmt.Errorf("type 1 wants 2 fields, got %d", len(parts)-1)
-		}
-		ids, err := parseInts(strings.Join(parts[1:], ":"), ":")
-		if err != nil {
-			return c, fmt.Errorf("malformed watermelon certificate (len=%d): %w", len(label), err)
-		}
-		c.typ, c.id1, c.id2 = 1, ids[0], ids[1]
-		if c.id1 < 1 || c.id2 <= c.id1 {
-			return c, fmt.Errorf("endpoint ids out of order (len=%d)", len(label))
-		}
-		return c, nil
-	case "W2":
-		if len(parts) != 6 {
-			return c, fmt.Errorf("type 2 wants 5 fields, got %d", len(parts)-1)
-		}
-		head, err := parseInts(strings.Join(parts[1:4], ":"), ":")
-		if err != nil {
-			return c, fmt.Errorf("malformed watermelon certificate (len=%d): %w", len(label), err)
-		}
-		c.typ, c.id1, c.id2, c.path = 2, head[0], head[1], head[2]
-		if c.id1 < 1 || c.id2 <= c.id1 || c.path < 1 {
-			return c, fmt.Errorf("header fields out of range (len=%d)", len(label))
-		}
-		for j := 1; j <= 2; j++ {
-			entry, err := parseInts(parts[3+j], ",")
-			if err != nil || len(entry) != 2 {
-				return c, fmt.Errorf("malformed edge entry %d (len=%d)", j, len(parts[3+j]))
-			}
-			if entry[0] < 1 {
-				return c, fmt.Errorf("far port out of range")
-			}
-			if entry[1] != 0 && entry[1] != 1 {
-				return c, fmt.Errorf("color out of range (want 0 or 1)")
-			}
-			c.farPort[j], c.color[j] = entry[0], entry[1]
-		}
-		if c.color[1] == c.color[2] {
-			// Format requires the two incident edges differently colored
-			// (Theorem 1.4 proof: "the format of ℓ indicates that the two
-			// incident edges of each node have different colors").
-			return c, fmt.Errorf("equal incident edge colors (len=%d)", len(label))
-		}
-		return c, nil
-	default:
-		return c, fmt.Errorf("unknown watermelon certificate type (len=%d)", len(parts[0]))
+	if len(label) < 3 || label[0] != 'W' || label[2] != ':' {
+		return c, false
 	}
+	switch label[1] {
+	case '1':
+		var f [2]int
+		if !scanNats(label[3:], ":", f[:]) {
+			return c, false
+		}
+		c.typ, c.id1, c.id2 = 1, f[0], f[1]
+		return c, c.id1 >= 1 && c.id2 > c.id1
+	case '2':
+		// id1:id2:path:q1,c1:q2,c2
+		var f [7]int
+		if !scanNats(label[3:], ":::,:,", f[:]) {
+			return c, false
+		}
+		c.typ, c.id1, c.id2, c.path = 2, f[0], f[1], f[2]
+		c.farPort = [3]int{0, f[3], f[5]}
+		c.color = [3]int{0, f[4], f[6]}
+		// Format requires the two incident edges differently colored
+		// (Theorem 1.4 proof: "the format of ℓ indicates that the two
+		// incident edges of each node have different colors").
+		return c, c.id1 >= 1 && c.id2 > c.id1 && c.path >= 1 &&
+			c.farPort[1] >= 1 && c.farPort[2] >= 1 &&
+			c.color[1] <= 1 && c.color[2] <= 1 && c.color[1] != c.color[2]
+	}
+	return c, false
 }
 
 func watermelonCertBits(label string) int {
-	c, err := parseMelonCert(label)
-	if err != nil {
+	c, ok := parseMelonCert(label)
+	if !ok {
 		return 8 * len(label)
 	}
 	bits := 1 + bitsForValue(c.id1) + bitsForValue(c.id2)
@@ -132,38 +113,31 @@ func (d *watermelonDecoder) Rounds() int     { return 1 }
 func (d *watermelonDecoder) Anonymous() bool { return false }
 
 // Decide implements the decoder of Theorem 1.4 (conditions 1, 2(a)-(d),
-// 3(a)-(c) of its proof).
+// 3(a)-(c) of its proof). It parses the neighbours one at a time and
+// returns false at the first malformed label or broken condition; every
+// rejection is the same verdict, so the order of the checks does not
+// matter.
 func (d *watermelonDecoder) Decide(mu *view.View) bool {
 	center := view.Center
-	own, err := parseMelonCert(mu.Labels[center])
-	if err != nil {
+	own, ok := parseMelonCert(mu.Labels[center])
+	if !ok {
 		return false
 	}
 	nbs := mu.Adj[center]
-	certs := make(map[int]melonCert, len(nbs))
-	for _, w := range nbs {
-		c, err := parseMelonCert(mu.Labels[w])
-		if err != nil {
-			return false
-		}
-		// Condition 1: all neighbors agree on the endpoint identifiers.
-		if c.id1 != own.id1 || c.id2 != own.id2 {
-			return false
-		}
-		certs[w] = c
-	}
 	if own.typ == 1 {
 		// Condition 2(a): the node is one of the announced endpoints.
 		if mu.IDs[center] != own.id1 && mu.IDs[center] != own.id2 {
 			return false
 		}
-		pathsSeen := make(map[int]bool, len(nbs))
+		var buf [8]int
+		paths := buf[:0] // path numbers seen so far
 		edgeColor := -1
 		for _, w := range nbs {
-			c := certs[w]
+			c, ok := parseMelonCert(mu.Labels[w])
+			// Condition 1: all neighbors agree on the endpoint identifiers.
 			// Condition 2(b): all neighbors are path nodes whose entry for
 			// the shared edge points back here.
-			if c.typ != 2 {
+			if !ok || c.id1 != own.id1 || c.id2 != own.id2 || c.typ != 2 {
 				return false
 			}
 			j, ok := mu.Port(w, center) // neighbor's own port for the edge
@@ -175,10 +149,10 @@ func (d *watermelonDecoder) Decide(mu *view.View) bool {
 				return false
 			}
 			// Condition 2(c): distinct path numbers across neighbors.
-			if pathsSeen[c.path] {
+			if slices.Contains(paths, c.path) {
 				return false
 			}
-			pathsSeen[c.path] = true
+			paths = append(paths, c.path)
 			// Condition 2(d): all incident edges carry one color.
 			if edgeColor == -1 {
 				edgeColor = c.color[j]
@@ -193,6 +167,11 @@ func (d *watermelonDecoder) Decide(mu *view.View) bool {
 		return false
 	}
 	for _, w := range nbs {
+		c, ok := parseMelonCert(mu.Labels[w])
+		// Condition 1: all neighbors agree on the endpoint identifiers.
+		if !ok || c.id1 != own.id1 || c.id2 != own.id2 {
+			return false
+		}
 		i, ok := mu.Port(center, w) // own port of this edge
 		if !ok || (i != 1 && i != 2) {
 			return false
@@ -202,7 +181,6 @@ func (d *watermelonDecoder) Decide(mu *view.View) bool {
 		if !ok || own.farPort[i] != far {
 			return false
 		}
-		c := certs[w]
 		switch c.typ {
 		case 1:
 			// Condition 3(b): a type-1 neighbor is one of the endpoints.

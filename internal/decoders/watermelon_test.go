@@ -270,9 +270,9 @@ func TestWatermelonHidingFamily(t *testing.T) {
 
 func TestWatermelonLabelRoundTrip(t *testing.T) {
 	l := WatermelonPathLabel(1, 8, 3, 2, 0, 1, 1)
-	c, err := parseMelonCert(l)
-	if err != nil {
-		t.Fatal(err)
+	c, ok := parseMelonCert(l)
+	if !ok {
+		t.Fatalf("parseMelonCert(%q) rejected", l)
 	}
 	if c.typ != 2 || c.id1 != 1 || c.id2 != 8 || c.path != 3 {
 		t.Errorf("header lost: %+v", c)
@@ -281,9 +281,9 @@ func TestWatermelonLabelRoundTrip(t *testing.T) {
 		t.Errorf("entries lost: %+v", c)
 	}
 	e := WatermelonEndpointLabel(2, 9)
-	ce, err := parseMelonCert(e)
-	if err != nil {
-		t.Fatal(err)
+	ce, ok := parseMelonCert(e)
+	if !ok {
+		t.Fatalf("parseMelonCert(%q) rejected", e)
 	}
 	if ce.typ != 1 || ce.id1 != 2 || ce.id2 != 9 {
 		t.Errorf("endpoint header lost: %+v", ce)
@@ -297,8 +297,8 @@ func TestParseMelonCertErrors(t *testing.T) {
 		"W2:1:8:1:1,0", "junk", "W3:1:2",
 	}
 	for _, l := range bad {
-		if _, err := parseMelonCert(l); err == nil {
-			t.Errorf("parseMelonCert(%q) succeeded, want error", l)
+		if _, ok := parseMelonCert(l); ok {
+			t.Errorf("parseMelonCert(%q) succeeded, want rejection", l)
 		}
 	}
 }

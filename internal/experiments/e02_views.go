@@ -56,7 +56,15 @@ func E2Views(ctx context.Context) Table {
 						ballEdges++
 					}
 				}
-				visible := len(mu.Ports) / 2
+				visible := 0
+				for _, row := range mu.Ports.Rows {
+					for _, w := range row {
+						if w >= 0 {
+							visible++
+						}
+					}
+				}
+				visible /= 2
 				hidden += ballEdges - visible
 			}
 			n := c.g.N()

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/obs"
@@ -191,14 +192,14 @@ func (s *Sanitizer) violate(check string, mu *view.View, detail string) {
 	panic(v.Error())
 }
 
-// viewsDeepEqual compares every field of two views, including map
-// contents.
+// viewsDeepEqual compares every field of two views, including the contents
+// of the port rows.
 func viewsDeepEqual(a, b *view.View) bool {
 	return a.Radius == b.Radius &&
 		a.NBound == b.NBound &&
 		reflect.DeepEqual(a.Adj, b.Adj) &&
 		reflect.DeepEqual(a.Dist, b.Dist) &&
-		reflect.DeepEqual(a.Ports, b.Ports) &&
+		slices.EqualFunc(a.Ports.Rows, b.Ports.Rows, slices.Equal[[]int]) &&
 		reflect.DeepEqual(a.IDs, b.IDs) &&
 		reflect.DeepEqual(a.Labels, b.Labels)
 }
@@ -237,14 +238,14 @@ func distClassPerm(mu *view.View, rng *rand.Rand) (perm []int, free bool) {
 // relabelView applies perm (old local index -> new local index) to mu,
 // producing the view the same extraction would yield under a host
 // numbering permuted within distance classes. Adjacency stays sorted and
-// the port map is rekeyed, matching view.Extract's invariants.
+// the port rows move with their nodes, matching view.Extract's invariants.
 func relabelView(mu *view.View, perm []int) *view.View {
 	n := mu.N()
 	out := &view.View{
 		Radius: mu.Radius,
 		Adj:    make([][]int, n),
 		Dist:   make([]int, n),
-		Ports:  make(map[[2]int]int, len(mu.Ports)),
+		Ports:  &view.PortRows{Rows: make([][]int, n)},
 		IDs:    make([]int, n),
 		Labels: make([]string, n),
 		NBound: mu.NBound,
@@ -260,9 +261,16 @@ func relabelView(mu *view.View, perm []int) *view.View {
 		}
 		sortInts(adj)
 		out.Adj[ni] = adj
-	}
-	for key, p := range mu.Ports {
-		out.Ports[[2]int{perm[key[0]], perm[key[1]]}] = p
+		if row := mu.Ports.Rows[i]; len(row) > 0 {
+			nrow := make([]int, len(row))
+			for p0, j := range row {
+				nrow[p0] = -1
+				if j >= 0 {
+					nrow[p0] = perm[j]
+				}
+			}
+			out.Ports.Rows[ni] = nrow
+		}
 	}
 	return out
 }

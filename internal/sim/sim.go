@@ -181,7 +181,7 @@ func assemble(k knowledge, center, r, nBound int) (*view.View, error) {
 		Radius: r,
 		Adj:    make([][]int, len(hosts)),
 		Dist:   make([]int, len(hosts)),
-		Ports:  make(map[[2]int]int),
+		Ports:  &view.PortRows{Rows: make([][]int, len(hosts))},
 		IDs:    make([]int, len(hosts)),
 		Labels: make([]string, len(hosts)),
 		NBound: nBound,
@@ -192,19 +192,49 @@ func assemble(k knowledge, center, r, nBound int) (*view.View, error) {
 		mu.IDs[i] = rec.id
 		mu.Labels[i] = rec.label
 	}
-	for e, rec := range k.edges {
+	// visible maps a known edge to its local ends, or ok=false when an end
+	// is unknown or the edge joins two frontier nodes (frontier truncation).
+	visible := func(e [2]int) (i, j int, ok bool) {
 		i, okA := local[e[0]]
 		j, okB := local[e[1]]
-		if !okA || !okB {
-			continue
+		if !okA || !okB || (mu.Dist[i] == r && mu.Dist[j] == r) {
+			return 0, 0, false
 		}
-		if mu.Dist[i] == r && mu.Dist[j] == r {
-			continue // frontier truncation
+		return i, j, true
+	}
+	// Each port row ends at the largest port received for its node; one
+	// pass sizes the rows, a second fills them from one backing slice.
+	rowLen := make([]int, len(hosts))
+	for e, rec := range k.edges {
+		i, j, ok := visible(e)
+		if !ok {
+			continue
 		}
 		mu.Adj[i] = append(mu.Adj[i], j)
 		mu.Adj[j] = append(mu.Adj[j], i)
-		mu.Ports[[2]int{i, j}] = rec.portA
-		mu.Ports[[2]int{j, i}] = rec.portB
+		rowLen[i] = max(rowLen[i], rec.portA)
+		rowLen[j] = max(rowLen[j], rec.portB)
+	}
+	total := 0
+	for _, n := range rowLen {
+		total += n
+	}
+	back := make([]int, total)
+	for i, n := range rowLen {
+		if n > 0 {
+			row := back[:n:n]
+			back = back[n:]
+			for p := range row {
+				row[p] = -1
+			}
+			mu.Ports.Rows[i] = row
+		}
+	}
+	for e, rec := range k.edges {
+		if i, j, ok := visible(e); ok {
+			mu.Ports.Rows[i][rec.portA-1] = j
+			mu.Ports.Rows[j][rec.portB-1] = i
+		}
 	}
 	for i := range mu.Adj {
 		sort.Ints(mu.Adj[i])

@@ -48,6 +48,12 @@ func TestGatherMatchesExtract(t *testing.T) {
 				t.Fatalf("trial %d node %d radius %d: gathered view differs\n got %s\nwant %s",
 					trial, v, r, got[v].Key(), want[v].Key())
 			}
+			// Both number local nodes by (distance, host index), so the
+			// port rows agree entry for entry.
+			if !slices.EqualFunc(got[v].Ports.Rows, want[v].Ports.Rows, slices.Equal[[]int]) {
+				t.Fatalf("trial %d node %d radius %d: gathered port rows %v, want %v",
+					trial, v, r, got[v].Ports.Rows, want[v].Ports.Rows)
+			}
 		}
 	}
 }

@@ -36,6 +36,24 @@ func TestInstantiateIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestTemplateAllocs pins a template build at three allocations: the
+// Template, one backing array for its distances, identifiers, hosts,
+// adjacency and port rows, and one header array for the adjacency lists and
+// the rows. A per-template map or per-row slice would show here.
+func TestTemplateAllocs(t *testing.T) {
+	g := graph.Grid(4, 4)
+	pt := graph.DefaultPorts(g)
+	var ex view.Extractor
+	if _, err := ex.Template(g, pt, nil, g.N(), 5, 2); err != nil { // size the scratch once
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_, _ = ex.Template(g, pt, nil, g.N(), 5, 2)
+	}); n != 3 {
+		t.Errorf("Extractor.Template allocates %.1f objects per call in steady state, want 3", n)
+	}
+}
+
 // TestCachedKeyAllocs pins cached canonical-key reads at zero allocations.
 func TestCachedKeyAllocs(t *testing.T) {
 	g := graph.MustCycle(8)

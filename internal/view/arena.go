@@ -33,7 +33,7 @@ func (t *Template) InstantiateIn(a *Arena, labels []string) *View {
 	v.Radius = t.radius
 	v.Adj = t.adj
 	v.Dist = t.dist
-	v.Ports = t.ports
+	v.Ports = &t.ports
 	v.IDs = t.ids
 	v.Labels = ls
 	v.NBound = t.nBound
@@ -60,7 +60,7 @@ func (t *Template) InstantiateInto(dst *View, labels []string) *View {
 	dst.Radius = t.radius
 	dst.Adj = t.adj
 	dst.Dist = t.dist
-	dst.Ports = t.ports
+	dst.Ports = &t.ports
 	dst.IDs = t.ids
 	dst.Labels = ls
 	dst.NBound = t.nBound

@@ -2,7 +2,6 @@ package view
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"hidinglcp/internal/mem"
 )
@@ -19,9 +18,10 @@ const keyInline = 32
 // visits each node's unseen neighbors in the order of their ports at that
 // node.
 //
-// The key relies on two properties of the view: the ports at each node are
-// distinct, and every node is reachable from the center through visible
-// edges. Then an isomorphism, which fixes the center and preserves ports,
+// The key relies on two properties of the view: the port rows hold each
+// visible edge exactly once at each of its ends, so the ports at each node
+// are distinct, and every node is reachable from the center through
+// visible edges. Then an isomorphism, which fixes the center and preserves ports,
 // maps the port order of one view onto the port order of the other, so
 // isomorphic views get equal keys. Conversely the serialization determines
 // the ordered view, so equal keys mean isomorphic views. Extract and
@@ -57,7 +57,7 @@ type Skeleton struct {
 // SkeletonInto writes the template's skeleton into s, reusing s's buffers:
 // apart from growing them, the call allocates nothing.
 func (t *Template) SkeletonInto(s *Skeleton) {
-	v := View{Radius: t.radius, Adj: t.adj, Dist: t.dist, Ports: t.ports, IDs: t.ids, NBound: t.nBound}
+	v := View{Radius: t.radius, Adj: t.adj, Dist: t.dist, Ports: &t.ports, IDs: t.ids, NBound: t.nBound}
 	s.at, s.hosts = s.at[:0], s.hosts[:0]
 	s.key = v.appendKey(s.key[:0], s, t.hosts)
 }
@@ -72,10 +72,9 @@ func (t *Template) SkeletonInto(s *Skeleton) {
 //go:noinline
 func (v *View) appendKey(dst []byte, skel *Skeleton, hosts []int) []byte {
 	var orderBuf, posBuf, nbBuf [keyInline]int
-	var armBuf [keyInline][2]int
 	n := v.N()
 	pos := mem.Ints(posBuf[:], n)
-	order := v.portOrder(mem.Ints(orderBuf[:], n), pos, armBuf[:0])
+	order := v.portOrder(mem.Ints(orderBuf[:], n), pos)
 	if skel != nil {
 		for _, i := range order {
 			skel.hosts = append(skel.hosts, hosts[i])
@@ -101,39 +100,34 @@ func (s *Skeleton) AppendKey(dst []byte, labels []string) []byte {
 }
 
 // portOrder writes the view's nodes in port order into order and returns
-// it, and writes its inverse into pos; both must have length v.N(), and
-// arms is a buffer for one node's neighbors. The order starts with the
-// center and is walked as a breadth-first queue: each dequeued node appends
-// its not yet ordered neighbors, sorted by their port at that node.
-func (v *View) portOrder(order, pos []int, arms [][2]int) []int {
+// it, and writes its inverse into pos; both must have length v.N(). The
+// order starts with the center and is walked as a breadth-first queue: each
+// dequeued node appends its not yet ordered neighbors in the order of its
+// port row.
+func (v *View) portOrder(order, pos []int) []int {
 	for i := range pos {
 		pos[i] = -1
 	}
 	order = order[:1]
 	order[0], pos[Center] = Center, 0
 	for k := 0; k < len(order); k++ {
-		a := order[k]
-		arms = arms[:0]
-		for _, w := range v.Adj[a] {
-			if pos[w] < 0 {
-				arms = append(arms, [2]int{v.Ports[[2]int{a, w}], w})
+		for _, w := range v.Ports.Rows[order[k]] {
+			if w >= 0 && pos[w] < 0 {
+				pos[w] = len(order)
+				order = append(order, w)
 			}
-		}
-		slices.SortFunc(arms, func(x, y [2]int) int { return x[0] - y[0] })
-		for _, arm := range arms {
-			pos[arm[1]] = len(order)
-			order = append(order, arm[1])
 		}
 	}
 	return order
 }
 
 // appendBinSerialize renders the view under the node order order, whose
-// inverse is pos, into dst, using nb as the buffer for one node's later
-// positions: a varint header (radius, n, NBound), per node (dist, id,
+// inverse is pos, into dst, using nb as the buffer for one node's ports to
+// later positions: a varint header (radius, n, NBound), per node (dist, id,
 // length-prefixed label), then every visible edge as (ka, kb, port a→b,
-// port b→a) for positions ka < kb in increasing (ka, kb) order. Every field is self-delimiting, so the encoding determines the
-// ordered view — equal bytes mean equal views under the chosen orderings.
+// port b→a) for positions ka < kb in increasing (ka, kb) order. Every field
+// is self-delimiting, so the encoding determines the ordered view — equal
+// bytes mean equal views under the chosen orderings.
 // With a non-nil skel, the label fields are left out (v.Labels is not read)
 // and their offsets in dst are appended to skel.at instead.
 func (v *View) appendBinSerialize(dst []byte, order, pos, nb []int, skel *Skeleton) []byte {
@@ -155,20 +149,27 @@ func (v *View) appendBinSerialize(dst []byte, order, pos, nb []int, skel *Skelet
 		dst = append(dst, v.Labels[i]...)
 	}
 	for ka := 0; ka < n; ka++ {
+		// nb collects the ports (0-based) at a = order[ka] that lead to
+		// later positions, kept sorted by the position they lead to.
 		a := order[ka]
+		row := v.Ports.Rows[a]
 		nb = nb[:0]
-		for _, w := range v.Adj[a] {
-			if kb := pos[w]; kb > ka {
-				nb = append(nb, kb)
+		for p0, w := range row {
+			if w < 0 || pos[w] <= ka {
+				continue
+			}
+			nb = append(nb, p0)
+			for j := len(nb) - 1; j > 0 && pos[row[nb[j-1]]] > pos[w]; j-- {
+				nb[j-1], nb[j] = nb[j], nb[j-1]
 			}
 		}
-		insertionSortInts(nb)
-		for _, kb := range nb {
-			b := order[kb]
+		for _, p0 := range nb {
+			b := row[p0]
+			back, _ := v.Port(b, a)
 			dst = binary.AppendUvarint(dst, uint64(ka))
-			dst = binary.AppendUvarint(dst, uint64(kb))
-			dst = binary.AppendUvarint(dst, uint64(v.Ports[[2]int{a, b}]))
-			dst = binary.AppendUvarint(dst, uint64(v.Ports[[2]int{b, a}]))
+			dst = binary.AppendUvarint(dst, uint64(pos[b]))
+			dst = binary.AppendUvarint(dst, uint64(p0+1))
+			dst = binary.AppendUvarint(dst, uint64(back))
 		}
 	}
 	return dst

@@ -39,7 +39,10 @@ func isomorphic(a, b *view.View) bool {
 				continue
 			}
 			pOut, ok := b.Port(j, fk)
-			if !ok || pOut != a.Ports[[2]int{i, k}] || b.Ports[[2]int{fk, j}] != a.Ports[[2]int{k, i}] {
+			aOut, _ := a.Port(i, k)
+			aIn, _ := a.Port(k, i)
+			bIn, _ := b.Port(fk, j)
+			if !ok || pOut != aOut || bIn != aIn {
 				return false
 			}
 		}
@@ -231,16 +234,24 @@ func ringView(ring [][2]int) *view.View {
 		Radius: 2,
 		Adj:    make([][]int, 7),
 		Dist:   []int{0, 1, 1, 1, 1, 1, 1},
-		Ports:  map[[2]int]int{},
+		Ports:  &view.PortRows{Rows: make([][]int, 7)},
 		IDs:    make([]int, 7),
 		Labels: make([]string, 7),
 		NBound: 7,
 	}
+	setPort := func(a, p, b int) {
+		row := v.Ports.Rows[a]
+		for len(row) < p {
+			row = append(row, -1)
+		}
+		row[p-1] = b
+		v.Ports.Rows[a] = row
+	}
 	link := func(a, b, pa, pb int) {
 		v.Adj[a] = append(v.Adj[a], b)
 		v.Adj[b] = append(v.Adj[b], a)
-		v.Ports[[2]int{a, b}] = pa
-		v.Ports[[2]int{b, a}] = pb
+		setPort(a, pa, b)
+		setPort(b, pb, a)
 	}
 	for i := 1; i <= 6; i++ {
 		link(view.Center, i, i, 1)
@@ -295,7 +306,7 @@ func relabel(v *view.View, perm []int) *view.View {
 		Radius: v.Radius,
 		Adj:    make([][]int, v.N()),
 		Dist:   make([]int, v.N()),
-		Ports:  map[[2]int]int{},
+		Ports:  &view.PortRows{Rows: make([][]int, v.N())},
 		IDs:    make([]int, v.N()),
 		Labels: make([]string, v.N()),
 		NBound: v.NBound,
@@ -305,9 +316,14 @@ func relabel(v *view.View, perm []int) *view.View {
 		w.Dist[pi], w.IDs[pi], w.Labels[pi] = v.Dist[i], v.IDs[i], v.Labels[i]
 		for _, j := range v.Adj[i] {
 			w.Adj[pi] = append(w.Adj[pi], perm[j])
-			w.Ports[[2]int{pi, perm[j]}] = v.Ports[[2]int{i, j}]
 		}
 		slices.Sort(w.Adj[pi])
+		for _, j := range v.Ports.Rows[i] {
+			if j >= 0 {
+				j = perm[j]
+			}
+			w.Ports.Rows[pi] = append(w.Ports.Rows[pi], j)
+		}
 	}
 	return w
 }

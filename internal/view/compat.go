@@ -2,7 +2,6 @@ package view
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -13,8 +12,8 @@ import (
 // view in the host graph, which is exactly the object Section 5.1's
 // compatibility relation compares.
 //
-// Neighbors are ordered by the port number at i, which is canonical because
-// ports at a node are distinct.
+// Neighbors are ordered by the port number at i (the order of i's port
+// row), which is canonical because ports at a node are distinct.
 func (v *View) Radius1Key(i int) string {
 	type arm struct {
 		portAtI, portAtW int
@@ -22,12 +21,13 @@ func (v *View) Radius1Key(i int) string {
 		label            string
 	}
 	arms := make([]arm, 0, v.Degree(i))
-	for _, w := range v.Adj[i] {
-		pIW := v.Ports[[2]int{i, w}]
-		pWI := v.Ports[[2]int{w, i}]
-		arms = append(arms, arm{pIW, pWI, v.IDs[w], v.Labels[w]})
+	for p0, w := range v.Ports.Rows[i] {
+		if w < 0 {
+			continue
+		}
+		pWI, _ := v.Port(w, i)
+		arms = append(arms, arm{p0 + 1, pWI, v.IDs[w], v.Labels[w]})
 	}
-	sort.Slice(arms, func(a, b int) bool { return arms[a].portAtI < arms[b].portAtI })
 	var b strings.Builder
 	fmt.Fprintf(&b, "c:i%d;l%q;deg%d", v.IDs[i], v.Labels[i], len(arms))
 	for _, a := range arms {

@@ -15,25 +15,34 @@ import (
 //
 // The zero value is ready to use.
 type Extractor struct {
-	epoch int
-	dist  []int
-	dseen []int
-	local []int
-	lseen []int
-	queue []int
-	hosts []int
-	deg   []int
+	epoch  int
+	dist   []int
+	dseen  []int
+	local  []int
+	lseen  []int
+	queue  []int
+	hosts  []int
+	deg    []int
+	rowLen []int
+	eport  []int
 }
 
-// ensure sizes the scratch for a host graph of n nodes and opens a new
-// epoch, logically clearing the stamped buffers in O(1).
-func (ex *Extractor) ensure(n int) {
-	if len(ex.dist) < n {
-		ex.dist = make([]int, n)
-		ex.dseen = make([]int, n)
-		ex.local = make([]int, n)
-		ex.lseen = make([]int, n)
-		ex.deg = make([]int, n)
+// ensure sizes the scratch for a host graph of n nodes and arcs directed
+// edges, in one allocation, and opens a new epoch, logically clearing the
+// stamped buffers in O(1). The queue, hosts and port buffers get their full
+// capacity up front, so the appends in buildTemplate never grow them.
+func (ex *Extractor) ensure(n, arcs int) {
+	if len(ex.dist) < n || cap(ex.eport) < arcs {
+		n, arcs = max(n, len(ex.dist)), max(arcs, cap(ex.eport))
+		buf := make([]int, 8*n+arcs)
+		cut := func(l, c int) []int {
+			s := buf[:l:c]
+			buf = buf[c:]
+			return s
+		}
+		ex.dist, ex.dseen, ex.local, ex.lseen = cut(n, n), cut(n, n), cut(n, n), cut(n, n)
+		ex.deg, ex.rowLen = cut(n, n), cut(n, n)
+		ex.queue, ex.hosts, ex.eport = cut(0, n), cut(0, n), cut(0, arcs)
 	}
 	ex.epoch++
 }
@@ -76,13 +85,17 @@ func (ex *Extractor) Template(g *graph.Graph, pt *graph.Ports, ids graph.IDs, nB
 	return ex.buildTemplate(g, pt, ids, nBound, center, r), nil
 }
 
-// Template is the label-independent part of one node's radius-r view.
+// Template is the label-independent part of one node's radius-r view. Its
+// distances, identifiers, hosts, adjacency lists and port rows are cut
+// from one backing array, and the adjacency and row headers from one more,
+// so a template costs three allocations; every view instantiated from it
+// shares them, the rows through a pointer to the embedded table.
 type Template struct {
 	radius int
 	nBound int
 	adj    [][]int
 	dist   []int
-	ports  map[[2]int]int
+	ports  PortRows
 	ids    []int
 	hosts  []int
 }
@@ -106,7 +119,7 @@ func (t *Template) Instantiate(labels []string) *View {
 		Radius: t.radius,
 		Adj:    t.adj,
 		Dist:   t.dist,
-		Ports:  t.ports,
+		Ports:  &t.ports,
 		IDs:    t.ids,
 		Labels: ls,
 		NBound: t.nBound,
@@ -117,7 +130,7 @@ func (t *Template) Instantiate(labels []string) *View {
 // are pre-validated.
 func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.IDs, nBound, center, r int) *Template {
 	n := g.N()
-	ex.ensure(n)
+	ex.ensure(n, 2*g.M())
 	ep := ex.epoch
 	dist, dseen := ex.dist, ex.dseen
 
@@ -161,11 +174,14 @@ func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.ID
 	}
 
 	// Count visible directed edges per node so the adjacency lists can
-	// share one backing array.
-	deg := ex.deg
-	total := 0
+	// share one backing array, and find each node's largest visible port,
+	// the length of its port row. The ports are kept in visiting order for
+	// the fill pass below.
+	deg, rowLen := ex.deg, ex.rowLen
+	eport := ex.eport[:0]
+	total, rowTotal := 0, 0
 	for i, w := range hosts {
-		c := 0
+		c, maxPort := 0, 0
 		for _, x := range g.Neighbors(w) {
 			if lseen[x] != ep {
 				continue
@@ -175,24 +191,32 @@ func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.ID
 			if dist[w] == r && dist[x] == r {
 				continue
 			}
+			p := pt.MustPort(w, x)
+			eport = append(eport, p)
+			maxPort = max(maxPort, p)
 			c++
 		}
-		deg[i] = c
+		deg[i], rowLen[i] = c, maxPort
 		total += c
+		rowTotal += maxPort
 	}
+	ex.eport = eport
 
-	// One backing array carries dist, ids, hosts, and the adjacency
-	// segments; capped subslices keep the template fields independent.
+	// One backing array carries dist, ids, hosts, the adjacency segments and
+	// the port rows, and one header array the adjacency lists and the rows;
+	// capped subslices keep the template fields independent.
 	nv := len(hosts)
-	buf := make([]int, 3*nv+total)
+	buf := make([]int, 3*nv+total+rowTotal)
+	hdr := make([][]int, 2*nv)
 	t := &Template{
 		radius: r,
 		nBound: nBound,
-		adj:    make([][]int, nv),
+		adj:    hdr[:nv:nv],
 		dist:   buf[:nv:nv],
 		ids:    buf[nv : 2*nv : 2*nv],
 		hosts:  buf[2*nv : 3*nv : 3*nv],
 	}
+	t.ports.Rows = hdr[nv:]
 	copy(t.hosts, hosts)
 	for i, w := range hosts {
 		t.dist[i] = dist[w]
@@ -200,15 +224,19 @@ func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.ID
 			t.ids[i] = ids[w]
 		}
 	}
-	t.ports = make(map[[2]int]int, total)
 	backing := buf[3*nv:]
-	start := 0
+	start, e := 0, 0
 	for i, w := range hosts {
 		if deg[i] == 0 {
 			continue
 		}
-		seg := backing[start : start+deg[i]]
+		seg := backing[start : start+deg[i] : start+deg[i]]
 		start += deg[i]
+		row := backing[start : start+rowLen[i] : start+rowLen[i]]
+		start += rowLen[i]
+		for k := range row {
+			row[k] = -1
+		}
 		k := 0
 		for _, x := range g.Neighbors(w) {
 			if lseen[x] != ep || (dist[w] == r && dist[x] == r) {
@@ -217,10 +245,12 @@ func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.ID
 			j := local[x]
 			seg[k] = j
 			k++
-			t.ports[[2]int{i, j}] = pt.MustPort(w, x)
+			row[eport[e]-1] = j
+			e++
 		}
 		insertionSortInts(seg)
 		t.adj[i] = seg
+		t.ports.Rows[i] = row
 	}
 	return t
 }

@@ -22,8 +22,9 @@ import (
 // (distance from center, host-graph index) at extraction time.
 //
 // The canonical key (BinKey) relies on two properties of every view: the
-// ports at each node are distinct, and every node is reachable from the
-// center through visible edges. The three producers of views guarantee
+// port rows hold each visible edge exactly once at each of its ends (so
+// the ports at each node are distinct and Adj lists the same edges), and
+// every node is reachable from the center through visible edges. The three producers of views guarantee
 // both: Extract and Template, internal/sim's assemble and
 // internal/sanitize's relabelView. A hand-built view must too.
 //
@@ -35,9 +36,10 @@ type View struct {
 	Adj [][]int
 	// Dist[i] is the distance of local node i from the center.
 	Dist []int
-	// Ports maps the ordered local pair (i, j) of a visible edge to
-	// prt(i, {i,j}). Both orientations are present for every visible edge.
-	Ports map[[2]int]int
+	// Ports is the port numbering restricted to the visible edges, one row
+	// per local node (see PortRows). Views instantiated from one template
+	// share it.
+	Ports *PortRows
 	// IDs[i] is the identifier of local node i, or 0 everywhere if the view
 	// has been anonymized.
 	IDs []int
@@ -55,6 +57,16 @@ type View struct {
 	cachedBin []byte
 }
 
+// PortRows is the port numbering of a view: Rows[i][p-1] is the local node
+// behind port p at local node i, or -1 where that edge is hidden at the
+// radius boundary. A row ends at the node's largest visible port (a node
+// with no visible edge has an empty row), so a view reveals no host degree
+// beyond the ports it shows. Every visible edge appears in the rows of both
+// its ends.
+type PortRows struct {
+	Rows [][]int
+}
+
 // Center is the local index of the view's center node; always 0.
 const Center = 0
 
@@ -65,10 +77,14 @@ func (v *View) N() int { return len(v.Adj) }
 func (v *View) Degree(i int) int { return len(v.Adj[i]) }
 
 // Port returns the port number prt(i, {i,j}) of the visible edge (i, j) and
-// whether the edge is visible.
+// whether the edge is visible. It scans i's port row.
 func (v *View) Port(i, j int) (int, bool) {
-	p, ok := v.Ports[[2]int{i, j}]
-	return p, ok
+	for p0, w := range v.Ports.Rows[i] {
+		if w == j {
+			return p0 + 1, true
+		}
+	}
+	return 0, false
 }
 
 // Anonymous reports whether the view carries no identifiers.
@@ -107,7 +123,7 @@ func (v *View) clone() *View {
 		Radius: v.Radius,
 		Adj:    make([][]int, len(v.Adj)),
 		Dist:   append([]int(nil), v.Dist...),
-		Ports:  make(map[[2]int]int, len(v.Ports)),
+		Ports:  v.Ports.clone(),
 		IDs:    append([]int(nil), v.IDs...),
 		Labels: append([]string(nil), v.Labels...),
 		NBound: v.NBound,
@@ -115,8 +131,22 @@ func (v *View) clone() *View {
 	for i := range v.Adj {
 		c.Adj[i] = append([]int(nil), v.Adj[i]...)
 	}
-	for k, p := range v.Ports {
-		c.Ports[k] = p
+	return c
+}
+
+// clone copies every row into one backing slice; an empty row stays nil.
+func (pr *PortRows) clone() *PortRows {
+	total := 0
+	for _, row := range pr.Rows {
+		total += len(row)
+	}
+	back := make([]int, 0, total)
+	c := &PortRows{Rows: make([][]int, len(pr.Rows))}
+	for i, row := range pr.Rows {
+		if len(row) > 0 {
+			back = append(back, row...)
+			c.Rows[i] = back[len(back)-len(row) : len(back) : len(back)]
+		}
 	}
 	return c
 }
