@@ -1,12 +1,12 @@
 // Command lcplint is the repository's contract multichecker: it runs the
 // custom analyzers of internal/analysis — the determinism suite
 // (decoderpurity, maporder, nondet, anonid, obspurity), the hiding-contract
-// taint analyzer (certflow), the concurrency pack (atomicmix,
-// loopcapture, wgmisuse; vet's copylocks covers lock copies), the
-// memory-discipline check (poolescape), and the cancellation-plumbing check
-// (ctxflow) — over the given package patterns and, unless -vet=false, the
-// standard `go vet` passes alongside them. It exits
-// non-zero when any diagnostic is reported, so CI can gate on a clean run.
+// taint analyzer (certflow), the concurrency pack (atomicmix, gostmt;
+// vet's copylocks covers lock copies), the memory-discipline check
+// (poolescape), and the cancellation-plumbing check (ctxflow) — over the
+// given package patterns and, unless -vet=false, the standard `go vet`
+// passes alongside them. It exits non-zero when any diagnostic is
+// reported, so CI can gate on a clean run.
 //
 // Usage:
 //

@@ -53,7 +53,7 @@ func sampleDiags() []analysis.Diagnostic {
 		{
 			Pos:      token.Position{Filename: "internal/nbhd/build.go", Line: 40, Column: 9},
 			Message:  "50% done\nsecond line",
-			Analyzer: "loopcapture",
+			Analyzer: "gostmt",
 		},
 	}
 }
@@ -98,7 +98,7 @@ func TestWriteJSONReport(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if got.Clean || len(got.Diagnostics) != 2 || got.Diagnostics[1].Analyzer != "loopcapture" {
+	if got.Clean || len(got.Diagnostics) != 2 || got.Diagnostics[1].Analyzer != "gostmt" {
 		t.Errorf("round-trip lost content: %+v", got)
 	}
 }

@@ -6,7 +6,7 @@
 // library's go/ast, go/parser, and go/types so the linter works offline
 // with no external modules.
 //
-// Eleven analyzers are provided (see All). Five enforce the determinism
+// Ten analyzers are provided (see All). Five enforce the determinism
 // contract:
 //
 //   - decoderpurity: a Decide method must not write receiver fields,
@@ -29,14 +29,13 @@
 //     observability and logging sinks; raw label bytes must never become
 //     observable — only lengths and digests (obs.Redact*, view.KeyDigest).
 //
-// And three audit the concurrent pipelines (copies of values holding a
+// And two audit the concurrent pipelines (copies of values holding a
 // lock or a typed atomic are left to go vet's copylocks pass):
 //
 //   - atomicmix: no function-style sync/atomic calls; the typed atomics
 //     make a plain access to an atomic location inexpressible.
-//   - loopcapture: goroutines spawned in a loop take their iteration state
-//     as arguments, never by capture.
-//   - wgmisuse: WaitGroup.Add precedes the go statement it accounts for.
+//   - gostmt: no go statement outside internal/cancel; goroutines start
+//     through cancel.Go, which counts them before they run.
 //
 // One guards the memory-reuse discipline (internal/mem):
 //
@@ -124,8 +123,7 @@ func All() []*Analyzer {
 		ObsPurityAnalyzer,
 		CertflowAnalyzer,
 		AtomicMixAnalyzer,
-		LoopCaptureAnalyzer,
-		WGMisuseAnalyzer,
+		GoStmtAnalyzer,
 		PoolEscapeAnalyzer,
 		CtxFlowAnalyzer,
 	}

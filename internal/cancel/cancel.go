@@ -1,14 +1,18 @@
-// Package cancel is the cooperative-cancellation primitive and the one
-// work-claiming pool shared by the pipelines (nbhd.ForEachShardCtx, the
-// core soundness sweep and fuzzer, the experiment item sweep;
-// sim.GatherFaultsCtx uses Watch alone). The pipelines stop their workers
-// through a plain atomic flag checked at shard/instance/round checkpoints;
-// Watch bridges a context.Context onto such a flag without adding anything
-// to the hot path: a single watcher goroutine arms the flag when the
-// context fires and is released when the pipeline finishes. Each is the
-// claim loop every pool runs on, Workers resolves its shard and worker
-// counts, and First keeps the lowest-index error, so a pool's answer does
-// not depend on which worker found it first.
+// Package cancel is the one place goroutines start, the cooperative-
+// cancellation primitive, and the one work-claiming pool shared by the
+// pipelines. Go starts n goroutines and returns their wait; every
+// goroutine in the program's non-test code is started through it (the
+// gostmt analyzer reports a go statement anywhere else): the pools below,
+// sim.GatherFaultsCtx's per-node goroutines, obs.Progress's ticker and
+// export.Serve's HTTP server. The pipelines (nbhd.ForEachShardCtx, the
+// core soundness sweep and fuzzer, the experiment item sweep) stop their
+// workers through a plain atomic flag checked at shard/instance/round
+// checkpoints; Watch bridges a context.Context onto such a flag without
+// adding anything to the hot path: a single watcher goroutine arms the
+// flag when the context fires and is reclaimed when the pipeline
+// finishes. Each is the claim loop every pool runs on, Workers resolves
+// its shard and worker counts, and First keeps the lowest-index error, so
+// a pool's answer does not depend on which worker found it first.
 //
 // A nil context is the never-cancelled context everywhere in this package.
 // Each pipeline has a single (ctx, sc, …) entry point, and a caller with no
@@ -26,11 +30,28 @@ import (
 	"sync/atomic"
 )
 
+// Go calls fn(i) for every i in [0, n) on n goroutines, all live at once,
+// and returns a wait function that blocks until every call has returned.
+// The goroutines are counted before any of them starts, so wait cannot
+// return while one is still starting, and results fn wrote are visible to
+// the caller once wait returns.
+func Go(n int, fn func(i int)) (wait func()) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	return wg.Wait
+}
+
 // Watch arms flag when ctx is cancelled. It returns a release function
 // that must be called (normally deferred) once the guarded work has
-// finished: it reclaims the watcher goroutine, so pipelines stay clean
-// under the sanitize goroutine-leak probes. A nil ctx (or one that can
-// never fire) arms nothing and returns a no-op release.
+// finished: it returns only after the watcher goroutine has exited, so
+// pipelines stay clean under the sanitize goroutine-leak probes. A nil ctx
+// (or one that can never fire) arms nothing and returns a no-op release.
 //
 // If ctx is already cancelled when Watch is called, the flag is set
 // synchronously before Watch returns, so a checkpoint immediately after
@@ -44,14 +65,17 @@ func Watch(ctx context.Context, flag *atomic.Bool) (release func()) {
 		return func() {}
 	}
 	done := make(chan struct{})
-	go func() {
+	wait := Go(1, func(int) {
 		select {
 		case <-ctx.Done():
 			flag.Store(true)
 		case <-done:
 		}
-	}()
-	return func() { close(done) }
+	})
+	return func() {
+		close(done)
+		wait()
+	}
 }
 
 // Err reports why ctx fired, or nil for a live (or nil) context. The
@@ -86,20 +110,14 @@ func Each(ctx context.Context, stop *atomic.Bool, n, workers int, fn func(w, i i
 	release := Watch(ctx, stop)
 	defer release()
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() || !fn(w, i) {
-					return
-				}
+	Go(workers, func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || stop.Load() || !fn(w, i) {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})()
 }
 
 // Workers resolves a pool's shard and worker counts: workers <= 0 selects

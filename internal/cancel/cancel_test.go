@@ -1,12 +1,14 @@
 package cancel
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,6 +71,104 @@ func TestWatchFiresMidFlight(t *testing.T) {
 	}
 	if !Cancelled(ctx) {
 		t.Error("Cancelled(ctx) = false after cancel")
+	}
+}
+
+// inWatcher reports, from one dump of every goroutine's stack, whether
+// any goroutine is still running a Watch watcher.
+func inWatcher() bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Contains(buf[:n], []byte("internal/cancel.Watch.func"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// enteredCtx signals entered once Done is called after Err: Watch calls
+// Done then Err before starting its watcher, so the signal means the
+// watcher is evaluating its select.
+type enteredCtx struct {
+	context.Context
+	errCalled atomic.Bool
+	once      sync.Once
+	entered   chan struct{}
+}
+
+func (c *enteredCtx) Err() error {
+	c.errCalled.Store(true)
+	return c.Context.Err()
+}
+
+func (c *enteredCtx) Done() <-chan struct{} {
+	if c.errCalled.Load() {
+		c.once.Do(func() { close(c.entered) })
+	}
+	return c.Context.Done()
+}
+
+func TestWatchReleaseWaitsForWatcher(t *testing.T) {
+	for _, fire := range []bool{false, true} {
+		parent, cancel := context.WithCancel(context.Background())
+		ctx := &enteredCtx{Context: parent, entered: make(chan struct{})}
+		var flag atomic.Bool
+		release := Watch(ctx, &flag)
+		<-ctx.entered
+		if fire {
+			cancel()
+		}
+		release()
+		// No polling: release has returned, so the watcher must be gone.
+		if inWatcher() {
+			t.Errorf("fire=%v: a watcher goroutine is still running after release", fire)
+		}
+		cancel()
+	}
+}
+
+func TestGoZeroReturnsAtOnce(t *testing.T) {
+	Go(0, func(int) { t.Error("Go(0) called fn") })()
+}
+
+func TestGoRunsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{1, 7, 100} {
+		calls := make([]atomic.Int32, n)
+		Go(n, func(i int) { calls[i].Add(1) })()
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Errorf("n=%d: index %d ran %d times", n, i, c)
+			}
+		}
+	}
+}
+
+// TestGoRunsAllAtOnce checks that the n calls are live together: each
+// blocks until all have started, so a pool of fewer goroutines would
+// deadlock (the round barrier of sim's per-node goroutines needs this).
+func TestGoRunsAllAtOnce(t *testing.T) {
+	const n = 64
+	var started sync.WaitGroup
+	started.Add(n)
+	Go(n, func(int) {
+		started.Done()
+		started.Wait()
+	})()
+}
+
+func TestGoWaitBlocksUntilEveryCallReturns(t *testing.T) {
+	const n = 8
+	gate := make(chan struct{})
+	var returned atomic.Int32
+	wait := Go(n, func(int) {
+		<-gate
+		returned.Add(1)
+	})
+	close(gate)
+	wait()
+	if got := returned.Load(); got != n {
+		t.Errorf("wait returned after %d of %d calls", got, n)
 	}
 }
 

@@ -18,12 +18,14 @@ package export
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"sync"
 	"time"
 
+	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/obs"
 )
 
@@ -50,6 +52,9 @@ type Server struct {
 	closing chan struct{} // closed by Close; unblocks SSE tails
 	once    sync.Once
 	readyMu sync.Once
+
+	wait     func() // returns once the Serve goroutine has exited
+	serveErr error  // http.Server.Serve's result, read after wait
 }
 
 // NewHandler returns the telemetry routes on a fresh, dedicated mux — the
@@ -127,10 +132,10 @@ func serveEvents(w http.ResponseWriter, r *http.Request, log *EventLog, closing 
 	// the two; the overlap (an event in both tail and feed) is bounded by
 	// the subscription buffer and harmless for observers.
 	var feed <-chan obs.LogEvent
-	cancel := func() {}
 	if log != nil {
-		feed, cancel = log.Subscribe(256)
-		defer cancel()
+		var unsubscribe func()
+		feed, unsubscribe = log.Subscribe(256)
+		defer unsubscribe()
 		for _, ev := range log.Tail(0) {
 			if !writeEvent(ev) {
 				return
@@ -181,7 +186,7 @@ func Serve(addr string, opts ServerOptions) (*Server, error) {
 		closing: make(chan struct{}),
 	}
 	s.srv = &http.Server{Handler: NewHandler(opts, s.ready, s.closing)}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Shutdown
+	s.wait = cancel.Go(1, func(int) { s.serveErr = s.srv.Serve(ln) })
 	return s, nil
 }
 
@@ -195,16 +200,22 @@ func (s *Server) MarkReady() {
 
 // Close shuts the server down gracefully: new connections stop, SSE tails
 // are released, and in-flight scrapes get shutdownGrace to finish before
-// the remaining connections are hard-closed.
+// the remaining connections are hard-closed. It returns once the Serve
+// goroutine has exited, reporting the shutdown's error and any Serve
+// failure other than the http.ErrServerClosed every shutdown causes.
 func (s *Server) Close() error {
 	var err error
 	s.once.Do(func() {
 		close(s.closing)
-		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-		defer cancel()
+		ctx, stop := context.WithTimeout(context.Background(), shutdownGrace)
+		defer stop()
 		err = s.srv.Shutdown(ctx)
 		if err != nil {
 			err = s.srv.Close()
+		}
+		s.wait()
+		if !errors.Is(s.serveErr, http.ErrServerClosed) {
+			err = errors.Join(err, s.serveErr)
 		}
 	})
 	return err

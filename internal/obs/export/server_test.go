@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -232,6 +233,29 @@ func TestServeLifecycle(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + s.Addr() + "/healthz"); err == nil {
 		t.Error("server still accepting connections after Close")
+	}
+	checkServeGone(t)
+
+	// Closed before its Serve goroutine has had a chance to run.
+	s, err = Serve("127.0.0.1:0", ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close right after Serve: %v", err)
+	}
+	checkServeGone(t)
+}
+
+// checkServeGone fails t if a goroutine is still inside Serve's goroutine
+// or http.Server.Serve. It takes one dump of every goroutine, with no
+// grace period: once Close has returned, that goroutine must be gone.
+func checkServeGone(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	if strings.Contains(stacks, "obs/export.Serve.") || strings.Contains(stacks, "net/http.(*Server).Serve(") {
+		t.Errorf("Serve's goroutine outlived Close:\n%s", stacks)
 	}
 }
 

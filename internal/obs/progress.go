@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hidinglcp/internal/cancel"
 )
 
 // defaultProgressInterval paces the periodic status lines.
@@ -35,7 +37,7 @@ type Progress struct {
 	extra  func() string
 
 	stop chan struct{}
-	wg   sync.WaitGroup
+	wait func() // returns once the ticker goroutine has exited
 }
 
 // NewProgress returns a running reporter writing to w every interval
@@ -45,13 +47,11 @@ func NewProgress(w io.Writer, interval time.Duration) *Progress {
 		interval = defaultProgressInterval
 	}
 	p := &Progress{w: w, interval: interval, stop: make(chan struct{})}
-	p.wg.Add(1)
-	go p.loop()
+	p.wait = cancel.Go(1, func(int) { p.loop() })
 	return p
 }
 
 func (p *Progress) loop() {
-	defer p.wg.Done()
 	ticker := time.NewTicker(p.interval)
 	defer ticker.Stop()
 	for {
@@ -118,7 +118,7 @@ func (p *Progress) Close() {
 		return
 	}
 	close(p.stop)
-	p.wg.Wait()
+	p.wait()
 }
 
 // emit renders one status line while a phase is active.

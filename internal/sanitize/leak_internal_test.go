@@ -15,7 +15,7 @@ import (
 )
 
 // Goroutine-leak probe: the dynamic complement of the concurrency
-// analyzers (atomicmix, loopcapture, wgmisuse). The parallel pipelines —
+// analyzers (atomicmix, gostmt). The parallel pipelines —
 // nbhd.BuildShardedCtx's work-stealing builders and
 // core.ExhaustiveStrongSoundnessParallelCtx's searchers — promise that every
 // goroutine they spawn has exited by the time they return. A worker that

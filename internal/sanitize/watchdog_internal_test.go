@@ -7,9 +7,9 @@ import (
 )
 
 // Watchdog probe: deadlock and starvation detection for the barriers the
-// parallel pipelines synchronize on. A wgmisuse-style bug (Add racing with
-// Wait), a worker blocked on a channel nobody drains, or a work-stealing
-// loop that starves all make the pipeline hang rather than fail; under
+// parallel pipelines synchronize on. A round barrier a node never reaches,
+// a worker blocked on a channel nobody drains, or a work-stealing loop
+// that starves all make the pipeline hang rather than fail; under
 // `go test` that surfaces as a 10-minute timeout with no attribution. The
 // watchdog bounds the wait and, on expiry, captures every goroutine stack
 // so the blocked barrier is named in the failure instead of inferred from

@@ -70,8 +70,8 @@ type pendingMsg struct {
 //
 // Cancellation is cooperative: when ctx fires, every node goroutine stops
 // at its next round boundary (leaving the barrier like a crash-stopped
-// node, so the survivors never deadlock), the pool drains through the
-// WaitGroup, and the call returns no views and no report — a cancelled
+// node, so the survivors never deadlock), the call waits for every node
+// goroutine to exit, and it returns no views and no report — a cancelled
 // gather's partial state depends on which round each node had reached, so
 // none of it is published. A nil ctx is the never-cancelled context
 // (internal/cancel); a non-nil one only widens channel buffers, which no
@@ -146,116 +146,112 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 	var aborted atomic.Bool
 	release := cancel.Watch(ctx, &aborted)
 	defer release()
-	var wg sync.WaitGroup
 	var statMu sync.Mutex
 	stats := Stats{Rounds: r}
-	for v := 0; v < n; v++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			var local Stats
-			defer func() {
-				statMu.Lock()
-				stats.Messages += local.Messages
-				stats.Records += local.Records
-				statMu.Unlock()
-			}()
-			myCrash, hasCrash := plan.CrashRound(v)
-			var pending []pendingMsg
-			for t := 0; t < r; t++ {
-				if aborted.Load() {
-					bar.leave()
-					return
-				}
-				if hasCrash && myCrash <= t {
-					// Crash-stop: quiescent from here on. In-flight
-					// delayed copies die with the node.
-					for _, pm := range pending {
-						rep.Expire(t, v, pm.dst, pm.arrival)
-					}
-					rep.Crash(t, v)
-					bar.leave()
-					return
-				}
-
-				// Send phase. Flush delayed copies due this round first,
-				// then flood this round's snapshot through the injector.
-				snap := know[v].clone()
-				rest := pending[:0]
-				for _, pm := range pending {
-					if pm.arrival == t {
-						chans[[2]int{v, pm.dst}] <- message{payload: pm.payload}
-						local.Messages++
-						local.Records += len(pm.payload.nodes)
-					} else {
-						rest = append(rest, pm)
-					}
-				}
-				pending = rest
-				for _, w := range l.G.Neighbors(v) {
-					arrivals, dropped := in.Deliveries(t, v, w)
-					if dropped {
-						rep.Drop(t, v, w)
-						continue
-					}
-					for c, a := range arrivals {
-						if c > 0 {
-							rep.Dup(t, v, w, a)
-						}
-						switch {
-						case a == t:
-							chans[[2]int{v, w}] <- message{payload: snap}
-							local.Messages++
-							local.Records += len(snap.nodes)
-						case a >= r:
-							// Arrives after the run's horizon: never
-							// delivered.
-							rep.Expire(t, v, w, a)
-						default:
-							rep.Delay(t, v, w, a)
-							pending = append(pending, pendingMsg{arrival: a, dst: w, payload: snap})
-						}
-					}
-				}
-				bar.wait()
-
-				// Receive phase: drain every incident link, with bounded
-				// retries for silent ones.
-				order := l.G.Neighbors(v)
-				if plan.Reorder && len(order) > 1 {
-					order = in.PermuteNeighbors(t, v, order)
-					rep.Reorder(t, v)
-				}
-				heard := make(map[int]bool, len(order))
-				for attempt := 0; ; attempt++ {
-					for _, w := range order {
-						ch := chans[[2]int{w, v}]
-					drain:
-						for {
-							select {
-							case inc := <-ch:
-								know[v].merge(inc.payload)
-								heard[w] = true
-							default:
-								break drain
-							}
-						}
-					}
-					if len(heard) == len(order) || attempt >= retryLimit {
-						break
-					}
-					runtime.Gosched()
-				}
-				for _, w := range order {
-					if !heard[w] {
-						rep.Timeout(t, w, v)
-					}
-				}
-				bar.wait()
+	// One goroutine per node, all live at once: the round barrier waits
+	// for every node, so a claim loop over fewer workers would deadlock.
+	cancel.Go(n, func(v int) {
+		var local Stats
+		defer func() {
+			statMu.Lock()
+			stats.Messages += local.Messages
+			stats.Records += local.Records
+			statMu.Unlock()
+		}()
+		myCrash, hasCrash := plan.CrashRound(v)
+		var pending []pendingMsg
+		for t := 0; t < r; t++ {
+			if aborted.Load() {
+				bar.leave()
+				return
 			}
-		}(v)
-	}
-	wg.Wait()
+			if hasCrash && myCrash <= t {
+				// Crash-stop: quiescent from here on. In-flight
+				// delayed copies die with the node.
+				for _, pm := range pending {
+					rep.Expire(t, v, pm.dst, pm.arrival)
+				}
+				rep.Crash(t, v)
+				bar.leave()
+				return
+			}
+
+			// Send phase. Flush delayed copies due this round first,
+			// then flood this round's snapshot through the injector.
+			snap := know[v].clone()
+			rest := pending[:0]
+			for _, pm := range pending {
+				if pm.arrival == t {
+					chans[[2]int{v, pm.dst}] <- message{payload: pm.payload}
+					local.Messages++
+					local.Records += len(pm.payload.nodes)
+				} else {
+					rest = append(rest, pm)
+				}
+			}
+			pending = rest
+			for _, w := range l.G.Neighbors(v) {
+				arrivals, dropped := in.Deliveries(t, v, w)
+				if dropped {
+					rep.Drop(t, v, w)
+					continue
+				}
+				for c, a := range arrivals {
+					if c > 0 {
+						rep.Dup(t, v, w, a)
+					}
+					switch {
+					case a == t:
+						chans[[2]int{v, w}] <- message{payload: snap}
+						local.Messages++
+						local.Records += len(snap.nodes)
+					case a >= r:
+						// Arrives after the run's horizon: never
+						// delivered.
+						rep.Expire(t, v, w, a)
+					default:
+						rep.Delay(t, v, w, a)
+						pending = append(pending, pendingMsg{arrival: a, dst: w, payload: snap})
+					}
+				}
+			}
+			bar.wait()
+
+			// Receive phase: drain every incident link, with bounded
+			// retries for silent ones.
+			order := l.G.Neighbors(v)
+			if plan.Reorder && len(order) > 1 {
+				order = in.PermuteNeighbors(t, v, order)
+				rep.Reorder(t, v)
+			}
+			heard := make(map[int]bool, len(order))
+			for attempt := 0; ; attempt++ {
+				for _, w := range order {
+					ch := chans[[2]int{w, v}]
+				drain:
+					for {
+						select {
+						case inc := <-ch:
+							know[v].merge(inc.payload)
+							heard[w] = true
+						default:
+							break drain
+						}
+					}
+				}
+				if len(heard) == len(order) || attempt >= retryLimit {
+					break
+				}
+				runtime.Gosched()
+			}
+			for _, w := range order {
+				if !heard[w] {
+					rep.Timeout(t, w, v)
+				}
+			}
+			bar.wait()
+		}
+	})()
 	if err := cancel.Err(ctx, "message-passing gather"); err != nil {
 		sc.Counter("sim.gather.cancelled").Inc()
 		if sc.EventsEnabled() {
