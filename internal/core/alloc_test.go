@@ -97,3 +97,25 @@ func TestMemoDecoderHitAllocs(t *testing.T) {
 		t.Errorf("memo-hit DecideInterned allocates %.1f objects per pass, want 0", n)
 	}
 }
+
+// TestRunAllocs pins Run at a constant number of allocations whatever the
+// instance size: the verdict slice, the extractor's scratch, the template
+// with its two arrays, and the view with its label slice, once per walk
+// and none per node.
+func TestRunAllocs(t *testing.T) {
+	for _, anon := range []bool{false, true} {
+		d := NewDecoder(2, anon, func(mu *view.View) bool { return mu.Degree(view.Center) > 2 })
+		counts := make([]float64, 0, 2)
+		for _, g := range []*graph.Graph{graph.Grid(2, 3), graph.Grid(3, 4)} {
+			l := MustNewLabeled(NewInstance(g), make([]string, g.N()))
+			counts = append(counts, testing.AllocsPerRun(20, func() {
+				if _, err := Run(d, l); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if counts[0] != counts[1] || counts[0] > 7 {
+			t.Errorf("anonymous=%v: Run allocates %.0f objects on 6 nodes and %.0f on 12, want one constant of at most 7", anon, counts[0], counts[1])
+		}
+	}
+}

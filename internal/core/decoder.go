@@ -8,7 +8,8 @@ import (
 
 // Decoder is an r-round binary decoder (Section 2.2): a computable map from
 // radius-r views to accept/reject. Implementations must be pure functions of
-// the view.
+// the view, and Decide must not retain mu or anything it holds: callers may
+// hand it a scratch view that they refill after Decide returns (Run does).
 type Decoder interface {
 	// Rounds returns the verification radius r.
 	Rounds() int
@@ -63,18 +64,16 @@ func (s Scheme) MaxLabelBits(labels []string) int {
 
 // Run evaluates the decoder at every node of the labeled instance and
 // returns the per-node outputs. Views are anonymized first iff the decoder
-// is anonymous.
+// is anonymous. Each view is a scratch refilled for the next node (see
+// Labeled.EachView), which the Decoder contract allows.
 func Run(d Decoder, l Labeled) ([]bool, error) {
-	views, err := l.Views(d.Rounds())
+	out := make([]bool, l.G.N())
+	err := l.EachView(d.Rounds(), d.Anonymous(), func(v int, mu *view.View) error {
+		out[v] = d.Decide(mu)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("extracting views: %w", err)
-	}
-	out := make([]bool, len(views))
-	for v, mu := range views {
-		if d.Anonymous() {
-			mu = mu.Anonymize()
-		}
-		out[v] = d.Decide(mu)
 	}
 	return out, nil
 }

@@ -128,16 +128,10 @@ func (l Labeled) ViewOf(v, r int) (*view.View, error) {
 }
 
 // Views extracts the radius-r views of all nodes, sharing one extraction
-// scratch across the loop.
+// scratch across the loop. The views are owned by the caller; a caller that
+// reads each view once should use EachView.
 func (l Labeled) Views(r int) ([]*view.View, error) {
 	var ex view.Extractor
-	return l.ViewsWith(&ex, r)
-}
-
-// ViewsWith is Views reusing the caller's Extractor scratch; repeated
-// callers (simulators, sweeps) amortize extraction allocations across
-// instances.
-func (l Labeled) ViewsWith(ex *view.Extractor, r int) ([]*view.View, error) {
 	out := make([]*view.View, l.G.N())
 	for v := 0; v < l.G.N(); v++ {
 		mu, err := ex.Extract(l.G, l.Prt, l.IDs, l.Labels, l.NBound, v, r)
@@ -147,4 +141,35 @@ func (l Labeled) ViewsWith(ex *view.Extractor, r int) ([]*view.View, error) {
 		out[v] = mu
 	}
 	return out, nil
+}
+
+// EachView calls fn with the radius-r view of every node in node order,
+// stopping at the first error fn returns. With anonymous set, the views
+// carry no identifiers, as Anonymize would leave them. It is the walk of
+// the decide-and-discard callers (Run, and through it the checks), which
+// read each view once: the view is one scratch, refilled for the next node
+// after fn returns, so fn must not retain it or any of its slices.
+func (l Labeled) EachView(r int, anonymous bool, fn func(v int, mu *view.View) error) error {
+	n := l.G.N()
+	if len(l.Labels) != n {
+		return fmt.Errorf("labeling covers %d nodes, graph has %d", len(l.Labels), n)
+	}
+	ids := l.IDs
+	if anonymous {
+		ids = nil
+	}
+	var (
+		ex view.Extractor
+		t  view.Template
+		mu view.View
+	)
+	for v := 0; v < n; v++ {
+		if err := ex.TemplateInto(&t, l.G, l.Prt, ids, l.NBound, v, r); err != nil {
+			return fmt.Errorf("node %d: %w", v, err)
+		}
+		if err := fn(v, t.InstantiateInto(&mu, l.Labels)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

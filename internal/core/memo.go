@@ -24,7 +24,11 @@ type memoStripe struct {
 // re-deciding.
 //
 // MemoDecoder is safe for concurrent use; the memo is striped by handle and
-// read-mostly.
+// read-mostly. Unlike a plain Decoder it retains what it interns, the first
+// view of each class, as the class representative, so it may only be given
+// views the caller owns for the interner's lifetime, never a scratch view
+// that is refilled after Decide returns (Run's, the sweep's). The nbhd
+// builders give it arena views.
 type MemoDecoder struct {
 	inner   Decoder
 	in      *view.Interner

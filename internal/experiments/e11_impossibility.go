@@ -245,9 +245,10 @@ type decoderSpace struct {
 	adjCache map[*core.Instance]*classAdj
 
 	// Scratch for classVector, which runs on one goroutine: the template
-	// extractor, the skeleton rewritten per node, its key buffer, and the
-	// all-empty labeling.
+	// extractor, the template and skeleton rewritten per node, the key
+	// buffer, and the all-empty labeling.
 	ex     view.Extractor
+	tpl    view.Template
 	skel   view.Skeleton
 	key    []byte
 	labels []string
@@ -297,8 +298,9 @@ func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
 // classVector returns the class of every node of inst, numbering a class
 // not yet indexed as len(classes). A class is the canonical key of the
 // node's anonymous, all-empty-label radius-1 view: the identifier-free
-// template's skeleton is written into one reused Skeleton and the empty
-// labels spliced into one reused buffer, so only a new class copies its key.
+// template is rebuilt into one reused Template, its skeleton written into
+// one reused Skeleton and the empty labels spliced into one reused buffer,
+// so only a new class copies its key.
 func (s *decoderSpace) classVector(inst core.Instance) ([]int, error) {
 	n := inst.G.N()
 	if cap(s.labels) < n {
@@ -307,11 +309,10 @@ func (s *decoderSpace) classVector(inst core.Instance) ([]int, error) {
 	labels := s.labels[:n]
 	vec := make([]int, n)
 	for v := range vec {
-		t, err := s.ex.Template(inst.G, inst.Prt, nil, inst.NBound, v, 1)
-		if err != nil {
+		if err := s.ex.TemplateInto(&s.tpl, inst.G, inst.Prt, nil, inst.NBound, v, 1); err != nil {
 			return nil, fmt.Errorf("node %d: %w", v, err)
 		}
-		t.SkeletonInto(&s.skel)
+		s.tpl.SkeletonInto(&s.skel)
 		s.key = s.skel.AppendKey(s.key[:0], labels)
 		id, ok := s.index[string(s.key)]
 		if !ok {

@@ -46,17 +46,17 @@ func (e *Extractor) Color(mu *view.View) (int, error) {
 // ExtractWitness runs D' at every node of the labeled instance (with
 // verification radius r) and returns the extracted coloring.
 func (e *Extractor) ExtractWitness(l core.Labeled, r int) ([]int, error) {
-	views, err := l.Views(r)
-	if err != nil {
-		return nil, err
-	}
-	witness := make([]int, len(views))
-	for v, mu := range views {
+	witness := make([]int, l.G.N())
+	err := l.EachView(r, e.anonymous, func(v int, mu *view.View) error {
 		c, err := e.Color(mu)
 		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", v, err)
+			return fmt.Errorf("node %d: %w", v, err)
 		}
 		witness[v] = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return witness, nil
 }
@@ -86,22 +86,20 @@ type ConflictReport struct {
 // decoder can extract a coloring here": MinFailNodes > 0 proves every
 // decoder fails somewhere on this instance.
 func MinExtractionConflicts(d core.Decoder, l core.Labeled, k int) (ConflictReport, error) {
-	views, err := l.Views(d.Rounds())
-	if err != nil {
-		return ConflictReport{}, err
-	}
 	index := make(map[string]int)
-	nodeClass := make([]int, len(views))
-	for v, mu := range views {
-		if d.Anonymous() {
-			mu = mu.Anonymize()
-		}
-		// Classes are numbered in first-occurrence order.
+	nodeClass := make([]int, l.G.N())
+	err := l.EachView(d.Rounds(), d.Anonymous(), func(v int, mu *view.View) error {
+		// Classes are numbered in first-occurrence order. The key outlives
+		// the scratch view: a refill drops the view's key, never writes it.
 		key := mu.Key()
 		if _, ok := index[key]; !ok {
 			index[key] = len(index)
 		}
 		nodeClass[v] = index[key]
+		return nil
+	})
+	if err != nil {
+		return ConflictReport{}, err
 	}
 	m := len(index)
 	// The search is k^m; refuse absurd inputs instead of hanging.

@@ -61,7 +61,9 @@ func remapViewIDs(mu *view.View, target []int) (*view.View, bool) {
 	for i, id := range distinct {
 		remap[id] = target[i]
 	}
-	out := mu.Anonymize() // deep copy with zeroed IDs
+	// A deep copy: Anonymize would return an anonymous mu itself, and the
+	// NBound raise below would write to the caller's view.
+	out := mu.Clone()
 	for i, id := range mu.IDs {
 		if id != 0 {
 			out.IDs[i] = remap[id]

@@ -1,6 +1,7 @@
 package orderinv
 
 import (
+	"strings"
 	"testing"
 
 	"hidinglcp/internal/core"
@@ -56,6 +57,10 @@ func parityDecoder() core.Decoder {
 	})
 }
 
+// TestTemplateInstantiate checks how TypeOf instantiates the catalog: each
+// entry's decoder call sees a non-empty center view whose center carries
+// the identifier of its rank, N is raised to the largest identifier, and
+// a set shorter than an entry's slot count is refused.
 func TestTemplateInstantiate(t *testing.T) {
 	catalog, err := PathTemplates(3, []string{"", "", ""}, 1)
 	if err != nil {
@@ -65,14 +70,28 @@ func TestTemplateInstantiate(t *testing.T) {
 	if len(catalog) != 18 {
 		t.Fatalf("catalog size = %d, want 18", len(catalog))
 	}
-	mu, err := catalog[0].Instantiate([]int{10, 20, 30}, 1)
+	ids := []int{30, 10, 20}
+	calls := 0
+	d := core.NewDecoder(1, false, func(mu *view.View) bool {
+		tpl := catalog[calls]
+		calls++
+		if mu.N() == 0 {
+			t.Errorf("entry %d: empty view", calls-1)
+			return false
+		}
+		if want := tpl.RankOf[tpl.Center] * 10; mu.IDs[view.Center] != want || mu.NBound != 30 {
+			t.Errorf("entry %d: center id %d and N %d, want %d and 30", calls-1, mu.IDs[view.Center], mu.NBound, want)
+		}
+		return true
+	})
+	typ, err := TypeOf(d, catalog, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mu.N() == 0 {
-		t.Fatal("empty view")
+	if calls != len(catalog) || typ != strings.Repeat("1", len(catalog)) {
+		t.Errorf("type %q after %d decoder calls, want all accepts over %d entries", typ, calls, len(catalog))
 	}
-	if _, err := catalog[0].Instantiate([]int{10}, 1); err == nil {
+	if _, err := TypeOf(d, catalog, []int{10}); err == nil {
 		t.Error("short identifier set accepted")
 	}
 }
@@ -192,5 +211,20 @@ func TestMonochromaticIDsErrors(t *testing.T) {
 	})
 	if _, _, err := MonochromaticIDs(needle, catalog, []int{1, 2, 3, 4}, 4); err == nil {
 		t.Error("expected failure on a needle decoder over a tiny universe")
+	}
+}
+
+// TestRemapViewIDsCopiesAnonymousView: remapping an anonymous view raises
+// N on a copy, never on the caller's view, which may be shared or a
+// scratch the caller refills.
+func TestRemapViewIDsCopiesAnonymousView(t *testing.T) {
+	g := graph.Path(3)
+	mu := view.MustExtract(g, graph.DefaultPorts(g), nil, []string{"", "", ""}, 3, 1, 1)
+	out, ok := RemapViewIDs(mu, []int{10, 20, 30})
+	if !ok {
+		t.Fatal("remap of an anonymous view refused")
+	}
+	if out == mu || mu.NBound != 3 || out.NBound != 30 {
+		t.Errorf("remap returned the input (%v) or left N at %d on the input and %d on the copy, want 3 and 30", out == mu, mu.NBound, out.NBound)
 	}
 }

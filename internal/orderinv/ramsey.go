@@ -141,26 +141,6 @@ func (t Template) Slots() int {
 	return max
 }
 
-// Instantiate fills the template with the given ascending identifier set
-// and returns the center's radius-r view.
-func (t Template) Instantiate(ids []int, r int) (*view.View, error) {
-	if len(ids) < t.Slots() {
-		return nil, fmt.Errorf("template needs %d identifiers, got %d", t.Slots(), len(ids))
-	}
-	assigned := make(graph.IDs, len(t.RankOf))
-	for v, rank := range t.RankOf {
-		if rank < 1 {
-			return nil, fmt.Errorf("node %d has invalid rank %d", v, rank)
-		}
-		assigned[v] = ids[rank-1]
-	}
-	nBound := ids[len(ids)-1]
-	if t.L.NBound > nBound {
-		nBound = t.L.NBound
-	}
-	return view.Extract(t.L.G, t.L.Prt, assigned, t.L.Labels, nBound, t.Center, r)
-}
-
 // PathTemplates builds a catalog from a labeled path skeleton: one template
 // per (center, rank permutation) pair over the path's nodes. It is the
 // workhorse catalog for the Lemma 6.2 demonstration.
@@ -212,21 +192,43 @@ func permutations(k int) [][]int {
 
 // TypeOf computes the decoder's type on an identifier set: the output
 // vector over the catalog when the set instantiates each template in sorted
-// order. Two sets with equal types are indistinguishable to the decoder
-// across the catalog — exactly the coloring Lemma 6.2 feeds to Ramsey.
+// order (the node of rank k gets the k-th smallest identifier, and N is
+// raised to the largest one). Two sets with equal types are
+// indistinguishable to the decoder across the catalog — exactly the
+// coloring Lemma 6.2 feeds to Ramsey. Each entry's center view is built
+// into one reused template and view and decided once, so past the first
+// entry the call allocates only when a larger host graph comes along.
 func TypeOf(d core.Decoder, catalog []Template, ids []int) (string, error) {
 	sorted := append([]int(nil), ids...)
 	sort.Ints(sorted)
-	var b strings.Builder
+	var (
+		ex       view.Extractor
+		t        view.Template
+		mu       view.View
+		assigned graph.IDs
+		b        strings.Builder
+	)
+	b.Grow(len(catalog))
 	for i, tpl := range catalog {
-		mu, err := tpl.Instantiate(sorted, d.Rounds())
-		if err != nil {
+		if len(sorted) < tpl.Slots() {
+			return "", fmt.Errorf("template %d: needs %d identifiers, got %d", i, tpl.Slots(), len(sorted))
+		}
+		assigned = assigned[:0]
+		for v, rank := range tpl.RankOf {
+			if rank < 1 {
+				return "", fmt.Errorf("template %d: node %d has invalid rank %d", i, v, rank)
+			}
+			assigned = append(assigned, sorted[rank-1])
+		}
+		vids := assigned
+		if d.Anonymous() {
+			vids = nil
+		}
+		nBound := max(sorted[len(sorted)-1], tpl.L.NBound)
+		if err := ex.TemplateInto(&t, tpl.L.G, tpl.L.Prt, vids, nBound, tpl.Center, d.Rounds()); err != nil {
 			return "", fmt.Errorf("template %d: %w", i, err)
 		}
-		if d.Anonymous() {
-			mu = mu.Anonymize()
-		}
-		if d.Decide(mu) {
+		if d.Decide(t.InstantiateInto(&mu, tpl.L.Labels)) {
 			b.WriteByte('1')
 		} else {
 			b.WriteByte('0')

@@ -83,7 +83,9 @@ type Violation struct {
 	Check string
 	// Detail is a human-readable account of the divergence.
 	Detail string
-	// View is the offending input view (the caller's original).
+	// View is a copy of the offending input view as Decide received it,
+	// taken before the wrapped decoder ran: the caller's view may be a
+	// scratch refilled after Decide returns, and a violation outlives it.
 	View *view.View
 }
 
@@ -143,16 +145,16 @@ func (s *Sanitizer) Decide(mu *view.View) bool {
 	out := s.inner.Decide(mu)
 
 	if !viewsDeepEqual(mu, snap) {
-		s.violate("mutation", mu, "Decide mutated its view argument")
+		s.violate("mutation", snap, "Decide mutated its view argument")
 		// Continue probing against the pristine snapshot.
 	}
 	if got := s.instr.Decide(snap.Clone()); got != out {
-		s.violate("instrumentation", mu, fmt.Sprintf(
+		s.violate("instrumentation", snap, fmt.Sprintf(
 			"instrumented decoder returned %v where the plain decoder returned %v; enabling metrics must not change verdicts", got, out))
 	}
 	for i := 0; i < s.cfg.Repeats; i++ {
 		if got := s.inner.Decide(snap.Clone()); got != out {
-			s.violate("repeat", mu, fmt.Sprintf("repeated invocation %d returned %v, first returned %v", i+1, got, out))
+			s.violate("repeat", snap, fmt.Sprintf("repeated invocation %d returned %v, first returned %v", i+1, got, out))
 		}
 	}
 	for i := 0; i < s.cfg.Relabelings; i++ {
@@ -161,20 +163,20 @@ func (s *Sanitizer) Decide(mu *view.View) bool {
 			break // every distance class is a singleton; nothing to probe
 		}
 		if got := s.inner.Decide(relabelView(snap, perm)); got != out {
-			s.violate("relabeling", mu, fmt.Sprintf(
+			s.violate("relabeling", snap, fmt.Sprintf(
 				"distance-class-preserving renumbering %v changed the output from %v to %v; Decide depends on extraction order", perm, out, got))
 		}
 	}
 	if s.inner.Anonymous() && !snap.Anonymous() {
 		if got := s.inner.Decide(snap.Anonymize()); got != out {
-			s.violate("anonymity", mu, fmt.Sprintf(
+			s.violate("anonymity", snap, fmt.Sprintf(
 				"anonymized view changed the output from %v to %v although Anonymous() is true", out, got))
 		}
 	}
 	if s.cfg.OrderInvariant {
 		if remapped, ok := orderinv.RemapViewIDs(snap, shiftedIDTargets(snap)); ok {
 			if got := s.inner.Decide(remapped); got != out {
-				s.violate("order-invariance", mu, fmt.Sprintf(
+				s.violate("order-invariance", snap, fmt.Sprintf(
 					"order-preserving identifier remap changed the output from %v to %v", out, got))
 			}
 		}
@@ -182,9 +184,10 @@ func (s *Sanitizer) Decide(mu *view.View) bool {
 	return out
 }
 
-// violate reports through the configured sink, panicking by default.
-func (s *Sanitizer) violate(check string, mu *view.View, detail string) {
-	v := &Violation{Check: check, Detail: detail, View: mu}
+// violate reports through the configured sink, panicking by default. snap
+// is Decide's pristine snapshot, which no probe hands to the decoder.
+func (s *Sanitizer) violate(check string, snap *view.View, detail string) {
+	v := &Violation{Check: check, Detail: detail, View: snap}
 	if s.cfg.Report != nil {
 		s.cfg.Report(v)
 		return

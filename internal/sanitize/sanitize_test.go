@@ -289,3 +289,40 @@ func TestCleanDecoderForwardsTransparently(t *testing.T) {
 		t.Errorf("instrumentation probe ran %d times, want once per decision (%d)", got, g.N())
 	}
 }
+
+// fixedProver certifies every instance with one fixed labeling.
+type fixedProver []string
+
+func (p fixedProver) Certify(core.Instance) ([]string, error) { return p, nil }
+
+// TestViolationViewOutlivesRun: core.Run hands the decoder one scratch view
+// that it refills for the next node, so a violation recorded through Report
+// must hold its own copy. After CheckCompleteness returns, each node's
+// mutation violation still carries that node's view as extracted.
+func TestViolationViewOutlivesRun(t *testing.T) {
+	g := graph.Path(5)
+	inst := core.NewAnonymousInstance(g)
+	labels := []string{"a", "b", "c", "d", "e"}
+	var got []*sanitize.Violation
+	san := sanitize.Wrap(&mutatingDecoder{}, sanitize.Config{
+		Report: func(v *sanitize.Violation) { got = append(got, v) },
+	})
+	s := core.Scheme{Name: "mutating", Decoder: san, Prover: fixedProver(labels)}
+	if _, err := core.CheckCompleteness(s, inst); err != nil {
+		t.Fatal(err)
+	}
+	var node int
+	for _, v := range got {
+		if v.Check != "mutation" {
+			continue
+		}
+		want := view.MustExtract(g, inst.Prt, nil, labels, inst.NBound, node, 1)
+		if v.View.KeyDigest() != want.KeyDigest() {
+			t.Errorf("node %d: violation view %s, want the node's view %s", node, v.View.KeyDigest(), want.KeyDigest())
+		}
+		node++
+	}
+	if node != g.N() {
+		t.Fatalf("%d mutation violations, want one per node (%d)", node, g.N())
+	}
+}

@@ -31,8 +31,8 @@ func (t *Template) InstantiateIn(a *Arena, labels []string) *View {
 	}
 	v := a.NewView()
 	v.Radius = t.radius
-	v.Adj = t.adj
-	v.Dist = t.dist
+	v.Adj = t.adj()
+	v.Dist = t.dist()
 	v.Ports = &t.ports
 	v.IDs = t.ids
 	v.Labels = ls
@@ -42,24 +42,26 @@ func (t *Template) InstantiateIn(a *Arena, labels []string) *View {
 
 // InstantiateInto refills dst with the view for one labeling of the host
 // graph, reusing dst's label-slice capacity and resetting the cached
-// canonical key. It exists for the decide-and-discard sweeps (strong
-// soundness search), where the view never outlives the decoder call: the
-// result is dst itself, valid only until the next InstantiateInto on the
-// same dst, and must not be retained, interned, or published to another
-// goroutine. dst must be a scratch view owned by the caller.
+// canonical key. It exists for the decide-and-discard walks (strong
+// soundness search, core.Labeled.EachView), where the view never outlives
+// the decoder call: the result is dst itself, valid only until the next
+// InstantiateInto on the same dst, and must not be retained, interned, or
+// published to another goroutine. dst must be a scratch view owned by the
+// caller. A label slice too small is regrown to the host graph's size, so
+// views of one host graph regrow it at most once.
 func (t *Template) InstantiateInto(dst *View, labels []string) *View {
 	n := len(t.hosts)
 	ls := dst.Labels
 	if cap(ls) < n {
-		ls = make([]string, n)
+		ls = make([]string, n, len(labels))
 	}
 	ls = ls[:n]
 	for i, w := range t.hosts {
 		ls[i] = labels[w]
 	}
 	dst.Radius = t.radius
-	dst.Adj = t.adj
-	dst.Dist = t.dist
+	dst.Adj = t.adj()
+	dst.Dist = t.dist()
 	dst.Ports = &t.ports
 	dst.IDs = t.ids
 	dst.Labels = ls

@@ -51,19 +51,15 @@ func (ex *Extractor) ensure(n, arcs int) {
 // scratch across calls. The returned view is fully owned by the caller and
 // never aliases the scratch.
 func (ex *Extractor) Extract(g *graph.Graph, pt *graph.Ports, ids graph.IDs, labels []string, nBound, center, r int) (*View, error) {
-	if err := g.ValidateNode(center); err != nil {
-		return nil, fmt.Errorf("view center: %w", err)
+	if err := checkTemplate(g, ids, center, r); err != nil {
+		return nil, err
 	}
 	if len(labels) != g.N() {
 		return nil, fmt.Errorf("labeling covers %d nodes, graph has %d", len(labels), g.N())
 	}
-	if ids != nil && len(ids) != g.N() {
-		return nil, fmt.Errorf("identifier assignment covers %d nodes, graph has %d", len(ids), g.N())
-	}
-	if r < 0 {
-		return nil, fmt.Errorf("negative radius %d", r)
-	}
-	return ex.buildTemplate(g, pt, ids, nBound, center, r).Instantiate(labels), nil
+	t := new(Template)
+	ex.buildTemplate(t, g, pt, ids, nBound, center, r)
+	return t.Instantiate(labels), nil
 }
 
 // Template precomputes the label-independent part of a view — topology,
@@ -73,31 +69,76 @@ func (ex *Extractor) Extract(g *graph.Graph, pt *graph.Ports, ids graph.IDs, lab
 // Dist, Ports, and IDs structures (views are contractually immutable, so
 // the sharing is safe).
 func (ex *Extractor) Template(g *graph.Graph, pt *graph.Ports, ids graph.IDs, nBound, center, r int) (*Template, error) {
+	if err := checkTemplate(g, ids, center, r); err != nil {
+		return nil, err
+	}
+	t := new(Template)
+	ex.buildTemplate(t, g, pt, ids, nBound, center, r)
+	return t, nil
+}
+
+// TemplateInto is Template rebuilt in place for the decide-and-discard
+// walks, which read each view once and drop it: dst's storage is reused,
+// and grown for the whole host graph when it is too small, so a walk over
+// the nodes of one graph grows it at most once. Every view instantiated
+// from dst before the call reads the new template after it, so none may be
+// retained.
+func (ex *Extractor) TemplateInto(dst *Template, g *graph.Graph, pt *graph.Ports, ids graph.IDs, nBound, center, r int) error {
+	if err := checkTemplate(g, ids, center, r); err != nil {
+		return err
+	}
+	// A view has at most n nodes, 2m visible arcs and, ports being
+	// 1..degree, 2m port-row entries.
+	dst.reserve(3*g.N()+4*g.M(), 2*g.N())
+	ex.buildTemplate(dst, g, pt, ids, nBound, center, r)
+	return nil
+}
+
+func checkTemplate(g *graph.Graph, ids graph.IDs, center, r int) error {
 	if err := g.ValidateNode(center); err != nil {
-		return nil, fmt.Errorf("view center: %w", err)
+		return fmt.Errorf("view center: %w", err)
 	}
 	if ids != nil && len(ids) != g.N() {
-		return nil, fmt.Errorf("identifier assignment covers %d nodes, graph has %d", len(ids), g.N())
+		return fmt.Errorf("identifier assignment covers %d nodes, graph has %d", len(ids), g.N())
 	}
 	if r < 0 {
-		return nil, fmt.Errorf("negative radius %d", r)
+		return fmt.Errorf("negative radius %d", r)
 	}
-	return ex.buildTemplate(g, pt, ids, nBound, center, r), nil
+	return nil
 }
 
 // Template is the label-independent part of one node's radius-r view. Its
 // distances, identifiers, hosts, adjacency lists and port rows are cut
-// from one backing array, and the adjacency and row headers from one more,
-// so a template costs three allocations; every view instantiated from it
-// shares them, the rows through a pointer to the embedded table.
+// from one backing array, buf, and the adjacency and row headers from one
+// more, hdr, so a template costs three allocations; every view
+// instantiated from it shares them, the rows through a pointer to the
+// embedded table.
 type Template struct {
 	radius int
 	nBound int
-	adj    [][]int
-	dist   []int
-	ports  PortRows
-	ids    []int
-	hosts  []int
+	// buf holds the distances at [0,n), then ids and hosts, then the
+	// adjacency segments and port rows; hdr holds the adjacency lists at
+	// [0,n) and then ports.Rows. A rebuilt template may leave room past
+	// them.
+	buf   []int
+	hdr   [][]int
+	ports PortRows
+	ids   []int
+	hosts []int
+}
+
+func (t *Template) adj() [][]int { return t.hdr[:len(t.hosts):len(t.hosts)] }
+func (t *Template) dist() []int  { return t.buf[:len(t.hosts):len(t.hosts)] }
+
+// reserve makes buf hold at least ints entries and hdr at least hdrs; both
+// keep their length equal to their capacity.
+func (t *Template) reserve(ints, hdrs int) {
+	if cap(t.buf) < ints {
+		t.buf = make([]int, ints)
+	}
+	if cap(t.hdr) < hdrs {
+		t.hdr = make([][]int, hdrs)
+	}
 }
 
 // Hosts returns the host-graph node at each local index (hosts[0] is the
@@ -117,8 +158,8 @@ func (t *Template) Instantiate(labels []string) *View {
 	}
 	return &View{
 		Radius: t.radius,
-		Adj:    t.adj,
-		Dist:   t.dist,
+		Adj:    t.adj(),
+		Dist:   t.dist(),
 		Ports:  &t.ports,
 		IDs:    t.ids,
 		Labels: ls,
@@ -126,9 +167,9 @@ func (t *Template) Instantiate(labels []string) *View {
 	}
 }
 
-// buildTemplate runs the truncated BFS and assembles the template. Inputs
-// are pre-validated.
-func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.IDs, nBound, center, r int) *Template {
+// buildTemplate runs the truncated BFS and assembles the template in t,
+// reusing t's storage when it is large enough. Inputs are pre-validated.
+func (ex *Extractor) buildTemplate(t *Template, g *graph.Graph, pt *graph.Ports, ids graph.IDs, nBound, center, r int) {
 	n := g.N()
 	ex.ensure(n, 2*g.M())
 	ep := ex.epoch
@@ -204,22 +245,21 @@ func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.ID
 
 	// One backing array carries dist, ids, hosts, the adjacency segments and
 	// the port rows, and one header array the adjacency lists and the rows;
-	// capped subslices keep the template fields independent.
+	// capped subslices keep the template fields independent. A rebuilt
+	// template reuses both, so every field is rewritten below: the
+	// identifiers even when there are none, the headers even of nodes with
+	// no visible edge.
 	nv := len(hosts)
-	buf := make([]int, 3*nv+total+rowTotal)
-	hdr := make([][]int, 2*nv)
-	t := &Template{
-		radius: r,
-		nBound: nBound,
-		adj:    hdr[:nv:nv],
-		dist:   buf[:nv:nv],
-		ids:    buf[nv : 2*nv : 2*nv],
-		hosts:  buf[2*nv : 3*nv : 3*nv],
-	}
-	t.ports.Rows = hdr[nv:]
+	t.reserve(3*nv+total+rowTotal, 2*nv)
+	buf, hdr := t.buf, t.hdr
+	t.radius, t.nBound = r, nBound
+	adj := hdr[:nv:nv]
+	t.ports.Rows = hdr[nv : 2*nv : 2*nv]
+	t.ids, t.hosts = buf[nv:2*nv:2*nv], buf[2*nv:3*nv:3*nv]
 	copy(t.hosts, hosts)
 	for i, w := range hosts {
-		t.dist[i] = dist[w]
+		buf[i] = dist[w]
+		t.ids[i] = 0
 		if ids != nil {
 			t.ids[i] = ids[w]
 		}
@@ -228,6 +268,7 @@ func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.ID
 	start, e := 0, 0
 	for i, w := range hosts {
 		if deg[i] == 0 {
+			adj[i], t.ports.Rows[i] = nil, nil
 			continue
 		}
 		seg := backing[start : start+deg[i] : start+deg[i]]
@@ -249,8 +290,7 @@ func (ex *Extractor) buildTemplate(g *graph.Graph, pt *graph.Ports, ids graph.ID
 			e++
 		}
 		insertionSortInts(seg)
-		t.adj[i] = seg
+		adj[i] = seg
 		t.ports.Rows[i] = row
 	}
-	return t
 }
