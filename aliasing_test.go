@@ -36,7 +36,7 @@ func ngFingerprint(ng *nbhd.NGraph) string {
 }
 
 // TestBuildResultAliasing mutates every mutable structure reachable from one
-// build's result — view label slices, the adjacency rows, the accepting
+// build's result — view label slices, the port rows, the accepting
 // graph — and asserts that an identical fresh build is bit-identical to the
 // pristine first fingerprint.
 func TestBuildResultAliasing(t *testing.T) {
@@ -61,7 +61,7 @@ func TestBuildResultAliasing(t *testing.T) {
 		for j := range mu.Labels {
 			mu.Labels[j] = "vandalized"
 		}
-		for _, row := range mu.Adj {
+		for _, row := range mu.Ports.Rows {
 			for k := range row {
 				row[k] = -row[k] - 1
 			}

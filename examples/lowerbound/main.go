@@ -95,8 +95,10 @@ func main() {
 
 func neighborsOf(mu *view.View) []int {
 	var ids []int
-	for _, w := range mu.Adj[view.Center] {
-		ids = append(ids, mu.IDs[w])
+	for _, w := range mu.Ports.Rows[view.Center] {
+		if w >= 0 {
+			ids = append(ids, mu.IDs[w])
+		}
 	}
 	return ids
 }

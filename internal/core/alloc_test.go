@@ -86,7 +86,7 @@ func TestMemoDecoderHitAllocs(t *testing.T) {
 	md := NewMemoDecoder(rejectAllDecoder{}, in)
 	handles := make([]view.Handle, len(views))
 	for i, mu := range views {
-		handles[i] = in.Intern(mu)
+		handles[i] = in.InternKey(mu.BinKey(), mu)
 		md.DecideInterned(handles[i], mu)
 	}
 	if n := testing.AllocsPerRun(100, func() {

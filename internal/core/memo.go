@@ -24,11 +24,7 @@ type memoStripe struct {
 // re-deciding.
 //
 // MemoDecoder is safe for concurrent use; the memo is striped by handle and
-// read-mostly. Unlike a plain Decoder it retains what it interns, the first
-// view of each class, as the class representative, so it may only be given
-// views the caller owns for the interner's lifetime, never a scratch view
-// that is refilled after Decide returns (Run's, the sweep's). The nbhd
-// builders give it arena views.
+// read-mostly.
 type MemoDecoder struct {
 	inner   Decoder
 	in      *view.Interner
@@ -62,13 +58,21 @@ func (m *MemoDecoder) Anonymous() bool { return m.inner.Anonymous() }
 
 // Decide implements Decoder. The view is interned (canonicalized) first;
 // per the Decoder contract it must already be anonymized iff the inner
-// decoder is anonymous.
+// decoder is anonymous. Like any Decoder it does not retain mu: a view of
+// a new class is interned as a clone, so a scratch view refilled after
+// Decide returns (Run's, the sweep's) never becomes a class representative.
 func (m *MemoDecoder) Decide(mu *view.View) bool {
-	return m.DecideInterned(m.in.Intern(mu), mu)
+	k := mu.BinKey()
+	h, ok := m.in.LookupKey(k)
+	if !ok {
+		h = m.in.InternKey(k, mu.Clone())
+	}
+	return m.DecideInterned(h, mu)
 }
 
 // DecideInterned is Decide for callers that have already interned mu as h
-// on the memo's interner.
+// on the memo's interner; it retains nothing, so the representative is the
+// view the caller interned (the nbhd builders intern arena views).
 func (m *MemoDecoder) DecideInterned(h view.Handle, mu *view.View) bool {
 	m.calls.Add(1)
 	s := &m.stripes[h%memoStripes]

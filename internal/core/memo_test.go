@@ -85,7 +85,7 @@ func TestMemoDecoderInterned(t *testing.T) {
 		t.Fatal("the memo does not use the shared interner")
 	}
 	for _, mu := range views {
-		h := in.Intern(mu)
+		h := in.InternKey(mu.BinKey(), mu)
 		if md.DecideInterned(h, mu) != md.Decide(mu.Clone()) {
 			t.Fatal("DecideInterned disagrees with Decide")
 		}
@@ -122,6 +122,33 @@ func TestMemoDecoderConcurrent(t *testing.T) {
 	close(errc)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemoDecoderKeepsRepresentatives runs a memoized decoder through Run,
+// which refills one scratch view per node, and checks that every class
+// representative the memo interned still keys as its own class.
+func TestMemoDecoderKeepsRepresentatives(t *testing.T) {
+	g := graph.Spider([]int{1, 2, 3})
+	coloring, ok := g.TwoColoring()
+	if !ok {
+		t.Fatal("spider is not bipartite")
+	}
+	labels := make([]string, g.N())
+	for v, c := range coloring {
+		labels[v] = []string{"0", "1"}[c]
+	}
+	in := view.NewInterner()
+	if _, err := Run(NewMemoDecoder(revealDecoder(), in), MustNewLabeled(NewAnonymousInstance(g), labels)); err != nil {
+		t.Fatal(err)
+	}
+	if in.Len() < 2 {
+		t.Fatalf("Run interned %d classes, want several", in.Len())
+	}
+	for h := view.Handle(0); int(h) < in.Len(); h++ {
+		if got, ok := in.LookupKey(in.ViewOf(h).BinKey()); !ok || got != h {
+			t.Errorf("the representative of class %d keys as class %d (found %v)", h, got, ok)
+		}
 	}
 }
 

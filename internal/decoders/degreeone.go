@@ -59,14 +59,18 @@ func (d *degOneDecoder) Anonymous() bool { return true }
 //     neighbor carries the opposite color.
 func (d *degOneDecoder) Decide(mu *view.View) bool {
 	center := view.Center
-	nbs := mu.Adj[center]
+	row := mu.Ports.Rows[center]
 	switch mu.Labels[center] {
 	case DegOneBottom:
-		return len(nbs) == 1 && mu.Labels[nbs[0]] == DegOneTop
+		w := soleNeighbor(row)
+		return w >= 0 && mu.Labels[w] == DegOneTop
 	case DegOneTop:
 		bottoms := 0
 		common := ""
-		for _, w := range nbs {
+		for _, w := range row {
+			if w < 0 {
+				continue
+			}
 			switch l := mu.Labels[w]; l {
 			case DegOneBottom:
 				bottoms++
@@ -84,7 +88,10 @@ func (d *degOneDecoder) Decide(mu *view.View) bool {
 	case DegOneColor0, DegOneColor1:
 		own := mu.Labels[center]
 		tops := 0
-		for _, w := range nbs {
+		for _, w := range row {
+			if w < 0 {
+				continue
+			}
 			switch l := mu.Labels[w]; l {
 			case DegOneTop:
 				tops++
@@ -103,6 +110,22 @@ func (d *degOneDecoder) Decide(mu *view.View) bool {
 	default:
 		return false
 	}
+}
+
+// soleNeighbor returns the one visible entry of a port row, or -1 when the
+// row has none or several.
+func soleNeighbor(row []int) int {
+	sole := -1
+	for _, w := range row {
+		if w < 0 {
+			continue
+		}
+		if sole >= 0 {
+			return -1
+		}
+		sole = w
+	}
+	return sole
 }
 
 type degOneProver struct{}

@@ -109,19 +109,23 @@ func (d *degOneKDecoder) Decide(mu *view.View) bool {
 	if err != nil {
 		return false
 	}
-	nbs := mu.Adj[view.Center]
+	row := mu.Ports.Rows[view.Center]
 	switch own.kind {
 	case 'B':
-		if len(nbs) != 1 {
+		w := soleNeighbor(row)
+		if w < 0 {
 			return false
 		}
-		c, err := parseDegOneKCert(d.k, d.prefix, mu.Labels[nbs[0]])
+		c, err := parseDegOneKCert(d.k, d.prefix, mu.Labels[w])
 		return err == nil && c.kind == 'T'
 	case 'T':
 		bottoms := 0
 		var buf [8]int
 		colors := buf[:0] // distinct neighbour colors
-		for _, w := range nbs {
+		for _, w := range row {
+			if w < 0 {
+				continue
+			}
 			c, err := parseDegOneKCert(d.k, d.prefix, mu.Labels[w])
 			if err != nil {
 				return false
@@ -141,7 +145,10 @@ func (d *degOneKDecoder) Decide(mu *view.View) bool {
 		return bottoms == 1 && len(colors) <= d.k-1
 	default: // colored
 		tops := 0
-		for _, w := range nbs {
+		for _, w := range row {
+			if w < 0 {
+				continue
+			}
 			c, err := parseDegOneKCert(d.k, d.prefix, mu.Labels[w])
 			if err != nil {
 				return false

@@ -34,12 +34,24 @@ func refParseDegOneKCert(k int, label string) (degOneKCert, error) {
 	return degOneKCert{kind: 'C', color: c}, nil
 }
 
+// refNeighbors returns the visible neighbors of mu's center in port order,
+// skipping the -1 entries a gapped row carries.
+func refNeighbors(mu *view.View) []int {
+	var nbs []int
+	for _, w := range mu.Ports.Rows[view.Center] {
+		if w >= 0 {
+			nbs = append(nbs, w)
+		}
+	}
+	return nbs
+}
+
 func refDegOneKDecide(k int, mu *view.View) bool {
 	own, err := refParseDegOneKCert(k, mu.Labels[view.Center])
 	if err != nil {
 		return false
 	}
-	nbs := mu.Adj[view.Center]
+	nbs := refNeighbors(mu)
 	certs := make([]degOneKCert, len(nbs))
 	for i, w := range nbs {
 		c, err := refParseDegOneKCert(k, mu.Labels[w])
@@ -90,10 +102,13 @@ func refDegOneKDecide(k int, mu *view.View) bool {
 // the reference decoder on every radius-1 view of Star(4), Star(5), Path(3)
 // and K4 under every labeling over the certificate alphabet plus four
 // malformed labels (empty, another k's prefix, the out-of-range color k and
-// a negative color), for k = 1..4: about 1.24 M views.
+// a negative color), for k = 1..4: about 1.24 M views. Each view whose
+// center has degree 2 or more is compared again with the center's port-1
+// neighbor removed (withoutPortOne), as internal/sim assembles it when that
+// neighbor crashed: about 0.33 M gapped views.
 func TestDegreeOneKDecideMatchesReference(t *testing.T) {
 	graphs := []*graph.Graph{graph.Star(4), graph.Star(5), graph.Path(3), graph.Complete(4)}
-	views := 0
+	views, gapped := 0, 0
 	for k := 1; k <= 4; k++ {
 		d := DegreeOneK(k).Decoder
 		alphabet := append(DegOneKAlphabet(k), "", "K9:1", fmt.Sprintf("K%d:%d", k, k), fmt.Sprintf("K%d:-1", k))
@@ -121,6 +136,12 @@ func TestDegreeOneKDecideMatchesReference(t *testing.T) {
 						t.Fatalf("k=%d graph %v node %d labels %q: Decide = %v, reference = %v", k, g, v, labels, got, want)
 					}
 					views++
+					if gap := withoutPortOne(mu); gap != nil {
+						if got, want := d.Decide(gap), refDegOneKDecide(k, gap); got != want {
+							t.Fatalf("k=%d graph %v node %d labels %q, port-1 neighbor gone: Decide = %v, reference = %v", k, g, v, labels, got, want)
+						}
+						gapped++
+					}
 				}
 				// Next labeling in mixed-radix order.
 				i := 0
@@ -139,5 +160,8 @@ func TestDegreeOneKDecideMatchesReference(t *testing.T) {
 	}
 	if views != 1235336 {
 		t.Errorf("compared %d views, want 1235336", views)
+	}
+	if gapped != 326498 {
+		t.Errorf("compared %d gapped views, want 326498", gapped)
 	}
 }

@@ -170,7 +170,9 @@ func (d *evenCycleDecoder) Anonymous() bool { return true }
 // same color.
 func (d *evenCycleDecoder) Decide(mu *view.View) bool {
 	center := view.Center
-	if mu.Degree(center) != 2 {
+	// Degree 2 with the edges behind ports 1 and 2.
+	row := mu.Ports.Rows[center]
+	if len(row) != 2 || row[0] < 0 || row[1] < 0 {
 		return false
 	}
 	own, err := parseCycleCert(mu.Labels[center])
@@ -180,11 +182,8 @@ func (d *evenCycleDecoder) Decide(mu *view.View) bool {
 	if own.color[1] == own.color[2] {
 		return false
 	}
-	for _, w := range mu.Adj[center] {
-		j, ok := mu.Port(center, w) // own port of edge {center, w}
-		if !ok || (j != 1 && j != 2) {
-			return false
-		}
+	for p0, w := range row {
+		j := p0 + 1                   // own port of edge {center, w}
 		far, ok := mu.Port(w, center) // actual far-end port
 		if !ok {
 			return false

@@ -175,7 +175,7 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 	if !ok {
 		return false
 	}
-	nbs := mu.Adj[center]
+	row := mu.Ports.Rows[center]
 	switch own.typ {
 	case 0:
 		// Condition 1: own id field matches own identifier; all neighbors
@@ -183,12 +183,18 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 		if own.id != mu.IDs[center] {
 			return false
 		}
-		for _, w := range nbs {
+		first := "" // the first neighbor's label; a parsed label is never empty
+		for _, w := range row {
+			if w < 0 {
+				continue
+			}
 			c, ok := parseShatterCert(mu.Labels[w])
 			if !ok || c.typ != 1 || c.id != own.id {
 				return false
 			}
-			if mu.Labels[w] != mu.Labels[nbs[0]] {
+			if first == "" {
+				first = mu.Labels[w]
+			} else if mu.Labels[w] != first {
 				return false
 			}
 		}
@@ -201,7 +207,10 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 		// Condition 2(c): every type-2 neighbor matches id and its color
 		// equals colors[comp].
 		shatters := 0
-		for _, w := range nbs {
+		for _, w := range row {
+			if w < 0 {
+				continue
+			}
 			c, ok := parseShatterCert(mu.Labels[w])
 			if !ok {
 				return false
@@ -240,7 +249,10 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 		// Condition 3(b): type-1 neighbors match id and colors[comp] = x.
 		// Condition 3(c): type-2 neighbors match id and comp, with the
 		// opposite color.
-		for _, w := range nbs {
+		for _, w := range row {
+			if w < 0 {
+				continue
+			}
 			c, ok := parseShatterCert(mu.Labels[w])
 			if !ok {
 				return false

@@ -89,7 +89,7 @@ func refShatterDecide(literal bool, mu *view.View) bool {
 	if err != nil {
 		return false
 	}
-	nbs := mu.Adj[center]
+	nbs := refNeighbors(mu)
 	certs := make([]refShatterCert, len(nbs))
 	for i, w := range nbs {
 		c, err := refParseShatterCert(mu.Labels[w])
@@ -256,7 +256,8 @@ func shatterAlphabet(labels []string) []string {
 // TestShatterDecideMatchesReference compares the patched and the literal
 // Shatter decoders with the reference decoder on the radius-1 views of six
 // graphs with shatter points, around the prover's certificates and
-// shatterAlphabet's variants of them.
+// shatterAlphabet's variants of them, and on each such view with the
+// center's port-1 neighbor removed (withoutPortOne).
 func TestShatterDecideMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	graphs := []*graph.Graph{
@@ -266,20 +267,24 @@ func TestShatterDecideMatchesReference(t *testing.T) {
 	for _, literal := range []bool{false, true} {
 		s := shatterScheme(literal)
 		ref := func(mu *view.View) bool { return refShatterDecide(literal, mu) }
-		views, accepted := 0, 0
+		views, gapped, accepted := 0, 0, 0
 		for _, g := range graphs {
 			inst := core.NewInstance(g)
 			labels, err := s.Prover.Certify(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, a := diffDecide(t, s.Decoder, ref, inst, labels, shatterAlphabet(labels), rng, 2000)
+			v, gp, a := diffDecide(t, s.Decoder, ref, inst, labels, shatterAlphabet(labels), rng, 2000)
 			views += v
+			gapped += gp
 			accepted += a
 		}
 		if accepted*10 < views {
 			t.Errorf("%s: Decide accepted %d of %d views; the corpus misses the accepting paths", s.Name, accepted, views)
 		}
-		t.Logf("%s: compared %d views, %d accepted", s.Name, views, accepted)
+		if gapped == 0 {
+			t.Errorf("%s: no view with a gapped center row was compared", s.Name)
+		}
+		t.Logf("%s: compared %d views, %d accepted, and %d gapped views", s.Name, views, accepted, gapped)
 	}
 }

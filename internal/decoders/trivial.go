@@ -42,7 +42,10 @@ func (d *trivialDecoder) Decide(mu *view.View) bool {
 	if err != nil {
 		return false
 	}
-	for _, w := range mu.Adj[view.Center] {
+	for _, w := range mu.Ports.Rows[view.Center] {
+		if w < 0 {
+			continue
+		}
 		c, err := d.color(mu.Labels[w])
 		if err != nil || c == own {
 			return false

@@ -123,7 +123,7 @@ func (d *watermelonDecoder) Decide(mu *view.View) bool {
 	if !ok {
 		return false
 	}
-	nbs := mu.Adj[center]
+	row := mu.Ports.Rows[center]
 	if own.typ == 1 {
 		// Condition 2(a): the node is one of the announced endpoints.
 		if mu.IDs[center] != own.id1 && mu.IDs[center] != own.id2 {
@@ -132,7 +132,10 @@ func (d *watermelonDecoder) Decide(mu *view.View) bool {
 		var buf [8]int
 		paths := buf[:0] // path numbers seen so far
 		edgeColor := -1
-		for _, w := range nbs {
+		for p0, w := range row {
+			if w < 0 {
+				continue
+			}
 			c, ok := parseMelonCert(mu.Labels[w])
 			// Condition 1: all neighbors agree on the endpoint identifiers.
 			// Condition 2(b): all neighbors are path nodes whose entry for
@@ -144,8 +147,7 @@ func (d *watermelonDecoder) Decide(mu *view.View) bool {
 			if !ok || j < 1 || j > 2 {
 				return false
 			}
-			myPort, ok := mu.Port(center, w)
-			if !ok || c.farPort[j] != myPort {
+			if c.farPort[j] != p0+1 {
 				return false
 			}
 			// Condition 2(c): distinct path numbers across neighbors.
@@ -163,19 +165,16 @@ func (d *watermelonDecoder) Decide(mu *view.View) bool {
 		return true
 	}
 	// Type 2. Condition 3(a): exactly two neighbors, behind ports 1 and 2.
-	if len(nbs) != 2 {
+	if len(row) != 2 || row[0] < 0 || row[1] < 0 {
 		return false
 	}
-	for _, w := range nbs {
+	for p0, w := range row {
 		c, ok := parseMelonCert(mu.Labels[w])
 		// Condition 1: all neighbors agree on the endpoint identifiers.
 		if !ok || c.id1 != own.id1 || c.id2 != own.id2 {
 			return false
 		}
-		i, ok := mu.Port(center, w) // own port of this edge
-		if !ok || (i != 1 && i != 2) {
-			return false
-		}
+		i := p0 + 1 // own port of this edge
 		// Own entry must name the true far-end port.
 		far, ok := mu.Port(w, center)
 		if !ok || own.farPort[i] != far {

@@ -88,7 +88,7 @@ func refWatermelonDecide(mu *view.View) bool {
 	if err != nil {
 		return false
 	}
-	nbs := mu.Adj[center]
+	nbs := refNeighbors(mu)
 	certs := make(map[int]melonCert, len(nbs))
 	for _, w := range nbs {
 		c, err := refParseMelonCert(mu.Labels[w])
@@ -241,7 +241,7 @@ func TestParseMelonCertMatchesReference(t *testing.T) {
 // node's label with probability 1/2 and draw it from the alphabet
 // otherwise. It returns the number of views compared and how many of them
 // d accepted.
-func diffDecide(t *testing.T, d core.Decoder, ref func(*view.View) bool, inst core.Instance, labels, alphabet []string, rng *rand.Rand, trials int) (views, accepted int) {
+func diffDecide(t *testing.T, d core.Decoder, ref func(*view.View) bool, inst core.Instance, labels, alphabet []string, rng *rand.Rand, trials int) (views, gapped, accepted int) {
 	t.Helper()
 	n := inst.G.N()
 	var ex view.Extractor
@@ -265,6 +265,12 @@ func diffDecide(t *testing.T, d core.Decoder, ref func(*view.View) bool, inst co
 			if got {
 				accepted++
 			}
+			if gap := withoutPortOne(mu); gap != nil {
+				if got, want := d.Decide(gap), ref(gap); got != want {
+					t.Fatalf("graph %v node %d labels %q, port-1 neighbor gone: Decide = %v, reference = %v", inst.G, v, ls, got, want)
+				}
+				gapped++
+			}
 		}
 	}
 	ls := append([]string(nil), labels...)
@@ -285,7 +291,41 @@ func diffDecide(t *testing.T, d core.Decoder, ref func(*view.View) bool, inst co
 		}
 		check(ls)
 	}
-	return views, accepted
+	return views, gapped, accepted
+}
+
+// withoutPortOne returns the radius-1 view mu as internal/sim assembles it
+// when the center's neighbor behind port 1 crashed before speaking: that
+// node is gone and the center's row keeps a -1 at port 1, a gap before its
+// larger ports. It returns nil unless the center has an edge behind port 1
+// and one behind a larger port.
+func withoutPortOne(mu *view.View) *view.View {
+	row := mu.Ports.Rows[view.Center]
+	if mu.Radius != 1 || len(row) < 2 || row[0] < 0 {
+		return nil
+	}
+	x := row[0]
+	gap := &view.View{Radius: 1, NBound: mu.NBound, Ports: &view.PortRows{}}
+	for i := range mu.Dist {
+		if i == x {
+			continue
+		}
+		gap.Dist = append(gap.Dist, mu.Dist[i])
+		gap.IDs = append(gap.IDs, mu.IDs[i])
+		gap.Labels = append(gap.Labels, mu.Labels[i])
+		var nrow []int
+		for _, w := range mu.Ports.Rows[i] {
+			switch {
+			case w == x:
+				w = -1
+			case w > x:
+				w--
+			}
+			nrow = append(nrow, w)
+		}
+		gap.Ports.Rows = append(gap.Ports.Rows, nrow)
+	}
+	return gap
 }
 
 // melonAlphabet returns the certified labels, their variants (colors
@@ -324,11 +364,12 @@ func melonAlphabet(labels []string) []string {
 // TestWatermelonDecideMatchesReference compares the Watermelon decoder with
 // the reference decoder on the radius-1 views of four watermelons under
 // every port assignment (the far-port checks read the ports), around the
-// prover's certificates and melonAlphabet's variants of them.
+// prover's certificates and melonAlphabet's variants of them, and on each
+// such view with the center's port-1 neighbor removed (withoutPortOne).
 func TestWatermelonDecideMatchesReference(t *testing.T) {
 	s := Watermelon()
 	rng := rand.New(rand.NewSource(2))
-	views, accepted := 0, 0
+	views, gapped, accepted := 0, 0, 0
 	for _, paths := range [][]int{{2, 2}, {2, 4}, {3, 3}, {2, 2, 2}} {
 		g := graph.MustWatermelon(paths)
 		graph.EnumPorts(g, func(pt *graph.Ports) bool {
@@ -338,8 +379,9 @@ func TestWatermelonDecideMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, a := diffDecide(t, s.Decoder, refWatermelonDecide, inst, labels, melonAlphabet(labels), rng, 20)
+			v, gp, a := diffDecide(t, s.Decoder, refWatermelonDecide, inst, labels, melonAlphabet(labels), rng, 20)
 			views += v
+			gapped += gp
 			accepted += a
 			return true
 		})
@@ -347,5 +389,8 @@ func TestWatermelonDecideMatchesReference(t *testing.T) {
 	if accepted*10 < views {
 		t.Errorf("Decide accepted %d of %d views; the corpus misses the accepting paths", accepted, views)
 	}
-	t.Logf("compared %d views, %d accepted", views, accepted)
+	if gapped == 0 {
+		t.Error("no view with a gapped center row was compared")
+	}
+	t.Logf("compared %d views, %d accepted, and %d gapped views", views, accepted, gapped)
 }

@@ -85,7 +85,10 @@ func BuildGBad(anchors Anchors, nBound int) (core.Labeled, map[int]int, error) {
 			return fail, nil, fmt.Errorf("anchor for %d has center identifier %d", id, got)
 		}
 		m := make(map[int]arm)
-		for _, w := range mu.Adj[view.Center] {
+		for p0, w := range mu.Ports.Rows[view.Center] {
+			if w < 0 {
+				continue
+			}
 			nbID := mu.IDs[w]
 			if nbID == 0 {
 				return fail, nil, fmt.Errorf("anchor %d has an anonymous neighbor", id)
@@ -93,14 +96,10 @@ func BuildGBad(anchors Anchors, nBound int) (core.Labeled, map[int]int, error) {
 			if _, ok := anchors[nbID]; !ok {
 				return fail, nil, fmt.Errorf("anchor %d names neighbor %d which has no anchor", id, nbID)
 			}
-			p, ok := mu.Port(view.Center, w)
-			if !ok {
-				return fail, nil, fmt.Errorf("anchor %d lacks a port toward %d", id, nbID)
-			}
 			if _, dup := m[nbID]; dup {
 				return fail, nil, fmt.Errorf("anchor %d has two edges toward identifier %d", id, nbID)
 			}
-			m[nbID] = arm{port: p}
+			m[nbID] = arm{port: p0 + 1}
 		}
 		arms[id] = m
 	}

@@ -149,10 +149,12 @@ func leafAnchors(t *testing.T, centers []*view.View) []*view.View {
 		// the leaves in host order.
 		ids[1] = mu.IDs[view.Center]
 		labels[1] = mu.Labels[view.Center]
-		for _, w := range mu.Adj[view.Center] {
-			p, _ := mu.Port(view.Center, w)
+		for p0, w := range mu.Ports.Rows[view.Center] {
+			if w < 0 {
+				continue
+			}
 			host := 0
-			if p == 2 {
+			if p0 == 1 {
 				host = 2
 			}
 			ids[host] = mu.IDs[w]

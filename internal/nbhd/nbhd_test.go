@@ -22,7 +22,10 @@ func revealDecoder() core.Decoder {
 		if own != "0" && own != "1" {
 			return false
 		}
-		for _, w := range mu.Adj[view.Center] {
+		for _, w := range mu.Ports.Rows[view.Center] {
+			if w < 0 {
+				continue
+			}
 			if mu.Labels[w] == own || (mu.Labels[w] != "0" && mu.Labels[w] != "1") {
 				return false
 			}

@@ -200,7 +200,6 @@ func (s *Sanitizer) violate(check string, snap *view.View, detail string) {
 func viewsDeepEqual(a, b *view.View) bool {
 	return a.Radius == b.Radius &&
 		a.NBound == b.NBound &&
-		reflect.DeepEqual(a.Adj, b.Adj) &&
 		reflect.DeepEqual(a.Dist, b.Dist) &&
 		slices.EqualFunc(a.Ports.Rows, b.Ports.Rows, slices.Equal[[]int]) &&
 		reflect.DeepEqual(a.IDs, b.IDs) &&
@@ -240,13 +239,12 @@ func distClassPerm(mu *view.View, rng *rand.Rand) (perm []int, free bool) {
 
 // relabelView applies perm (old local index -> new local index) to mu,
 // producing the view the same extraction would yield under a host
-// numbering permuted within distance classes. Adjacency stays sorted and
-// the port rows move with their nodes, matching view.Extract's invariants.
+// numbering permuted within distance classes: the port rows move with
+// their nodes, matching view.Extract's invariants.
 func relabelView(mu *view.View, perm []int) *view.View {
 	n := mu.N()
 	out := &view.View{
 		Radius: mu.Radius,
-		Adj:    make([][]int, n),
 		Dist:   make([]int, n),
 		Ports:  &view.PortRows{Rows: make([][]int, n)},
 		IDs:    make([]int, n),
@@ -258,12 +256,6 @@ func relabelView(mu *view.View, perm []int) *view.View {
 		out.Dist[ni] = mu.Dist[i]
 		out.IDs[ni] = mu.IDs[i]
 		out.Labels[ni] = mu.Labels[i]
-		adj := make([]int, len(mu.Adj[i]))
-		for k, j := range mu.Adj[i] {
-			adj[k] = perm[j]
-		}
-		sortInts(adj)
-		out.Adj[ni] = adj
 		if row := mu.Ports.Rows[i]; len(row) > 0 {
 			nrow := make([]int, len(row))
 			for p0, j := range row {
@@ -276,15 +268,6 @@ func relabelView(mu *view.View, perm []int) *view.View {
 		}
 	}
 	return out
-}
-
-// sortInts is a tiny insertion sort; adjacency lists are short.
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }
 
 // shiftedIDTargets builds a remap target set that preserves identifier

@@ -179,7 +179,6 @@ func assemble(k knowledge, center, r, nBound int) (*view.View, error) {
 	}
 	mu := &view.View{
 		Radius: r,
-		Adj:    make([][]int, len(hosts)),
 		Dist:   make([]int, len(hosts)),
 		Ports:  &view.PortRows{Rows: make([][]int, len(hosts))},
 		IDs:    make([]int, len(hosts)),
@@ -210,8 +209,6 @@ func assemble(k knowledge, center, r, nBound int) (*view.View, error) {
 		if !ok {
 			continue
 		}
-		mu.Adj[i] = append(mu.Adj[i], j)
-		mu.Adj[j] = append(mu.Adj[j], i)
 		rowLen[i] = max(rowLen[i], rec.portA)
 		rowLen[j] = max(rowLen[j], rec.portB)
 	}
@@ -235,9 +232,6 @@ func assemble(k knowledge, center, r, nBound int) (*view.View, error) {
 			mu.Ports.Rows[i][rec.portA-1] = j
 			mu.Ports.Rows[j][rec.portB-1] = i
 		}
-	}
-	for i := range mu.Adj {
-		sort.Ints(mu.Adj[i])
 	}
 	return mu, nil
 }

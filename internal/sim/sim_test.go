@@ -135,7 +135,7 @@ func TestGatherFrontierTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, mu := range views {
-		if slices.Contains(mu.Adj[1], 2) {
+		if _, ok := mu.Port(1, 2); ok {
 			t.Errorf("node %d sees the frontier edge", v)
 		}
 	}

@@ -37,9 +37,9 @@ func TestInstantiateIntoAllocs(t *testing.T) {
 }
 
 // TestTemplateAllocs pins a template build at three allocations: the
-// Template, one backing array for its distances, identifiers, hosts,
-// adjacency and port rows, and one header array for the adjacency lists and
-// the rows. A per-template map or per-row slice would show here.
+// Template, one backing array for its distances, identifiers, hosts and
+// port rows, and one header array for the rows. A per-template map or
+// per-row slice would show here.
 func TestTemplateAllocs(t *testing.T) {
 	g := graph.Grid(4, 4)
 	pt := graph.DefaultPorts(g)
@@ -135,7 +135,8 @@ func TestProbeKeyAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := view.NewInterner()
-			want := in.Intern(tpl.Instantiate(labels))
+			mu := tpl.Instantiate(labels)
+			want := in.InternKey(mu.BinKey(), mu)
 			var sk view.Skeleton
 			tpl.SkeletonInto(&sk)
 			key := sk.AppendKey(nil, labels)

@@ -25,19 +25,7 @@ func (a *Arena) Labels(n int) []string { return a.labels.Make(n) }
 // instead of two heap objects. The returned view is immutable and shares
 // the template's label-independent structures, exactly like Instantiate.
 func (t *Template) InstantiateIn(a *Arena, labels []string) *View {
-	ls := a.Labels(len(t.hosts))
-	for i, w := range t.hosts {
-		ls[i] = labels[w]
-	}
-	v := a.NewView()
-	v.Radius = t.radius
-	v.Adj = t.adj()
-	v.Dist = t.dist()
-	v.Ports = &t.ports
-	v.IDs = t.ids
-	v.Labels = ls
-	v.NBound = t.nBound
-	return v
+	return t.fill(a.NewView(), a.Labels(len(t.hosts)), labels)
 }
 
 // InstantiateInto refills dst with the view for one labeling of the host
@@ -55,17 +43,6 @@ func (t *Template) InstantiateInto(dst *View, labels []string) *View {
 	if cap(ls) < n {
 		ls = make([]string, n, len(labels))
 	}
-	ls = ls[:n]
-	for i, w := range t.hosts {
-		ls[i] = labels[w]
-	}
-	dst.Radius = t.radius
-	dst.Adj = t.adj()
-	dst.Dist = t.dist()
-	dst.Ports = &t.ports
-	dst.IDs = t.ids
-	dst.Labels = ls
-	dst.NBound = t.nBound
 	dst.cachedBin = nil
-	return dst
+	return t.fill(dst, ls[:n], labels)
 }

@@ -57,7 +57,7 @@ type Skeleton struct {
 // SkeletonInto writes the template's skeleton into s, reusing s's buffers:
 // apart from growing them, the call allocates nothing.
 func (t *Template) SkeletonInto(s *Skeleton) {
-	v := View{Radius: t.radius, Adj: t.adj(), Dist: t.dist(), Ports: &t.ports, IDs: t.ids, NBound: t.nBound}
+	v := View{Radius: t.radius, Dist: t.dist(), Ports: &t.ports, IDs: t.ids, NBound: t.nBound}
 	s.at, s.hosts = s.at[:0], s.hosts[:0]
 	s.key = v.appendKey(s.key[:0], s, t.hosts)
 }

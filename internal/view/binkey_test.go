@@ -33,13 +33,13 @@ func isomorphic(a, b *view.View) bool {
 		if a.Dist[i] != b.Dist[j] || a.IDs[i] != b.IDs[j] || a.Labels[i] != b.Labels[j] || a.Degree(i) != b.Degree(j) {
 			return false
 		}
-		for _, k := range a.Adj[i] {
-			fk := f[k]
-			if fk < 0 {
+		for p0, k := range a.Ports.Rows[i] {
+			if k < 0 || f[k] < 0 {
 				continue
 			}
+			fk := f[k]
 			pOut, ok := b.Port(j, fk)
-			aOut, _ := a.Port(i, k)
+			aOut := p0 + 1
 			aIn, _ := a.Port(k, i)
 			bIn, _ := b.Port(fk, j)
 			if !ok || pOut != aOut || bIn != aIn {
@@ -232,7 +232,6 @@ func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 func ringView(ring [][2]int) *view.View {
 	v := &view.View{
 		Radius: 2,
-		Adj:    make([][]int, 7),
 		Dist:   []int{0, 1, 1, 1, 1, 1, 1},
 		Ports:  &view.PortRows{Rows: make([][]int, 7)},
 		IDs:    make([]int, 7),
@@ -248,8 +247,6 @@ func ringView(ring [][2]int) *view.View {
 		v.Ports.Rows[a] = row
 	}
 	link := func(a, b, pa, pb int) {
-		v.Adj[a] = append(v.Adj[a], b)
-		v.Adj[b] = append(v.Adj[b], a)
 		setPort(a, pa, b)
 		setPort(b, pb, a)
 	}
@@ -258,9 +255,6 @@ func ringView(ring [][2]int) *view.View {
 	}
 	for _, e := range ring {
 		link(e[0], e[1], 2, 3)
-	}
-	for i := range v.Adj {
-		slices.Sort(v.Adj[i])
 	}
 	return v
 }
@@ -304,20 +298,15 @@ func ringHost(t *testing.T, ring [][2]int) (*graph.Graph, *graph.Ports) {
 func relabel(v *view.View, perm []int) *view.View {
 	w := &view.View{
 		Radius: v.Radius,
-		Adj:    make([][]int, v.N()),
 		Dist:   make([]int, v.N()),
 		Ports:  &view.PortRows{Rows: make([][]int, v.N())},
 		IDs:    make([]int, v.N()),
 		Labels: make([]string, v.N()),
 		NBound: v.NBound,
 	}
-	for i := range v.Adj {
+	for i := range v.Dist {
 		pi := perm[i]
 		w.Dist[pi], w.IDs[pi], w.Labels[pi] = v.Dist[i], v.IDs[i], v.Labels[i]
-		for _, j := range v.Adj[i] {
-			w.Adj[pi] = append(w.Adj[pi], perm[j])
-		}
-		slices.Sort(w.Adj[pi])
 		for _, j := range v.Ports.Rows[i] {
 			if j >= 0 {
 				j = perm[j]

@@ -22,7 +22,6 @@ type Extractor struct {
 	lseen  []int
 	queue  []int
 	hosts  []int
-	deg    []int
 	rowLen []int
 	eport  []int
 }
@@ -34,14 +33,14 @@ type Extractor struct {
 func (ex *Extractor) ensure(n, arcs int) {
 	if len(ex.dist) < n || cap(ex.eport) < arcs {
 		n, arcs = max(n, len(ex.dist)), max(arcs, cap(ex.eport))
-		buf := make([]int, 8*n+arcs)
+		buf := make([]int, 7*n+arcs)
 		cut := func(l, c int) []int {
 			s := buf[:l:c]
 			buf = buf[c:]
 			return s
 		}
 		ex.dist, ex.dseen, ex.local, ex.lseen = cut(n, n), cut(n, n), cut(n, n), cut(n, n)
-		ex.deg, ex.rowLen = cut(n, n), cut(n, n)
+		ex.rowLen = cut(n, n)
 		ex.queue, ex.hosts, ex.eport = cut(0, n), cut(0, n), cut(0, arcs)
 	}
 	ex.epoch++
@@ -65,8 +64,8 @@ func (ex *Extractor) Extract(g *graph.Graph, pt *graph.Ports, ids graph.IDs, lab
 // Template precomputes the label-independent part of a view — topology,
 // distances, ports, identifiers, and the host-node mapping — so that
 // sweeping many labelings of one instance only pays for the per-view label
-// slice. Views instantiated from one template share the immutable Adj,
-// Dist, Ports, and IDs structures (views are contractually immutable, so
+// slice. Views instantiated from one template share the immutable Dist,
+// Ports, and IDs structures (views are contractually immutable, so
 // the sharing is safe).
 func (ex *Extractor) Template(g *graph.Graph, pt *graph.Ports, ids graph.IDs, nBound, center, r int) (*Template, error) {
 	if err := checkTemplate(g, ids, center, r); err != nil {
@@ -87,9 +86,9 @@ func (ex *Extractor) TemplateInto(dst *Template, g *graph.Graph, pt *graph.Ports
 	if err := checkTemplate(g, ids, center, r); err != nil {
 		return err
 	}
-	// A view has at most n nodes, 2m visible arcs and, ports being
-	// 1..degree, 2m port-row entries.
-	dst.reserve(3*g.N()+4*g.M(), 2*g.N())
+	// A view has at most n nodes and, ports being 1..degree, 2m port-row
+	// entries.
+	dst.reserve(3*g.N()+2*g.M(), g.N())
 	ex.buildTemplate(dst, g, pt, ids, nBound, center, r)
 	return nil
 }
@@ -108,36 +107,32 @@ func checkTemplate(g *graph.Graph, ids graph.IDs, center, r int) error {
 }
 
 // Template is the label-independent part of one node's radius-r view. Its
-// distances, identifiers, hosts, adjacency lists and port rows are cut
-// from one backing array, buf, and the adjacency and row headers from one
-// more, hdr, so a template costs three allocations; every view
-// instantiated from it shares them, the rows through a pointer to the
-// embedded table.
+// distances, identifiers, hosts and port rows are cut from one backing
+// array, buf, and the rows' headers are one more, so a template costs three
+// allocations; every view instantiated from it shares them, the rows
+// through a pointer to the embedded table.
 type Template struct {
 	radius int
 	nBound int
-	// buf holds the distances at [0,n), then ids and hosts, then the
-	// adjacency segments and port rows; hdr holds the adjacency lists at
-	// [0,n) and then ports.Rows. A rebuilt template may leave room past
-	// them.
+	// buf holds the distances at [0,n), then ids and hosts, then the port
+	// rows. A rebuilt template may leave room past them, and past the row
+	// headers.
 	buf   []int
-	hdr   [][]int
 	ports PortRows
 	ids   []int
 	hosts []int
 }
 
-func (t *Template) adj() [][]int { return t.hdr[:len(t.hosts):len(t.hosts)] }
-func (t *Template) dist() []int  { return t.buf[:len(t.hosts):len(t.hosts)] }
+func (t *Template) dist() []int { return t.buf[:len(t.hosts):len(t.hosts)] }
 
-// reserve makes buf hold at least ints entries and hdr at least hdrs; both
-// keep their length equal to their capacity.
-func (t *Template) reserve(ints, hdrs int) {
+// reserve makes buf hold at least ints entries, its length equal to its
+// capacity, and the row headers at least rows.
+func (t *Template) reserve(ints, rows int) {
 	if cap(t.buf) < ints {
 		t.buf = make([]int, ints)
 	}
-	if cap(t.hdr) < hdrs {
-		t.hdr = make([][]int, hdrs)
+	if cap(t.ports.Rows) < rows {
+		t.ports.Rows = make([][]int, rows)
 	}
 }
 
@@ -152,19 +147,23 @@ func (t *Template) N() int { return len(t.hosts) }
 // must cover the full host graph (len(labels) == host N); only the entries
 // of visible nodes are read.
 func (t *Template) Instantiate(labels []string) *View {
-	ls := make([]string, len(t.hosts))
+	return t.fill(new(View), make([]string, len(t.hosts)), labels)
+}
+
+// fill points v at the template's shared structures and at ls, which it
+// fills with the labels of the visible nodes, and returns v. ls must have
+// length N().
+func (t *Template) fill(v *View, ls, labels []string) *View {
 	for i, w := range t.hosts {
 		ls[i] = labels[w]
 	}
-	return &View{
-		Radius: t.radius,
-		Adj:    t.adj(),
-		Dist:   t.dist(),
-		Ports:  &t.ports,
-		IDs:    t.ids,
-		Labels: ls,
-		NBound: t.nBound,
-	}
+	v.Radius = t.radius
+	v.Dist = t.dist()
+	v.Ports = &t.ports
+	v.IDs = t.ids
+	v.Labels = ls
+	v.NBound = t.nBound
+	return v
 }
 
 // buildTemplate runs the truncated BFS and assembles the template in t,
@@ -214,15 +213,14 @@ func (ex *Extractor) buildTemplate(t *Template, g *graph.Graph, pt *graph.Ports,
 		local[w], lseen[w] = i, ep
 	}
 
-	// Count visible directed edges per node so the adjacency lists can
-	// share one backing array, and find each node's largest visible port,
-	// the length of its port row. The ports are kept in visiting order for
-	// the fill pass below.
-	deg, rowLen := ex.deg, ex.rowLen
+	// Find each node's largest visible port, the length of its port row,
+	// so the rows can share one backing array. The ports are kept in
+	// visiting order for the fill pass below.
+	rowLen := ex.rowLen
 	eport := ex.eport[:0]
-	total, rowTotal := 0, 0
+	rowTotal := 0
 	for i, w := range hosts {
-		c, maxPort := 0, 0
+		maxPort := 0
 		for _, x := range g.Neighbors(w) {
 			if lseen[x] != ep {
 				continue
@@ -235,26 +233,22 @@ func (ex *Extractor) buildTemplate(t *Template, g *graph.Graph, pt *graph.Ports,
 			p := pt.MustPort(w, x)
 			eport = append(eport, p)
 			maxPort = max(maxPort, p)
-			c++
 		}
-		deg[i], rowLen[i] = c, maxPort
-		total += c
+		rowLen[i] = maxPort
 		rowTotal += maxPort
 	}
 	ex.eport = eport
 
-	// One backing array carries dist, ids, hosts, the adjacency segments and
-	// the port rows, and one header array the adjacency lists and the rows;
-	// capped subslices keep the template fields independent. A rebuilt
-	// template reuses both, so every field is rewritten below: the
+	// One backing array carries dist, ids, hosts and the port rows; capped
+	// subslices keep the template fields independent. A rebuilt template
+	// reuses it and the row headers, so every field is rewritten below: the
 	// identifiers even when there are none, the headers even of nodes with
 	// no visible edge.
 	nv := len(hosts)
-	t.reserve(3*nv+total+rowTotal, 2*nv)
-	buf, hdr := t.buf, t.hdr
+	t.reserve(3*nv+rowTotal, nv)
+	buf := t.buf
 	t.radius, t.nBound = r, nBound
-	adj := hdr[:nv:nv]
-	t.ports.Rows = hdr[nv : 2*nv : 2*nv]
+	t.ports.Rows = t.ports.Rows[:nv]
 	t.ids, t.hosts = buf[nv:2*nv:2*nv], buf[2*nv:3*nv:3*nv]
 	copy(t.hosts, hosts)
 	for i, w := range hosts {
@@ -267,30 +261,22 @@ func (ex *Extractor) buildTemplate(t *Template, g *graph.Graph, pt *graph.Ports,
 	backing := buf[3*nv:]
 	start, e := 0, 0
 	for i, w := range hosts {
-		if deg[i] == 0 {
-			adj[i], t.ports.Rows[i] = nil, nil
+		if rowLen[i] == 0 {
+			t.ports.Rows[i] = nil
 			continue
 		}
-		seg := backing[start : start+deg[i] : start+deg[i]]
-		start += deg[i]
 		row := backing[start : start+rowLen[i] : start+rowLen[i]]
 		start += rowLen[i]
 		for k := range row {
 			row[k] = -1
 		}
-		k := 0
 		for _, x := range g.Neighbors(w) {
 			if lseen[x] != ep || (dist[w] == r && dist[x] == r) {
 				continue
 			}
-			j := local[x]
-			seg[k] = j
-			k++
-			row[eport[e]-1] = j
+			row[eport[e]-1] = local[x]
 			e++
 		}
-		insertionSortInts(seg)
-		adj[i] = seg
 		t.ports.Rows[i] = row
 	}
 }

@@ -45,7 +45,7 @@ type Interner struct {
 	n      atomic.Uint32
 	chunks [internMaxChunks]atomic.Pointer[internChunk]
 
-	// hits counts Intern calls that found an existing class; misses counts
+	// hits counts InternKey calls that found an existing class; misses counts
 	// first-sight interns. Kept as plain relaxed atomics so instrumented and
 	// uninstrumented builds take the same code path.
 	hits   atomic.Uint64
@@ -61,17 +61,13 @@ func NewInterner() *Interner {
 	return it
 }
 
-// Intern returns the handle of mu's view class, assigning the next dense
-// handle (and retaining mu as representative) on first sight.
-func (it *Interner) Intern(mu *View) Handle {
-	return it.InternKey(mu.BinKey(), mu)
-}
-
-// InternKey is Intern for a caller that already holds mu's canonical key k
-// (a Skeleton's AppendKey into its own buffer), so mu is not canonicalized
-// again.
-// k is only read: on first sight the interner keeps a private copy as mu's
-// cached key and as the table entry, so the caller may reuse k at once.
+// InternKey returns the handle of the view class with canonical key k,
+// assigning the next dense handle and retaining mu, whose key k must be, as
+// the representative on first sight. The caller holds k already (mu's
+// BinKey, or a Skeleton's AppendKey into its own buffer), so mu is not
+// canonicalized again. k is only read: on first sight the interner keeps a
+// private copy as mu's cached key and as the table entry, so the caller may
+// reuse k at once.
 func (it *Interner) InternKey(k []byte, mu *View) Handle {
 	s := &it.stripes[internHash(k)&(internStripes-1)]
 	s.mu.RLock()
@@ -123,15 +119,15 @@ func (it *Interner) LookupKey(k []byte) (Handle, bool) {
 // Len returns the number of distinct view classes interned so far.
 func (it *Interner) Len() int { return int(it.n.Load()) }
 
-// Stats reports how many Intern calls found an existing class (hits) and
+// Stats reports how many InternKey calls found an existing class (hits) and
 // how many assigned a new handle (misses). Safe to call concurrently with
-// Intern; the two values are read independently and may be one call apart.
+// InternKey; the two values are read independently and may be one call apart.
 func (it *Interner) Stats() (hits, misses uint64) {
 	return it.hits.Load(), it.misses.Load()
 }
 
 // ViewOf returns the representative view of handle h. h must have been
-// returned by Intern on this interner.
+// returned by InternKey on this interner.
 func (it *Interner) ViewOf(h Handle) *View {
 	if uint32(h) >= it.n.Load() {
 		panic("view.Interner: handle out of range")

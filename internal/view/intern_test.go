@@ -81,7 +81,7 @@ func TestExtractorReuseDoesNotCorrupt(t *testing.T) {
 			if got.Key() != want.Key() || !bytes.Equal(got.BinKey(), want.BinKey()) {
 				t.Fatalf("reused extractor diverges at job %+v", j)
 			}
-			if !reflect.DeepEqual(got.Adj, want.Adj) || !reflect.DeepEqual(got.Dist, want.Dist) ||
+			if !reflect.DeepEqual(got.Dist, want.Dist) ||
 				!reflect.DeepEqual(got.Ports, want.Ports) || !reflect.DeepEqual(got.IDs, want.IDs) ||
 				!reflect.DeepEqual(got.Labels, want.Labels) || got.NBound != want.NBound || got.Radius != want.Radius {
 				t.Fatalf("reused extractor produced different view structure at job %+v", j)
@@ -115,9 +115,14 @@ func TestTemplateInstantiateIsolation(t *testing.T) {
 	if v2.Key() == k1 {
 		t.Fatal("new labeling did not reach the new view")
 	}
-	// Shared structure is intentional.
-	if &v1.Adj[0] != &v2.Adj[0] {
-		t.Fatal("template instantiations should share adjacency")
+	// Shared structure is intentional: every instantiation, heap, arena or
+	// scratch, points at the template's one port table and distances.
+	var arena view.Arena
+	var scratch view.View
+	for _, v := range []*view.View{v2, tpl.InstantiateIn(&arena, labels), tpl.InstantiateInto(&scratch, labels)} {
+		if v.Ports != v1.Ports || &v.Dist[0] != &v1.Dist[0] {
+			t.Fatal("template instantiations should share the port rows and distances")
+		}
 	}
 }
 
@@ -141,7 +146,7 @@ func TestInternerConcurrent(t *testing.T) {
 				// Vary the order per worker; clone so each goroutine interns
 				// a distinct *View of the same class.
 				mu := pool[(i*7+w*13)%len(pool)].Clone()
-				got[string(mu.BinKey())] = in.Intern(mu)
+				got[string(mu.BinKey())] = in.InternKey(mu.BinKey(), mu)
 			}
 			results[w] = got
 		}()
@@ -169,7 +174,7 @@ func TestInternerConcurrent(t *testing.T) {
 			t.Fatalf("ViewOf(%d) is not a representative of its class", h)
 		}
 		if got, ok := in.LookupKey(rep.BinKey()); !ok || got != h {
-			t.Fatalf("LookupKey disagrees with Intern for handle %d", h)
+			t.Fatalf("LookupKey disagrees with InternKey for handle %d", h)
 		}
 	}
 }

@@ -11,18 +11,19 @@ import (
 	"hidinglcp/internal/view"
 )
 
-// TestViewSize keeps View within the 160-byte allocation size class, which
-// the Arena's view slabs are sized in: the port rows sit behind a pointer
-// because a slice header would grow View past it.
+// TestViewSize keeps View within the 144-byte allocation size class, which
+// the Arena's view slabs are sized in: the port rows, the view's only
+// adjacency, sit behind a pointer because a slice header would grow View
+// past it.
 func TestViewSize(t *testing.T) {
-	if n := unsafe.Sizeof(view.View{}); n > 160 {
-		t.Errorf("view.View is %d bytes, want at most 160", n)
+	if n := unsafe.Sizeof(view.View{}); n > 144 {
+		t.Errorf("view.View is %d bytes, want at most 144", n)
 	}
 }
 
 // checkRows fails unless mu carries exactly the port rows want (from
-// graphtest.ViewPortRows), with no row ending in -1 and with Port and Adj
-// agreeing with the rows.
+// graphtest.ViewPortRows), with no row ending in -1 and with Port and
+// Degree agreeing with the rows' visible entries.
 func checkRows(t *testing.T, what string, mu *view.View, want [][]int) {
 	t.Helper()
 	if len(mu.Ports.Rows) != len(want) {
@@ -44,12 +45,9 @@ func checkRows(t *testing.T, what string, mu *view.View, want [][]int) {
 			if p, ok := mu.Port(i, j); !ok || p != p0+1 {
 				t.Fatalf("%s: Port(%d, %d) = %d, %v, want %d", what, i, j, p, ok, p0+1)
 			}
-			if !slices.Contains(mu.Adj[i], j) {
-				t.Fatalf("%s: row %d reaches %d, which Adj[%d] = %v lacks", what, i, j, i, mu.Adj[i])
-			}
 		}
-		if visible != len(mu.Adj[i]) {
-			t.Fatalf("%s: row %d = %v has %d visible ports, Adj has %d neighbors", what, i, row, visible, len(mu.Adj[i]))
+		if d := mu.Degree(i); d != visible {
+			t.Fatalf("%s: row %d = %v has %d visible ports, Degree(%d) = %d", what, i, row, visible, i, d)
 		}
 	}
 }

@@ -13,21 +13,20 @@ import (
 func sameTemplate(t *testing.T, what string, got, want *Template) {
 	t.Helper()
 	if got.radius != want.radius || got.nBound != want.nBound ||
-		!reflect.DeepEqual(got.adj(), want.adj()) ||
 		!reflect.DeepEqual(got.dist(), want.dist()) ||
 		!reflect.DeepEqual(got.ports.Rows, want.ports.Rows) ||
 		!reflect.DeepEqual(got.ids, want.ids) ||
 		!reflect.DeepEqual(got.hosts, want.hosts) {
-		t.Errorf("%s: rebuilt template differs from a fresh one:\n got  r=%d N=%d adj=%v dist=%v rows=%v ids=%v hosts=%v\n want r=%d N=%d adj=%v dist=%v rows=%v ids=%v hosts=%v", what,
-			got.radius, got.nBound, got.adj(), got.dist(), got.ports.Rows, got.ids, got.hosts,
-			want.radius, want.nBound, want.adj(), want.dist(), want.ports.Rows, want.ids, want.hosts)
+		t.Errorf("%s: rebuilt template differs from a fresh one:\n got  r=%d N=%d dist=%v rows=%v ids=%v hosts=%v\n want r=%d N=%d dist=%v rows=%v ids=%v hosts=%v", what,
+			got.radius, got.nBound, got.dist(), got.ports.Rows, got.ids, got.hosts,
+			want.radius, want.nBound, want.dist(), want.ports.Rows, want.ids, want.hosts)
 	}
 }
 
 // TestTemplateIntoMatchesTemplate rebuilds one scratch template in place
 // after larger ones, with and without identifiers and for an isolated
 // node, and checks each rebuild against a freshly built Template field by
-// field: no identifier, adjacency list or port row of an earlier build may
+// field: no identifier or port row of an earlier build may
 // survive, and a view instantiated from the scratch keys like a fresh one.
 func TestTemplateIntoMatchesTemplate(t *testing.T) {
 	// A 3x3 grid plus an isolated node 9.

@@ -21,22 +21,21 @@ import (
 // 0..N-1 with the center always local node 0 and nodes sorted by
 // (distance from center, host-graph index) at extraction time.
 //
-// The canonical key (BinKey) relies on two properties of every view: the
-// port rows hold each visible edge exactly once at each of its ends (so
-// the ports at each node are distinct and Adj lists the same edges), and
-// every node is reachable from the center through visible edges. The three producers of views guarantee
-// both: Extract and Template, internal/sim's assemble and
-// internal/sanitize's relabelView. A hand-built view must too.
+// The port rows are the view's only adjacency. The canonical key (BinKey)
+// relies on two properties of every view: the rows hold each visible edge
+// exactly once at each of its ends (so the ports at each node are
+// distinct), and every node is reachable from the center through visible
+// edges. The three producers of views guarantee both: Extract and
+// Template, internal/sim's assemble and internal/sanitize's relabelView. A
+// hand-built view must too.
 //
 // Views are immutable after extraction.
 type View struct {
 	// Radius is the r of view_r.
 	Radius int
-	// Adj is the local adjacency structure of G_v^r (sorted neighbor lists).
-	Adj [][]int
 	// Dist[i] is the distance of local node i from the center.
 	Dist []int
-	// Ports is the port numbering restricted to the visible edges, one row
+	// Ports is the visible subgraph G_v^r with its port numbering, one row
 	// per local node (see PortRows). Views instantiated from one template
 	// share it.
 	Ports *PortRows
@@ -71,10 +70,19 @@ type PortRows struct {
 const Center = 0
 
 // N returns the number of nodes in the view.
-func (v *View) N() int { return len(v.Adj) }
+func (v *View) N() int { return len(v.Dist) }
 
-// Degree returns the local degree of node i.
-func (v *View) Degree(i int) int { return len(v.Adj[i]) }
+// Degree returns the local degree of node i: the visible entries of its
+// port row.
+func (v *View) Degree(i int) int {
+	d := 0
+	for _, w := range v.Ports.Rows[i] {
+		if w >= 0 {
+			d++
+		}
+	}
+	return d
+}
 
 // Port returns the port number prt(i, {i,j}) of the visible edge (i, j) and
 // whether the edge is visible. It scans i's port row.
@@ -119,19 +127,14 @@ func (v *View) Anonymize() *View {
 func (v *View) Clone() *View { return v.clone() }
 
 func (v *View) clone() *View {
-	c := &View{
+	return &View{
 		Radius: v.Radius,
-		Adj:    make([][]int, len(v.Adj)),
 		Dist:   append([]int(nil), v.Dist...),
 		Ports:  v.Ports.clone(),
 		IDs:    append([]int(nil), v.IDs...),
 		Labels: append([]string(nil), v.Labels...),
 		NBound: v.NBound,
 	}
-	for i := range v.Adj {
-		c.Adj[i] = append([]int(nil), v.Adj[i]...)
-	}
-	return c
 }
 
 // clone copies every row into one backing slice; an empty row stays nil.

@@ -127,10 +127,10 @@ func TestExtractErrors(t *testing.T) {
 func TestPortsVisibleBothDirections(t *testing.T) {
 	g := graph.Path(3)
 	v := extract(t, g, 1, 1)
-	for _, w := range v.Adj[Center] {
-		if _, ok := v.Port(Center, w); !ok {
-			t.Errorf("missing port (center,%d)", w)
-		}
+	if v.Degree(Center) != 2 {
+		t.Fatalf("center degree %d, want 2", v.Degree(Center))
+	}
+	for _, w := range v.Ports.Rows[Center] {
 		if _, ok := v.Port(w, Center); !ok {
 			t.Errorf("missing port (%d,center)", w)
 		}
@@ -379,7 +379,10 @@ func TestViewDistanceInvariant(t *testing.T) {
 			if d < 0 || d > r {
 				return false
 			}
-			for _, j := range v.Adj[i] {
+			for _, j := range v.Ports.Rows[i] {
+				if j < 0 {
+					continue
+				}
 				diff := v.Dist[j] - d
 				if diff < -1 || diff > 1 {
 					return false
@@ -403,8 +406,8 @@ func TestNoFrontierEdges(t *testing.T) {
 		r := 1 + rng.Intn(2)
 		v := MustExtract(g, pt, nil, blankLabels(g.N()), g.N(), c, r)
 		for i := 0; i < v.N(); i++ {
-			for _, j := range v.Adj[i] {
-				if v.Dist[i] == r && v.Dist[j] == r {
+			for _, j := range v.Ports.Rows[i] {
+				if j >= 0 && v.Dist[i] == r && v.Dist[j] == r {
 					return false
 				}
 			}
@@ -473,10 +476,6 @@ func TestRadius1KeyOrdersByPort(t *testing.T) {
 
 // HasEdge reports whether local nodes i and j are adjacent in the view.
 func (v *View) HasEdge(i, j int) bool {
-	for _, w := range v.Adj[i] {
-		if w == j {
-			return true
-		}
-	}
-	return false
+	_, ok := v.Port(i, j)
+	return ok
 }
