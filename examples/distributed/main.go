@@ -1,7 +1,8 @@
 // Distributed verification demo: run the shatter-point scheme on a grid as
-// a genuine synchronous message-passing computation — one goroutine per
-// node — and report the communication profile, then corrupt one
-// certificate and watch the affected neighborhood reject.
+// a genuine synchronous message-passing computation — every node floods
+// its knowledge to its neighbors round by round — and report the
+// communication profile, then corrupt one certificate and watch the
+// affected neighborhood reject.
 //
 // Run with: go run ./examples/distributed
 package main

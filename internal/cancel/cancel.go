@@ -3,14 +3,13 @@
 // pipelines. Go starts n goroutines and returns their wait; every
 // goroutine in the program's non-test code is started through it (the
 // gostmt analyzer reports a go statement anywhere else): the pools below,
-// sim.GatherFaultsCtx's per-node goroutines, obs.Progress's ticker and
-// export.Serve's HTTP server. The pipelines (nbhd.ForEachShardCtx, the
-// core soundness sweep and fuzzer, the experiment item sweep) stop their
-// workers through a plain atomic flag checked at shard/instance/round
-// checkpoints; Watch bridges a context.Context onto such a flag without
-// adding anything to the hot path: a single watcher goroutine arms the
-// flag when the context fires and is reclaimed when the pipeline
-// finishes. Each is the claim loop every pool runs on, Workers resolves
+// obs.Progress's ticker and export.Serve's HTTP server. The pipelines
+// (nbhd.ForEachShardCtx, the core soundness sweep and fuzzer, the
+// experiment item sweep) stop their workers through a plain atomic flag
+// checked at shard/instance checkpoints; Watch bridges a context.Context
+// onto such a flag without adding anything to the hot path: a single
+// watcher goroutine arms the flag when the context fires and is reclaimed
+// when the pipeline finishes. Each is the claim loop every pool runs on, Workers resolves
 // its shard and worker counts, and First keeps the lowest-index error, so
 // a pool's answer does not depend on which worker found it first.
 //

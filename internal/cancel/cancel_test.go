@@ -146,7 +146,7 @@ func TestGoRunsEveryIndexOnce(t *testing.T) {
 
 // TestGoRunsAllAtOnce checks that the n calls are live together: each
 // blocks until all have started, so a pool of fewer goroutines would
-// deadlock (the round barrier of sim's per-node goroutines needs this).
+// deadlock.
 func TestGoRunsAllAtOnce(t *testing.T) {
 	const n = 64
 	var started sync.WaitGroup

@@ -13,7 +13,7 @@ import (
 // commands that drive the simulator (cmd/lcpcheck, cmd/experiments).
 type FaultFlags struct {
 	// Spec is the -faults value: a comma-separated fault specification,
-	// e.g. "drop=0.2,dup=0.1,delay=0.3:2,reorder,corrupt=1+4,retry=5,trace".
+	// e.g. "drop=0.2,dup=0.1,delay=0.3:2,reorder,corrupt=1+4,trace".
 	Spec string
 	// Seed keys every fault decision; same seed, same schedule.
 	Seed int64
@@ -28,7 +28,7 @@ type FaultFlags struct {
 func RegisterFaultFlags() *FaultFlags {
 	var f FaultFlags
 	flag.StringVar(&f.Spec, "faults", "",
-		"fault specification: comma-separated drop=P, dup=P, delay=P[:MAX], reorder, corrupt=V1+V2, retry=N, trace")
+		"fault specification: comma-separated drop=P, dup=P, delay=P[:MAX], reorder, corrupt=V1+V2, trace")
 	flag.Int64Var(&f.Seed, "seed", 0, "seed for the deterministic fault schedule (same seed, same run)")
 	flag.StringVar(&f.Crash, "crash", "", "crash-stop schedule: comma-separated node[@round], e.g. 3@0,5@2")
 	return &f
@@ -110,17 +110,8 @@ func parseFaultSpec(spec string, plan *faults.Plan) error {
 				}
 				plan.CorruptNodes = append(plan.CorruptNodes, v)
 			}
-		case "retry":
-			if !hasVal {
-				return fmt.Errorf("retry needs a count, e.g. retry=5")
-			}
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return fmt.Errorf("retry count %q is not an integer", val)
-			}
-			plan.RetryLimit = n
 		default:
-			return fmt.Errorf("unknown fault %q (want drop, dup, delay, reorder, corrupt, retry, trace)", key)
+			return fmt.Errorf("unknown fault %q (want drop, dup, delay, reorder, corrupt, trace)", key)
 		}
 	}
 	return nil

@@ -51,7 +51,6 @@ func E13Simulator(ctx context.Context) Table {
 	}
 	t.Notes = "One message per directed edge per round (2·m·r total), as the synchronous LOCAL " +
 		"model prescribes; the records column counts flooded node records, a bandwidth proxy. " +
-		"Goroutine-per-node and sequential scheduling produce identical views (property-tested); " +
-		"their relative speed is measured by BenchmarkE13Simulator."
+		"The gathered views equal centralized extraction (property-tested in internal/sim)."
 	return t
 }

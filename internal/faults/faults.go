@@ -11,8 +11,8 @@
 // Plan is a value, and every decision the scheduler takes under a Plan is
 // a pure function of (Plan.Seed, round, src, dst, copy) computed by the
 // Injector. Two runs under the same (seed, Plan) therefore replay
-// bit-identically regardless of goroutine interleaving, and the zero-value
-// Plan injects nothing at all — the fault-free synchronous LOCAL run.
+// bit-identically, and the zero-value Plan injects nothing at all — the
+// fault-free synchronous LOCAL run.
 package faults
 
 import (
@@ -44,8 +44,7 @@ type Plan struct {
 	MaxDelay int
 	// Reorder permutes the per-round delivery order at every receiver
 	// (seeded). Knowledge merging is commutative, so reordering never
-	// changes assembled views — the point is to prove exactly that, and to
-	// exercise the scheduler's order-independence under the race detector.
+	// changes assembled views — the point is to prove exactly that.
 	Reorder bool
 	// Crashes maps a node to the round at the start of which it
 	// crash-stops: it sends nothing from that round on (including its own
@@ -60,10 +59,6 @@ type Plan struct {
 	// CorruptLabels replaces the certificates of the keyed nodes with the
 	// given explicit strings (applied after CorruptNodes mutations).
 	CorruptLabels map[int]string
-	// RetryLimit bounds the receiver's polls for a silent incident link
-	// before it declares a per-round timeout and proceeds with its
-	// truncated knowledge; 0 means the default of 3.
-	RetryLimit int
 	// Trace records one canonical Event per scheduler decision into the
 	// run's Report, for golden-replay pinning. Off by default: counters
 	// are always collected, events only on request.
@@ -91,9 +86,6 @@ func (p Plan) Validate(n int) error {
 	}
 	if p.MaxDelay < 0 {
 		return fmt.Errorf("fault plan: negative MaxDelay %d", p.MaxDelay)
-	}
-	if p.RetryLimit < 0 {
-		return fmt.Errorf("fault plan: negative RetryLimit %d", p.RetryLimit)
 	}
 	for _, v := range sortedKeys(p.Crashes) {
 		if v < 0 || v >= n {
@@ -217,7 +209,7 @@ const (
 
 // Injector answers every scheduler question about the plan as a pure
 // function of (seed, round, src, dst, copy). It holds no mutable state and
-// is safe for concurrent use by all node goroutines.
+// is safe for concurrent use.
 type Injector struct {
 	plan Plan
 	seed uint64

@@ -59,7 +59,6 @@ func TestPlanValidateErrors(t *testing.T) {
 		{"delay above 1", Plan{Delay: 2}},
 		{"NaN drop", Plan{Drop: math.NaN()}},
 		{"negative max delay", Plan{MaxDelay: -1}},
-		{"negative retry", Plan{RetryLimit: -2}},
 		{"crash node out of range", Plan{Crashes: map[int]int{9: 0}}},
 		{"negative crash node", Plan{Crashes: map[int]int{-1: 0}}},
 		{"negative crash round", Plan{Crashes: map[int]int{0: -1}}},

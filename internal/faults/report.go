@@ -10,8 +10,8 @@ import (
 // Event is one scheduler decision, recorded only when Plan.Trace is set.
 // Events are canonical: after Finalize they are sorted by (round, kind,
 // src, dst, detail), so two bit-identical runs render byte-identical
-// traces regardless of goroutine interleaving. Round -1 marks pre-run
-// events (certificate corruption happens before round 0).
+// traces whatever order the events were recorded in. Round -1 marks
+// pre-run events (certificate corruption happens before round 0).
 type Event struct {
 	Round int
 	Kind  string
@@ -65,8 +65,9 @@ func (e Event) String() string {
 
 // Report is the structured outcome of one run under a Plan: counters for
 // every fault kind, the crashed and corrupted node sets, and (under
-// Plan.Trace) the canonical event log. The scheduler's node goroutines
-// record into it concurrently; after Finalize it is a plain value to read.
+// Plan.Trace) the canonical event log. The scheduler records into it
+// through its methods, which are safe for concurrent use; after Finalize
+// it is a plain value to read.
 type Report struct {
 	mu    sync.Mutex
 	trace bool
@@ -80,8 +81,8 @@ type Report struct {
 	// Expired counts delayed copies still in flight when the run ended
 	// (or whose sender crashed first); they were never delivered.
 	Expired int
-	// Timeouts counts (receiver, round, link) triples on which the
-	// receiver's bounded retries observed only silence.
+	// Timeouts counts (receiver, round, link) triples on which nothing
+	// arrived.
 	Timeouts int
 	// Crashed lists the nodes that crash-stopped during the run, sorted.
 	Crashed []int
@@ -158,8 +159,7 @@ func (r *Report) Reorder(round, node int) {
 	r.record(Event{Round: round, Kind: KindReorder, Src: node, Dst: -1})
 }
 
-// Timeout records that dst's bounded retries saw only silence from src at
-// round.
+// Timeout records that nothing from src reached dst at round.
 func (r *Report) Timeout(round, src, dst int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -168,7 +168,7 @@ func (r *Report) Timeout(round, src, dst int) {
 }
 
 // Finalize sorts the node sets and the event log into canonical order.
-// Call once, after all recording goroutines have exited; the report is a
+// Call once, after the last event has been recorded; the report is a
 // plain value afterwards.
 func (r *Report) Finalize() {
 	sort.Ints(r.Crashed)

@@ -7,7 +7,7 @@ import (
 )
 
 // Watchdog probe: deadlock and starvation detection for the barriers the
-// parallel pipelines synchronize on. A round barrier a node never reaches,
+// parallel pipelines synchronize on. A wait group a worker never reaches,
 // a worker blocked on a channel nobody drains, or a work-stealing loop
 // that starves all make the pipeline hang rather than fail; under
 // `go test` that surfaces as a 10-minute timeout with no attribution. The

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -446,19 +448,20 @@ func TestGatherFaultsInvalidPlan(t *testing.T) {
 	}
 }
 
-// TestGatherFaultsRetryLimitHonored: the per-round timeout count does not
-// depend on the retry budget (silence is deterministic), but the budget
-// must be accepted and the run must still terminate.
-func TestGatherFaultsRetryLimit(t *testing.T) {
-	g := graph.MustCycle(4)
-	l := labeled(g, make([]string, 4))
-	for _, retry := range []int{1, 2, 10} {
-		_, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 2, faults.Plan{Drop: 1, RetryLimit: retry})
-		if err != nil {
-			t.Fatal(err)
+// TestGatherFaultsCancelled: a context that has already fired stops the
+// gather before its first round (and at radius 0, where there is none) and
+// publishes no views and no report.
+func TestGatherFaultsCancelled(t *testing.T) {
+	l := labeled(graph.MustCycle(6), make([]string, 6))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, r := range []int{0, 3} {
+		views, _, rep, err := GatherFaultsCtx(ctx, obs.Scope{}, l, r, chaoticPlan(5))
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("r=%d: err = %v, want context.Canceled", r, err)
 		}
-		if want := 2 * 2 * g.M(); rep.Timeouts != want {
-			t.Errorf("retry=%d: timeouts %d, want %d", retry, rep.Timeouts, want)
+		if views != nil || rep != nil {
+			t.Errorf("r=%d: cancelled gather published views %v and report %v", r, views, rep)
 		}
 	}
 }

@@ -3,10 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/core"
@@ -15,42 +11,33 @@ import (
 	"hidinglcp/internal/view"
 )
 
-// The fault-injected runtime. The scheduler keeps the one-goroutine-per-
-// node, one-channel-per-directed-edge architecture of the fault-free
-// simulator but drives each round through two barrier-separated phases:
+// The fault-injected runtime. Each of the r synchronous rounds of the
+// LOCAL model (Section 2.2) is two passes over the nodes in index order:
 //
-//	send:    every live node floods its current knowledge to its
-//	         neighbors; the injector decides per (round, src, dst) whether
-//	         a message is dropped, duplicated, or delayed, and delayed
-//	         copies are held at the sender until their arrival round.
-//	receive: every live node drains its incident links (in injected order
-//	         under reordering), retrying a bounded number of times for
-//	         links that stayed silent before declaring a per-round timeout
-//	         and proceeding with whatever knowledge it has.
+//	send:    every live node floods the knowledge it held at the end of
+//	         the previous round to its neighbors' inboxes; the injector
+//	         decides per (round, src, dst) whether a message is dropped,
+//	         duplicated, or delayed, and delayed copies are held at the
+//	         sender until their arrival round.
+//	receive: every live node merges what arrived on its incident links (in
+//	         injected order under reordering) and records a per-round
+//	         timeout for each link that stayed silent.
 //
-// Every decision is a pure function of (Plan.Seed, round, src, dst, copy)
-// — see faults.Injector — and knowledge merging is commutative and
-// idempotent, so the assembled views, stats, and report are bit-identical
-// across runs of the same (seed, plan) no matter how the goroutines
-// interleave. The zero-value faults.Plan makes the engine equivalent to
-// the fault-free synchronous run: one message per directed edge per round,
-// no timeouts, views pinned against view.Extract.
+// A node's knowledge changes only by merging payloads delivered to it, so
+// views are gathered by message passing, not extracted. Every decision is
+// a pure function of (Plan.Seed, round, src, dst, copy) — see
+// faults.Injector — so the assembled views, stats, and report are
+// bit-identical across runs of the same (seed, plan). The zero-value
+// faults.Plan makes the engine the fault-free synchronous run: one message
+// per directed edge per round, no timeouts, views pinned against
+// view.Extract.
 //
-// Crash-stop semantics: a node scheduled to crash at round t sends nothing
-// from round t on (its delayed in-flight copies die with it, counted as
-// expired), never reports a verdict, and leaves the round barrier; its
-// neighbors observe only silence and time out. With every crash at round
-// 0, survivors' views equal centralized extraction on the crash-induced
+// Crash-stop semantics: a node scheduled to crash at round t sends and
+// receives nothing from round t on (its delayed in-flight copies die with
+// it, counted as expired) and never reports a verdict; its neighbors
+// observe only silence and time out. With every crash at round 0,
+// survivors' views equal centralized extraction on the crash-induced
 // subgraph under graph.InducedPorts (fuzz-pinned).
-
-// defaultRetryLimit is the receiver's poll budget for a silent link per
-// round when the plan does not set one.
-const defaultRetryLimit = 3
-
-// message is one flooded payload on a link.
-type message struct {
-	payload knowledge
-}
 
 // pendingMsg is a delayed copy held at its sender until the arrival round.
 type pendingMsg struct {
@@ -59,23 +46,26 @@ type pendingMsg struct {
 	payload knowledge
 }
 
-// GatherFaultsCtx runs r rounds of synchronous flooding with one goroutine
-// per node under the fault plan and returns every surviving node's
-// assembled radius-r view (nil at crashed nodes), the communication stats,
-// and the structured fault report. The host indices inside messages are
-// transport bookkeeping only (they never reach the decoders, which see
-// view-local numbering exactly as with view.Extract). Errors are reserved
-// for misuse — negative radius, invalid plan, malformed port assignment —
-// never for injected faults. The zero-value plan is the fault-free run.
+// delivery is one payload handed to a receiver's inbox.
+type delivery struct {
+	src     int
+	payload knowledge
+}
+
+// GatherFaultsCtx runs r rounds of synchronous flooding under the fault
+// plan and returns every surviving node's assembled radius-r view (nil at
+// crashed nodes), the communication stats, and the structured fault
+// report. The host indices inside messages are transport bookkeeping only
+// (they never reach the decoders, which see view-local numbering exactly
+// as with view.Extract). Errors are reserved for misuse — negative radius,
+// invalid plan, malformed port assignment — never for injected faults. The
+// zero-value plan is the fault-free run.
 //
-// Cancellation is cooperative: when ctx fires, every node goroutine stops
-// at its next round boundary (leaving the barrier like a crash-stopped
-// node, so the survivors never deadlock), the call waits for every node
-// goroutine to exit, and it returns no views and no report — a cancelled
-// gather's partial state depends on which round each node had reached, so
-// none of it is published. A nil ctx is the never-cancelled context
-// (internal/cancel); a non-nil one only widens channel buffers, which no
-// output observes. Fault counters and a span are reported into sc.
+// Cancellation is checked at every round boundary: once ctx fires, the
+// call returns the cancellation error and no views and no report — a
+// cancelled gather's partial state is not published. A nil ctx is the
+// never-cancelled context (internal/cancel). Fault counters and a span are
+// reported into sc.
 func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, plan faults.Plan) ([]*view.View, Stats, *faults.Report, error) {
 	n := l.G.N()
 	if r < 0 {
@@ -108,88 +98,45 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 		return nil, Stats{}, nil, err
 	}
 
-	// crashed[v] marks nodes whose crash round falls inside the run; only
-	// those ever fire (a schedule beyond the horizon is a no-op).
 	crashed := make([]bool, n)
-	for _, v := range sortedCrashNodes(plan) {
-		if cr, _ := plan.CrashRound(v); cr < r {
-			crashed[v] = true
-		}
-	}
-
-	// Capacity bounds the undrained backlog per link: at most two copies
-	// per round (duplication), and a crashed receiver stops draining
-	// altogether, so the whole run's traffic must fit. The fault-free plan
-	// keeps today's single-slot channels — unless cancellation is possible:
-	// nodes observe the abort flag at different rounds, so a neighbor one
-	// round ahead of an aborted (no longer draining) node must still be
-	// able to complete its send phase without blocking.
-	capacity := 1
-	if plan.Active() || ctx != nil {
-		capacity = 2*r + 2
-	}
-	chans := make(map[[2]int]chan message, 2*l.G.M())
-	for _, e := range l.G.Edges() {
-		chans[[2]int{e[0], e[1]}] = make(chan message, capacity)
-		chans[[2]int{e[1], e[0]}] = make(chan message, capacity)
-	}
-
-	retryLimit := plan.RetryLimit
-	if retryLimit == 0 {
-		retryLimit = defaultRetryLimit
-	}
-
-	bar := newBarrier(n)
-	// Cancellation checkpoint: once the watcher arms the flag, every node
-	// exits at its next round boundary, leaving the barrier exactly like a
-	// crash-stopped node so the not-yet-aborted survivors never block.
-	var aborted atomic.Bool
-	release := cancel.Watch(ctx, &aborted)
-	defer release()
-	var statMu sync.Mutex
+	pending := make([][]pendingMsg, n)
+	inbox := make([][]delivery, n)
 	stats := Stats{Rounds: r}
-	// One goroutine per node, all live at once: the round barrier waits
-	// for every node, so a claim loop over fewer workers would deadlock.
-	cancel.Go(n, func(v int) {
-		var local Stats
-		defer func() {
-			statMu.Lock()
-			stats.Messages += local.Messages
-			stats.Records += local.Records
-			statMu.Unlock()
-		}()
-		myCrash, hasCrash := plan.CrashRound(v)
-		var pending []pendingMsg
-		for t := 0; t < r; t++ {
-			if aborted.Load() {
-				bar.leave()
-				return
+	send := func(src, dst int, payload knowledge) {
+		inbox[dst] = append(inbox[dst], delivery{src: src, payload: payload})
+		stats.Messages++
+		stats.Records += len(payload.nodes)
+	}
+	for t := 0; t < r && !cancel.Cancelled(ctx); t++ {
+		// Send pass.
+		for v := 0; v < n; v++ {
+			if crashed[v] {
+				continue
 			}
-			if hasCrash && myCrash <= t {
-				// Crash-stop: quiescent from here on. In-flight
-				// delayed copies die with the node.
-				for _, pm := range pending {
+			if cr, ok := plan.CrashRound(v); ok && cr <= t {
+				// Crash-stop: quiescent from here on. In-flight delayed
+				// copies die with the node.
+				for _, pm := range pending[v] {
 					rep.Expire(t, v, pm.dst, pm.arrival)
 				}
 				rep.Crash(t, v)
-				bar.leave()
-				return
+				crashed[v] = true
+				continue
 			}
-
-			// Send phase. Flush delayed copies due this round first,
-			// then flood this round's snapshot through the injector.
+			// Flush delayed copies due this round first, then flood the
+			// previous round's knowledge through the injector. The
+			// snapshot is a copy: the receive pass grows know[v] while
+			// inboxes and delayed copies still hold it.
 			snap := know[v].clone()
-			rest := pending[:0]
-			for _, pm := range pending {
+			rest := pending[v][:0]
+			for _, pm := range pending[v] {
 				if pm.arrival == t {
-					chans[[2]int{v, pm.dst}] <- message{payload: pm.payload}
-					local.Messages++
-					local.Records += len(pm.payload.nodes)
+					send(v, pm.dst, pm.payload)
 				} else {
 					rest = append(rest, pm)
 				}
 			}
-			pending = rest
+			pending[v] = rest
 			for _, w := range l.G.Neighbors(v) {
 				arrivals, dropped := in.Deliveries(t, v, w)
 				if dropped {
@@ -202,56 +149,44 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 					}
 					switch {
 					case a == t:
-						chans[[2]int{v, w}] <- message{payload: snap}
-						local.Messages++
-						local.Records += len(snap.nodes)
+						send(v, w, snap)
 					case a >= r:
 						// Arrives after the run's horizon: never
 						// delivered.
 						rep.Expire(t, v, w, a)
 					default:
 						rep.Delay(t, v, w, a)
-						pending = append(pending, pendingMsg{arrival: a, dst: w, payload: snap})
+						pending[v] = append(pending[v], pendingMsg{arrival: a, dst: w, payload: snap})
 					}
 				}
 			}
-			bar.wait()
-
-			// Receive phase: drain every incident link, with bounded
-			// retries for silent ones.
+		}
+		// Receive pass.
+		for v := 0; v < n; v++ {
+			box := inbox[v]
+			inbox[v] = box[:0]
+			if crashed[v] {
+				continue
+			}
 			order := l.G.Neighbors(v)
 			if plan.Reorder && len(order) > 1 {
 				order = in.PermuteNeighbors(t, v, order)
 				rep.Reorder(t, v)
 			}
-			heard := make(map[int]bool, len(order))
-			for attempt := 0; ; attempt++ {
-				for _, w := range order {
-					ch := chans[[2]int{w, v}]
-				drain:
-					for {
-						select {
-						case inc := <-ch:
-							know[v].merge(inc.payload)
-							heard[w] = true
-						default:
-							break drain
-						}
+			for _, w := range order {
+				heard := false
+				for _, d := range box {
+					if d.src == w {
+						know[v].merge(d.payload)
+						heard = true
 					}
 				}
-				if len(heard) == len(order) || attempt >= retryLimit {
-					break
-				}
-				runtime.Gosched()
-			}
-			for _, w := range order {
-				if !heard[w] {
+				if !heard {
 					rep.Timeout(t, w, v)
 				}
 			}
-			bar.wait()
 		}
-	})()
+	}
 	if err := cancel.Err(ctx, "message-passing gather"); err != nil {
 		sc.Counter("sim.gather.cancelled").Inc()
 		if sc.EventsEnabled() {
@@ -286,8 +221,7 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 		sc.Counter("sim.corrupted").Add(int64(len(rep.Corrupted)))
 	}
 	if sc.EventsEnabled() {
-		// Per-crash events come from the finalized (sorted) node set, not the
-		// racing node goroutines, so the log order is deterministic. Node
+		// Per-crash events come from the finalized (sorted) node set. Node
 		// indices and fault counters are topology data, never certificate
 		// bytes, so the hiding contract holds without redaction.
 		for _, v := range rep.Crashed {
@@ -300,17 +234,6 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 	}
 	span.SetAttr("faults", rep.Summary())
 	return views, stats, rep, nil
-}
-
-// sortedCrashNodes lists the plan's crash-scheduled nodes in increasing
-// order (map iteration must not leak into anything observable).
-func sortedCrashNodes(plan faults.Plan) []int {
-	out := make([]int, 0, len(plan.Crashes))
-	for v := range plan.Crashes {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // FaultReport is the graceful-degradation outcome of RunSchemeFaultsCtx: one
@@ -400,52 +323,4 @@ func RunSchemeFaultsCtx(ctx context.Context, sc obs.Scope, s core.Scheme, inst c
 			obs.F("faults", rep.Summary()))
 	}
 	return fr, nil
-}
-
-// barrier is a reusable generation barrier for the round synchronizer.
-// Crashed nodes leave permanently; the remaining parties keep cycling.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	arrived int
-	gen     uint64
-}
-
-func newBarrier(parties int) *barrier {
-	b := &barrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// wait blocks until all current parties have arrived, then releases the
-// generation together.
-func (b *barrier) wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.arrived++
-	if b.arrived >= b.parties {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-// leave permanently removes one party (a crash-stopped node). If the
-// remaining parties have all already arrived, the generation is released.
-func (b *barrier) leave() {
-	b.mu.Lock()
-	b.parties--
-	if b.parties > 0 && b.arrived >= b.parties {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-	}
-	b.mu.Unlock()
 }

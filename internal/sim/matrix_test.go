@@ -39,9 +39,8 @@ func matrixGraphs(t *testing.T) []struct {
 
 // TestDifferentialMatrix runs the full decoder × generator matrix and
 // checks that all four view pipelines agree node-by-node: centralized
-// extraction, sequential simulation, and the zero-plan goroutine-per-node
-// runtime under both the nil context (single-slot links) and a live one
-// (links widened for cancellation). The radii exercised are exactly the
+// extraction, the sequential reference, and the zero-plan runtime under
+// both the nil context and a live one. The radii exercised are exactly the
 // registered decoders' radii — the ones the schemes run at.
 func TestDifferentialMatrix(t *testing.T) {
 	// Collect the distinct verification radii of every registered scheme.

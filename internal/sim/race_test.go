@@ -16,7 +16,7 @@ import (
 
 // TestRaceGatherStress hammers the message-passing simulator from many
 // goroutines at once — far beyond what the functional tests exercise — so
-// the race detector sees every channel handoff and stats-mutex interleaving.
+// the race detector sees any state that concurrent gathers share.
 // The file is built only under -race: it is a regression guard for the data
 // races the detector would catch, not a functional test.
 func TestRaceGatherStress(t *testing.T) {
@@ -66,8 +66,8 @@ func TestRaceGatherStress(t *testing.T) {
 
 // TestRaceGatherFaultsStress runs the fault scheduler concurrently from
 // many workers with the same chaotic plan and checks bit-identical replays
-// across all of them while the race detector watches the report mutex, the
-// pending-delivery queues, and the crash barrier bookkeeping.
+// across all of them while the race detector watches for state shared
+// between concurrent gathers.
 func TestRaceGatherFaultsStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := graphtest.ConnectedGNP(11, 0.35, rng)

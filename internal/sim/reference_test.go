@@ -11,16 +11,16 @@ import (
 	"hidinglcp/internal/view"
 )
 
-// gather is the fault-free goroutine-per-node gather: GatherFaultsCtx under
-// the zero-value plan, the nil never-cancelled context, and a zero Scope.
+// gather is the fault-free production gather: GatherFaultsCtx under the
+// zero-value plan, the nil never-cancelled context, and a zero Scope.
 func gather(l core.Labeled, r int) ([]*view.View, Stats, error) {
 	views, stats, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
 	return views, stats, err
 }
 
-// gatherSequential computes the fault-free gather with a plain round loop
-// and no goroutines: the single-threaded reference the scheduler is
-// checked against, and the scheduling ablation baseline of
+// gatherSequential computes the fault-free gather by merging neighbor
+// snapshots directly, with no injector, inboxes or report: the reference
+// oracle the scheduler is checked against, and the baseline of
 // BenchmarkSimulator.
 func gatherSequential(l core.Labeled, r int) ([]*view.View, Stats, error) {
 	n := l.G.N()
@@ -56,12 +56,12 @@ func gatherSequential(l core.Labeled, r int) ([]*view.View, Stats, error) {
 	return views, stats, nil
 }
 
-// BenchmarkSimulator ablates goroutine-per-node vs sequential round-loop
-// scheduling for view gathering (DESIGN.md Section 4).
+// BenchmarkSimulator compares the production gather with the reference
+// oracle on the same instance (DESIGN.md Section 4).
 func BenchmarkSimulator(b *testing.B) {
 	g := graph.Grid(8, 8)
 	l := core.MustNewLabeled(core.NewInstance(g), make([]string, g.N()))
-	b.Run("goroutines", func(b *testing.B) {
+	b.Run("gather", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := gather(l, 2); err != nil {
 				b.Fatal(err)

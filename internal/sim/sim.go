@@ -1,7 +1,8 @@
 // Package sim runs the distributed verifier as an actual synchronous
-// message-passing computation (the LOCAL model of Section 2.2): one
-// goroutine per node, one channel per directed edge, r rounds of flooding
-// in lockstep. After r rounds every node has gathered exactly its radius-r
+// message-passing computation (the LOCAL model of Section 2.2): r rounds
+// of flooding, each a send pass in which every node hands its knowledge to
+// its neighbors' inboxes and a receive pass in which every node merges what
+// arrived. After r rounds every node has gathered exactly its radius-r
 // view — including the frontier-edge truncation: an edge between two
 // distance-r nodes needs min distance r to either endpoint and therefore
 // never arrives within r rounds.
@@ -15,7 +16,7 @@
 // (seed, plan) and graceful degradation into per-node verdicts plus a
 // structured FaultReport. The zero-value plan is the fault-free run, which
 // the tests check against the centralized view.Extract and against a
-// single-threaded reference gather.
+// reference gather that merges neighbor snapshots directly.
 package sim
 
 import (
