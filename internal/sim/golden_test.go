@@ -14,7 +14,7 @@ import (
 	"hidinglcp/internal/obs"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden fault schedule traces in testdata/")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden fault schedule traces and views in testdata/")
 
 // goldenCases pins one recorded schedule per fault kind. Each plan is
 // deliberately narrow — a single fault knob on a fixed instance — so a
@@ -89,6 +89,57 @@ func TestGoldenFaultTraces(t *testing.T) {
 					tc.kind, path,
 					len(got), strings.Join(got, "\n  "),
 					len(want), strings.Join(want, "\n  "))
+			}
+		})
+	}
+}
+
+// TestGoldenFaultViews pins the views themselves under each golden plan
+// and under the kitchen-sink chaoticPlan on the 6x6 grid, one line per
+// node with its hex-encoded view key (empty at crashed nodes). The traces
+// above pin only the schedule; these files pin what the schedule gathers,
+// so a change to the knowledge representation or to assemble that alters
+// a view under drop, delay or a mid-run crash shows up as a diff. Run
+// with -update-golden to regenerate after an intentional change.
+func TestGoldenFaultViews(t *testing.T) {
+	type viewCase struct {
+		kind string
+		g    *graph.Graph
+		r    int
+		plan faults.Plan
+	}
+	var cases []viewCase
+	for _, tc := range goldenCases() {
+		cases = append(cases, viewCase{tc.kind, tc.g, tc.r, tc.plan})
+	}
+	cases = append(cases, viewCase{"chaos", graph.Grid(6, 6), 2, chaoticPlan(1)})
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			labels := make([]string, tc.g.N())
+			for v := range labels {
+				labels[v] = fmt.Sprintf("c%d", v%3)
+			}
+			views, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, labeled(tc.g, labels), tc.r, tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			for v, key := range viewKeys(views) {
+				fmt.Fprintf(&got, "node=%d %x\n", v, key)
+			}
+			path := filepath.Join("testdata", "golden_"+tc.kind+".views")
+			if *updateGolden {
+				if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden views (run with -update-golden to create): %v", err)
+			}
+			if got.String() != string(raw) {
+				t.Errorf("views for %q drifted from %s\n got:\n%s\nwant:\n%s", tc.kind, path, got.String(), raw)
 			}
 		})
 	}
