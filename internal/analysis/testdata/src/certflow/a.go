@@ -81,6 +81,26 @@ func errorsAreClean(p core.Prover, inst core.Instance) {
 	}
 }
 
+// gathered returns a certificate assignment next to a label-free
+// summary, and pair returns its arguments in order.
+func gathered(l core.Labeled, name string) ([]string, string) {
+	return l.Labels, "gathered " + name
+}
+
+func pair(a, b string) (string, string) { return a, b }
+
+// resultsStayApart: a multi-value call taints only the variables its
+// tainted results land in, whether the taint comes from a source in the
+// callee or from an argument.
+func resultsStayApart(sc obs.Scope, l core.Labeled, mu *view.View) {
+	labels, summary := gathered(l, "views")
+	sc.Event("summary", summary)
+	sc.Event("labels", strings.Join(labels, ",")) // want "certificate-tainted value flows into observability sink obs.Scope.Event"
+	first, name := pair(mu.Labels[0], "center")
+	sc.Event("name", name)
+	sc.Event("first", first) // want "certificate-tainted value flows into observability sink obs.Scope.Event"
+}
+
 // builderIsNotASink: fmt.Fprintf into a strings.Builder constructs a
 // string; the taint follows the builder instead of being reported...
 func builderIsNotASink(mu *view.View) string {

@@ -246,38 +246,39 @@ func (in *Injector) bits(stream uint64, round, src, dst, copyIdx int) uint64 {
 // unit maps a decision word to [0,1) with 53-bit precision.
 func unit(bits uint64) float64 { return float64(bits>>11) / (1 << 53) }
 
-// Deliveries returns the arrival rounds of every copy of the message src
+// Deliveries returns the arrival rounds of the copies of the message src
 // sends to dst at the given round, and whether the message was dropped
-// outright. The slice has one entry per copy (two under duplication); a
-// copy's arrival equals the send round unless delayed.
-func (in *Injector) Deliveries(round, src, dst int) (arrivals []int, dropped bool) {
+// outright. arrivals[:copies] has one entry per copy (two under
+// duplication, none when dropped); a copy's arrival equals the send round
+// unless delayed.
+func (in *Injector) Deliveries(round, src, dst int) (arrivals [2]int, copies int, dropped bool) {
 	p := in.plan
 	if p.Drop > 0 && unit(in.bits(streamDrop, round, src, dst, 0)) < p.Drop {
-		return nil, true
+		return arrivals, 0, true
 	}
-	copies := 1
+	copies = 1
 	if p.Duplicate > 0 && unit(in.bits(streamDup, round, src, dst, 0)) < p.Duplicate {
 		copies = 2
 	}
-	arrivals = make([]int, copies)
-	for c := range arrivals {
+	for c := range copies {
 		d := 0
 		if p.Delay > 0 && unit(in.bits(streamDelay, round, src, dst, c)) < p.Delay {
 			d = 1 + int(in.bits(streamDelayLen, round, src, dst, c)%uint64(p.maxDelay()))
 		}
 		arrivals[c] = round + d
 	}
-	return arrivals, false
+	return arrivals, copies, false
 }
 
 // PermuteNeighbors returns the receiver's drain order for one round: a
-// seeded Fisher–Yates permutation of order when the plan reorders, or
-// order itself otherwise. The input slice is never modified.
-func (in *Injector) PermuteNeighbors(round, node int, order []int) []int {
+// seeded Fisher–Yates permutation of order, written over dst, when the
+// plan reorders, or order itself otherwise. The input slice is never
+// modified; dst must not alias it.
+func (in *Injector) PermuteNeighbors(dst []int, round, node int, order []int) []int {
 	if !in.plan.Reorder {
 		return order
 	}
-	out := append([]int(nil), order...)
+	out := append(dst[:0], order...)
 	for i := len(out) - 1; i > 0; i-- {
 		j := int(in.bits(streamPerm, round, node, i, 0) % uint64(i+1))
 		out[i], out[j] = out[j], out[i]

@@ -22,9 +22,9 @@ func TestZeroPlanInactive(t *testing.T) {
 	}
 	in := NewInjector(p)
 	for round := 0; round < 5; round++ {
-		arrivals, dropped := in.Deliveries(round, 0, 1)
-		if dropped || len(arrivals) != 1 || arrivals[0] != round {
-			t.Fatalf("inactive plan injected a fault at round %d: %v dropped=%v", round, arrivals, dropped)
+		arrivals, copies, dropped := in.Deliveries(round, 0, 1)
+		if dropped || copies != 1 || arrivals[0] != round {
+			t.Fatalf("inactive plan injected a fault at round %d: %v dropped=%v", round, arrivals[:copies], dropped)
 		}
 	}
 }
@@ -82,15 +82,15 @@ func TestInjectorDeterministic(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for src := 0; src < 6; src++ {
 			for dst := 0; dst < 6; dst++ {
-				av, ad := a.Deliveries(round, src, dst)
-				bv, bd := b.Deliveries(round, src, dst)
-				if ad != bd || !reflect.DeepEqual(av, bv) {
+				av, ac, ad := a.Deliveries(round, src, dst)
+				bv, bc, bd := b.Deliveries(round, src, dst)
+				if ad != bd || ac != bc || av != bv {
 					t.Fatalf("divergent deliveries at (%d,%d,%d)", round, src, dst)
 				}
 			}
 		}
 		order := []int{3, 1, 4, 1, 5, 9}
-		if !reflect.DeepEqual(a.PermuteNeighbors(round, 2, order), b.PermuteNeighbors(round, 2, order)) {
+		if !reflect.DeepEqual(a.PermuteNeighbors(nil, round, 2, order), b.PermuteNeighbors(nil, round, 2, order)) {
 			t.Fatalf("divergent permutation at round %d", round)
 		}
 	}
@@ -103,8 +103,8 @@ func TestInjectorSeedSensitivity(t *testing.T) {
 	same := true
 	for round := 0; round < 8 && same; round++ {
 		for src := 0; src < 8 && same; src++ {
-			_, ad := a.Deliveries(round, src, src+1)
-			_, bd := b.Deliveries(round, src, src+1)
+			_, _, ad := a.Deliveries(round, src, src+1)
+			_, _, bd := b.Deliveries(round, src, src+1)
 			if ad != bd {
 				same = false
 			}
@@ -118,17 +118,17 @@ func TestInjectorSeedSensitivity(t *testing.T) {
 func TestDeliveriesProbabilityExtremes(t *testing.T) {
 	in := NewInjector(Plan{Seed: 7, Drop: 1})
 	for round := 0; round < 10; round++ {
-		if _, dropped := in.Deliveries(round, 0, 1); !dropped {
+		if _, copies, dropped := in.Deliveries(round, 0, 1); !dropped || copies != 0 {
 			t.Fatal("drop=1 delivered a message")
 		}
 	}
 	in = NewInjector(Plan{Seed: 7, Duplicate: 1, Delay: 0})
 	for round := 0; round < 10; round++ {
-		arrivals, dropped := in.Deliveries(round, 0, 1)
-		if dropped || len(arrivals) != 2 {
-			t.Fatalf("dup=1 produced %v", arrivals)
+		arrivals, copies, dropped := in.Deliveries(round, 0, 1)
+		if dropped || copies != 2 {
+			t.Fatalf("dup=1 produced %v", arrivals[:copies])
 		}
-		for _, a := range arrivals {
+		for _, a := range arrivals[:copies] {
 			if a != round {
 				t.Fatalf("undelayed copy arrives at %d, sent at %d", a, round)
 			}
@@ -136,8 +136,8 @@ func TestDeliveriesProbabilityExtremes(t *testing.T) {
 	}
 	in = NewInjector(Plan{Seed: 7, Delay: 1, MaxDelay: 3})
 	for round := 0; round < 10; round++ {
-		arrivals, _ := in.Deliveries(round, 0, 1)
-		for _, a := range arrivals {
+		arrivals, copies, _ := in.Deliveries(round, 0, 1)
+		for _, a := range arrivals[:copies] {
 			if a <= round || a > round+3 {
 				t.Fatalf("delay=1 max=3 arrival %d for send round %d", a, round)
 			}
@@ -149,9 +149,13 @@ func TestPermuteNeighborsIsPermutation(t *testing.T) {
 	in := NewInjector(Plan{Seed: 3, Reorder: true})
 	order := []int{10, 20, 30, 40, 50}
 	saved := append([]int(nil), order...)
-	got := in.PermuteNeighbors(1, 4, order)
+	dst := make([]int, 0, len(order))
+	got := in.PermuteNeighbors(dst, 1, 4, order)
 	if !reflect.DeepEqual(order, saved) {
 		t.Error("PermuteNeighbors modified its input")
+	}
+	if &got[0] != &dst[:1][0] {
+		t.Error("PermuteNeighbors did not write into the caller's buffer")
 	}
 	seen := map[int]bool{}
 	for _, x := range got {
@@ -162,8 +166,32 @@ func TestPermuteNeighborsIsPermutation(t *testing.T) {
 	}
 	// Without reordering, the input is returned unchanged.
 	in = NewInjector(Plan{Seed: 3})
-	if out := in.PermuteNeighbors(1, 4, order); !reflect.DeepEqual(out, order) {
+	if out := in.PermuteNeighbors(nil, 1, 4, order); !reflect.DeepEqual(out, order) {
 		t.Errorf("reorder off but order changed: %v", out)
+	}
+}
+
+// TestInjectorAllocs pins the scheduler's per-message and per-receiver
+// questions at zero allocations: Deliveries answers by value, and
+// PermuteNeighbors writes into the caller's buffer.
+func TestInjectorAllocs(t *testing.T) {
+	for _, p := range []Plan{{}, {Seed: 7, Drop: 0.3, Duplicate: 0.5, Delay: 0.5, MaxDelay: 3}} {
+		in := NewInjector(p)
+		if n := testing.AllocsPerRun(100, func() {
+			for round := 0; round < 4; round++ {
+				in.Deliveries(round, 1, 2)
+			}
+		}); n != 0 {
+			t.Errorf("plan %s: Deliveries allocates %.0f objects per 4 calls", p, n)
+		}
+	}
+	in := NewInjector(Plan{Seed: 3, Reorder: true})
+	order := []int{10, 20, 30, 40, 50}
+	dst := make([]int, 0, len(order))
+	if n := testing.AllocsPerRun(100, func() {
+		dst = in.PermuteNeighbors(dst, 1, 4, order)
+	}); n != 0 {
+		t.Errorf("PermuteNeighbors allocates %.0f objects per call into a large enough buffer", n)
 	}
 }
 

@@ -104,6 +104,15 @@ func (r *Report) record(e Event) {
 	r.Events = append(r.Events, e)
 }
 
+// recordArrival records e with its copy's arrival round as the detail,
+// formatting it only when the report keeps events.
+func (r *Report) recordArrival(e Event, arrival int) {
+	if r.trace {
+		e.Detail = fmt.Sprintf("arrive=%d", arrival)
+		r.record(e)
+	}
+}
+
 // Corrupt records the pre-run corruption of node's certificate.
 func (r *Report) Corrupt(node int) {
 	r.mu.Lock()
@@ -133,7 +142,7 @@ func (r *Report) Dup(round, src, dst, arrival int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.Duplicated++
-	r.record(Event{Round: round, Kind: KindDup, Src: src, Dst: dst, Detail: fmt.Sprintf("arrive=%d", arrival)})
+	r.recordArrival(Event{Round: round, Kind: KindDup, Src: src, Dst: dst}, arrival)
 }
 
 // Delay records a copy held back to the given arrival round.
@@ -141,7 +150,7 @@ func (r *Report) Delay(round, src, dst, arrival int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.Delayed++
-	r.record(Event{Round: round, Kind: KindDelay, Src: src, Dst: dst, Detail: fmt.Sprintf("arrive=%d", arrival)})
+	r.recordArrival(Event{Round: round, Kind: KindDelay, Src: src, Dst: dst}, arrival)
 }
 
 // Expire records a copy whose arrival round lies beyond the run horizon.
@@ -149,7 +158,7 @@ func (r *Report) Expire(round, src, dst, arrival int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.Expired++
-	r.record(Event{Round: round, Kind: KindExpire, Src: src, Dst: dst, Detail: fmt.Sprintf("arrive=%d", arrival)})
+	r.recordArrival(Event{Round: round, Kind: KindExpire, Src: src, Dst: dst}, arrival)
 }
 
 // Reorder records that node drained its links in permuted order at round.

@@ -41,9 +41,8 @@ import (
 
 // pendingMsg is a delayed copy held at its sender until the arrival round.
 type pendingMsg struct {
-	arrival int
-	dst     int
-	payload knowledge
+	arrival, dst int
+	payload      knowledge
 }
 
 // delivery is one payload handed to a receiver's inbox.
@@ -93,19 +92,35 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 		}
 	}
 
-	know, err := initialKnowledge(l, labels)
+	hosts, err := newHostTable(l, labels)
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
+	// Each node starts out knowing itself. Every knowledge value is a
+	// capped window of the append-only sets (a grown copy leaves the
+	// windows handed out intact). Each inbox is a capped window of one
+	// backing with a slot per link; extra copies spill into a new array.
+	sets := make(knowledge, n, 8*n)
+	know := make([]knowledge, n)
+	inbox := make([][]delivery, n)
+	slots := make([]delivery, 2*l.G.M())
+	for v := range know {
+		sets[v] = int32(v)
+		know[v] = sets[v : v+1 : v+1]
+		inbox[v], slots = slots[:0:l.G.Degree(v)], slots[l.G.Degree(v):]
+	}
+	// bufs alternate as a receive's running union, so a merge never writes
+	// over its own operand; perm is a receiver's drain order.
+	var bufs [2]knowledge
+	var perm []int
 
 	crashed := make([]bool, n)
 	pending := make([][]pendingMsg, n)
-	inbox := make([][]delivery, n)
 	stats := Stats{Rounds: r}
 	send := func(src, dst int, payload knowledge) {
 		inbox[dst] = append(inbox[dst], delivery{src: src, payload: payload})
 		stats.Messages++
-		stats.Records += len(payload.nodes)
+		stats.Records += len(payload)
 	}
 	for t := 0; t < r && !cancel.Cancelled(ctx); t++ {
 		// Send pass.
@@ -124,10 +139,9 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 				continue
 			}
 			// Flush delayed copies due this round first, then flood the
-			// previous round's knowledge through the injector. The
-			// snapshot is a copy: the receive pass grows know[v] while
-			// inboxes and delayed copies still hold it.
-			snap := know[v].clone()
+			// previous round's knowledge through the injector. The receive
+			// pass replaces know[v] and never writes it, so inboxes and
+			// delayed copies hold the slice itself.
 			rest := pending[v][:0]
 			for _, pm := range pending[v] {
 				if pm.arrival == t {
@@ -138,25 +152,25 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 			}
 			pending[v] = rest
 			for _, w := range l.G.Neighbors(v) {
-				arrivals, dropped := in.Deliveries(t, v, w)
+				arrivals, copies, dropped := in.Deliveries(t, v, w)
 				if dropped {
 					rep.Drop(t, v, w)
 					continue
 				}
-				for c, a := range arrivals {
+				for c, a := range arrivals[:copies] {
 					if c > 0 {
 						rep.Dup(t, v, w, a)
 					}
 					switch {
 					case a == t:
-						send(v, w, snap)
+						send(v, w, know[v])
 					case a >= r:
 						// Arrives after the run's horizon: never
 						// delivered.
 						rep.Expire(t, v, w, a)
 					default:
 						rep.Delay(t, v, w, a)
-						pending[v] = append(pending[v], pendingMsg{arrival: a, dst: w, payload: snap})
+						pending[v] = append(pending[v], pendingMsg{arrival: a, dst: w, payload: know[v]})
 					}
 				}
 			}
@@ -170,20 +184,28 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 			}
 			order := l.G.Neighbors(v)
 			if plan.Reorder && len(order) > 1 {
-				order = in.PermuteNeighbors(t, v, order)
+				perm = in.PermuteNeighbors(perm, t, v, order)
+				order = perm
 				rep.Reorder(t, v)
 			}
+			acc, next := know[v], 0
 			for _, w := range order {
 				heard := false
 				for _, d := range box {
 					if d.src == w {
-						know[v].merge(d.payload)
+						if u := acc.merge(d.payload, bufs[next]); len(u) > len(acc) {
+							bufs[next], acc, next = u, u, 1-next
+						}
 						heard = true
 					}
 				}
 				if !heard {
 					rep.Timeout(t, w, v)
 				}
+			}
+			if len(acc) > len(know[v]) {
+				sets = append(sets, acc...)
+				know[v] = sets[len(sets)-len(acc) : len(sets) : len(sets)]
 			}
 		}
 	}
@@ -202,7 +224,7 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 		if crashed[v] {
 			continue
 		}
-		mu, err := assemble(know[v], v, r, l.NBound)
+		mu, err := hosts.assemble(know[v], v, r, l.NBound)
 		if err != nil {
 			return nil, stats, rep, fmt.Errorf("assembling view of node %d: %w", v, err)
 		}

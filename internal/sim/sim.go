@@ -2,7 +2,8 @@
 // message-passing computation (the LOCAL model of Section 2.2): r rounds
 // of flooding, each a send pass in which every node hands its knowledge to
 // its neighbors' inboxes and a receive pass in which every node merges what
-// arrived. After r rounds every node has gathered exactly its radius-r
+// arrived: the sorted sets of host nodes whose records (ID, label, ports)
+// it holds. After r rounds every node has gathered exactly its radius-r
 // view — including the frontier-edge truncation: an edge between two
 // distance-r nodes needs min distance r to either endpoint and therefore
 // never arrives within r rounds.
@@ -21,9 +22,10 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hidinglcp/internal/core"
+	"hidinglcp/internal/graph"
 	"hidinglcp/internal/view"
 )
 
@@ -34,57 +36,63 @@ type Stats struct {
 	// handed to a link (dropped messages are not counted; duplicated and
 	// delayed copies are counted when delivered to the link).
 	Messages int
-	// Records is the total number of node records carried by all messages
+	// Records is the total number of host nodes carried by all messages
 	// (a proxy for bandwidth).
 	Records int
 }
 
-type nodeRec struct {
-	id    int
-	label string
-	deg   int
+// knowledge is the sorted set of host nodes whose records a node holds.
+// Records come only from the initial knowledge of the nodes heard of (a
+// node and its incident edges), and payloads merge whole, so the known
+// edges are exactly those incident to a known node. A value is never
+// written once built.
+type knowledge []int32
+
+// merge returns the sorted union of k and other. A union that adds
+// nothing returns k itself; otherwise the union is written over dst, which
+// must alias neither k nor other.
+func (k knowledge) merge(other, dst knowledge) knowledge {
+	dst = dst[:0]
+	i, j := 0, 0
+	for i < len(k) && j < len(other) {
+		x, y := k[i], other[j]
+		dst = append(dst, min(x, y))
+		if x <= y {
+			i++
+		}
+		if y <= x {
+			j++
+		}
+	}
+	dst = append(dst, k[i:]...)
+	dst = append(dst, other[j:]...)
+	if len(dst) == len(k) {
+		return k
+	}
+	return dst
 }
 
-type edgeRec struct {
-	a, b         int // host indices, a < b
-	portA, portB int
+// hostTable holds every host node's record for one gather: its ID, its
+// label under the gather's labeling (which may differ from l.Labels under
+// adversarial corruption), and its port row. The rest is assemble's
+// scratch: local[h] is a known host's index in the view being assembled
+// (-1 for every other host), hosts and dist the view's hosts and distances.
+type hostTable struct {
+	g      *graph.Graph
+	ids    []int // nil on an anonymous instance
+	labels []string
+	// nbr[v][p-1] is the neighbor of v behind port p, or -1 for a gap.
+	nbr   [][]int
+	local []int32
+	hosts []int32
+	dist  []int
 }
 
-// knowledge is a node's accumulated information.
-type knowledge struct {
-	nodes map[int]nodeRec
-	edges map[[2]int]edgeRec
-}
-
-func (k *knowledge) clone() knowledge {
-	c := knowledge{
-		nodes: make(map[int]nodeRec, len(k.nodes)),
-		edges: make(map[[2]int]edgeRec, len(k.edges)),
-	}
-	for i, r := range k.nodes {
-		c.nodes[i] = r
-	}
-	for e, r := range k.edges {
-		c.edges[e] = r
-	}
-	return c
-}
-
-func (k *knowledge) merge(other knowledge) {
-	for i, r := range other.nodes {
-		k.nodes[i] = r
-	}
-	for e, r := range other.edges {
-		k.edges[e] = r
-	}
-}
-
-// initialKnowledge seeds every node's knowledge with itself and its
-// incident edges under the given labeling (which may differ from
-// l.Labels under adversarial corruption). A malformed port assignment —
-// one not covering the instance's edges — surfaces as an error here, at
-// the start of every gather, instead of panicking mid-flood.
-func initialKnowledge(l core.Labeled, labels []string) ([]knowledge, error) {
+// newHostTable builds the table of l's host nodes. A malformed port
+// assignment — one not covering the instance's edges — surfaces as an
+// error here, at the start of every gather, instead of panicking
+// mid-flood.
+func newHostTable(l core.Labeled, labels []string) (*hostTable, error) {
 	n := l.G.N()
 	if l.Prt == nil {
 		return nil, fmt.Errorf("instance has no port assignment")
@@ -92,72 +100,71 @@ func initialKnowledge(l core.Labeled, labels []string) ([]knowledge, error) {
 	if len(labels) != n {
 		return nil, fmt.Errorf("labeling covers %d nodes, graph has %d", len(labels), n)
 	}
-	know := make([]knowledge, n)
+	t := &hostTable{g: l.G, ids: l.IDs, labels: labels, nbr: make([][]int, n), local: make([]int32, n)}
+	// Each row is a window of the append-only back.
+	back := make([]int, 0, 2*l.G.M())
 	for v := 0; v < n; v++ {
-		know[v] = knowledge{nodes: map[int]nodeRec{}, edges: map[[2]int]edgeRec{}}
-		id := 0
-		if l.IDs != nil {
-			id = l.IDs[v]
-		}
-		know[v].nodes[v] = nodeRec{id: id, label: labels[v], deg: l.G.Degree(v)}
+		start := len(back)
 		for _, w := range l.G.Neighbors(v) {
-			pa, err := l.Prt.Port(v, w)
+			p, err := l.Prt.Port(v, w)
 			if err != nil {
 				return nil, fmt.Errorf("malformed port assignment: %w", err)
 			}
-			pb, err := l.Prt.Port(w, v)
-			if err != nil {
-				return nil, fmt.Errorf("malformed port assignment: %w", err)
+			for len(back) < start+p {
+				back = append(back, -1)
 			}
-			a, b := v, w
-			if a > b {
-				a, b = b, a
-				pa, pb = pb, pa
-			}
-			know[v].edges[[2]int{a, b}] = edgeRec{a: a, b: b, portA: pa, portB: pb}
+			back[start+p-1] = w
 		}
+		t.nbr[v] = back[start:len(back):len(back)]
+		t.local[v] = -1
 	}
-	return know, nil
+	return t, nil
 }
 
 // assemble turns gathered knowledge into a view.View with the same local
 // numbering convention as view.Extract: nodes sorted by (distance from
 // center, host index), frontier-frontier edges dropped.
-func assemble(k knowledge, center, r, nBound int) (*view.View, error) {
-	// BFS over known edges to compute distances from the center. Only edges
-	// between nodes whose records are present may be walked: an edge record
-	// with an unknown endpoint (a frontier node's outgoing edge, or — under
-	// crash faults — an edge incident to a node that died before speaking)
-	// must not act as a shortcut through a node the center knows nothing
-	// about. Fault-free this changes nothing: every node within distance r
-	// arrives with the records of all nodes on its shortest paths.
-	adj := make(map[int][]int, len(k.nodes))
-	for e := range k.edges {
-		if _, ok := k.nodes[e[0]]; !ok {
-			continue
-		}
-		if _, ok := k.nodes[e[1]]; !ok {
-			continue
-		}
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
+func (t *hostTable) assemble(k knowledge, center, r, nBound int) (*view.View, error) {
+	// Breadth-first search from the center over the host edges between
+	// known nodes. An edge with an unknown end (a frontier node's outgoing
+	// edge, or — under crash faults — an edge incident to a node that died
+	// before speaking) must not act as a shortcut through a node the
+	// center knows nothing about. Fault-free this changes nothing: every
+	// node within distance r arrives with the records of all nodes on its
+	// shortest paths. Sorting each layer as it completes gives the order
+	// (distance, host index).
+	const unvisited = -2
+	for _, h := range k {
+		t.local[h] = unvisited
 	}
-	dist := map[int]int{center: 0}
-	queue := []int{center}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range adj[x] {
-			if _, ok := dist[y]; !ok {
-				dist[y] = dist[x] + 1
-				queue = append(queue, y)
+	defer func() {
+		for _, h := range k {
+			t.local[h] = -1
+		}
+	}()
+	hosts := append(t.hosts[:0], int32(center))
+	dist := append(t.dist[:0], 0)
+	t.local[center] = 0
+	for start, d := 0, 1; start < len(hosts); d++ {
+		end := len(hosts)
+		for _, x := range hosts[start:end] {
+			for _, y := range t.g.Neighbors(int(x)) {
+				if t.local[y] == unvisited {
+					t.local[y] = int32(len(hosts))
+					hosts = append(hosts, int32(y))
+					dist = append(dist, d)
+				}
 			}
 		}
+		slices.Sort(hosts[end:])
+		for i := end; i < len(hosts); i++ {
+			t.local[hosts[i]] = int32(i)
+		}
+		start = end
 	}
-	var hosts []int
-	for h := range k.nodes {
-		d, ok := dist[h]
-		if !ok || d > r {
+	t.hosts, t.dist = hosts, dist
+	for _, h := range k {
+		if i := t.local[h]; i < 0 || dist[i] > r {
 			// Knowledge spreads one hop per round and every record travels
 			// with the edge chain it came along (even under drop, delay,
 			// and duplication faults), so a record outside the radius-r
@@ -165,73 +172,44 @@ func assemble(k knowledge, center, r, nBound int) (*view.View, error) {
 			return nil, fmt.Errorf("gathered record of node %d outside radius %d", h, r)
 		}
 	}
-	for h := range k.nodes {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(a, b int) bool {
-		if dist[hosts[a]] != dist[hosts[b]] {
-			return dist[hosts[a]] < dist[hosts[b]]
-		}
-		return hosts[a] < hosts[b]
-	})
-	local := make(map[int]int, len(hosts))
-	for i, h := range hosts {
-		local[h] = i
-	}
-	mu := &view.View{
-		Radius: r,
-		Dist:   make([]int, len(hosts)),
-		Ports:  &view.PortRows{Rows: make([][]int, len(hosts))},
-		IDs:    make([]int, len(hosts)),
-		Labels: make([]string, len(hosts)),
-		NBound: nBound,
-	}
-	for i, h := range hosts {
-		rec := k.nodes[h]
-		mu.Dist[i] = dist[h]
-		mu.IDs[i] = rec.id
-		mu.Labels[i] = rec.label
-	}
-	// visible maps a known edge to its local ends, or ok=false when an end
-	// is unknown or the edge joins two frontier nodes (frontier truncation).
-	visible := func(e [2]int) (i, j int, ok bool) {
-		i, okA := local[e[0]]
-		j, okB := local[e[1]]
-		if !okA || !okB || (mu.Dist[i] == r && mu.Dist[j] == r) {
-			return 0, 0, false
-		}
-		return i, j, true
-	}
-	// Each port row ends at the largest port received for its node; one
-	// pass sizes the rows, a second fills them from one backing slice.
-	rowLen := make([]int, len(hosts))
-	for e, rec := range k.edges {
-		i, j, ok := visible(e)
-		if !ok {
-			continue
-		}
-		rowLen[i] = max(rowLen[i], rec.portA)
-		rowLen[j] = max(rowLen[j], rec.portB)
-	}
-	total := 0
-	for _, n := range rowLen {
-		total += n
+	// Dist, IDs and the port rows share one backing slice, sized for full
+	// host rows. A row ends at its node's largest visible port: an edge is
+	// visible when its far end is known and it does not join two frontier
+	// nodes.
+	m := len(hosts)
+	total := 2 * m
+	for _, h := range hosts {
+		total += len(t.nbr[h])
 	}
 	back := make([]int, total)
-	for i, n := range rowLen {
-		if n > 0 {
-			row := back[:n:n]
-			back = back[n:]
-			for p := range row {
-				row[p] = -1
-			}
-			mu.Ports.Rows[i] = row
-		}
+	mu := &view.View{
+		Radius: r,
+		Dist:   back[:m:m],
+		Ports:  &view.PortRows{Rows: make([][]int, m)},
+		IDs:    back[m : 2*m : 2*m],
+		Labels: make([]string, m),
+		NBound: nBound,
 	}
-	for e, rec := range k.edges {
-		if i, j, ok := visible(e); ok {
-			mu.Ports.Rows[i][rec.portA-1] = j
-			mu.Ports.Rows[j][rec.portB-1] = i
+	copy(mu.Dist, dist)
+	back = back[2*m:]
+	for i, h := range hosts {
+		if t.ids != nil {
+			mu.IDs[i] = t.ids[h]
+		}
+		mu.Labels[i] = t.labels[h]
+		row, n := back[:len(t.nbr[h])], 0
+		for p, w := range t.nbr[h] {
+			row[p] = -1
+			if w < 0 {
+				continue
+			}
+			if j := t.local[w]; j >= 0 && (dist[i] < r || dist[j] < r) {
+				row[p], n = int(j), p+1
+			}
+		}
+		if n > 0 {
+			mu.Ports.Rows[i] = row[:n:n]
+			back = back[n:]
 		}
 	}
 	return mu, nil
