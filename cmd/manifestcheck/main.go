@@ -1,36 +1,29 @@
 // Command manifestcheck validates run-manifest JSON files (written by the
 // -metrics-json flag of cmd/experiments, cmd/lcpcheck, and cmd/nbhdgraph)
 // against the checked-in schema, so CI and scripts can gate on manifests
-// being well-formed before archiving them. Files ending in .jsonl are
-// treated as structured event logs (written by the -events flag) and
-// validated line by line against the event-log schema instead.
+// being well-formed before archiving them.
 //
 // Usage:
 //
 //	manifestcheck out/e04.json out/e03.json
 //	manifestcheck -schema docs/run-manifest.schema.json -require-metrics out/e04.json
-//	manifestcheck out/e04-events.jsonl
 //
 // -require-metrics additionally fails manifests whose metric snapshot is
 // empty or all-zero: a pipeline run that recorded nothing usually means the
 // scope was never threaded through, which a schema check alone cannot see.
-// (It does not apply to .jsonl event logs.)
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"hidinglcp/internal/obs"
 )
 
 func main() {
 	schemaPath := flag.String("schema", "docs/run-manifest.schema.json", "path to the run-manifest JSON schema")
-	eventsSchemaPath := flag.String("events-schema", "docs/event-log.schema.json", "path to the event-log JSON schema (for .jsonl files)")
 	requireMetrics := flag.Bool("require-metrics", false, "fail manifests with an empty or all-zero metric snapshot")
 	flag.Parse()
 
@@ -43,25 +36,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "manifestcheck: %v\n", err)
 		os.Exit(2)
 	}
-	// The event-log schema is loaded lazily: runs that only check manifests
-	// should not require it to exist.
-	var eventsSchema []byte
 	failed := false
 	for _, path := range flag.Args() {
-		var err error
-		if strings.HasSuffix(path, ".jsonl") {
-			if eventsSchema == nil {
-				eventsSchema, err = os.ReadFile(*eventsSchemaPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "manifestcheck: %v\n", err)
-					os.Exit(2)
-				}
-			}
-			err = checkEventLog(eventsSchema, path)
-		} else {
-			err = checkFile(schema, path, *requireMetrics)
-		}
-		if err != nil {
+		if err := checkFile(schema, path, *requireMetrics); err != nil {
 			fmt.Fprintf(os.Stderr, "manifestcheck: %s: %v\n", path, err)
 			failed = true
 			continue
@@ -83,26 +60,6 @@ func checkFile(schema []byte, path string, requireMetrics bool) error {
 	}
 	if requireMetrics {
 		return checkNonzeroMetrics(doc)
-	}
-	return nil
-}
-
-// checkEventLog validates a JSONL event log: every non-empty line must be an
-// independent JSON object matching the event-log schema. An empty log is
-// valid (a run may legitimately emit nothing below the configured level).
-func checkEventLog(schema []byte, path string) error {
-	doc, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	for i, line := range bytes.Split(doc, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		if err := obs.ValidateJSON(schema, line); err != nil {
-			return fmt.Errorf("line %d: %w", i+1, err)
-		}
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hidinglcp/internal/obs"
-	"hidinglcp/internal/obs/export"
 )
 
 // writeManifest finalizes a manifest for sc into dir and returns its path.
@@ -63,58 +62,6 @@ func TestRequireMetricsRejectsEmptyRun(t *testing.T) {
 	err := checkFile(loadSchema(t), path, true)
 	if err == nil || !strings.Contains(err.Error(), "no metric snapshots") {
 		t.Errorf("empty metric snapshot not reported, got %v", err)
-	}
-}
-
-func loadEventSchema(t *testing.T) []byte {
-	t.Helper()
-	schema, err := os.ReadFile(filepath.Join("..", "..", "docs", "event-log.schema.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return schema
-}
-
-func TestCheckEventLogAcceptsRealLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	log, err := export.NewEventLog(export.EventLogConfig{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log.EmitLogEvent(obs.LogEvent{
-		TimeUnixNS: 1, Level: obs.LevelInfo, Name: "nbhd.build.start",
-		Run: "run-1", Span: 3,
-		Fields: []obs.Attr{obs.Fi("shards", 8)},
-	})
-	log.EmitLogEvent(obs.LogEvent{TimeUnixNS: 2, Level: obs.LevelWarn, Name: "sim.node.crashed", Run: "run-1"})
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkEventLog(loadEventSchema(t), path); err != nil {
-		t.Errorf("valid event log rejected: %v", err)
-	}
-}
-
-func TestCheckEventLogRejectsBadLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	lines := `{"time_unix_ns":1,"level":"info","name":"ok"}` + "\n" +
-		`{"time_unix_ns":2,"level":"shouting","name":"bad-level"}` + "\n"
-	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err := checkEventLog(loadEventSchema(t), path)
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("bad level on line 2 not reported, got %v", err)
-	}
-}
-
-func TestCheckEventLogAcceptsEmptyLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.jsonl")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkEventLog(loadEventSchema(t), path); err != nil {
-		t.Errorf("empty event log rejected: %v", err)
 	}
 }
 

@@ -39,9 +39,8 @@
 //
 // One guards the memory-reuse discipline (internal/mem):
 //
-//   - poolescape: no Get on a recycler (mem.Pool, mem.FreeList, sync.Pool);
-//     per-call scratch lives on the caller's stack, so no borrowed buffer
-//     can outlive its Put.
+//   - poolescape: no Get on a sync.Pool; per-call scratch lives on the
+//     caller's stack, so no borrowed buffer can outlive its Put.
 //
 // And one enforces the cancellation-plumbing discipline (internal/engine):
 //

@@ -28,7 +28,7 @@ import (
 // Sinks (observable surfaces):
 //
 //   - any call into a package named "obs" — counters, gauges, span
-//     attributes, events, manifest config, progress callbacks,
+//     attributes, manifest config, progress callbacks,
 //   - the printing fmt family (Print/Println/Printf/Fprint*) and package
 //     log,
 //   - error construction (fmt.Errorf, errors.New) — errors cross the CLI
@@ -238,7 +238,7 @@ func funcParams(info *types.Info, fn *ast.FuncDecl) []types.Object {
 // key (s, "f"), not all of s, so a builder whose cache field holds label
 // bytes can still put its name field into a diagnostic. A read of s.f sees
 // the union of (s, "f") and whole-value taint on s (for structs copied
-// from tainted values wholesale).
+// from tainted values wholesale); a read of s itself sees every field's.
 type taintEnv struct {
 	cf        *certflow
 	vars      map[types.Object]uint64
@@ -444,6 +444,23 @@ func (e *taintEnv) walkStmt(s ast.Stmt) {
 	}
 }
 
+// identObj returns the object an identifier uses or defines, or nil.
+func (e *taintEnv) identObj(id *ast.Ident) types.Object {
+	if obj := e.cf.pass.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return e.cf.pass.Info.Defs[id]
+}
+
+// identMask is an identifier's whole-value taint, without its field taints.
+func (e *taintEnv) identMask(id *ast.Ident) uint64 {
+	obj := e.identObj(id)
+	if obj == nil {
+		return 0
+	}
+	return e.vars[obj] | e.cf.globals[obj]
+}
+
 // exprMask computes the taint mask of an expression, checking every call it
 // contains against the sink list exactly once per walk.
 func (e *taintEnv) exprMask(x ast.Expr) uint64 {
@@ -453,27 +470,24 @@ func (e *taintEnv) exprMask(x ast.Expr) uint64 {
 	case *ast.BasicLit:
 		return 0
 	case *ast.Ident:
-		obj := e.cf.pass.Info.Uses[ex]
-		if obj == nil {
-			obj = e.cf.pass.Info.Defs[ex]
+		m := e.identMask(ex)
+		// A whole-value read carries every field written into it.
+		for _, fm := range e.fields[e.identObj(ex)] {
+			m |= fm
 		}
-		if obj == nil {
-			return 0
-		}
-		return e.vars[obj] | e.cf.globals[obj]
+		return m
 	case *ast.SelectorExpr:
 		if e.isCertSourceSel(ex) {
 			return certSourceBit
 		}
-		m := e.exprMask(ex.X)
+		var m uint64
+		if id, ok := ex.X.(*ast.Ident); ok {
+			m = e.identMask(id) // field-sensitive: only ex.Sel's field below
+		} else {
+			m = e.exprMask(ex.X)
+		}
 		if root := lhsRoot(ex); root != nil {
-			obj := e.cf.pass.Info.Uses[root]
-			if obj == nil {
-				obj = e.cf.pass.Info.Defs[root]
-			}
-			if obj != nil {
-				m |= e.fields[obj][ex.Sel.Name]
-			}
+			m |= e.fields[e.identObj(root)][ex.Sel.Name]
 		}
 		return m
 	case *ast.ParenExpr:
@@ -852,7 +866,7 @@ func (e *taintEnv) sinkDesc(call *ast.CallExpr) (string, bool) {
 		}
 	}
 	// Method form: any method declared in a package named "obs" is an
-	// observability sink (SetAttr, EmitEvent, SetConfig, SetExtra, ...).
+	// observability sink (SetAttr, SetConfig, SetExtra, ...).
 	if s, ok := info.Selections[sel]; ok {
 		if fn, ok := s.Obj().(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Name() == "obs" {
 			if strings.HasPrefix(fn.Name(), "Redact") {

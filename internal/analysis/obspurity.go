@@ -17,12 +17,11 @@ import (
 //     reads to re-enter decoders via obs helpers, and
 //   - any call into a package named "obs" or its export subpackage (package
 //     path suffix "obs/export"), whether a package-level function (obs.Now,
-//     export.NewEventLog) or a method whose receiver type lives there
-//     (Counter.Inc, Scope.Counter, Histogram.Observe, EventLog.EmitLogEvent):
+//     export.WritePrometheus) or a method whose receiver type lives there
+//     (Counter.Inc, Scope.Counter, Histogram.Observe, Server.MarkReady):
 //     reading a counter makes the verdict depend on how often the pipeline
-//     ran; writing one — or emitting a log event — from Decide is
-//     receiver/global state by another name, and would let telemetry feed
-//     back into verdicts.
+//     ran; writing one from Decide is receiver/global state by another
+//     name, and would let telemetry feed back into verdicts.
 //
 // Sanctioned counting wrappers (core.InstrumentDecoder) carry
 // `//lint:ignore obspurity` directives; the runtime complement is the
@@ -101,7 +100,7 @@ func checkObsPurityBody(pass *Pass, body *ast.BlockStmt) {
 			}
 		}
 		// Method form: a call whose method is declared in the obs layer
-		// (Counter.Inc, Scope.Counter, EventLog.EmitLogEvent, ...), resolved
+		// (Counter.Inc, Scope.Counter, Server.MarkReady, ...), resolved
 		// through the type-checker so aliased and embedded receivers are
 		// covered.
 		if s, ok := pass.Info.Selections[sel]; ok {

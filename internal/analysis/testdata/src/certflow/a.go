@@ -101,6 +101,23 @@ func resultsStayApart(sc obs.Scope, l core.Labeled, mu *view.View) {
 	sc.Event("first", first) // want "certificate-tainted value flows into observability sink obs.Scope.Event"
 }
 
+// labeledView writes the labels into a fresh view one element at a time.
+// Only the view's Labels field is tainted: its other fields stay clean...
+func labeledView(l core.Labeled) *view.View {
+	mu := &view.View{Radius: 1}
+	mu.Labels = make([]string, len(l.Labels))
+	for i := range l.Labels {
+		mu.Labels[i] = l.Labels[i]
+	}
+	fmt.Println(mu.Radius)
+	return mu
+}
+
+// ...but the view returned whole carries the labels to the caller's sink.
+func fieldTaintLeaks(l core.Labeled) {
+	fmt.Println(labeledView(l)) // want "certificate-tainted value flows into fmt.Println output"
+}
+
 // builderIsNotASink: fmt.Fprintf into a strings.Builder constructs a
 // string; the taint follows the builder instead of being reported...
 func builderIsNotASink(mu *view.View) string {

@@ -3,22 +3,17 @@
 // suffix, so fixtures stay self-contained.
 package export
 
-// LogEvent mirrors the real structured log event.
-type LogEvent struct {
-	Name string
-}
+// Server mirrors the real telemetry server.
+type Server struct{}
 
-// EventLog mirrors the real JSONL event sink.
-type EventLog struct{}
+// Serve mirrors the real constructor.
+func Serve(addr string) (*Server, error) { return &Server{}, nil }
 
-// NewEventLog mirrors the real constructor.
-func NewEventLog() *EventLog { return &EventLog{} }
+// Addr mirrors the real bound-address accessor.
+func (s *Server) Addr() string { return "" }
 
-// EmitLogEvent mirrors the real sink method; a certflow sink.
-func (l *EventLog) EmitLogEvent(ev LogEvent) {}
-
-// Dropped mirrors the real rate-limit counter read.
-func (l *EventLog) Dropped() int64 { return 0 }
+// MarkReady mirrors the real readiness switch.
+func (s *Server) MarkReady() {}
 
 // WritePrometheus mirrors the real exporter entry point.
 func WritePrometheus() error { return nil }

@@ -79,20 +79,20 @@ func (d *goodPure) Decide(mu *view.View) bool {
 	return time.Duration(local)*time.Millisecond < d.cutoff
 }
 
-// badEvents leaks its decision into the structured event log — and reads
-// the rate-limit counter back into the verdict. Both directions are banned:
-// the export subpackage is part of the observability layer.
-type badEvents struct{ log *export.EventLog }
+// badServer drives the telemetry server from its decision — and reads the
+// server's address back into the verdict. Both directions are banned: the
+// export subpackage is part of the observability layer.
+type badServer struct{ srv *export.Server }
 
-func (d *badEvents) Rounds() int     { return 1 }
-func (d *badEvents) Anonymous() bool { return true }
+func (d *badServer) Rounds() int     { return 1 }
+func (d *badServer) Anonymous() bool { return true }
 
-func (d *badEvents) Decide(mu *view.View) bool {
-	d.log.EmitLogEvent(export.LogEvent{Name: "decide"}) // want "Decide must not call into the observability layer: d.log.EmitLogEvent"
+func (d *badServer) Decide(mu *view.View) bool {
+	d.srv.MarkReady()                    // want "Decide must not call into the observability layer: d.srv.MarkReady"
 	if export.WritePrometheus() != nil { // want "Decide must not call into the observability layer: export.WritePrometheus"
 		return false
 	}
-	return d.log.Dropped() == 0 // want "Decide must not call into the observability layer: d.log.Dropped"
+	return d.srv.Addr() != "" // want "Decide must not call into the observability layer: d.srv.Addr"
 }
 
 // reportOutside is free to use the clock and metrics: it does not have the
@@ -100,6 +100,6 @@ func (d *badEvents) Decide(mu *view.View) bool {
 func reportOutside(c *obs.Counter) time.Time {
 	c.Inc()
 	_ = obs.Now()
-	_ = export.NewEventLog()
+	_, _ = export.Serve(":0")
 	return time.Now()
 }

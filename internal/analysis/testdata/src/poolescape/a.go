@@ -1,166 +1,68 @@
-// Fixture for the poolescape analyzer: every Get on a recycler (mem.Pool,
-// mem.FreeList, sync.Pool) is reported at the Get, whether the borrowed
-// object escapes (the bad* functions) or is only copied or used locally
-// (the good* functions, which a taint analysis would let pass).
+// Fixture for the poolescape analyzer: every Get on a sync.Pool is
+// reported at the Get, whether the borrowed object escapes (the bad*
+// functions) or is only copied or used locally (the good* functions, which
+// a taint analysis would let pass), and through a value or a pointer.
 package poolescape
 
-import (
-	"mem"
-	"sync"
-)
+import "sync"
 
-type scratch struct {
-	buf  []byte
-	ints []int
-}
-
-var pool mem.Pool[scratch]
-
-var fl mem.FreeList[scratch]
-
-// badReturn returns the pooled object itself.
-func badReturn() *scratch {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	return sc
-}
-
-// badReturnField returns a buffer owned by the pooled object.
-func badReturnField() []byte {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	return sc.buf
-}
-
-// badFreeList leaks from the single-owner free list the same way.
-func badFreeList() *scratch {
-	sc := fl.Get() // want "Get on recycler mem.FreeList"
-	defer fl.Put(sc)
-	return sc
-}
+var pool sync.Pool
 
 var leaked []byte
 
-// badGlobalStore parks a pooled buffer in package-level state.
-func badGlobalStore() {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	leaked = sc.buf
-}
-
-var leakedVar = func() []byte { return nil }()
-
-// badGlobalIdent assigns the pooled buffer to a package-level variable
-// directly.
-func badGlobalIdent() {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	leakedVar = sc.buf
-}
-
 type holder struct{ b []byte }
 
-var globalHolder holder
-
-// badGlobalFieldStore stores through a field path rooted at a package-level
-// variable.
-func badGlobalFieldStore() {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	globalHolder.b = sc.buf
+// badReturn returns the pooled object itself.
+func badReturn() any {
+	v := pool.Get() // want "Get on sync.Pool"
+	defer pool.Put(v)
+	return v
 }
 
-// badParamStore hands the pooled buffer to caller-visible state.
-func badParamStore(h *holder) {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	h.b = sc.buf
-}
-
-// badRecvStore is the method-receiver variant.
-func (h *holder) badRecvStore() {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	h.b = sc.ints2()
-	h.b = sc.buf
-}
-
-func (s *scratch) ints2() []byte { return nil }
-
-// badSyncPool leaks a sync.Pool object through a type assertion.
-func badSyncPool(p *sync.Pool) []byte {
-	v := p.Get() // want "Get on recycler sync.Pool"
+// badPointerPool leaks through a type assertion on a *sync.Pool.
+func badPointerPool(p *sync.Pool) []byte {
+	v := p.Get() // want "Get on sync.Pool"
 	b := v.(*[]byte)
 	p.Put(v)
 	return *b
 }
 
-// badGrowingAppend aliases the pooled backing array: append without fresh
-// backing may return the same array.
-func badGrowingAppend() []byte {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	out := append(sc.buf, 1, 2)
-	return out
+// badGlobalStore parks a pooled buffer in package-level state.
+func badGlobalStore() {
+	b := pool.Get().(*[]byte) // want "Get on sync.Pool"
+	defer pool.Put(b)
+	leaked = *b
 }
 
-// badSlice returns a subslice of the pooled buffer.
-func badSlice() []byte {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	return sc.buf[:2]
+// badRecvStore hands the pooled buffer to caller-visible state.
+func (h *holder) badRecvStore(p *sync.Pool) {
+	b := p.Get().(*[]byte) // want "Get on sync.Pool"
+	defer p.Put(b)
+	h.b = (*b)[:2]
 }
 
-// goodCopyAppend makes the canonical fresh-backing copy.
-func goodCopyAppend() []byte {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	return append([]byte(nil), sc.buf...)
-}
-
-// goodEmptyLitAppend is the composite-literal spelling of the same copy.
-func goodEmptyLitAppend() []int {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	return append([]int{}, sc.ints...)
-}
-
-// goodString copies via a string conversion.
-func goodString() string {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	return string(sc.buf)
-}
-
-// goodMakeCopy copies into a separately allocated buffer.
-func goodMakeCopy() []int {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	out := make([]int, len(sc.ints))
-	copy(out, sc.ints)
-	return out
-}
-
-// goodScratchStore writes into the pooled object itself — the normal
-// scratch discipline.
-func goodScratchStore() {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	sc.buf = append(sc.buf[:0], 'a')
-	pool.Put(sc)
+// goodCopy makes the canonical fresh-backing copy.
+func goodCopy() []byte {
+	b := pool.Get().(*[]byte) // want "Get on sync.Pool"
+	defer pool.Put(b)
+	return append([]byte(nil), *b...)
 }
 
 // goodLocalUse reads the pooled object without leaking it.
-func goodLocalUse() int {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	defer pool.Put(sc)
-	return len(sc.buf)
+func goodLocalUse(p *sync.Pool) int {
+	b := p.Get().(*[]byte) // want "Get on sync.Pool"
+	defer p.Put(b)
+	return len(*b)
 }
 
-// goodReassign rebinds the variable to fresh backing before returning it.
-func goodReassign() []byte {
-	sc := pool.Get() // want "Get on recycler mem.Pool"
-	b := sc.buf
-	b = make([]byte, 4)
-	pool.Put(sc)
-	return b
+// Pool is a local type that shares sync.Pool's names but recycles nothing.
+type Pool struct{ n int }
+
+// Get is not a recycler's Get.
+func (p *Pool) Get() int { return p.n }
+
+// localPool is not reported: the rule names sync.Pool only.
+func localPool(p *Pool) int {
+	var q Pool
+	return p.Get() + q.Get()
 }

@@ -22,11 +22,8 @@ type ObsFlags struct {
 	// Progress enables periodic progress lines on stderr.
 	Progress bool
 	// Serve is the listen address of the telemetry server ("" = off):
-	// /metrics, /healthz, /readyz, /trace, /events, /debug/pprof.
+	// /metrics, /healthz, /readyz, /trace, /debug/pprof.
 	Serve string
-	// EventsPath is the JSONL destination of the structured event log
-	// ("" = memory-only when the log exists at all).
-	EventsPath string
 	// HistoryDir appends the finalized manifest into this run-history
 	// directory ("" = off); cmd/obsdiff gates on it.
 	HistoryDir string
@@ -44,8 +41,7 @@ func RegisterObsFlags() *ObsFlags {
 	flag.StringVar(&f.MetricsJSON, "metrics-json", "", "write a run manifest (metrics, config, timings) to this JSON file")
 	flag.StringVar(&f.TracePath, "trace", "", "write the span trace to this JSON file")
 	flag.BoolVar(&f.Progress, "progress", false, "print periodic progress lines with ETA to stderr")
-	flag.StringVar(&f.Serve, "serve", "", "serve live telemetry (/metrics, /healthz, /trace, /events, pprof) on this address (e.g. :9090)")
-	flag.StringVar(&f.EventsPath, "events", "", "write the structured event log (JSONL) to this file")
+	flag.StringVar(&f.Serve, "serve", "", "serve live telemetry (/metrics, /healthz, /trace, pprof) on this address (e.g. :9090)")
 	flag.StringVar(&f.HistoryDir, "history", "", "append the finalized run manifest into this history directory")
 	return &f
 }
@@ -53,7 +49,7 @@ func RegisterObsFlags() *ObsFlags {
 // enabled reports whether any observability flag asks for a live scope.
 func (f *ObsFlags) enabled() bool {
 	return f.MetricsJSON != "" || f.TracePath != "" || f.Progress ||
-		f.Serve != "" || f.EventsPath != "" || f.HistoryDir != ""
+		f.Serve != "" || f.HistoryDir != ""
 }
 
 // warnTo returns the warning destination.
@@ -69,8 +65,8 @@ func (f *ObsFlags) warnTo() io.Writer {
 // SetConfig on a nil manifest is a safe no-op) and a finish callback. The
 // callback must be invoked exactly once with the run's error: it stops the
 // progress reporter, shuts the telemetry server down, finalizes
-// and writes the manifest (and appends it to the history dir), writes the
-// trace, and closes the event log. Every artifact failure is warned
+// and writes the manifest (and appends it to the history dir), and writes
+// the trace. Every artifact failure is warned
 // individually on Warn (default stderr); the returned error is the run's
 // own error when there is one, else the first artifact failure — so an
 // otherwise-clean run exits nonzero when its artifacts could not be
@@ -97,7 +93,6 @@ func (f *ObsFlags) Setup(tool string, args []string) (obs.Scope, *obs.RunManifes
 		[]artifactDest{
 			{"run manifest destination", f.MetricsJSON},
 			{"trace destination", f.TracePath},
-			{"event log destination", f.EventsPath},
 			{"history directory", historyProbe},
 		})
 
@@ -113,19 +108,6 @@ func (f *ObsFlags) Setup(tool string, args []string) (obs.Scope, *obs.RunManifes
 		sc = sc.WithProgress(prog)
 	}
 
-	// The event log exists whenever something consumes it: an explicit
-	// -events file, or the -serve SSE tail (memory-only then).
-	var events *export.EventLog
-	if f.EventsPath != "" || f.Serve != "" {
-		log, err := export.NewEventLog(export.EventLogConfig{Path: f.EventsPath})
-		if err != nil {
-			fmt.Fprintf(f.warnTo(), "%s: event log: %v\n", tool, err)
-		} else {
-			events = log
-			sc = sc.WithEvents(events, obs.NewRunID(tool))
-		}
-	}
-
 	var manifest *obs.RunManifest
 	if f.MetricsJSON != "" || f.HistoryDir != "" {
 		manifest = obs.NewManifest(tool, args)
@@ -136,7 +118,6 @@ func (f *ObsFlags) Setup(tool string, args []string) (obs.Scope, *obs.RunManifes
 		srv, err := export.Serve(f.Serve, export.ServerOptions{
 			Registry: sc.Registry(),
 			Tracer:   tracer,
-			Events:   events,
 		})
 		if err != nil {
 			fmt.Fprintf(f.warnTo(), "%s: telemetry server: %v\n", tool, err)
@@ -184,9 +165,6 @@ func (f *ObsFlags) Setup(tool string, args []string) (obs.Scope, *obs.RunManifes
 				record("writing trace", tracer.WriteJSON(file))
 				record("writing trace", file.Close())
 			}
-		}
-		if events != nil {
-			record("closing event log", events.Close())
 		}
 		if runErr != nil {
 			return runErr

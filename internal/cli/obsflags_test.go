@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"hidinglcp/internal/obs"
@@ -107,23 +106,14 @@ func TestObsFlagsSetupErrorOutcome(t *testing.T) {
 }
 
 // TestObsFlagsHistoryAndEvents: -history alone still produces a manifest
-// (appended, not written to -metrics-json) and -events writes the JSONL
-// log.
+// (appended, not written to -metrics-json).
 func TestObsFlagsHistoryAndEvents(t *testing.T) {
-	dir := t.TempDir()
-	f := ObsFlags{
-		HistoryDir: filepath.Join(dir, "runs"),
-		EventsPath: filepath.Join(dir, "events.jsonl"),
-	}
+	f := ObsFlags{HistoryDir: filepath.Join(t.TempDir(), "runs")}
 	sc, manifest, finish := f.Setup("test-tool", nil)
 	if !sc.Enabled() || manifest == nil {
 		t.Fatal("history-only setup did not build a live scope + manifest")
 	}
-	if !sc.EventsEnabled() {
-		t.Fatal("-events did not attach an event sink")
-	}
 	sc.Counter("demo.count").Inc()
-	sc.EmitEvent(obs.LevelInfo, "demo.event")
 	if err := finish(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -143,18 +133,6 @@ func TestObsFlagsHistoryAndEvents(t *testing.T) {
 	if m.Tool != "test-tool" || len(m.Metrics) == 0 {
 		t.Errorf("appended manifest = %+v", m)
 	}
-
-	events, err := os.ReadFile(f.EventsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ev obs.LogEvent
-	if err := json.Unmarshal([]byte(strings.SplitN(string(events), "\n", 2)[0]), &ev); err != nil {
-		t.Fatalf("event log line is not JSON: %v", err)
-	}
-	if ev.Name != "demo.event" || ev.Run == "" {
-		t.Errorf("event = %+v", ev)
-	}
 }
 
 // TestObsFlagsServeLifecycle: -serve brings the telemetry plane up during
@@ -162,8 +140,8 @@ func TestObsFlagsHistoryAndEvents(t *testing.T) {
 func TestObsFlagsServeLifecycle(t *testing.T) {
 	f := ObsFlags{Serve: "127.0.0.1:0"}
 	sc, _, finish := f.Setup("test-tool", nil)
-	if !sc.Enabled() || !sc.EventsEnabled() {
-		t.Fatal("-serve did not build a live scope with an SSE-backed event sink")
+	if !sc.Enabled() || sc.Tracer() == nil {
+		t.Fatal("-serve did not build a live scope with a tracer for /trace")
 	}
 	if err := finish(nil); err != nil {
 		t.Fatalf("finish: %v", err)

@@ -57,10 +57,6 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	defer span.End()
 	sc.Prog().StartPhase(sc.Label("exhaustive"), int64(shards))
 	defer sc.Prog().EndPhase()
-	if sc.EventsEnabled() {
-		sc.EmitSpanEvent(span, obs.LevelInfo, "core.sweep.start",
-			obs.Fi("shards", int64(shards)), obs.Fi("workers", int64(workers)))
-	}
 	shardsDone := sc.Counter("core.sweep.shards.done")
 	pruned := sc.Counter("core.sweep.shards.pruned")
 
@@ -105,29 +101,18 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	}
 	if err := cancel.Err(ctx, "exhaustive soundness sweep"); err != nil {
 		sc.Counter("core.sweep.cancelled").Inc()
-		if sc.EventsEnabled() {
-			sc.EmitSpanEvent(span, obs.LevelWarn, "core.sweep.cancelled",
-				obs.Fi("shards", int64(shards)))
-		}
 		return err
 	}
 
 	r := first.Best()
 	if r == math.MaxUint64 {
-		if sc.EventsEnabled() {
-			sc.EmitSpanEvent(span, obs.LevelInfo, "core.sweep.done",
-				obs.Fi("violations", 0))
-		}
 		return nil
 	}
 	sc.Counter("core.sweep.violations").Inc()
-	if sc.EventsEnabled() {
-		// Rank only: it identifies the violating labeling without revealing
-		// any certificate content (hiding contract). The full witness stays
-		// in the returned error, which never reaches an obs sink.
-		sc.EmitSpanEvent(span, obs.LevelWarn, "core.sweep.violation",
-			obs.F("rank", fmt.Sprint(r)))
-	}
+	// Rank only: it identifies the violating labeling without revealing any
+	// certificate content (hiding contract). The full witness stays in the
+	// returned error, which never reaches an obs sink.
+	span.SetAttr("violation_rank", fmt.Sprint(r))
 	return first.Err()
 }
 

@@ -42,8 +42,8 @@ type Job struct {
 // Runner executes Jobs against an observability scope. The zero Runner is
 // valid: it runs jobs with no instrumentation.
 type Runner struct {
-	// Scope receives the job span, the engine.jobs.* counters, and the
-	// cancellation event. The zero Scope is a no-op.
+	// Scope receives the job span (with its outcome attribute) and the
+	// engine.jobs.* counters. The zero Scope is a no-op.
 	Scope obs.Scope
 }
 
@@ -65,10 +65,6 @@ func (r Runner) Run(ctx context.Context, job Job) error {
 		return nil
 	case cancel.Cancelled(ctx) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		sc.Counter("engine.jobs.cancelled").Inc()
-		if sc.EventsEnabled() {
-			sc.EmitSpanEvent(span, obs.LevelWarn, "engine.job.cancelled",
-				obs.F("job", job.Name))
-		}
 		span.SetAttr("outcome", "cancelled")
 		if errors.Is(err, ErrCancelled) {
 			return err

@@ -62,10 +62,6 @@ func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se Shard
 	defer span.End()
 	sc.Prog().StartPhase(sc.Label("build"), int64(shards))
 	defer sc.Prog().EndPhase()
-	if sc.EventsEnabled() {
-		sc.EmitSpanEvent(span, obs.LevelInfo, "nbhd.build.start",
-			obs.Fi("shards", int64(shards)), obs.Fi("workers", int64(workers)))
-	}
 
 	in := view.NewInterner()
 	md := core.NewMemoDecoder(d, in)
@@ -91,14 +87,6 @@ func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se Shard
 	}
 	sc.Gauge("nbhd.views.accepting").Set(int64(ng.Size()))
 	sc.Histogram("nbhd.build.duration_ns").Observe(obs.Since(start))
-	if sc.EventsEnabled() {
-		// Counts and durations only — view contents never leave the build
-		// (hiding contract; see internal/sanitize).
-		sc.EmitSpanEvent(span, obs.LevelInfo, "nbhd.build.done",
-			obs.Fi("classes", int64(in.Len())),
-			obs.Fi("accepting", int64(ng.Size())),
-			obs.Fi("duration_ns", obs.Since(start)))
-	}
 	return ng, nil
 }
 

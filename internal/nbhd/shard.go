@@ -148,9 +148,9 @@ const shardsPerWorker = 4
 // never-cancelled context (internal/cancel).
 //
 // sc counts completed and stolen shards (a steal is any claim beyond a
-// worker's first), advances the scope's progress phase by one per finished
-// shard, and emits a per-shard completion event when a tracer is attached.
-// A zero Scope makes every instrument call a nil-receiver no-op.
+// worker's first) and advances the scope's progress phase by one per
+// finished shard. A zero Scope makes every instrument call a nil-receiver
+// no-op.
 func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
 	shards, workers = cancel.Workers(shards, workers, shardsPerWorker)
 	enums := se.Shards(shards)
@@ -187,14 +187,6 @@ func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, sh
 		}
 		shardsDone.Inc()
 		sc.Prog().Add(1)
-		if sc.EventsEnabled() {
-			// Per-shard, not per-instance: the event log sees O(shards)
-			// appends for a build, never the hot enumeration path.
-			sc.EmitEvent(obs.LevelDebug, "nbhd.shard.done",
-				obs.Fi("shard", int64(i)),
-				obs.Fi("worker", int64(w)),
-				obs.Fi("stolen", int64(claimed[w]-1)))
-		}
 		return true
 	})
 	if err := first.Err(); err != nil {
@@ -202,10 +194,6 @@ func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, sh
 	}
 	if err := cancel.Err(ctx, "sharded enumeration"); err != nil {
 		sc.Counter("nbhd.shards.cancelled").Inc()
-		if sc.EventsEnabled() {
-			sc.EmitEvent(obs.LevelWarn, "nbhd.enumeration.cancelled",
-				obs.Fi("shards", int64(len(enums))))
-		}
 		return err
 	}
 	return nil

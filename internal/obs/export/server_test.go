@@ -1,7 +1,6 @@
 package export
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/nbhd"
@@ -19,9 +17,9 @@ import (
 )
 
 // newTestServer wires a handler over live telemetry for httptest.
-func newTestServer(t *testing.T, opts ServerOptions, ready, closing <-chan struct{}) *httptest.Server {
+func newTestServer(t *testing.T, opts ServerOptions, ready <-chan struct{}) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewHandler(opts, ready, closing))
+	srv := httptest.NewServer(NewHandler(opts, ready))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -46,7 +44,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("demo.hits").Add(3)
 	reg.Histogram("demo.lat_ns").Observe(1000)
-	srv := newTestServer(t, ServerOptions{Registry: reg}, nil, nil)
+	srv := newTestServer(t, ServerOptions{Registry: reg}, nil)
 
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -70,7 +68,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 // ready channel.
 func TestServerHealthAndReady(t *testing.T) {
 	ready := make(chan struct{})
-	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry()}, ready, nil)
+	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry()}, ready)
 
 	if code, body := get(t, srv.URL+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)
@@ -91,7 +89,7 @@ func TestServerTraceEndpoint(t *testing.T) {
 	sp := tr.Start("phase.one", nil)
 	sp.SetAttr("shards", "8")
 	sp.End()
-	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry(), Tracer: tr}, nil, nil)
+	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry(), Tracer: tr}, nil)
 
 	code, body := get(t, srv.URL+"/trace")
 	if code != 200 {
@@ -105,103 +103,6 @@ func TestServerTraceEndpoint(t *testing.T) {
 	}
 	if len(doc.Spans) != 1 || doc.Spans[0].Name != "phase.one" {
 		t.Errorf("spans = %+v", doc.Spans)
-	}
-}
-
-// TestServerEventsSSE pins the /events framing: the retained tail replays
-// as "event: log" + "data: <json>" + blank line, then live events stream.
-func TestServerEventsSSE(t *testing.T) {
-	log, err := NewEventLog(EventLogConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	log.EmitLogEvent(obs.LogEvent{TimeUnixNS: 1e9, Level: obs.LevelInfo, Name: "replayed.one", Run: "r"})
-	log.EmitLogEvent(obs.LogEvent{TimeUnixNS: 2e9, Level: obs.LevelInfo, Name: "replayed.two", Run: "r"})
-
-	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry(), Events: log}, nil, nil)
-	resp, err := http.Get(srv.URL + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-
-	reader := bufio.NewReader(resp.Body)
-	readFrame := func() (string, obs.LogEvent) {
-		t.Helper()
-		var eventLine, dataLine string
-		for {
-			line, err := reader.ReadString('\n')
-			if err != nil {
-				t.Fatalf("stream ended early: %v", err)
-			}
-			line = strings.TrimRight(line, "\n")
-			switch {
-			case line == "":
-				if dataLine == "" {
-					continue // end of a comment-only frame
-				}
-				var ev obs.LogEvent
-				if err := json.Unmarshal([]byte(strings.TrimPrefix(dataLine, "data: ")), &ev); err != nil {
-					t.Fatalf("data line is not JSON: %q: %v", dataLine, err)
-				}
-				return eventLine, ev
-			case strings.HasPrefix(line, ":"):
-				continue // comment (stream-open marker, heartbeats)
-			case strings.HasPrefix(line, "event: "):
-				eventLine = line
-			case strings.HasPrefix(line, "data: "):
-				dataLine = line
-			default:
-				t.Fatalf("unexpected SSE line %q", line)
-			}
-		}
-	}
-
-	evLine, first := readFrame()
-	if evLine != "event: log" || first.Name != "replayed.one" {
-		t.Errorf("first frame = %q %+v", evLine, first)
-	}
-	if _, second := readFrame(); second.Name != "replayed.two" {
-		t.Errorf("second frame = %+v", second)
-	}
-
-	// A live emission after attach arrives over the same stream.
-	go log.EmitLogEvent(obs.LogEvent{TimeUnixNS: 3e9, Level: obs.LevelWarn, Name: "live.three", Run: "r"})
-	if _, live := readFrame(); live.Name != "live.three" || live.Level != obs.LevelWarn {
-		t.Errorf("live frame = %+v", live)
-	}
-}
-
-// TestServerEventsStreamEndsOnClose: closing the server-side channel ends
-// the stream instead of hanging the client.
-func TestServerEventsStreamEndsOnClose(t *testing.T) {
-	log, err := NewEventLog(EventLogConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	closing := make(chan struct{})
-	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry(), Events: log}, nil, closing)
-
-	resp, err := http.Get(srv.URL + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	close(closing)
-	done := make(chan struct{})
-	go func() {
-		io.ReadAll(resp.Body) //nolint:errcheck
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("/events stream did not end on server close")
 	}
 }
 
@@ -264,7 +165,7 @@ func checkServeGone(t *testing.T) {
 func TestServerDebugVars(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("demo.count").Add(7)
-	srv := newTestServer(t, ServerOptions{Registry: reg}, nil, nil)
+	srv := newTestServer(t, ServerOptions{Registry: reg}, nil)
 
 	readVars := func() []obs.MetricSnapshot {
 		t.Helper()
@@ -295,7 +196,7 @@ func TestServerDebugVars(t *testing.T) {
 // TestServerPprofIndex checks the pprof index is wired on the server's own
 // mux (not http.DefaultServeMux).
 func TestServerPprofIndex(t *testing.T) {
-	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry()}, nil, nil)
+	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry()}, nil)
 	code, body := get(t, srv.URL+"/debug/pprof/")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ status = %d", code)
@@ -338,18 +239,13 @@ func TestServeIsolatedRegistries(t *testing.T) {
 }
 
 // TestConcurrentScrapeHammer scrapes /metrics, /trace, and /debug/vars
-// from many goroutines while metrics, spans, and events mutate underneath
+// from many goroutines while metrics and spans mutate underneath
 // — the data-race probe for the whole read path (run under -race in CI;
 // see also TestServerScrapeDuringLiveBuild which drives a real pipeline).
 func TestConcurrentScrapeHammer(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(64)
-	log, err := NewEventLog(EventLogConfig{MaxPerSec: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	srv := newTestServer(t, ServerOptions{Registry: reg, Tracer: tr, Events: log}, nil, nil)
+	srv := newTestServer(t, ServerOptions{Registry: reg, Tracer: tr}, nil)
 
 	stop := make(chan struct{})
 	var writers sync.WaitGroup
@@ -366,7 +262,6 @@ func TestConcurrentScrapeHammer(t *testing.T) {
 			reg.Histogram("hammer.lat").Observe(int64(i % 1000))
 			sp := tr.Start("hammer.span", nil)
 			sp.End()
-			log.EmitLogEvent(obs.LogEvent{TimeUnixNS: int64(i), Level: obs.LevelInfo, Name: "hammer"})
 		}
 	}()
 
@@ -395,18 +290,13 @@ func TestConcurrentScrapeHammer(t *testing.T) {
 
 // TestServerScrapeDuringLiveBuild is the acceptance check for live
 // telemetry: a real sharded neighborhood build runs with the server's
-// registry, tracer, and event log attached while /metrics is scraped
+// registry and tracer attached while /metrics is scraped
 // concurrently, and every scrape must parse as Prometheus text format.
 // Run under -race this doubles as the pipeline-vs-scrape race probe.
 func TestServerScrapeDuringLiveBuild(t *testing.T) {
 	tr := obs.NewTracer(256)
-	log, err := NewEventLog(EventLogConfig{MaxPerSec: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	sc := obs.NewScope().WithTracer(tr).WithEvents(log, obs.NewRunID("test"))
-	srv := newTestServer(t, ServerOptions{Registry: sc.Registry(), Tracer: tr, Events: log}, nil, nil)
+	sc := obs.NewScope().WithTracer(tr)
+	srv := newTestServer(t, ServerOptions{Registry: sc.Registry(), Tracer: tr}, nil)
 
 	done := make(chan error, 1)
 	go func() {

@@ -2,7 +2,7 @@
 // appends finalized run manifests into a history directory, loads them back
 // ordered by start time, and diffs latest-vs-baseline (plus N-run trends)
 // under field-wise thresholds in the style of cmd/benchjson diff. The live
-// half — /metrics, /events, /trace — lives in internal/obs/export.
+// half — /metrics, /trace — lives in internal/obs/export.
 package history
 
 import (

@@ -1,8 +1,8 @@
 // Package obs is the repository's dependency-free observability layer:
 // atomic counters, gauges, and histograms collected in a Registry;
 // lightweight span tracing with parent/child nesting in a bounded ring
-// (Tracer); structured log events (Scope.EmitEvent); periodic progress reporting with ETA (Progress); and
-// a RunManifest that captures configuration, git revision, timings, and all
+// (Tracer); periodic progress reporting with ETA (Progress); and a
+// RunManifest that captures configuration, git revision, timings, and all
 // metric snapshots as one JSON artifact per run.
 //
 // Everything hangs off a Scope, the handle the pipelines thread through

@@ -9,7 +9,7 @@ import (
 // the observability layer. The hiding property (Section 2.4 of the paper)
 // promises that certificates reveal nothing about the witness coloring
 // beyond its existence, so raw label bytes must never reach metrics, span
-// attributes, events, progress lines, run manifests, or log output — all of
+// attributes, progress lines, run manifests, or log output — all of
 // which outlive the run and are routinely uploaded as CI artifacts. The
 // certflow analyzer (internal/analysis) enforces this statically: a value
 // tainted by certificate sources may reach an obs sink only through the

@@ -14,8 +14,6 @@ type Scope struct {
 	reg  *Registry
 	tr   *Tracer
 	prog *Progress
-	sink EventSink
-	run  string
 	name string
 }
 
@@ -34,14 +32,6 @@ func (s Scope) WithTracer(t *Tracer) Scope {
 // WithProgress returns a copy of the scope that reports progress through p.
 func (s Scope) WithProgress(p *Progress) Scope {
 	s.prog = p
-	return s
-}
-
-// WithEvents returns a copy of the scope that emits structured log events
-// through sink, stamped with the run correlation ID (see NewRunID).
-func (s Scope) WithEvents(sink EventSink, runID string) Scope {
-	s.sink = sink
-	s.run = runID
 	return s
 }
 
@@ -90,42 +80,3 @@ func (s Scope) Span(name string) *Span {
 // Prog returns the attached progress reporter; the nil Progress returned on
 // a plain scope accepts every method.
 func (s Scope) Prog() *Progress { return s.prog }
-
-// EventsEnabled reports whether an event sink is attached. Hot call sites
-// check it before assembling field slices, so the disabled path costs one
-// nil comparison and nothing else.
-func (s Scope) EventsEnabled() bool { return s.sink != nil }
-
-// EmitEvent sends one structured event to the attached sink, stamping the
-// time, the run ID, and the scope's phase label. Without a sink it is a
-// no-op that never touches the fields.
-func (s Scope) EmitEvent(level Level, name string, fields ...Attr) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.EmitLogEvent(LogEvent{
-		TimeUnixNS: Now(),
-		Level:      level,
-		Name:       name,
-		Run:        s.run,
-		Phase:      s.name,
-		Fields:     fields,
-	})
-}
-
-// EmitSpanEvent is EmitEvent correlated to an in-flight span (a nil span
-// leaves the correlation ID zero).
-func (s Scope) EmitSpanEvent(sp *Span, level Level, name string, fields ...Attr) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.EmitLogEvent(LogEvent{
-		TimeUnixNS: Now(),
-		Level:      level,
-		Name:       name,
-		Run:        s.run,
-		Phase:      s.name,
-		Span:       sp.ID(),
-		Fields:     fields,
-	})
-}

@@ -31,9 +31,8 @@ type Attr struct {
 
 // Tracer records spans into a fixed-capacity ring buffer: when a run
 // produces more than the capacity, the oldest records are dropped and
-// counted, so tracing a multi-minute sweep stays bounded. Point-in-time
-// events go to the structured event sink instead (Scope.EmitEvent). Safe
-// for concurrent use by the shard workers.
+// counted, so tracing a multi-minute sweep stays bounded. Safe for
+// concurrent use by the shard workers.
 type Tracer struct {
 	mu     sync.Mutex
 	nextID uint64
@@ -82,15 +81,6 @@ func (t *Tracer) Start(name string, parent *Span) *Span {
 		parentID = parent.id
 	}
 	return &Span{tr: t, id: id, parent: parentID, name: name, start: time.Now()}
-}
-
-// ID returns the span's tracer-unique identifier, 0 for the nil span. It
-// is the correlation key log events carry (LogEvent.Span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
 }
 
 // SetAttr attaches a key/value pair to the span. Spans are single-owner

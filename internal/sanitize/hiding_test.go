@@ -10,11 +10,10 @@ package sanitize_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -93,40 +92,35 @@ func TestHidingScopedPipelines(t *testing.T) {
 }
 
 // TestHidingLiveTelemetryPlane drives the instrumented pipelines with
-// marker labels while the full telemetry plane is attached — metric
-// registry, span tracer, structured event log — and then scrapes every
-// surface the plane exposes: the Prometheus /metrics text, the /trace JSON,
-// the /events SSE stream, and the JSONL log file on disk. The marker must
-// not reach any of them.
+// marker labels while the telemetry plane is attached — metric registry
+// and span tracer — and then scrapes every surface the plane exposes: the
+// Prometheus /metrics text and the /trace JSON, including the sweep span's
+// violation_rank attribute. The marker must not reach any of them. On the
+// triangle the all-"-a" labeling accepts everywhere, so the sweep violates
+// and its span carries the rank.
 func TestHidingLiveTelemetryPlane(t *testing.T) {
-	inst := core.NewAnonymousInstance(graph.Path(3))
+	inst := core.NewAnonymousInstance(graph.MustCycle(3))
 	alpha := markerAlphabet()
 
-	logPath := filepath.Join(t.TempDir(), "events.jsonl")
-	log, err := export.NewEventLog(export.EventLogConfig{Path: logPath})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := obs.NewTracer(256)
-	sc := obs.NewScope().WithTracer(tr).WithEvents(log, obs.NewRunID("hiding"))
+	sc := obs.NewScope().WithTracer(tr)
 
 	if _, err := nbhd.BuildShardedCtx(context.Background(), sc, markerDecoder{}, nbhd.ShardedAllLabelings(alpha, inst), 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	if runErr := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2); runErr != nil {
-		assertHidden(t, "soundness sweep error", runErr.Error())
+	runErr := core.ExhaustiveStrongSoundnessParallelCtx(context.Background(), sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2)
+	if runErr == nil {
+		t.Fatal("marker decoder did not violate on the triangle; the violation_rank check would be vacuous")
 	}
+	assertHidden(t, "soundness sweep error", runErr.Error())
 
-	closing := make(chan struct{})
 	srv := httptest.NewServer(export.NewHandler(export.ServerOptions{
-		Registry: sc.Registry(), Tracer: tr, Events: log,
-	}, nil, closing))
+		Registry: sc.Registry(), Tracer: tr,
+	}, nil))
 	defer srv.Close()
 
-	// Closing the plane first makes /events deterministic: the stream
-	// replays the retained tail and then ends instead of blocking live.
-	close(closing)
-	for _, ep := range []string{"/metrics", "/trace", "/events"} {
+	bodies := map[string]string{}
+	for _, ep := range []string{"/metrics", "/trace"} {
 		resp, err := http.Get(srv.URL + ep)
 		if err != nil {
 			t.Fatalf("GET %s: %v", ep, err)
@@ -140,19 +134,33 @@ func TestHidingLiveTelemetryPlane(t *testing.T) {
 			t.Fatalf("GET %s: status %d", ep, resp.StatusCode)
 		}
 		assertHidden(t, ep, string(body))
+		bodies[ep] = string(body)
 	}
 
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
+	// The marker check is vacuous unless the pipelines reached /trace.
+	var doc struct{ Spans []obs.SpanRecord }
+	if err := json.Unmarshal([]byte(bodies["/trace"]), &doc); err != nil {
+		t.Fatalf("/trace is not JSON: %v", err)
 	}
-	raw, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
+	attrs := map[string][]obs.Attr{}
+	for _, sp := range doc.Spans {
+		attrs[sp.Name] = sp.Attrs
 	}
-	if len(bytes.TrimSpace(raw)) == 0 {
-		t.Fatal("event log recorded nothing; the marker check would be vacuous")
+	for _, name := range []string{"nbhd.build", "core.exhaustive"} {
+		if _, ok := attrs[name]; !ok {
+			t.Errorf("/trace holds no %s span:\n%s", name, bodies["/trace"])
+		}
 	}
-	assertHidden(t, "events JSONL file", string(raw))
+	rank := ""
+	for _, a := range attrs["core.exhaustive"] {
+		if a.Key == "violation_rank" {
+			rank = a.Value
+		}
+	}
+	if rank == "" {
+		t.Errorf("violating sweep left no violation_rank on core.exhaustive: %+v", attrs["core.exhaustive"])
+	}
+	assertHidden(t, "violation_rank attribute", rank)
 }
 
 // TestHidingViewAndViolationStrings pins the per-value redactions: a

@@ -211,10 +211,6 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 	}
 	if err := cancel.Err(ctx, "message-passing gather"); err != nil {
 		sc.Counter("sim.gather.cancelled").Inc()
-		if sc.EventsEnabled() {
-			sc.EmitSpanEvent(span, obs.LevelWarn, "sim.gather.cancelled",
-				obs.Fi("rounds", int64(r)))
-		}
 		return nil, Stats{}, nil, err
 	}
 	rep.Finalize()
@@ -241,18 +237,6 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 		sc.Counter("sim.timeouts").Add(int64(rep.Timeouts))
 		sc.Counter("sim.crashed").Add(int64(len(rep.Crashed)))
 		sc.Counter("sim.corrupted").Add(int64(len(rep.Corrupted)))
-	}
-	if sc.EventsEnabled() {
-		// Per-crash events come from the finalized (sorted) node set. Node
-		// indices and fault counters are topology data, never certificate
-		// bytes, so the hiding contract holds without redaction.
-		for _, v := range rep.Crashed {
-			sc.EmitSpanEvent(span, obs.LevelWarn, "sim.node.crashed", obs.Fi("node", int64(v)))
-		}
-		sc.EmitSpanEvent(span, obs.LevelInfo, "sim.gather.done",
-			obs.Fi("rounds", int64(r)),
-			obs.Fi("messages", int64(stats.Messages)),
-			obs.F("faults", rep.Summary()))
 	}
 	span.SetAttr("faults", rep.Summary())
 	return views, stats, rep, nil
@@ -334,15 +318,6 @@ func RunSchemeFaultsCtx(ctx context.Context, sc obs.Scope, s core.Scheme, inst c
 		sc.Counter("sim.verdicts.accepted").Add(int64(accepted))
 		sc.Counter("sim.verdicts.rejected").Add(int64(rejected))
 		sc.Counter("sim.verdicts.crashed").Add(int64(crashed))
-	}
-	if sc.EventsEnabled() {
-		accepted, rejected, crashed := fr.Counts()
-		sc.EmitEvent(obs.LevelInfo, "sim.run.done",
-			obs.Fi("nodes", int64(len(verdicts))),
-			obs.Fi("accepted", int64(accepted)),
-			obs.Fi("rejected", int64(rejected)),
-			obs.Fi("crashed", int64(crashed)),
-			obs.F("faults", rep.Summary()))
 	}
 	return fr, nil
 }
