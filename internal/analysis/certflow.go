@@ -234,11 +234,14 @@ func funcParams(info *types.Info, fn *ast.FuncDecl) []types.Object {
 }
 
 // taintEnv is the per-function (and shared-with-closures) taint state.
-// Taint is field-sensitive at one level: an assignment to s.f taints the
-// key (s, "f"), not all of s, so a builder whose cache field holds label
-// bytes can still put its name field into a diagnostic. A read of s.f sees
-// the union of (s, "f") and whole-value taint on s (for structs copied
-// from tainted values wholesale); a read of s itself sees every field's.
+// Taint is field-sensitive along the selector path: an assignment to
+// s.v.f taints the key (s, "v.f"), not all of s, so a builder whose cache
+// field holds label bytes can still put its name field into a diagnostic.
+// A read of a path sees whole-value taint on s (for structs copied from
+// tainted values wholesale) and the taint of every key on the same branch:
+// the path itself, the fields written below it (s.v and s carry s.v.f's)
+// and the field it lies below (s.v.f.g carries s.v's). A sibling path
+// (s.v.g, s.w) stays clean.
 type taintEnv struct {
 	cf        *certflow
 	vars      map[types.Object]uint64
@@ -271,7 +274,7 @@ func (e *taintEnv) assign(lhs ast.Expr, mask uint64) {
 	if mask == 0 {
 		return
 	}
-	root := lhsRoot(lhs)
+	root, path := fieldPath(lhs, nil)
 	if root == nil {
 		return
 	}
@@ -285,33 +288,62 @@ func (e *taintEnv) assign(lhs ast.Expr, mask uint64) {
 	if isErrorType(obj.Type()) {
 		return
 	}
-	// Field-sensitive case: peel indexing/dereferencing down to the
-	// innermost selector and key the taint on (base object, field name).
-	inner := ast.Unparen(lhs)
-	for {
-		switch x := inner.(type) {
-		case *ast.IndexExpr:
-			inner = ast.Unparen(x.X)
-			continue
-		case *ast.StarExpr:
-			inner = ast.Unparen(x.X)
-			continue
-		case *ast.SliceExpr:
-			inner = ast.Unparen(x.X)
-			continue
-		}
-		break
-	}
-	if sel, ok := inner.(*ast.SelectorExpr); ok {
+	// Field-sensitive case: key the taint on (base object, field path).
+	if path != "" {
 		fm := e.fields[obj]
 		if fm == nil {
 			fm = map[string]uint64{}
 			e.fields[obj] = fm
 		}
-		fm[sel.Sel.Name] |= mask
+		fm[path] |= mask
 		return
 	}
 	e.vars[obj] |= mask
+}
+
+// fieldPath returns the root identifier of a selector chain and the
+// dotted field names from it down, skipping index, slice, dereference,
+// type-assertion and parenthesis steps: h.v[i].Labels is h with
+// "v.Labels". visit, when not nil, sees every step above the root,
+// outermost first. The root is nil when the chain does not start at an
+// identifier.
+func fieldPath(x ast.Expr, visit func(ast.Expr)) (*ast.Ident, string) {
+	var names []string
+	for {
+		switch ex := x.(type) {
+		case *ast.Ident:
+			slices.Reverse(names)
+			return ex, strings.Join(names, ".")
+		case *ast.SelectorExpr:
+			names = append(names, ex.Sel.Name)
+			x = ex.X
+		case *ast.IndexExpr:
+			x = ex.X
+		case *ast.StarExpr:
+			x = ex.X
+		case *ast.ParenExpr:
+			x = ex.X
+		case *ast.SliceExpr:
+			x = ex.X
+		case *ast.TypeAssertExpr:
+			x = ex.X
+		default:
+			return nil, ""
+		}
+		if visit != nil {
+			visit(x)
+		}
+	}
+}
+
+// samePathBranch reports whether field paths a and b lie on one branch:
+// equal, or one a field below the other.
+func samePathBranch(a, b string) bool {
+	short, long := a, b
+	if len(short) > len(long) {
+		short, long = long, short
+	}
+	return long == short || strings.HasPrefix(long, short+".")
 }
 
 // isErrorType reports whether t is the built-in error interface.
@@ -480,14 +512,28 @@ func (e *taintEnv) exprMask(x ast.Expr) uint64 {
 		if e.isCertSourceSel(ex) {
 			return certSourceBit
 		}
-		var m uint64
-		if id, ok := ex.X.(*ast.Ident); ok {
-			m = e.identMask(id) // field-sensitive: only ex.Sel's field below
-		} else {
-			m = e.exprMask(ex.X)
+		root, path := fieldPath(ex, nil)
+		if root == nil {
+			return e.exprMask(ex.X)
 		}
-		if root := lhsRoot(ex); root != nil {
-			m |= e.fields[e.identObj(root)][ex.Sel.Name]
+		var m uint64
+		fieldPath(ex, func(step ast.Expr) {
+			// The steps between ex and its root: label reads still taint,
+			// and index expressions are walked for the calls they hold.
+			switch st := step.(type) {
+			case *ast.SelectorExpr:
+				if e.isCertSourceSel(st) {
+					m |= certSourceBit
+				}
+			case *ast.IndexExpr:
+				e.exprMask(st.Index)
+			}
+		})
+		m |= e.identMask(root)
+		for k, fm := range e.fields[e.identObj(root)] {
+			if samePathBranch(k, path) {
+				m |= fm
+			}
 		}
 		return m
 	case *ast.ParenExpr:

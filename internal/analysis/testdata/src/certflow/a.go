@@ -118,6 +118,27 @@ func fieldTaintLeaks(l core.Labeled) {
 	fmt.Println(labeledView(l)) // want "certificate-tainted value flows into fmt.Println output"
 }
 
+// viewHolder keeps a view two selectors below a local variable.
+type viewHolder struct {
+	v    view.View
+	name string
+}
+
+// nestedFieldLeaks: labels written into h.v.Labels travel with h.v, the
+// intermediate value, into a sink...
+func nestedFieldLeaks(l core.Labeled) {
+	var h viewHolder
+	h.v.Labels = l.Labels
+	fmt.Println(h.v) // want "certificate-tainted value flows into fmt.Println output"
+}
+
+// ...while the fields beside the written one stay clean.
+func nestedSiblingsClean(l core.Labeled) {
+	h := viewHolder{name: "holder"}
+	h.v.Labels = l.Labels
+	fmt.Println(h.name, h.v.Radius)
+}
+
 // builderIsNotASink: fmt.Fprintf into a strings.Builder constructs a
 // string; the taint follows the builder instead of being reported...
 func builderIsNotASink(mu *view.View) string {

@@ -6,7 +6,8 @@
 // obs.Progress's ticker and export.Serve's HTTP server. The pipelines
 // (nbhd.ForEachShardCtx, the core soundness sweep and fuzzer, the
 // experiment item sweep) stop their workers through a plain atomic flag
-// checked at shard/instance checkpoints; Watch bridges a context.Context
+// checked at shard/instance checkpoints, and the soundness sweep also once
+// per fixed block of labelings within a shard; Watch bridges a context.Context
 // onto such a flag without adding anything to the hot path: a single
 // watcher goroutine arms the flag when the context fires and is reclaimed
 // when the pipeline finishes. Each is the claim loop every pool runs on, Workers resolves

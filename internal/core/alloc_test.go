@@ -4,8 +4,10 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/view"
 )
@@ -19,10 +21,11 @@ func (rejectAllDecoder) Rounds() int            { return 1 }
 func (rejectAllDecoder) Anonymous() bool        { return true }
 func (rejectAllDecoder) Decide(*view.View) bool { return false }
 
-// TestLabelSweepSteadyStateAllocs pins the memoized soundness sweep at zero
-// allocations once every (node, neighborhood-labeling) rank and the language
-// verdict are memoized. The race detector instruments allocations, so this
-// runs only in plain builds.
+// TestLabelSweepSteadyStateAllocs pins the memoized soundness sweep, as
+// the exhaustive search drives it (sweepShard walking its cursor), at zero
+// allocations once every (node, neighborhood-labeling) rank and the
+// language verdict are memoized. The race detector instruments
+// allocations, so this runs only in plain builds.
 func TestLabelSweepSteadyStateAllocs(t *testing.T) {
 	inst := NewAnonymousInstance(graph.MustCycle(4))
 	alphabet := []string{"0", "1"}
@@ -30,13 +33,13 @@ func TestLabelSweepSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stop atomic.Bool
 	sweep := func() {
-		graph.EnumLabelings(inst.G.N(), len(alphabet), func(idx []int) bool {
-			if err := s.check(idx); err != nil {
-				t.Fatalf("reject-all sweep found a violation: %v", err)
-			}
-			return true
-		})
+		var first cancel.First
+		s.sweepShard(0, 1, &stop, &first, nil)
+		if err := first.Err(); err != nil {
+			t.Fatalf("reject-all sweep found a violation: %v", err)
+		}
 	}
 	sweep() // fill the rank and language memos
 	if n := testing.AllocsPerRun(50, sweep); n > 2 {

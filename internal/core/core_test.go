@@ -230,7 +230,7 @@ func TestFuzzStrongSoundness(t *testing.T) {
 	gen := func(_ int, rng *rand.Rand) string {
 		return []string{"0", "1", "junk"}[rng.Intn(3)]
 	}
-	if err := FuzzStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, NewInstance(graph.Petersen()), 200, rng, gen, 0); err != nil {
+	if err := FuzzStrongSoundness(nil, obs.Scope{}, d, lang, NewInstance(graph.Petersen()), 200, rng, gen, 0); err != nil {
 		t.Errorf("fuzz strong soundness: %v", err)
 	}
 }

@@ -234,7 +234,7 @@ func TestSweepFuzzMatchesReference(t *testing.T) {
 		{"accept-all-C3", acceptAllDecoder(), NewAnonymousInstance(graph.MustCycle(3))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := FuzzStrongSoundnessParallelCtx(nil, obs.Scope{}, tc.d, TwoCol(), tc.inst, 60, rand.New(rand.NewSource(7)), gen, 1)
+			got := FuzzStrongSoundness(nil, obs.Scope{}, tc.d, TwoCol(), tc.inst, 60, rand.New(rand.NewSource(7)), gen, 1)
 
 			// Reference replay with an identically seeded stream.
 			rng := rand.New(rand.NewSource(7))

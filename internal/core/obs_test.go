@@ -131,9 +131,9 @@ func TestFuzzScopedCounters(t *testing.T) {
 		return []string{"0", "1", "x"}[rng.Intn(3)]
 	}
 
-	bare := FuzzStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
+	bare := FuzzStrongSoundness(nil, obs.Scope{}, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
 	sc := obs.NewScope()
-	scoped := FuzzStrongSoundnessParallelCtx(nil, sc, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
+	scoped := FuzzStrongSoundness(nil, sc, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
 	if (bare == nil) != (scoped == nil) {
 		t.Fatalf("scoped fuzz changed the verdict: bare %v, scoped %v", bare, scoped)
 	}

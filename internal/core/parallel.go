@@ -21,17 +21,19 @@ import (
 // per-labeling check.
 //
 // The labeling space is split into labeling-prefix shards
-// (graph.EnumLabelingsShard) searched by a worker pool with rank-based
-// pruning: workers abandon any shard position whose labeling rank exceeds
-// the best violation seen so far, and the minimum-rank violation is
-// reported, so the answer is the sequential search's at every shard/worker
-// count. shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS.
-// The search runs sequentially when only one worker or shard results, or
-// when the labeling space is too large for 64-bit ranks.
+// (graph.LabelingCursor) searched by a worker pool with rank-based
+// pruning: a worker rereads the best violation rank seen so far once per
+// block of sweepBlock labelings and abandons its shard at the first
+// labeling ranked past it, and the minimum-rank violation is reported, so
+// the answer is the sequential search's at every shard/worker count.
+// shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS. The
+// search runs sequentially when only one worker or shard results, or when
+// the labeling space is too large for 64-bit ranks.
 //
-// Cancellation is cooperative: when ctx fires, every worker abandons its
-// current shard at the next labeling checkpoint, the pool drains before
-// the call returns (no goroutine outlives it — pinned by
+// Cancellation is cooperative: once ctx fires and its watcher sets the
+// stop flag, every worker abandons its current shard at its next
+// checkpoint, at most one block of sweepBlock labelings later, the pool
+// drains before the call returns (no goroutine outlives it — pinned by
 // TestProbeExhaustiveStrongSoundnessParallelCancel in internal/sanitize),
 // and the error wraps context.Cause(ctx). A cancelled search never reports
 // a violation: its partial answer would depend on scheduling. A nil ctx is
@@ -60,9 +62,9 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	shardsDone := sc.Counter("core.sweep.shards.done")
 	pruned := sc.Counter("core.sweep.shards.pruned")
 
-	// Cancellation checkpoints sit at shard claims and at every labeling:
-	// the watcher arms the flag when ctx fires and workers abandon their
-	// current shard position.
+	// Cancellation checkpoints sit at shard claims and at the start of
+	// every block of sweepBlock labelings: the watcher arms the flag when
+	// ctx fires and workers abandon their current shard position.
 	var aborted atomic.Bool
 	var first cancel.First
 	sweeps := make([]*labelSweep, workers)
@@ -74,24 +76,7 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 			first.Offer(0, err)
 			return false
 		}
-		graph.EnumLabelingsShard(n, len(alphabet), s, shards, func(idx []int) bool {
-			if aborted.Load() {
-				return false
-			}
-			r := sweep.seek(idx)
-			// Ranks increase within a shard, so everything past the
-			// best violation is prunable: any violation there would
-			// rank higher and lose to the recorded one anyway.
-			if r >= first.Best() {
-				pruned.Inc()
-				return false
-			}
-			if err := sweep.evaluate(); err != nil {
-				first.Offer(r, err)
-				return false
-			}
-			return true
-		})
+		sweep.sweepShard(s, shards, &aborted, &first, pruned)
 		shardsDone.Inc()
 		sc.Prog().Add(1)
 		return true
@@ -129,15 +114,14 @@ func workerSweep(sweeps []*labelSweep, w int, d Decoder, lang Language, inst Ins
 	return sweeps[w], nil
 }
 
-// exhaustiveSequential is the single-goroutine exhaustive search with a
-// per-labeling cancellation checkpoint: the path
+// exhaustiveSequential is the single-goroutine exhaustive search, with a
+// cancellation checkpoint every sweepBlock labelings: the path
 // ExhaustiveStrongSoundnessParallelCtx falls back to when the search
 // degenerates to one worker or the labeling space outgrows 64-bit ranks,
 // and the in-package oracle the parallel search is tested against. It
 // returns the first violation in EnumLabelings order; a cancelled search
 // never reports a violation.
 func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string) error {
-	n := inst.G.N()
 	sweep, serr := newLabelSweep(d, lang, inst, alphabet)
 	if serr != nil {
 		return fmt.Errorf("extracting views: %w", serr)
@@ -145,26 +129,19 @@ func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Lan
 	var aborted atomic.Bool
 	release := cancel.Watch(ctx, &aborted)
 	defer release()
-	var violation error
-	graph.EnumLabelings(n, len(alphabet), func(idx []int) bool {
-		if aborted.Load() {
-			return false
-		}
-		if err := sweep.check(idx); err != nil {
-			violation = err
-			return false
-		}
-		return true
-	})
+	// One shard of one is the whole space in EnumLabelings order; nothing
+	// is pruned before the first violation, which ends the shard.
+	var first cancel.First
+	sweep.sweepShard(0, 1, &aborted, &first, nil)
 	sweep.harvest(sc)
 	if err := cancel.Err(ctx, "exhaustive soundness sweep"); err != nil {
 		sc.Counter("core.sweep.cancelled").Inc()
 		return err
 	}
-	return violation
+	return first.Err()
 }
 
-// FuzzStrongSoundnessParallelCtx checks strong soundness of d against
+// FuzzStrongSoundness checks strong soundness of d against
 // trials random labelings of inst, with labels drawn by gen (which receives
 // the node and the rng), and returns the violation at the lowest trial
 // index, or nil. The labelings are pre-drawn from rng in sequential trial
@@ -183,7 +160,7 @@ func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Lan
 // Trials advance the scope's progress phase, and the per-worker sweep
 // tallies are harvested into sc after the worker barrier. A zero Scope
 // makes every instrument call a no-op.
-func FuzzStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
+func FuzzStrongSoundness(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
 	n := inst.G.N()
 	_, workers = cancel.Workers(trials, workers, 1)
 	span := sc.Span(sc.Label("core.fuzz"))

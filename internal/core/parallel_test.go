@@ -119,7 +119,7 @@ func TestFuzzParallelMatchesSequential(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 7} {
 				seqErr := fuzzStrongSoundness(c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen)
-				parErr := FuzzStrongSoundnessParallelCtx(nil, obs.Scope{}, c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen, workers)
+				parErr := FuzzStrongSoundness(nil, obs.Scope{}, c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen, workers)
 				switch {
 				case seqErr == nil && parErr == nil:
 				case seqErr == nil || parErr == nil:

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
+	"hidinglcp/internal/cancel"
+	"hidinglcp/internal/graph"
 	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
@@ -65,11 +68,15 @@ func (t *verdictTable) put(k uint64, out bool) {
 // calls. A labelSweep is not safe for concurrent use; the parallel drivers
 // give each worker its own.
 //
-// The exhaustive path (seek/evaluate, or check for both) is incremental:
-// the sweep keeps the previous labeling and each node's neighborhood rank
-// and verdict under it, and moving to the next labeling re-looks-up only
-// the nodes whose neighborhood saw a changed digit. Any order of labelings
-// works, including jumps between shards.
+// The exhaustive path (sweepShard, which walks a graph.LabelingCursor; or
+// seek/evaluate, or check for both) is incremental: the sweep keeps the
+// previous labeling and each node's neighborhood rank and verdict under
+// it, and moving to the next labeling re-ranks only the digits from the
+// lowest one that changed and re-looks-up only the nodes whose
+// neighborhood saw a changed digit. Any order of labelings works,
+// including jumps between shards. That per-node state is one block per
+// sweep (sweepNode), and sweepShard reads the state its worker shares with
+// others only once per sweepBlock labelings.
 //
 // The sweep reproduces the sequential check exactly: same decoder verdicts
 // (decoders are pure functions of the view), same induced subgraph, same
@@ -95,23 +102,25 @@ type labelSweep struct {
 	// lpow[w] is |alphabet|^(n-1-w), w's weight in the labeling rank.
 	lpow []uint64
 
-	// Incremental state: the labeling the sweep stands at, its rank, each
-	// node's neighborhood rank and verdict under it, and the accepting-set
-	// bitmask (instances with at most 64 nodes). Ranks use wrapping uint64
-	// arithmetic, which is exact once every digit is applied. The sweep
-	// starts at the all-zero labeling with every ranked node stale.
-	prev    []int
-	lrank   uint64
-	rank    []uint64
-	verdict []bool
-	mask    uint64
+	// Incremental state: per node, the labeling the sweep stands at, the
+	// node's neighborhood rank and verdict under it and its stale mark (in
+	// node); the labeling's rank; and the accepting-set bitmask (instances
+	// with at most 64 nodes). Ranks use wrapping uint64 arithmetic, which
+	// is exact once every digit is applied. The sweep starts at the
+	// all-zero labeling with every ranked node stale.
+	node  []sweepNode
+	lrank uint64
+	mask  uint64
 	// stale lists the ranked nodes whose rank changed since their last
-	// lookup; isStale dedupes it.
-	stale   []int
-	isStale []bool
+	// lookup; their stale marks dedupe it.
+	stale []int
+	// cur walks the shard sweepShard checks; its buffer is reused across
+	// shards.
+	cur graph.LabelingCursor
 
-	// labels is alphabet[prev[v]] per node, refilled only when a decoder
-	// call or a violation needs it (labelsFresh false after any move).
+	// labels is alphabet[node[v].digit] per node, refilled only when a
+	// decoder call or a violation needs it (labelsFresh false after any
+	// move).
 	labels      []string
 	labelsFresh bool
 	// smemo memoizes checkLabels verdicts by the node's concatenated
@@ -167,11 +176,8 @@ func newLabelSweep(d Decoder, lang Language, inst Instance, alphabet []string) (
 		memo:    make([]verdictTable, n),
 		touchAt: make([]int, n+1),
 		lpow:    make([]uint64, n),
-		prev:    make([]int, n),
-		rank:    make([]uint64, n),
-		verdict: make([]bool, n),
+		node:    make([]sweepNode, n),
 		stale:   make([]int, 0, n),
-		isStale: make([]bool, n),
 		labels:  make([]string, n),
 		smemo:   make([]map[string]bool, n),
 		acc:     make([]int, 0, n),
@@ -212,7 +218,7 @@ func newLabelSweep(d Decoder, lang Language, inst Instance, alphabet []string) (
 		}
 		s.memo[v] = newVerdictTable(space)
 		s.stale = append(s.stale, v)
-		s.isStale[v] = true
+		s.node[v].stale = true
 		for _, w := range t.Hosts() {
 			s.touchAt[w+1]++
 		}
@@ -241,33 +247,93 @@ func newLabelSweep(d Decoder, lang Language, inst Instance, alphabet []string) (
 	return s, nil
 }
 
+// sweepNode is one node's hot state in the incremental sweep. A sweep
+// keeps all of it in one slice, so a step writes a few adjacent words of
+// its worker's own allocation; a slice of a few bools would be a tiny
+// allocation, which the runtime may pack into one 16-byte block with
+// another goroutine's data. digit is the node's label (an alphabet index)
+// in the labeling the sweep stands at, rank and verdict are its
+// neighborhood rank and verdict under that labeling, and stale marks a
+// rank changed since its last lookup.
+type sweepNode struct {
+	rank    uint64
+	digit   int
+	verdict bool
+	stale   bool
+}
+
+// sweepBlock is the number of labelings sweepShard checks between two
+// reads of the state its worker shares with the others: the stop flag and
+// the best violation rank. In between, a step touches only the worker's
+// own sweep and cursor. A stopped worker overruns by at most one block,
+// and a pruned shard by at most one block past the best rank.
+const sweepBlock = 64
+
+// sweepShard checks the labelings of the given shard of shards
+// (graph.LabelingCursor order) until the shard is exhausted, stop is set,
+// a labeling ranks past first's best violation (counted in pruned), or a
+// violation is found, which is offered to first at its labeling rank.
+func (s *labelSweep) sweepShard(shard, shards int, stop *atomic.Bool, first *cancel.First, pruned *obs.Counter) {
+	s.cur.Reset(len(s.node), len(s.alphabet), shard, shards)
+	var best uint64
+	for k := 0; ; k++ {
+		if k%sweepBlock == 0 {
+			if stop.Load() {
+				return
+			}
+			best = first.Best()
+		}
+		from, ok := s.cur.Next()
+		if !ok {
+			return
+		}
+		r := s.seek(s.cur.Labeling(), from)
+		// Ranks increase within a shard, so everything past the best
+		// violation is prunable: any violation there would rank higher and
+		// lose to the recorded one anyway. best may lag first by a block,
+		// which costs work, not answers. It is never r itself, as shards
+		// are disjoint, and never exceeded before any violation.
+		if r > best {
+			pruned.Inc()
+			return
+		}
+		if err := s.evaluate(); err != nil {
+			first.Offer(r, err)
+			return
+		}
+	}
+}
+
 // check verifies strong soundness for the labeling alphabet[idx[0]],
 // alphabet[idx[1]], … — the EnumLabelings representation.
 func (s *labelSweep) check(idx []int) error {
-	s.seek(idx)
+	s.seek(idx, 0)
 	return s.evaluate()
 }
 
-// seek moves the sweep to labeling idx and returns its lexicographic rank
-// (the EnumLabelings position; exact when the labeling space fits a uint64,
-// see graph.LabelingRankFits). Only the digits that differ from the
-// previous labeling cost work: each adjusts the labeling rank and the ranks
-// of the nodes whose neighborhood contains it, and marks those nodes stale.
-func (s *labelSweep) seek(idx []int) uint64 {
-	for w, a := range idx {
-		old := s.prev[w]
+// seek moves the sweep to labeling idx, which agrees with the labeling the
+// sweep stands at on every digit below from (0 for an arbitrary jump), and
+// returns its lexicographic rank (the EnumLabelings position; exact when
+// the labeling space fits a uint64, see graph.LabelingRankFits). Only the
+// digits from on that differ from the previous labeling cost work: each
+// adjusts the labeling rank and the ranks of the nodes whose neighborhood
+// contains it, and marks those nodes stale.
+func (s *labelSweep) seek(idx []int, from int) uint64 {
+	node := s.node
+	for w := from; w < len(idx); w++ {
+		a, old := idx[w], node[w].digit
 		if a == old {
 			continue
 		}
-		s.prev[w] = a
+		node[w].digit = a
 		s.labelsFresh = false
 		delta := uint64(a) - uint64(old)
 		s.lrank += delta * s.lpow[w]
 		for j := s.touchAt[w]; j < s.touchAt[w+1]; j++ {
 			v := s.touchNode[j]
-			s.rank[v] += delta * s.touchPow[j]
-			if !s.isStale[v] {
-				s.isStale[v] = true
+			node[v].rank += delta * s.touchPow[j]
+			if !node[v].stale {
+				node[v].stale = true
 				s.stale = append(s.stale, v)
 			}
 		}
@@ -282,12 +348,13 @@ func (s *labelSweep) seek(idx []int) uint64 {
 func (s *labelSweep) evaluate() error {
 	inner := int64(0)
 	for _, v := range s.stale {
-		s.isStale[v] = false
-		out, ok := s.memo[v].get(s.rank[v])
+		s.node[v].stale = false
+		rank := s.node[v].rank
+		out, ok := s.memo[v].get(rank)
 		if !ok {
 			inner++
 			out = s.decide(v)
-			s.memo[v].put(s.rank[v], out)
+			s.memo[v].put(rank, out)
 		}
 		s.setVerdict(v, out)
 	}
@@ -309,7 +376,7 @@ func (s *labelSweep) evaluate() error {
 }
 
 func (s *labelSweep) setVerdict(v int, out bool) {
-	s.verdict[v] = out
+	s.node[v].verdict = out
 	bit := uint64(1) << uint(v&63)
 	if out {
 		s.mask |= bit
@@ -328,8 +395,8 @@ func (s *labelSweep) fillLabels() {
 	if s.labelsFresh {
 		return
 	}
-	for v, a := range s.prev {
-		s.labels[v] = s.alphabet[a]
+	for v := range s.node {
+		s.labels[v] = s.alphabet[s.node[v].digit]
 	}
 	s.labelsFresh = true
 }
@@ -338,8 +405,8 @@ func (s *labelSweep) fillLabels() {
 // order, in the sweep's scratch slice.
 func (s *labelSweep) accepting() []int {
 	acc := s.acc[:0]
-	for v, out := range s.verdict {
-		if out {
+	for v := range s.node {
+		if s.node[v].verdict {
 			acc = append(acc, v)
 		}
 	}

@@ -67,7 +67,7 @@ func TestEvenCycleStrongSoundnessFuzz(t *testing.T) {
 		graph.Complete(4), graph.MustWatermelon([]int{2, 3}),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 600, rng, gen, 1); err != nil {
+		if err := core.FuzzStrongSoundness(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 600, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

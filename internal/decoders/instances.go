@@ -234,7 +234,7 @@ func WatermelonHidingFamily() ([]core.Labeled, error) {
 
 // MalformedShatterLabels returns a generator of random shatter-scheme
 // labels (valid and invalid mixtures) for fuzzing with
-// core.FuzzStrongSoundnessParallelCtx, with identifiers bounded by maxID and
+// core.FuzzStrongSoundness, with identifiers bounded by maxID and
 // component numbers by maxComp.
 func MalformedShatterLabels(maxID, maxComp int) func(node int, rng *rand.Rand) string {
 	return func(_ int, rng *rand.Rand) string {

@@ -128,7 +128,7 @@ func TestWatermelonStrongSoundnessFuzz(t *testing.T) {
 		graph.MustWatermelon([]int{2, 3}), graph.Complete(4), graph.Grid(3, 3),
 	} {
 		inst := core.NewInstance(g)
-		if err := core.FuzzStrongSoundnessParallelCtx(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 800, rng, melonFuzzGen(12), 1); err != nil {
+		if err := core.FuzzStrongSoundness(context.Background(), obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 800, rng, melonFuzzGen(12), 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

@@ -63,7 +63,7 @@ func E3DegreeOne(ctx context.Context) Table {
 	rng := rand.New(rand.NewSource(1))
 	gen := func(_ int, rng *rand.Rand) string { return decoders.DegOneAlphabet()[rng.Intn(4)] }
 	for _, g := range []*graph.Graph{graph.Petersen(), graph.Complete(5)} {
-		if err := core.FuzzStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 500, rng, gen, workers); err != nil {
+		if err := core.FuzzStrongSoundness(ctx, sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 500, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}

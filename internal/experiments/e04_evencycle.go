@@ -49,7 +49,7 @@ func E4EvenCycle(ctx context.Context) Table {
 	alpha := decoders.EvenCycleAlphabet()
 	gen := func(_ int, rng *rand.Rand) string { return alpha[rng.Intn(len(alpha))] }
 	for _, g := range []*graph.Graph{graph.MustCycle(5), graph.MustCycle(7), graph.Petersen()} {
-		if err := core.FuzzStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 500, rng, gen, workers); err != nil {
+		if err := core.FuzzStrongSoundness(ctx, sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 500, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}

@@ -53,7 +53,7 @@ func E5Union(ctx context.Context) Table {
 	_, workers := parShardsWorkers()
 	sc := scope().Named("E5")
 	for _, g := range []*graph.Graph{graph.MustCycle(5), graph.Petersen(), graph.MustWatermelon([]int{2, 3})} {
-		if err := core.FuzzStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 600, rng, gen, workers); err != nil {
+		if err := core.FuzzStrongSoundness(ctx, sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 600, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}

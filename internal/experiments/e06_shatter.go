@@ -73,7 +73,7 @@ func E6Shatter(ctx context.Context) Table {
 	rng := rand.New(rand.NewSource(4))
 	gen := decoders.MalformedShatterLabels(12, 4)
 	for _, g := range []*graph.Graph{graph.MustCycle(5), graph.Petersen(), graph.MustWatermelon([]int{2, 3})} {
-		if err := core.FuzzStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, core.NewInstance(g), 800, rng, gen, workers); err != nil {
+		if err := core.FuzzStrongSoundness(ctx, sc, s.Decoder, s.Promise.Lang, core.NewInstance(g), 800, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}

@@ -69,7 +69,7 @@ func E7Watermelon(ctx context.Context) Table {
 	_, workers := parShardsWorkers()
 	sc := scope().Named("E7")
 	for _, g := range []*graph.Graph{graph.MustCycle(5), graph.MustWatermelon([]int{2, 3}), graph.Petersen()} {
-		if err := core.FuzzStrongSoundnessParallelCtx(ctx, sc, s.Decoder, s.Promise.Lang, core.NewInstance(g), 800, rng, gen, workers); err != nil {
+		if err := core.FuzzStrongSoundness(ctx, sc, s.Decoder, s.Promise.Lang, core.NewInstance(g), 800, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}

@@ -153,24 +153,7 @@ func EnumIDs(n, maxID int, fn func(IDs) bool) {
 // indexed by node. Enumeration stops early if fn returns false. The slice
 // passed to fn is reused across calls; copy it to retain.
 func EnumLabelings(n, alphabet int, fn func([]int) bool) {
-	if alphabet <= 0 {
-		return
-	}
-	lab := make([]int, n)
-	var rec func(v int) bool
-	rec = func(v int) bool {
-		if v == n {
-			return fn(lab)
-		}
-		for a := 0; a < alphabet; a++ {
-			lab[v] = a
-			if !rec(v + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
+	EnumLabelingsShard(n, alphabet, 0, 1, fn)
 }
 
 // Combinations calls fn with every size-k subset of 0..n-1 in lexicographic

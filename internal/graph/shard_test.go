@@ -210,3 +210,85 @@ func TestLabelingRankFits(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelingCursor pins the cursor against a reference built from ranks
+// alone: shard s of k visits, in rank order, exactly the labelings whose
+// prefix (the first labelingPrefixLen digits) has rank ≡ s mod k, which
+// is the subsequence of EnumLabelings that shard owns; out-of-range shards
+// visit nothing. Every step's reported digit is the first index at which
+// the labeling differs from the one before it (0 on a shard's first). One
+// cursor is reused across every case, so Reset must clear what a larger
+// or unfinished walk left behind.
+func TestLabelingCursor(t *testing.T) {
+	var c LabelingCursor
+	if _, ok := c.Next(); ok {
+		t.Fatal("zero cursor yielded a labeling")
+	}
+	for n := 0; n <= 6; n++ {
+		for alphabet := 1; alphabet <= 4; alphabet++ {
+			total := 1
+			for range n {
+				total *= alphabet
+			}
+			for shards := 1; shards <= 9; shards++ {
+				prefix := labelingPrefixLen(n, alphabet, shards)
+				suffixSpace := 1
+				for range n - prefix {
+					suffixSpace *= alphabet
+				}
+				for shard := -1; shard <= shards+1; shard++ {
+					var want [][]int
+					for r := 0; r < total; r++ {
+						if shard < 0 || shard >= shards || (r/suffixSpace)%shards != shard {
+							continue
+						}
+						lab := make([]int, n)
+						for i, v := n-1, r; i >= 0; i-- {
+							lab[i], v = v%alphabet, v/alphabet
+						}
+						want = append(want, lab)
+					}
+					c.Reset(n, alphabet, shard, shards)
+					var prev []int
+					got := 0
+					for from, ok := c.Next(); ok; from, ok = c.Next() {
+						lab := c.Labeling()
+						if got >= len(want) || !reflect.DeepEqual(lab, want[got]) {
+							t.Fatalf("n=%d a=%d shard %d/%d: step %d is %v, want the reference's %d labelings %v", n, alphabet, shard, shards, got, lab, len(want), want)
+						}
+						wantFrom := 0
+						if prev != nil {
+							for wantFrom < n && lab[wantFrom] == prev[wantFrom] {
+								wantFrom++
+							}
+						}
+						if from != wantFrom {
+							t.Fatalf("n=%d a=%d shard %d/%d: step %v after %v reports digit %d, want %d", n, alphabet, shard, shards, lab, prev, from, wantFrom)
+						}
+						prev = append(prev[:0], lab...)
+						got++
+					}
+					if got != len(want) {
+						t.Fatalf("n=%d a=%d shard %d/%d: %d labelings, want %d", n, alphabet, shard, shards, got, len(want))
+					}
+					if _, ok := c.Next(); ok {
+						t.Fatalf("n=%d a=%d shard %d/%d: exhausted cursor yielded again", n, alphabet, shard, shards)
+					}
+				}
+			}
+		}
+	}
+	// A walk cut short and reset onto a smaller space starts clean.
+	c.Reset(5, 3, 1, 4)
+	for range 7 {
+		c.Next()
+	}
+	c.Reset(2, 2, 0, 1)
+	var seq []string
+	for _, ok := c.Next(); ok; _, ok = c.Next() {
+		seq = append(seq, fmt.Sprint(c.Labeling()))
+	}
+	if want := []string{"[0 0]", "[0 1]", "[1 0]", "[1 1]"}; !reflect.DeepEqual(seq, want) {
+		t.Errorf("reset cursor walked %v, want %v", seq, want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hidinglcp/internal/core"
+	"hidinglcp/internal/graph"
 	"hidinglcp/internal/view"
 )
 
@@ -115,17 +116,8 @@ func MinExtractionConflicts(d core.Decoder, l core.Labeled, k int) (ConflictRepo
 		MinBadEdges:   l.G.M() + 1,
 		MinFailNodes:  l.G.N() + 1,
 	}
-	assign := make([]int, m)
 	edges := l.G.Edges()
-	var rec func(i int)
-	rec = func(i int) {
-		if i < m {
-			for c := 0; c < k; c++ {
-				assign[i] = c
-				rec(i + 1)
-			}
-			return
-		}
+	graph.EnumLabelings(m, k, func(assign []int) bool {
 		badEdges := 0
 		failNode := make(map[int]bool)
 		for _, e := range edges {
@@ -141,8 +133,8 @@ func MinExtractionConflicts(d core.Decoder, l core.Labeled, k int) (ConflictRepo
 		if len(failNode) < report.MinFailNodes {
 			report.MinFailNodes = len(failNode)
 		}
-	}
-	rec(0)
+		return true
+	})
 	if l.G.N() > 0 {
 		report.FailFraction = float64(report.MinFailNodes) / float64(l.G.N())
 	}
