@@ -189,10 +189,11 @@ func BenchmarkNeighborhoodGraph(b *testing.B) {
 
 // BenchmarkBuildShardedCtx pins the context plumbing at no measurable
 // overhead: the bare build (nil never-cancelled context, zero Scope)
-// against the same build under a live context that never fires (one armed
-// watcher goroutine; the per-instance hot path is unchanged — cancellation
-// rides the stop flag workers already poll). The bench gate tracks both via
-// .bench-thresholds.json.
+// against the same build under a live context that never fires. Either
+// way the per-instance checkpoint is one atomic load and a non-blocking
+// receive, from a nil channel in the bare build and from the context's
+// done channel in the other; no goroutine is started for the context. The
+// bench gate tracks both via .bench-thresholds.json.
 func BenchmarkBuildShardedCtx(b *testing.B) {
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(4)
@@ -242,10 +243,10 @@ func BenchmarkShardedEnumeration(b *testing.B) {
 }
 
 // countInstances drains the sharded enumerator through the work-stealing
-// pool (nbhd.ForEachShardCtx) and returns the number of instances produced.
+// pool (nbhd.ForEachShard) and returns the number of instances produced.
 func countInstances(se nbhd.ShardedEnumerator, shards, workers int) (int, error) {
 	var n atomic.Int64
-	err := nbhd.ForEachShardCtx(nil, obs.Scope{}, se, shards, workers, func(int, core.Labeled) bool {
+	err := nbhd.ForEachShard(nil, obs.Scope{}, se, shards, workers, func(int, core.Labeled) bool {
 		n.Add(1)
 		return true
 	})
@@ -311,8 +312,8 @@ func BenchmarkSoundnessSearch(b *testing.B) {
 		})
 	}
 	// The 4^10 sweep on the fixed graph of the bench/ sweep-n10 workload
-	// (edge list copied: bench/ is its own module). w1 runs the sequential
-	// path; w2 runs the sharded one with the workload's 4 shards per worker.
+	// (edge list copied: bench/ is its own module). w1 runs one shard on
+	// the calling goroutine; w2 runs the workload's 4 shards per worker.
 	sweep := core.NewAnonymousInstance(graph.MustFromEdges(10, [][2]int{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2},
 		{0, 5}, {5, 6}, {5, 7}, {6, 8}, {6, 9},
@@ -336,7 +337,7 @@ func BenchmarkGatherFaults(b *testing.B) {
 	plan := faults.Plan{Seed: 7, Drop: 0.1, Duplicate: 0.1, Delay: 0.2, MaxDelay: 2, Reorder: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := sim.GatherFaultsCtx(nil, obs.Scope{}, l, 2, plan); err != nil {
+		if _, _, _, err := sim.Gather(nil, obs.Scope{}, l, 2, plan); err != nil {
 			b.Fatal(err)
 		}
 	}

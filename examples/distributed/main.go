@@ -46,7 +46,7 @@ func main() {
 	const victim = 7
 	labels[victim] = decoders.ShatterCompLabel(99, 1, 0) // wrong shatter identifier
 	l := core.MustNewLabeled(inst, labels)
-	views, _, _, err := sim.GatherFaultsCtx(ctx, obs.Scope{}, l, scheme.Decoder.Rounds(), faults.Plan{})
+	views, _, _, err := sim.Gather(ctx, obs.Scope{}, l, scheme.Decoder.Rounds(), faults.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}

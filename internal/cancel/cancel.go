@@ -3,16 +3,19 @@
 // pipelines. Go starts n goroutines and returns their wait; every
 // goroutine in the program's non-test code is started through it (the
 // gostmt analyzer reports a go statement anywhere else): the pools below,
-// obs.Progress's ticker and export.Serve's HTTP server. The pipelines
-// (nbhd.ForEachShardCtx, the core soundness sweep and fuzzer, the
-// experiment item sweep) stop their workers through a plain atomic flag
-// checked at shard/instance checkpoints, and the soundness sweep also once
-// per fixed block of labelings within a shard; Watch bridges a context.Context
-// onto such a flag without adding anything to the hot path: a single
-// watcher goroutine arms the flag when the context fires and is reclaimed
-// when the pipeline finishes. Each is the claim loop every pool runs on, Workers resolves
-// its shard and worker counts, and First keeps the lowest-index error, so
-// a pool's answer does not depend on which worker found it first.
+// obs.Progress's ticker and export.Serve's HTTP server. Each pipeline
+// (nbhd.ForEachShard, the core soundness sweep and fuzzer, the experiment
+// item sweep, the simulator's round loop) stops through one Stop, which
+// fires when the caller's context is cancelled or a worker sets it. Its
+// checkpoints poll the context's done channel themselves, so a
+// cancellation is seen at the first checkpoint after it, with no watcher
+// goroutine in between: per instance in the sharded enumeration, per claim
+// and once per fixed block of labelings in the soundness sweep, per trial
+// in the fuzzer, per item in the experiment item sweep and per round in
+// the simulator. Each is the claim loop every pool runs on, Workers
+// resolves its shard and worker counts, and First keeps the lowest-index
+// error, so a pool's answer does not depend on which worker found it
+// first.
 //
 // A nil context is the never-cancelled context everywhere in this package.
 // Each pipeline has a single (ctx, sc, …) entry point, and a caller with no
@@ -47,34 +50,41 @@ func Go(n int, fn func(i int)) (wait func()) {
 	return wg.Wait
 }
 
-// Watch arms flag when ctx is cancelled. It returns a release function
-// that must be called (normally deferred) once the guarded work has
-// finished: it returns only after the watcher goroutine has exited, so
-// pipelines stay clean under the sanitize goroutine-leak probes. A nil ctx
-// (or one that can never fire) arms nothing and returns a no-op release.
-//
-// If ctx is already cancelled when Watch is called, the flag is set
-// synchronously before Watch returns, so a checkpoint immediately after
-// Watch observes it deterministically.
-func Watch(ctx context.Context, flag *atomic.Bool) (release func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
+// Stop is a pipeline's stop signal: it fires when the context it was made
+// from is cancelled or when a worker calls Set. It keeps the context's
+// done channel, never the context itself. The zero Stop fires only
+// through Set.
+type Stop struct {
+	done <-chan struct{}
+	set  atomic.Bool
+}
+
+// NewStop returns a Stop that fires when ctx is cancelled. A nil ctx, or
+// one that can never be cancelled, yields a Stop that fires only through
+// Set.
+func NewStop(ctx context.Context) *Stop {
+	if ctx == nil {
+		return &Stop{}
 	}
-	if ctx.Err() != nil {
-		flag.Store(true)
-		return func() {}
+	return &Stop{done: ctx.Done()}
+}
+
+// Set fires s for every worker polling it.
+func (s *Stop) Set() { s.set.Store(true) }
+
+// Stopped reports whether s has fired: one atomic load and a receive that
+// does not block (from a nil channel when there is no context), so it
+// takes no lock and is cheap enough for a per-item checkpoint. A
+// cancellation is seen by the first Stopped call that starts after it.
+func (s *Stop) Stopped() bool {
+	if s.set.Load() {
+		return true
 	}
-	done := make(chan struct{})
-	wait := Go(1, func(int) {
-		select {
-		case <-ctx.Done():
-			flag.Store(true)
-		case <-done:
-		}
-	})
-	return func() {
-		close(done)
-		wait()
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -83,37 +93,33 @@ func Watch(ctx context.Context, flag *atomic.Bool) (release func()) {
 // errors.Is(err, context.Canceled) / context.DeadlineExceeded, and the
 // engine layer can re-tag it as engine.ErrCancelled.
 func Err(ctx context.Context, what string) error {
-	if ctx == nil {
-		return nil
-	}
-	if ctx.Err() == nil {
+	if ctx == nil || ctx.Err() == nil {
 		return nil
 	}
 	return fmt.Errorf("%s cancelled: %w", what, context.Cause(ctx))
-}
-
-// Cancelled reports whether ctx has fired. A nil ctx never has.
-func Cancelled(ctx context.Context) bool {
-	return ctx != nil && ctx.Err() != nil
 }
 
 // Each runs fn(w, i) for every i in [0, n) on workers goroutines, w being
 // the goroutine's index in [0, workers). The goroutines claim indices in
 // increasing order from one shared counter (work stealing), so calls with
 // the same w are sequential while calls with different w are concurrent.
-// A goroutine stops claiming once fn returns false or stop is set; stop is
-// armed by Watch(ctx, stop) for the duration of the call, and a false fn
-// return stops only its own goroutine (fn sets stop to halt all of them).
-// Each returns after every goroutine has finished, so results fn wrote
-// are visible to the caller and no goroutine outlives the call.
-func Each(ctx context.Context, stop *atomic.Bool, n, workers int, fn func(w, i int) bool) {
-	release := Watch(ctx, stop)
-	defer release()
+// A goroutine polls stop before every claim and stops claiming once stop
+// has fired or fn returns false; a false fn return stops only its own
+// goroutine (fn calls stop.Set to halt all of them). Each returns after
+// every goroutine has finished, so results fn wrote are visible to the
+// caller and no goroutine outlives the call. A single worker runs on the
+// calling goroutine, so a sequential run starts no goroutine.
+func Each(stop *Stop, n, workers int, fn func(w, i int) bool) {
+	if workers == 1 {
+		for i := 0; i < n && !stop.Stopped() && fn(0, i); i++ {
+		}
+		return
+	}
 	var next atomic.Int64
 	Go(workers, func(w int) {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= n || stop.Load() || !fn(w, i) {
+			if i >= n || stop.Stopped() || !fn(w, i) {
 				return
 			}
 		}

@@ -1,7 +1,6 @@
 package cancel
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,41 +13,37 @@ import (
 	"time"
 )
 
-func TestWatchNilContext(t *testing.T) {
-	var flag atomic.Bool
-	release := Watch(nil, &flag)
-	release()
-	if flag.Load() {
-		t.Error("nil context armed the flag")
+func TestStopNilContext(t *testing.T) {
+	var zero Stop
+	if NewStop(nil).Stopped() || zero.Stopped() {
+		t.Error("a Stop without a context fired")
 	}
-	if Err(nil, "x") != nil || Cancelled(nil) {
+	if Err(nil, "x") != nil {
 		t.Error("nil context reported as cancelled")
 	}
 }
 
-func TestWatchNeverFires(t *testing.T) {
-	var flag atomic.Bool
+func TestStopNeverFires(t *testing.T) {
+	for _, ctx := range []context.Context{context.Background(), context.TODO()} {
+		if NewStop(ctx).Stopped() {
+			t.Errorf("%v: a context that cannot be cancelled fired the stop", ctx)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	release := Watch(ctx, &flag)
-	release()
-	if flag.Load() {
-		t.Error("live context armed the flag")
+	if NewStop(ctx).Stopped() {
+		t.Error("live context fired the stop")
 	}
 	if err := Err(ctx, "build"); err != nil {
 		t.Errorf("live context Err = %v", err)
 	}
 }
 
-func TestWatchAlreadyCancelled(t *testing.T) {
-	var flag atomic.Bool
+func TestStopAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	release := Watch(ctx, &flag)
-	defer release()
-	// Pre-cancelled contexts arm synchronously: no race, no sleep needed.
-	if !flag.Load() {
-		t.Fatal("pre-cancelled context did not arm the flag synchronously")
+	if !NewStop(ctx).Stopped() {
+		t.Fatal("pre-cancelled context did not fire the stop")
 	}
 	err := Err(ctx, "build")
 	if err == nil || !errors.Is(err, context.Canceled) {
@@ -56,75 +51,32 @@ func TestWatchAlreadyCancelled(t *testing.T) {
 	}
 }
 
-func TestWatchFiresMidFlight(t *testing.T) {
-	var flag atomic.Bool
+// TestStopFiresMidFlight: a cancellation is seen by the next Stopped call,
+// with no waiting: nothing but the caller's own poll stands between them.
+func TestStopFiresMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	release := Watch(ctx, &flag)
-	defer release()
+	stop := NewStop(ctx)
+	if stop.Stopped() {
+		t.Fatal("stop fired before cancel")
+	}
 	cancel()
-	deadline := time.Now().Add(5 * time.Second)
-	for !flag.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("flag not armed after cancellation")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !Cancelled(ctx) {
-		t.Error("Cancelled(ctx) = false after cancel")
+	if !stop.Stopped() {
+		t.Error("the first Stopped call after cancel did not see it")
 	}
 }
 
-// inWatcher reports, from one dump of every goroutine's stack, whether
-// any goroutine is still running a Watch watcher.
-func inWatcher() bool {
-	buf := make([]byte, 1<<16)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return bytes.Contains(buf[:n], []byte("internal/cancel.Watch.func"))
+func TestStopSet(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var zero Stop
+	for _, stop := range []*Stop{&zero, NewStop(nil), NewStop(ctx)} {
+		stop.Set()
+		if !stop.Stopped() {
+			t.Error("Set did not fire the stop")
 		}
-		buf = make([]byte, 2*len(buf))
 	}
-}
-
-// enteredCtx signals entered once Done is called after Err: Watch calls
-// Done then Err before starting its watcher, so the signal means the
-// watcher is evaluating its select.
-type enteredCtx struct {
-	context.Context
-	errCalled atomic.Bool
-	once      sync.Once
-	entered   chan struct{}
-}
-
-func (c *enteredCtx) Err() error {
-	c.errCalled.Store(true)
-	return c.Context.Err()
-}
-
-func (c *enteredCtx) Done() <-chan struct{} {
-	if c.errCalled.Load() {
-		c.once.Do(func() { close(c.entered) })
-	}
-	return c.Context.Done()
-}
-
-func TestWatchReleaseWaitsForWatcher(t *testing.T) {
-	for _, fire := range []bool{false, true} {
-		parent, cancel := context.WithCancel(context.Background())
-		ctx := &enteredCtx{Context: parent, entered: make(chan struct{})}
-		var flag atomic.Bool
-		release := Watch(ctx, &flag)
-		<-ctx.entered
-		if fire {
-			cancel()
-		}
-		release()
-		// No polling: release has returned, so the watcher must be gone.
-		if inWatcher() {
-			t.Errorf("fire=%v: a watcher goroutine is still running after release", fire)
-		}
-		cancel()
+	if Err(ctx, "build") != nil {
+		t.Error("Set cancelled the context")
 	}
 }
 
@@ -185,8 +137,7 @@ func TestEachClaimsEveryIndexOnce(t *testing.T) {
 	for workers := 1; workers <= 4; workers++ {
 		for _, n := range []int{0, 1, 7, 100} {
 			calls := make([]atomic.Int32, n)
-			var stop atomic.Bool
-			Each(nil, &stop, n, workers, func(w, i int) bool {
+			Each(&Stop{}, n, workers, func(w, i int) bool {
 				if w < 0 || w >= workers {
 					t.Errorf("workers=%d: worker index %d out of range", workers, w)
 				}
@@ -210,8 +161,7 @@ func TestEachSameWorkerSequential(t *testing.T) {
 	const workers, n = 4, 400
 	inFlight := make([]atomic.Int32, workers)
 	seen := make([][]int, workers)
-	var stop atomic.Bool
-	Each(nil, &stop, n, workers, func(w, i int) bool {
+	Each(&Stop{}, n, workers, func(w, i int) bool {
 		if inFlight[w].Add(1) != 1 {
 			t.Errorf("worker %d: overlapping calls", w)
 		}
@@ -239,8 +189,7 @@ func TestEachStopsClaimingAfterFalse(t *testing.T) {
 	// returning false, each worker makes exactly one.
 	for workers := 1; workers <= 4; workers++ {
 		var calls atomic.Int32
-		var stop atomic.Bool
-		Each(nil, &stop, 100, workers, func(int, int) bool {
+		Each(&Stop{}, 100, workers, func(int, int) bool {
 			calls.Add(1)
 			return false
 		})
@@ -252,11 +201,11 @@ func TestEachStopsClaimingAfterFalse(t *testing.T) {
 	// that set it, each other worker can have at most one claim in flight.
 	const workers, at = 3, 10
 	var calls atomic.Int32
-	var stop atomic.Bool
-	Each(nil, &stop, 1000, workers, func(_, i int) bool {
+	var stop Stop
+	Each(&stop, 1000, workers, func(_, i int) bool {
 		calls.Add(1)
 		if i == at {
-			stop.Store(true)
+			stop.Set()
 		}
 		return true
 	})
@@ -266,7 +215,8 @@ func TestEachStopsClaimingAfterFalse(t *testing.T) {
 }
 
 // settledGoroutines waits for the goroutine count to fall back to at most
-// before (a released watcher exits asynchronously) and returns the count.
+// before (a worker exits just after Each's wait sees it done) and returns
+// the count.
 func settledGoroutines(before int) int {
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -280,39 +230,37 @@ func TestEachPreCancelledClaimsNothing(t *testing.T) {
 	cancel()
 	before := runtime.NumGoroutine()
 	var calls atomic.Int32
-	var stop atomic.Bool
-	Each(ctx, &stop, 100, 4, func(int, int) bool {
+	Each(NewStop(ctx), 100, 4, func(int, int) bool {
 		calls.Add(1)
 		return true
 	})
 	if got := calls.Load(); got != 0 {
 		t.Errorf("pre-cancelled context: %d calls, want 0", got)
 	}
-	if !stop.Load() {
-		t.Error("pre-cancelled context did not arm stop")
-	}
 	if after := settledGoroutines(before); after > before {
 		t.Errorf("goroutines %d -> %d: Each left goroutines behind", before, after)
 	}
 }
 
+// TestEachCancelMidFlight: every claim polls the context, so once the
+// call at index at cancels it, each other worker finishes at most the one
+// call it has in flight.
 func TestEachCancelMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	before := runtime.NumGoroutine()
-	const n = 1000
+	const n, workers, at = 1000, 2, 3
 	var calls atomic.Int32
-	var stop atomic.Bool
-	Each(ctx, &stop, n, 2, func(_, i int) bool {
+	Each(NewStop(ctx), n, workers, func(_, i int) bool {
 		calls.Add(1)
-		if i == 3 {
+		if i == at {
 			cancel()
 		}
 		time.Sleep(time.Millisecond)
 		return true
 	})
-	if got := calls.Load(); got >= n {
-		t.Errorf("cancelled drive made all %d calls", got)
+	if got := calls.Load(); got < at+1 || got > at+workers {
+		t.Errorf("%d calls after a cancel at index %d, want %d..%d", got, at, at+1, at+workers)
 	}
 	if after := settledGoroutines(before); after > before {
 		t.Errorf("goroutines %d -> %d: Each left goroutines behind", before, after)
@@ -367,9 +315,8 @@ func TestFirstLowestIndexWinsUnderConcurrentOffers(t *testing.T) {
 		low := uint64(rng.Intn(n / 2))
 		order := rng.Perm(n)
 		var f First
-		var stop atomic.Bool
 		// Offer indices low..n-1 in a shuffled order from 4 goroutines.
-		Each(nil, &stop, n, 4, func(_, j int) bool {
+		Each(&Stop{}, n, 4, func(_, j int) bool {
 			if i := uint64(order[j]); i >= low {
 				f.Offer(i, errs[i])
 			}

@@ -4,7 +4,6 @@ package core
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"hidinglcp/internal/cancel"
@@ -33,7 +32,7 @@ func TestLabelSweepSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stop atomic.Bool
+	var stop cancel.Stop
 	sweep := func() {
 		var first cancel.First
 		s.sweepShard(0, 1, &stop, &first, nil)

@@ -213,12 +213,12 @@ func TestExhaustiveStrongSoundness(t *testing.T) {
 	lang := TwoCol()
 	alphabet := []string{"0", "1", "x"}
 	for _, g := range []*graph.Graph{graph.MustCycle(3), graph.MustCycle(5), graph.Complete(4)} {
-		if err := exhaustiveSequential(nil, obs.Scope{}, d, lang, NewInstance(g), alphabet); err != nil {
+		if err := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, NewInstance(g), alphabet, 1, 1); err != nil {
 			t.Errorf("exhaustive strong soundness on %v: %v", g, err)
 		}
 	}
 	always := NewDecoder(1, true, func(*view.View) bool { return true })
-	if err := exhaustiveSequential(nil, obs.Scope{}, always, lang, NewInstance(graph.MustCycle(3)), alphabet); err == nil {
+	if err := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, always, lang, NewInstance(graph.MustCycle(3)), alphabet, 1, 1); err == nil {
 		t.Error("always-accept decoder passed exhaustive check on a triangle")
 	}
 }

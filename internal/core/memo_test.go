@@ -200,7 +200,7 @@ func TestSweepMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := exhaustiveSequential(nil, obs.Scope{}, tc.d, tc.lang, tc.inst, alphabet)
+			got := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, tc.d, tc.lang, tc.inst, alphabet, 1, 1)
 			want := referenceExhaustive(tc.d, tc.lang, tc.inst, alphabet)
 			if (got == nil) != (want == nil) {
 				t.Fatalf("sweep err=%v, reference err=%v", got, want)

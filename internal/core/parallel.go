@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/graph"
@@ -27,13 +26,14 @@ import (
 // labeling ranked past it, and the minimum-rank violation is reported, so
 // the answer is the sequential search's at every shard/worker count.
 // shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS. The
-// search runs sequentially when only one worker or shard results, or when
-// the labeling space is too large for 64-bit ranks.
+// search runs as one shard on one worker when only one worker or shard
+// results, or when the labeling space is too large for 64-bit ranks.
 //
-// Cancellation is cooperative: once ctx fires and its watcher sets the
-// stop flag, every worker abandons its current shard at its next
-// checkpoint, at most one block of sweepBlock labelings later, the pool
-// drains before the call returns (no goroutine outlives it — pinned by
+// Cancellation is cooperative: every worker polls ctx at each shard claim
+// and at the start of each block of sweepBlock labelings, so once ctx
+// fires a worker checks at most the rest of its current block, sweepBlock
+// labelings (pinned by TestExhaustiveCancelWithinBlock). The pool drains
+// before the call returns (no goroutine outlives it — pinned by
 // TestProbeExhaustiveStrongSoundnessParallelCancel in internal/sanitize),
 // and the error wraps context.Cause(ctx). A cancelled search never reports
 // a violation: its partial answer would depend on scheduling. A nil ctx is
@@ -49,8 +49,11 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	n := inst.G.N()
 	shards, workers = cancel.Workers(shards, workers, 4)
 	if workers == 1 || shards == 1 || !graph.LabelingRankFits(n, len(alphabet)) {
+		// One shard is the whole space in EnumLabelings order: nothing is
+		// pruned before the first violation, which ends the shard, so ranks
+		// past 64 bits are never compared.
 		sc.Counter("core.sweep.sequential_fallback").Inc()
-		return exhaustiveSequential(ctx, sc, d, lang, inst, alphabet)
+		shards, workers = 1, 1
 	}
 
 	span := sc.Span(sc.Label("core.exhaustive"))
@@ -62,13 +65,10 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	shardsDone := sc.Counter("core.sweep.shards.done")
 	pruned := sc.Counter("core.sweep.shards.pruned")
 
-	// Cancellation checkpoints sit at shard claims and at the start of
-	// every block of sweepBlock labelings: the watcher arms the flag when
-	// ctx fires and workers abandon their current shard position.
-	var aborted atomic.Bool
+	stop := cancel.NewStop(ctx)
 	var first cancel.First
 	sweeps := make([]*labelSweep, workers)
-	cancel.Each(ctx, &aborted, shards, workers, func(w, s int) bool {
+	cancel.Each(stop, shards, workers, func(w, s int) bool {
 		// Each worker owns a sweep: templates and verdict memos are
 		// per-goroutine, so workers never contend on them.
 		sweep, err := workerSweep(sweeps, w, d, lang, inst, alphabet)
@@ -76,7 +76,7 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 			first.Offer(0, err)
 			return false
 		}
-		sweep.sweepShard(s, shards, &aborted, &first, pruned)
+		sweep.sweepShard(s, shards, stop, &first, pruned)
 		shardsDone.Inc()
 		sc.Prog().Add(1)
 		return true
@@ -114,33 +114,6 @@ func workerSweep(sweeps []*labelSweep, w int, d Decoder, lang Language, inst Ins
 	return sweeps[w], nil
 }
 
-// exhaustiveSequential is the single-goroutine exhaustive search, with a
-// cancellation checkpoint every sweepBlock labelings: the path
-// ExhaustiveStrongSoundnessParallelCtx falls back to when the search
-// degenerates to one worker or the labeling space outgrows 64-bit ranks,
-// and the in-package oracle the parallel search is tested against. It
-// returns the first violation in EnumLabelings order; a cancelled search
-// never reports a violation.
-func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string) error {
-	sweep, serr := newLabelSweep(d, lang, inst, alphabet)
-	if serr != nil {
-		return fmt.Errorf("extracting views: %w", serr)
-	}
-	var aborted atomic.Bool
-	release := cancel.Watch(ctx, &aborted)
-	defer release()
-	// One shard of one is the whole space in EnumLabelings order; nothing
-	// is pruned before the first violation, which ends the shard.
-	var first cancel.First
-	sweep.sweepShard(0, 1, &aborted, &first, nil)
-	sweep.harvest(sc)
-	if err := cancel.Err(ctx, "exhaustive soundness sweep"); err != nil {
-		sc.Counter("core.sweep.cancelled").Inc()
-		return err
-	}
-	return first.Err()
-}
-
 // FuzzStrongSoundness checks strong soundness of d against
 // trials random labelings of inst, with labels drawn by gen (which receives
 // the node and the rng), and returns the violation at the lowest trial
@@ -152,8 +125,9 @@ func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Lan
 // already drawn all of them, so the final rng positions differ; the
 // reported violation does not.)
 //
-// Cancellation is checked at every trial claim: when ctx fires, the
-// workers stop claiming, the pool drains, and the error wraps
+// Cancellation is checked at every trial claim: once ctx fires, each
+// worker finishes at most the trial it is checking (pinned by
+// TestFuzzCancelWithinTrial), the pool drains, and the error wraps
 // context.Cause(ctx). A cancelled run never reports a violation. A nil ctx
 // is the never-cancelled context (internal/cancel).
 //
@@ -180,10 +154,9 @@ func FuzzStrongSoundness(ctx context.Context, sc obs.Scope, d Decoder, lang Lang
 		drawn[t] = labels
 	}
 
-	var aborted atomic.Bool
 	var first cancel.First
 	sweeps := make([]*labelSweep, workers)
-	cancel.Each(ctx, &aborted, trials, workers, func(w, t int) bool {
+	cancel.Each(cancel.NewStop(ctx), trials, workers, func(w, t int) bool {
 		// Trials are claimed in increasing order, so once t passes the
 		// best violation every later claim does too.
 		if uint64(t) >= first.Best() {

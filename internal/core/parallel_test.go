@@ -57,7 +57,7 @@ func TestExhaustiveParallelMatchesSequential(t *testing.T) {
 	lang := TwoCol()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seqErr := exhaustiveSequential(nil, obs.Scope{}, c.d, lang, c.inst, c.alphabet)
+			seqErr := referenceExhaustive(c.d, lang, c.inst, c.alphabet)
 			seqLabels := violationLabels(t, seqErr)
 			for _, p := range parallelGrid {
 				parErr := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, c.d, lang, c.inst, c.alphabet, p.shards, p.workers)

@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/obs"
@@ -77,39 +74,15 @@ func TestExhaustiveCancelled(t *testing.T) {
 	}
 }
 
-// awaitWatchers blocks until no cancel.Watch watcher is left: every
-// goroutine cancel.Go started has begun running (one that has not shows
-// only its entry frame, cancel.Go.func1) and none is in a watcher, so each
-// watcher has armed its flag, or been released, and exited.
-func awaitWatchers(t *testing.T) {
-	deadline := time.Now().Add(10 * time.Second)
-	buf := make([]byte, 1<<20)
-	for {
-		dump := string(buf[:runtime.Stack(buf, true)])
-		pending := strings.Contains(dump, "internal/cancel.Watch.func")
-		for _, g := range strings.Split(dump, "\n\n") {
-			if frames := strings.SplitN(g, "\n", 3); len(frames) > 1 && strings.HasPrefix(frames[1], "hidinglcp/internal/cancel.Go.func1(") {
-				pending = true
-			}
-		}
-		if !pending {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Error("cancellation watcher still pending after 10s")
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
 // TestExhaustiveCancelWithinBlock pins how far a sweep runs past its
-// cancellation: the decoder cancels the context on its first Decide and
-// waits until the sweep's stop flag is armed, so each worker finishes at
-// most the block of sweepBlock labelings it is in. Every worker's first
-// labeling calls the decoder, so no worker starts a second block. The
-// decoder is unsound on C7, so a run that ignored the cancellation would
-// report a violation; the cancelled one reports only the cancellation.
+// cancellation: the decoder cancels the context on its first Decide, and
+// each worker polls the context at the start of every block, so each
+// finishes at most the block of sweepBlock labelings it is in. Every
+// worker's first labeling calls the decoder, and a second worker's first
+// Decide waits for the first one's cancel, so no worker starts a second
+// block. The decoder is unsound on C7, so a run that ignored the
+// cancellation would report a violation; the cancelled one reports only
+// the cancellation.
 func TestExhaustiveCancelWithinBlock(t *testing.T) {
 	inst := NewAnonymousInstance(graph.MustCycle(7))
 	alphabet := []string{"0", "1", "2"}
@@ -120,10 +93,7 @@ func TestExhaustiveCancelWithinBlock(t *testing.T) {
 		ctx, stop := context.WithCancel(context.Background())
 		var once sync.Once
 		d := NewDecoder(1, true, func(mu *view.View) bool {
-			once.Do(func() {
-				stop()
-				awaitWatchers(t)
-			})
+			once.Do(stop)
 			return mu.Labels[view.Center] != "0"
 		})
 		sc := obs.NewScope()
@@ -142,6 +112,46 @@ func TestExhaustiveCancelWithinBlock(t *testing.T) {
 		}
 		if got := sc.Counter("core.sweep.cancelled").Value(); got != 1 {
 			t.Errorf("workers=%d: core.sweep.cancelled = %d, want 1", workers, got)
+		}
+	}
+}
+
+// TestFuzzCancelWithinTrial pins how far a fuzz run goes past its
+// cancellation: the decoder cancels the context on its first Decide, and
+// each worker polls the context before every trial claim, so each finishes
+// at most the trial it is checking. Every worker's first trial calls the
+// decoder, and a second worker's first Decide waits for the first one's
+// cancel, so no worker claims a second trial. The decoder is unsound on
+// C5, so a run that ignored the cancellation would report a violation.
+func TestFuzzCancelWithinTrial(t *testing.T) {
+	inst := NewAnonymousInstance(graph.MustCycle(5))
+	gen := func(_ int, rng *rand.Rand) string { return []string{"0", "1", "2"}[rng.Intn(3)] }
+	const trials = 200
+	if err := FuzzStrongSoundness(nil, obs.Scope{}, centerNonzeroDecoder(), TwoCol(), inst, trials, rand.New(rand.NewSource(1)), gen, 2); err == nil {
+		t.Fatal("uncancelled fuzz found no violation; the test needs an unsound decoder")
+	}
+	for _, workers := range []int{1, 2} {
+		ctx, stop := context.WithCancel(context.Background())
+		var once sync.Once
+		d := NewDecoder(1, true, func(mu *view.View) bool {
+			once.Do(stop)
+			return mu.Labels[view.Center] != "0"
+		})
+		sc := obs.NewScope()
+		err := FuzzStrongSoundness(ctx, sc, d, TwoCol(), inst, trials, rand.New(rand.NewSource(1)), gen, workers)
+		stop()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		var v *StrongSoundnessViolation
+		if errors.As(err, &v) {
+			t.Fatalf("workers=%d: cancelled fuzz reported a violation: %v", workers, err)
+		}
+		if got := sc.Counter("core.fuzz.trials.checked").Value(); got < 1 || got > int64(workers) {
+			t.Errorf("workers=%d: %d trials checked after the first Decide cancelled, want 1..%d", workers, got, workers)
+		}
+		if got := sc.Counter("core.fuzz.cancelled").Value(); got != 1 {
+			t.Errorf("workers=%d: core.fuzz.cancelled = %d, want 1", workers, got)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/graph"
@@ -263,22 +262,22 @@ type sweepNode struct {
 }
 
 // sweepBlock is the number of labelings sweepShard checks between two
-// reads of the state its worker shares with the others: the stop flag and
-// the best violation rank. In between, a step touches only the worker's
+// reads of the state its worker shares with the others: the stop signal
+// and the best violation rank. In between, a step touches only the worker's
 // own sweep and cursor. A stopped worker overruns by at most one block,
 // and a pruned shard by at most one block past the best rank.
 const sweepBlock = 64
 
 // sweepShard checks the labelings of the given shard of shards
-// (graph.LabelingCursor order) until the shard is exhausted, stop is set,
+// (graph.LabelingCursor order) until the shard is exhausted, stop fires,
 // a labeling ranks past first's best violation (counted in pruned), or a
 // violation is found, which is offered to first at its labeling rank.
-func (s *labelSweep) sweepShard(shard, shards int, stop *atomic.Bool, first *cancel.First, pruned *obs.Counter) {
+func (s *labelSweep) sweepShard(shard, shards int, stop *cancel.Stop, first *cancel.First, pruned *obs.Counter) {
 	s.cur.Reset(len(s.node), len(s.alphabet), shard, shards)
 	var best uint64
 	for k := 0; ; k++ {
 		if k%sweepBlock == 0 {
-			if stop.Load() {
+			if stop.Stopped() {
 				return
 			}
 			best = first.Best()

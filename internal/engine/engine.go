@@ -63,7 +63,7 @@ func (r Runner) Run(ctx context.Context, job Job) error {
 	case err == nil:
 		sc.Counter("engine.jobs.completed").Inc()
 		return nil
-	case cancel.Cancelled(ctx) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case cancel.Err(ctx, job.Name) != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		sc.Counter("engine.jobs.cancelled").Inc()
 		span.SetAttr("outcome", "cancelled")
 		if errors.Is(err, ErrCancelled) {

@@ -59,7 +59,7 @@ func (r *Registry) runExperiments(ctx context.Context, cfg ExperimentsConfig) er
 			// A cancellation that fired inside the experiment surfaces as
 			// the table's Err; report it as the suite's cancellation
 			// rather than an experiment failure.
-			if cancel.Cancelled(ctx) {
+			if cancel.Err(ctx, "experiment suite") != nil {
 				return fmt.Errorf("experiment %s: %w", runner.ID, table.Err)
 			}
 			failed = append(failed, runner.ID)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/faults"
@@ -89,15 +88,15 @@ func configuredFaultPlan() (faults.Plan, bool) {
 // indices is the caller's job and must be order-insensitive (or sorted
 // afterwards) to keep experiment tables deterministic.
 //
-// When ctx fires, no further indices are claimed (items already running
-// finish), the pool drains, and the error wraps context.Cause(ctx). A nil
-// ctx is the never-cancelled context, and the return is then always nil.
+// Every worker polls ctx before each item, so once ctx fires a worker
+// finishes at most the item it is running, the pool drains, and the error
+// wraps context.Cause(ctx). A nil ctx is the never-cancelled context, and
+// the return is then always nil.
 func parallelEach(ctx context.Context, n int, fn func(i int)) error {
 	_, workers := parShardsWorkers()
 	_, workers = cancel.Workers(n, workers, 1)
 	defer scope().Counter("experiments.parallel_each.items").Add(int64(n))
-	var aborted atomic.Bool
-	cancel.Each(ctx, &aborted, n, workers, func(_, i int) bool {
+	cancel.Each(cancel.NewStop(ctx), n, workers, func(_, i int) bool {
 		fn(i)
 		return true
 	})

@@ -90,11 +90,11 @@ func shardEnumerator(e Enumerator) ShardedEnumerator {
 	}
 }
 
-// countInstances drains the sharded enumerator through ForEachShardCtx and
+// countInstances drains the sharded enumerator through ForEachShard and
 // returns the number of instances produced.
 func countInstances(se ShardedEnumerator, shards, workers int) (int, error) {
 	var n atomic.Int64
-	err := ForEachShardCtx(context.Background(), obs.Scope{}, se, shards, workers, func(int, core.Labeled) bool {
+	err := ForEachShard(context.Background(), obs.Scope{}, se, shards, workers, func(int, core.Labeled) bool {
 		n.Add(1)
 		return true
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"hidinglcp/internal/core"
@@ -439,6 +440,40 @@ func TestBuildParallelEnumeratorError(t *testing.T) {
 	bad := core.Labeled{Instance: core.Instance{}, Labels: nil}
 	if _, err := BuildShardedCtx(context.Background(), obs.Scope{}, alwaysAccept(), ShardedFromLabeled(bad), 0, 2); err == nil {
 		t.Error("invalid instance accepted by parallel builder")
+	}
+}
+
+// TestBuildCancelWithinInstance pins how far a build runs past its
+// cancellation: the decoder cancels the context on its first Decide, and
+// each worker polls the context before every instance, so each absorbs at
+// most the instance it is in. No instance can be absorbed before that
+// first Decide returns, and a second worker's first Decide waits for it,
+// so no worker absorbs a second instance.
+func TestBuildCancelWithinInstance(t *testing.T) {
+	se := ShardedAllLabelings([]string{"0", "1", "x"},
+		core.NewAnonymousInstance(graph.Path(4)), core.NewAnonymousInstance(graph.MustCycle(4)))
+	for _, workers := range []int{1, 2} {
+		ctx, stop := context.WithCancel(context.Background())
+		var once sync.Once
+		d := core.NewDecoder(1, true, func(*view.View) bool {
+			once.Do(stop)
+			return true
+		})
+		sc := obs.NewScope()
+		ng, err := BuildShardedCtx(ctx, sc, d, se, 0, workers)
+		stop()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if ng != nil {
+			t.Errorf("workers=%d: cancelled build returned a graph", workers)
+		}
+		if got := sc.Counter("nbhd.instances").Value(); got < 1 || got > int64(workers) {
+			t.Errorf("workers=%d: %d instances absorbed after the first Decide cancelled, want 1..%d", workers, got, workers)
+		}
+		if got := sc.Counter("nbhd.shards.cancelled").Value(); got != 1 {
+			t.Errorf("workers=%d: nbhd.shards.cancelled = %d, want 1", workers, got)
+		}
 	}
 }
 

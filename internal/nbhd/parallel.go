@@ -29,15 +29,16 @@ import (
 // output is bit-identical for every shard/worker count (property-tested in
 // shard_test.go); shards = workers = 1 is the sequential construction, since
 // Shards(1) is se.Sequential(). When enumeration fails, the error is, for a
-// fixed shard count, the lowest-numbered failing shard's (ForEachShardCtx).
+// fixed shard count, the lowest-numbered failing shard's (ForEachShard).
 //
-// Cancellation is cooperative: when ctx fires, every worker stops at its
-// next per-instance checkpoint, the pool drains before the call returns
-// (no goroutine outlives it — pinned by TestProbeBuildShardedCancel in
-// internal/sanitize), and the error wraps
-// context.Cause(ctx); no partial graph is returned. A nil ctx is the
-// never-cancelled context (internal/cancel); a live one adds one watcher
-// goroutine and nothing to the per-instance hot path.
+// Cancellation is cooperative: every worker polls ctx before each
+// instance, so once ctx fires a worker absorbs at most the instance it is
+// in (pinned by TestBuildCancelWithinInstance). The pool drains before the
+// call returns (no goroutine outlives it — pinned by
+// TestProbeBuildShardedCancel in internal/sanitize), the error wraps
+// context.Cause(ctx), and no partial graph is returned; the counters still
+// record the instances absorbed. A nil ctx is the never-cancelled context
+// (internal/cancel).
 //
 // Instrumentation is barrier-harvested: each worker's builder keeps plain
 // per-goroutine tallies that are summed into sc's counters only after every
@@ -72,14 +73,14 @@ func BuildShardedCtx(ctx context.Context, sc obs.Scope, d core.Decoder, se Shard
 	sc.Prog().SetExtra(func() string {
 		return fmt.Sprintf("%d view classes", in.Len())
 	})
-	err := ForEachShardCtx(ctx, sc, se, shards, workers, func(w int, l core.Labeled) bool {
+	err := ForEachShard(ctx, sc, se, shards, workers, func(w int, l core.Labeled) bool {
 		parts[w].absorb(l)
 		return true
 	})
+	harvestBuildMetrics(sc, parts, in, md)
 	if err != nil {
 		return nil, fmt.Errorf("enumerating instances: %w", err)
 	}
-	harvestBuildMetrics(sc, parts, in, md)
 	accepting, loops, edges := mergeBuilders(parts)
 	ng, err := assemble(in, accepting, loops, edges)
 	if err != nil {

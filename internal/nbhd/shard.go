@@ -2,7 +2,6 @@ package nbhd
 
 import (
 	"context"
-	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/core"
@@ -11,7 +10,7 @@ import (
 
 // ShardedEnumerator describes a labeled-instance space that can be
 // deterministically partitioned into disjoint sub-enumerators, so that the
-// parallel pipelines (BuildShardedCtx, ForEachShardCtx) can feed independent
+// parallel pipelines (BuildShardedCtx, ForEachShard) can feed independent
 // workers without a single producer goroutine on the hot path.
 //
 // The contract, pinned by the property tests in shard_test.go:
@@ -126,7 +125,7 @@ func ShardedAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnume
 // next unclaimed one.
 const shardsPerWorker = 4
 
-// ForEachShardCtx drives the shards of se through a pool of workers.
+// ForEachShard drives the shards of se through a pool of workers.
 // Workers claim unstarted shards in increasing order from a shared counter
 // (work stealing, cancel.Each), so fn must be safe for concurrent calls
 // from different worker indices; calls with the same worker index are
@@ -139,19 +138,18 @@ const shardsPerWorker = 4
 // shard's, whatever the worker count and scheduling (unless fn stops the
 // drive or ctx fires first).
 //
-// When ctx fires, the drive stops at the next per-instance checkpoint —
-// the same stop flag every worker already polls between instances, so a
-// never-cancelled context adds exactly one armed watcher goroutine and
-// nothing to the per-instance hot path (pinned by
-// BenchmarkBuildShardedCtx) — and the error wraps context.Cause(ctx). The
-// engine layer re-tags such errors as engine.ErrCancelled. A nil ctx is the
-// never-cancelled context (internal/cancel).
+// Every worker polls ctx before each instance, through the same stop
+// signal that halts the drive when fn returns false, so once ctx fires a
+// worker finishes at most the instance it is in (pinned by
+// TestBuildCancelWithinInstance), and the error wraps context.Cause(ctx).
+// The engine layer re-tags such errors as engine.ErrCancelled. A nil ctx
+// is the never-cancelled context (internal/cancel).
 //
 // sc counts completed and stolen shards (a steal is any claim beyond a
 // worker's first) and advances the scope's progress phase by one per
 // finished shard. A zero Scope makes every instrument call a nil-receiver
 // no-op.
-func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
+func ForEachShard(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
 	shards, workers = cancel.Workers(shards, workers, shardsPerWorker)
 	enums := se.Shards(shards)
 	shardsDone := sc.Counter("nbhd.shards.done")
@@ -159,9 +157,9 @@ func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, sh
 	sc.Gauge("nbhd.shards.total").Set(int64(len(enums)))
 	sc.Gauge("nbhd.workers").Set(int64(workers))
 	claimed := make([]int, workers)
-	var stop atomic.Bool
+	stop := cancel.NewStop(ctx)
 	var first cancel.First
-	cancel.Each(ctx, &stop, len(enums), workers, func(w, i int) bool {
+	cancel.Each(stop, len(enums), workers, func(w, i int) bool {
 		// Claims increase, so once one passes a failed shard every later
 		// claim of this worker would too.
 		if uint64(i) > first.Best() {
@@ -172,11 +170,11 @@ func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, sh
 		}
 		claimed[w]++
 		err := enums[i](func(l core.Labeled) bool {
-			if stop.Load() || uint64(i) > first.Best() {
+			if stop.Stopped() || uint64(i) > first.Best() {
 				return false
 			}
 			if !fn(w, l) {
-				stop.Store(true)
+				stop.Set()
 				return false
 			}
 			return true

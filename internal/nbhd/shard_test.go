@@ -261,7 +261,7 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	// below the full space.
 	var mu sync.Mutex
 	count := 0
-	if err := ForEachShardCtx(context.Background(), obs.Scope{}, se, 4, 2, func(_ int, _ core.Labeled) bool {
+	if err := ForEachShard(context.Background(), obs.Scope{}, se, 4, 2, func(_ int, _ core.Labeled) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		count++
@@ -288,7 +288,7 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 		{"prover-labeled", ShardedProverLabeled(reveal, p3, p3)},
 	} {
 		seen := 0
-		if err := ForEachShardCtx(context.Background(), obs.Scope{}, c.se, 1, 1, func(int, core.Labeled) bool {
+		if err := ForEachShard(context.Background(), obs.Scope{}, c.se, 1, 1, func(int, core.Labeled) bool {
 			seen++
 			return false
 		}); err != nil || seen != 1 {
@@ -297,7 +297,7 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	}
 	// Errors: an invalid instance surfaces from whichever shard owns it.
 	bad := core.Labeled{Instance: core.Instance{G: graph.Path(2)}, Labels: []string{"a", "b"}}
-	if err := ForEachShardCtx(context.Background(), obs.Scope{}, ShardedFromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {
+	if err := ForEachShard(context.Background(), obs.Scope{}, ShardedFromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {
 		t.Error("invalid instance not reported")
 	}
 }
@@ -329,7 +329,7 @@ func TestForEachShardErrorIndependentOfWorkers(t *testing.T) {
 	se := ShardedFromLabeled(insts...)
 	var want string
 	for _, workers := range []int{1, 2, 3} {
-		err := ForEachShardCtx(context.Background(), obs.Scope{}, se, 2, workers, func(int, core.Labeled) bool {
+		err := ForEachShard(context.Background(), obs.Scope{}, se, 2, workers, func(int, core.Labeled) bool {
 			time.Sleep(50 * time.Microsecond)
 			return true
 		})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/nbhd"
@@ -52,16 +51,10 @@ func (d *gateDecoder) Decide(mu *view.View) bool {
 	return d.inner.Decide(mu)
 }
 
-// watcherGrace is how long cancelMidRun waits between firing the context
-// and releasing the gated decoders: the pipeline's cancellation watcher (a
-// goroutine blocked on ctx.Done) needs a scheduling slot to arm the abort
-// flag, and releasing before it runs would let the workers sprint through
-// a small search space and finish cleanly — a raced queue the probe exists
-// to rule out.
-const watcherGrace = 20 * time.Millisecond
-
 // cancelMidRun runs pipeline against a context that a helper goroutine
 // cancels as soon as gate reports its first decode, under the leak probe.
+// The gated decoders are released only after the cancel, so every
+// worker's next checkpoint sees it.
 // The helper is joined before LeakCheck's snapshot, so it can never count
 // as a leak itself. Returns the leak report, the pipeline's error, and
 // whether the pipeline decoded at all (false means the cancellation was
@@ -77,7 +70,6 @@ func cancelMidRun(gate *gateDecoder, pipeline func(ctx context.Context) error) (
 			defer close(done)
 			<-gate.started
 			stop()
-			time.Sleep(watcherGrace)
 			close(gate.release)
 		}()
 		err = pipeline(ctx)

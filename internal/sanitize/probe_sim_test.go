@@ -15,7 +15,7 @@ import (
 
 // probeGatherFaults runs the fault-injected gather under the goroutine-leak
 // probe. The scheduler's contract is that no goroutine it started outlives
-// GatherFaultsCtx, crashed nodes and error paths included; a non-nil
+// Gather, crashed nodes and error paths included; a non-nil
 // LeakReport is a contract violation regardless of err.
 func probeGatherFaults(l core.Labeled, r int, plan faults.Plan) ([]*view.View, sim.Stats, *faults.Report, *LeakReport, error) {
 	var views []*view.View
@@ -23,7 +23,7 @@ func probeGatherFaults(l core.Labeled, r int, plan faults.Plan) ([]*view.View, s
 	var rep *faults.Report
 	var err error
 	leak := LeakCheck(func() {
-		views, stats, rep, err = sim.GatherFaultsCtx(context.Background(), obs.Scope{}, l, r, plan)
+		views, stats, rep, err = sim.Gather(context.Background(), obs.Scope{}, l, r, plan)
 	})
 	return views, stats, rep, leak, err
 }
@@ -35,7 +35,7 @@ func probeGatherFaults(l core.Labeled, r int, plan faults.Plan) ([]*view.View, s
 func watchGatherFaults(timeout time.Duration, l core.Labeled, r int, plan faults.Plan) (*StallReport, error) {
 	var err error
 	stall := Watch(timeout, func() {
-		_, _, _, err = sim.GatherFaultsCtx(context.Background(), obs.Scope{}, l, r, plan)
+		_, _, _, err = sim.Gather(context.Background(), obs.Scope{}, l, r, plan)
 	})
 	if stall != nil {
 		// The probed call never returned; its error is unknowable.

@@ -31,7 +31,7 @@ func TestGatherAllocs(t *testing.T) {
 		{faults.Plan{Seed: 7, Drop: 0.1, Duplicate: 0.1, Delay: 0.2, MaxDelay: 2, Reorder: true}, 429},
 	} {
 		if n := testing.AllocsPerRun(10, func() {
-			if _, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, 2, tc.plan); err != nil {
+			if _, _, _, err := Gather(nil, obs.Scope{}, l, 2, tc.plan); err != nil {
 				t.Fatal(err)
 			}
 		}); n > tc.max {

@@ -51,7 +51,7 @@ func TestGatherFaultsZeroPlanMatchesExtract(t *testing.T) {
 		g := graphtest.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := rng.Intn(3)
-		got, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
+		got, stats, rep, err := Gather(nil, obs.Scope{}, l, r, faults.Plan{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestGatherFaultsReplayDeterministic(t *testing.T) {
 	var baseTrace []string
 	var baseSummary string
 	for run := 0; run < 10; run++ {
-		views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, plan)
+		views, stats, rep, err := Gather(nil, obs.Scope{}, l, 3, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,11 +119,11 @@ func TestGatherFaultsSeedSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := graphtest.ConnectedGNP(9, 0.5, rng)
 	l := labeled(g, randomLabels(g.N(), rng))
-	_, _, repA, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, faults.Plan{Seed: 1, Drop: 0.5})
+	_, _, repA, err := Gather(nil, obs.Scope{}, l, 3, faults.Plan{Seed: 1, Drop: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, repB, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, faults.Plan{Seed: 2, Drop: 0.5})
+	_, _, repB, err := Gather(nil, obs.Scope{}, l, 3, faults.Plan{Seed: 2, Drop: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGatherFaultsCrashRoundZero(t *testing.T) {
 		if g.N() > 4 {
 			crashed[g.N()-1] = 0
 		}
-		views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Crashes: crashed})
+		views, _, rep, err := Gather(nil, obs.Scope{}, l, r, faults.Plan{Crashes: crashed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestGatherFaultsCrashRoundZero(t *testing.T) {
 func TestGatherFaultsMidRunCrash(t *testing.T) {
 	g := graph.Path(5)
 	l := labeled(g, []string{"a", "b", "c", "d", "e"})
-	views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, faults.Plan{Crashes: map[int]int{2: 1}})
+	views, _, rep, err := Gather(nil, obs.Scope{}, l, 3, faults.Plan{Crashes: map[int]int{2: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestGatherFaultsMidRunCrash(t *testing.T) {
 func TestGatherFaultsCrashBeyondHorizonIsNoop(t *testing.T) {
 	g := graph.MustCycle(6)
 	l := labeled(g, make([]string, 6))
-	views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 2, faults.Plan{Crashes: map[int]int{3: 2}})
+	views, _, rep, err := Gather(nil, obs.Scope{}, l, 2, faults.Plan{Crashes: map[int]int{3: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestGatherFaultsDropEverything(t *testing.T) {
 	g := graph.MustCycle(5)
 	l := labeled(g, []string{"a", "b", "c", "d", "e"})
 	r := 2
-	views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Drop: 1})
+	views, stats, rep, err := Gather(nil, obs.Scope{}, l, r, faults.Plan{Drop: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestGatherFaultsDuplicationAndReorderAreInvisible(t *testing.T) {
 		g := graphtest.ConnectedGNP(3+rng.Intn(6), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(2)
-		views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Seed: int64(trial), Duplicate: 0.6, Reorder: true})
+		views, stats, rep, err := Gather(nil, obs.Scope{}, l, r, faults.Plan{Seed: int64(trial), Duplicate: 0.6, Reorder: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestGatherFaultsDelaySubviews(t *testing.T) {
 		g := graphtest.ConnectedGNP(4+rng.Intn(5), 0.5, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := 1 + rng.Intn(3)
-		views, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{Seed: int64(trial), Delay: 0.5, MaxDelay: 2})
+		views, _, rep, err := Gather(nil, obs.Scope{}, l, r, faults.Plan{Seed: int64(trial), Delay: 0.5, MaxDelay: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,11 +439,11 @@ func TestGatherFaultsInvalidPlan(t *testing.T) {
 		{CorruptNodes: []int{-1}},
 	}
 	for _, plan := range bad {
-		if _, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, 1, plan); err == nil {
+		if _, _, _, err := Gather(nil, obs.Scope{}, l, 1, plan); err == nil {
 			t.Errorf("plan %+v accepted", plan)
 		}
 	}
-	if _, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, -1, faults.Plan{}); err == nil {
+	if _, _, _, err := Gather(nil, obs.Scope{}, l, -1, faults.Plan{}); err == nil {
 		t.Error("negative radius accepted")
 	}
 }
@@ -456,7 +456,7 @@ func TestGatherFaultsCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, r := range []int{0, 3} {
-		views, _, rep, err := GatherFaultsCtx(ctx, obs.Scope{}, l, r, chaoticPlan(5))
+		views, _, rep, err := Gather(ctx, obs.Scope{}, l, r, chaoticPlan(5))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("r=%d: err = %v, want context.Canceled", r, err)
 		}
@@ -472,7 +472,7 @@ func TestGatherFaultsAllCrash(t *testing.T) {
 	g := graph.Path(4)
 	l := labeled(g, make([]string, 4))
 	crashes := map[int]int{0: 0, 1: 0, 2: 0, 3: 0}
-	views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 2, faults.Plan{Crashes: crashes})
+	views, stats, rep, err := Gather(nil, obs.Scope{}, l, 2, faults.Plan{Crashes: crashes})
 	if err != nil {
 		t.Fatal(err)
 	}

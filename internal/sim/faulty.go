@@ -51,21 +51,21 @@ type delivery struct {
 	payload knowledge
 }
 
-// GatherFaultsCtx runs r rounds of synchronous flooding under the fault
-// plan and returns every surviving node's assembled radius-r view (nil at
-// crashed nodes), the communication stats, and the structured fault
-// report. The host indices inside messages are transport bookkeeping only
-// (they never reach the decoders, which see view-local numbering exactly
-// as with view.Extract). Errors are reserved for misuse — negative radius,
-// invalid plan, malformed port assignment — never for injected faults. The
+// Gather runs r rounds of synchronous flooding under the fault plan and
+// returns every surviving node's assembled radius-r view (nil at crashed
+// nodes), the communication stats, and the structured fault report. The
+// host indices inside messages are transport bookkeeping only (they never
+// reach the decoders, which see view-local numbering exactly as with
+// view.Extract). Errors are reserved for misuse — negative radius, invalid
+// plan, malformed port assignment — never for injected faults. The
 // zero-value plan is the fault-free run.
 //
 // Cancellation is checked at every round boundary: once ctx fires, the
-// call returns the cancellation error and no views and no report — a
-// cancelled gather's partial state is not published. A nil ctx is the
-// never-cancelled context (internal/cancel). Fault counters and a span are
-// reported into sc.
-func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, plan faults.Plan) ([]*view.View, Stats, *faults.Report, error) {
+// gather finishes at most the round it is in, and the call returns the
+// cancellation error and no views and no report — a cancelled gather's
+// partial state is not published. A nil ctx is the never-cancelled context
+// (internal/cancel). Fault counters and a span are reported into sc.
+func Gather(ctx context.Context, sc obs.Scope, l core.Labeled, r int, plan faults.Plan) ([]*view.View, Stats, *faults.Report, error) {
 	n := l.G.N()
 	if r < 0 {
 		return nil, Stats{}, nil, fmt.Errorf("negative radius %d", r)
@@ -122,7 +122,8 @@ func GatherFaultsCtx(ctx context.Context, sc obs.Scope, l core.Labeled, r int, p
 		stats.Messages++
 		stats.Records += len(payload)
 	}
-	for t := 0; t < r && !cancel.Cancelled(ctx); t++ {
+	stop := cancel.NewStop(ctx)
+	for t := 0; t < r && !stop.Stopped(); t++ {
 		// Send pass.
 		for v := 0; v < n; v++ {
 			if crashed[v] {
@@ -276,9 +277,8 @@ func (fr *FaultReport) AllAccept() bool { return core.AllAcceptVerdicts(fr.Verdi
 // plan, a malformed port assignment. Under the zero-value plan every node
 // gets the verdict of the fault-free run.
 //
-// When ctx fires, the gather stops at the next round boundary (see
-// GatherFaultsCtx) and the call returns no FaultReport alongside the
-// cancellation error. Verdict counters and a completion event are
+// When ctx fires, the gather stops at the next round boundary (see Gather)
+// and the call returns no FaultReport alongside the cancellation error. Verdict counters and a completion event are
 // reported into sc.
 func RunSchemeFaultsCtx(ctx context.Context, sc obs.Scope, s core.Scheme, inst core.Instance, plan faults.Plan) (*FaultReport, error) {
 	labels, err := s.Prover.Certify(inst)
@@ -289,7 +289,7 @@ func RunSchemeFaultsCtx(ctx context.Context, sc obs.Scope, s core.Scheme, inst c
 	if err != nil {
 		return nil, err
 	}
-	views, stats, rep, err := GatherFaultsCtx(ctx, sc, l, s.Decoder.Rounds(), plan)
+	views, stats, rep, err := Gather(ctx, sc, l, s.Decoder.Rounds(), plan)
 	if err != nil {
 		return nil, err
 	}

@@ -62,11 +62,11 @@ func FuzzGatherFaults(f *testing.F) {
 			Reorder:   seed%2 == 0,
 			Crashes:   crashes,
 		}
-		viewsA, statsA, repA, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, plan)
+		viewsA, statsA, repA, err := Gather(nil, obs.Scope{}, l, r, plan)
 		if err != nil {
 			t.Fatalf("pre-validated plan errored: %v", err)
 		}
-		viewsB, statsB, repB, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, plan)
+		viewsB, statsB, repB, err := Gather(nil, obs.Scope{}, l, r, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func FuzzGatherFaults(f *testing.F) {
 			return
 		}
 		crashOnly := faults.Plan{Seed: seed, Crashes: crashes}
-		views, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, crashOnly)
+		views, _, _, err := Gather(nil, obs.Scope{}, l, r, crashOnly)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func TestGoldenFaultTraces(t *testing.T) {
 				labels[v] = fmt.Sprintf("c%d", v%3)
 			}
 			l := labeled(tc.g, labels)
-			_, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, tc.r, tc.plan)
+			_, _, rep, err := Gather(nil, obs.Scope{}, l, tc.r, tc.plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestGoldenFaultTraces(t *testing.T) {
 			}
 			// A second run must reproduce the identical trace before it is
 			// worth pinning.
-			_, _, rep2, err := GatherFaultsCtx(nil, obs.Scope{}, l, tc.r, tc.plan)
+			_, _, rep2, err := Gather(nil, obs.Scope{}, l, tc.r, tc.plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestGoldenFaultViews(t *testing.T) {
 			for v := range labels {
 				labels[v] = fmt.Sprintf("c%d", v%3)
 			}
-			views, _, _, err := GatherFaultsCtx(nil, obs.Scope{}, labeled(tc.g, labels), tc.r, tc.plan)
+			views, _, _, err := Gather(nil, obs.Scope{}, labeled(tc.g, labels), tc.r, tc.plan)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func TestDifferentialMatrix(t *testing.T) {
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				live, _, _, err := GatherFaultsCtx(ctx, obs.Scope{}, l, r, faults.Plan{})
+				live, _, _, err := Gather(ctx, obs.Scope{}, l, r, faults.Plan{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +74,7 @@ func TestDifferentialMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				zero, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
+				zero, _, rep, err := Gather(nil, obs.Scope{}, l, r, faults.Plan{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -82,7 +82,7 @@ func TestRaceGatherFaultsStress(t *testing.T) {
 		Crashes:   map[int]int{2: 1, 8: 0},
 		Trace:     true,
 	}
-	baseViews, baseStats, baseRep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, plan)
+	baseViews, baseStats, baseRep, err := Gather(nil, obs.Scope{}, l, 3, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRaceGatherFaultsStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				views, stats, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, 3, plan)
+				views, stats, rep, err := Gather(nil, obs.Scope{}, l, 3, plan)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return

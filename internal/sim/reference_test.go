@@ -12,10 +12,10 @@ import (
 	"hidinglcp/internal/view"
 )
 
-// gather is the fault-free production gather: GatherFaultsCtx under the
+// gather is the fault-free production gather: Gather under the
 // zero-value plan, the nil never-cancelled context, and a zero Scope.
 func gather(l core.Labeled, r int) ([]*view.View, Stats, error) {
-	views, stats, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
+	views, stats, _, err := Gather(nil, obs.Scope{}, l, r, faults.Plan{})
 	return views, stats, err
 }
 

@@ -9,7 +9,7 @@
 // never arrives within r rounds.
 //
 // The package has two entry points, both taking the caller's context and
-// observability scope: GatherFaultsCtx gathers every node's view, and
+// observability scope: Gather gathers every node's view, and
 // RunSchemeFaultsCtx certifies an instance and evaluates the decoder at
 // every node. Both drive one scheduler under a seeded faults.Plan — message
 // drop, duplication, delay, and reordering, crash-stop node failures, and
