@@ -164,7 +164,7 @@ func (l Labeled) EachView(r int, anonymous bool, fn func(v int, mu *view.View) e
 		mu view.View
 	)
 	for v := 0; v < n; v++ {
-		if err := ex.TemplateInto(&t, l.G, l.Prt, ids, l.NBound, v, r); err != nil {
+		if err := ex.TemplateInto(&t, l.G, l.Prt, ids, l.NBound, v, r, nil); err != nil {
 			return fmt.Errorf("node %d: %w", v, err)
 		}
 		if err := fn(v, t.InstantiateInto(&mu, l.Labels)); err != nil {

@@ -309,7 +309,7 @@ func (s *decoderSpace) classVector(inst core.Instance) ([]int, error) {
 	labels := s.labels[:n]
 	vec := make([]int, n)
 	for v := range vec {
-		if err := s.ex.TemplateInto(&s.tpl, inst.G, inst.Prt, nil, inst.NBound, v, 1); err != nil {
+		if err := s.ex.TemplateInto(&s.tpl, inst.G, inst.Prt, nil, inst.NBound, v, 1, nil); err != nil {
 			return nil, fmt.Errorf("node %d: %w", v, err)
 		}
 		s.tpl.SkeletonInto(&s.skel)

@@ -9,11 +9,11 @@ const Unreachable = -1
 // BFSDistances returns the distance from src to every node, with Unreachable
 // (-1) for nodes in other components.
 func (g *Graph) BFSDistances(src int) []int {
-	dist := make([]int, g.n)
+	dist := make([]int, g.N())
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	if src < 0 || src >= g.n {
+	if src < 0 || src >= g.N() {
 		return dist
 	}
 	dist[src] = 0
@@ -52,10 +52,10 @@ func (g *Graph) Ball(v, r int) []int {
 // Connected reports whether g is connected. The empty graph and singletons
 // are connected.
 func (g *Graph) Connected() bool {
-	if g.n <= 1 {
+	if g.N() <= 1 {
 		return true
 	}
-	if g.n <= 64 {
+	if g.N() <= 64 {
 		// Allocation-free reachability with a bitmask visited set; each
 		// node is pushed at most once, so the stack fits in 64 slots.
 		var stack [64]int
@@ -74,7 +74,7 @@ func (g *Graph) Connected() bool {
 				}
 			}
 		}
-		return count == g.n
+		return count == g.N()
 	}
 	dist := g.BFSDistances(0)
 	for _, d := range dist {
@@ -88,9 +88,9 @@ func (g *Graph) Connected() bool {
 // Components returns the connected components of g as sorted node lists,
 // ordered by their smallest node.
 func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
+	seen := make([]bool, g.N())
 	var comps [][]int
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		if seen[v] {
 			continue
 		}
@@ -126,11 +126,11 @@ func sortedCopy(s []int) []int {
 // Diameter returns the diameter of g (the maximum pairwise distance), or
 // Unreachable if g is disconnected, or 0 if g has at most one node.
 func (g *Graph) Diameter() int {
-	if g.n <= 1 {
+	if g.N() <= 1 {
 		return 0
 	}
 	diam := 0
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		for _, d := range g.BFSDistances(v) {
 			if d == Unreachable {
 				return Unreachable
@@ -146,10 +146,10 @@ func (g *Graph) Diameter() int {
 // IsCycleGraph reports whether g is a single cycle: connected, n >= 3, and
 // every node has degree exactly 2.
 func (g *Graph) IsCycleGraph() bool {
-	if g.n < 3 || !g.Connected() {
+	if g.N() < 3 || !g.Connected() {
 		return false
 	}
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		if g.Degree(v) != 2 {
 			return false
 		}
@@ -163,14 +163,14 @@ func (g *Graph) IsPathGraph() bool {
 	if !g.Connected() {
 		return false
 	}
-	switch g.n {
+	switch g.N() {
 	case 0:
 		return false
 	case 1:
 		return true
 	}
 	deg1 := 0
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		switch g.Degree(v) {
 		case 1:
 			deg1++
@@ -184,8 +184,8 @@ func (g *Graph) IsPathGraph() bool {
 
 // ValidateNode returns an error if v is not a node of g.
 func (g *Graph) ValidateNode(v int) error {
-	if v < 0 || v >= g.n {
-		return fmt.Errorf("node %d out of range [0,%d)", v, g.n)
+	if v < 0 || v >= g.N() {
+		return fmt.Errorf("node %d out of range [0,%d)", v, g.N())
 	}
 	return nil
 }

@@ -5,11 +5,11 @@ package graph
 // odd cycle. Disconnected graphs are colored component by component, with
 // color 0 assigned to the smallest node of each component.
 func (g *Graph) TwoColoring() ([]int, bool) {
-	color := make([]int, g.n)
+	color := make([]int, g.N())
 	for i := range color {
 		color[i] = -1
 	}
-	for s := 0; s < g.n; s++ {
+	for s := 0; s < g.N(); s++ {
 		if color[s] != -1 {
 			continue
 		}
@@ -34,7 +34,7 @@ func (g *Graph) TwoColoring() ([]int, bool) {
 
 // IsBipartite reports whether g has no odd cycle.
 func (g *Graph) IsBipartite() bool {
-	if g.n > 64 {
+	if g.N() > 64 {
 		_, ok := g.TwoColoring()
 		return ok
 	}
@@ -43,7 +43,7 @@ func (g *Graph) IsBipartite() bool {
 	// most once, so the queue fits in 64 slots.
 	var seen, col uint64
 	var queue [64]int
-	for s := 0; s < g.n; s++ {
+	for s := 0; s < g.N(); s++ {
 		if seen&(1<<uint(s)) != 0 {
 			continue
 		}
@@ -72,13 +72,13 @@ func (g *Graph) IsBipartite() bool {
 // OddCycle returns the node sequence of some odd cycle in g (first node not
 // repeated at the end), or nil if g is bipartite.
 func (g *Graph) OddCycle() []int {
-	color := make([]int, g.n)
-	parent := make([]int, g.n)
+	color := make([]int, g.N())
+	parent := make([]int, g.N())
 	for i := range color {
 		color[i] = -1
 		parent[i] = -1
 	}
-	for s := 0; s < g.n; s++ {
+	for s := 0; s < g.N(); s++ {
 		if color[s] != -1 {
 			continue
 		}
@@ -116,9 +116,9 @@ func (g *Graph) OddCycle() []int {
 // longer beat the best length found.
 func (g *Graph) OddGirth() int {
 	best := 0
-	dist := make([]int, g.n)
-	queue := make([]int, 0, g.n)
-	for s := 0; s < g.n; s++ {
+	dist := make([]int, g.N())
+	queue := make([]int, 0, g.N())
+	for s := 0; s < g.N(); s++ {
 		for i := range dist {
 			dist[i] = -1
 		}
@@ -174,10 +174,10 @@ func spliceOddCycle(parent []int, v, w int) []int {
 // palette) is a proper coloring of g: every edge has differently colored
 // endpoints. Colorings shorter than g.N() are improper.
 func (g *Graph) IsProperColoring(color []int) bool {
-	if len(color) < g.n {
+	if len(color) < g.N() {
 		return false
 	}
-	for u := 0; u < g.n; u++ {
+	for u := 0; u < g.N(); u++ {
 		for _, v := range g.adj[u] {
 			if u < v && color[u] == color[v] {
 				return false
@@ -213,22 +213,22 @@ func (g *Graph) KColoringBudget(k, budget int) (coloring []int, ok, decided bool
 	switch {
 	case k < 0:
 		return nil, false, true
-	case g.n == 0:
+	case g.N() == 0:
 		return []int{}, true, true
 	case k == 0:
 		return nil, false, true
 	case k == 1:
 		if g.M() == 0 {
-			return make([]int, g.n), true, true
+			return make([]int, g.N()), true, true
 		}
 		return nil, false, true
 	case k == 2:
 		c, okTwo := g.TwoColoring()
 		return c, okTwo, true
-	case k >= g.n:
+	case k >= g.N():
 		// Enough colors for one per node (also keeps the color bitmasks
 		// below within their 64-bit budget for any realistic k).
-		c := make([]int, g.n)
+		c := make([]int, g.N())
 		for i := range c {
 			c[i] = i
 		}
@@ -237,14 +237,14 @@ func (g *Graph) KColoringBudget(k, budget int) (coloring []int, ok, decided bool
 
 	// Peel: repeatedly remove vertices with fewer than k remaining
 	// neighbors; they can always be colored after the core.
-	deg := make([]int, g.n)
-	removed := make([]bool, g.n)
-	for v := 0; v < g.n; v++ {
+	deg := make([]int, g.N())
+	removed := make([]bool, g.N())
+	for v := 0; v < g.N(); v++ {
 		deg[v] = g.Degree(v)
 	}
 	var peel []int
-	queue := make([]int, 0, g.n)
-	for v := 0; v < g.n; v++ {
+	queue := make([]int, 0, g.N())
+	for v := 0; v < g.N(); v++ {
 		if deg[v] < k {
 			queue = append(queue, v)
 			removed[v] = true
@@ -266,12 +266,12 @@ func (g *Graph) KColoringBudget(k, budget int) (coloring []int, ok, decided bool
 		}
 	}
 
-	color := make([]int, g.n)
+	color := make([]int, g.N())
 	for i := range color {
 		color[i] = -1
 	}
 	var core []int
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		if !removed[v] {
 			core = append(core, v)
 		}

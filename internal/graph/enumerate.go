@@ -20,10 +20,12 @@ func EnumGraphs(n int, fn func(*Graph) bool) {
 		for v := range deg {
 			deg[v] = 0
 		}
+		g.m = 0
 		for i, e := range pairs {
 			if mask&(1<<i) != 0 {
 				deg[e[0]]++
 				deg[e[1]]++
+				g.m++
 			}
 		}
 		off := 0

@@ -22,7 +22,9 @@ import (
 // being built (AddEdge) and are treated as immutable by the rest of the
 // library once constructed.
 type Graph struct {
-	n   int
+	// m is the number of edges, kept by everything that writes adj. The
+	// node count is len(adj), which keeps a Graph at 32 bytes.
+	m   int
 	adj [][]int // adj[v] is sorted ascending and loop-free
 }
 
@@ -31,7 +33,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{n: n, adj: make([][]int, n)}
+	return &Graph{adj: make([][]int, n)}
 }
 
 // FromEdges builds a graph on n nodes with the given edges.
@@ -58,23 +60,17 @@ func MustFromEdges(n int, edges [][2]int) *Graph {
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return len(g.adj) }
 
 // M returns the number of edges.
-func (g *Graph) M() int {
-	total := 0
-	for _, nb := range g.adj {
-		total += len(nb)
-	}
-	return total / 2
-}
+func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts the undirected edge {u, v}.
 // It returns an error if u or v is out of range, u == v, or the edge already
 // exists.
 func (g *Graph) AddEdge(u, v int) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("node out of range: have {%d,%d}, want within [0,%d)", u, v, g.n)
+	if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
+		return fmt.Errorf("node out of range: have {%d,%d}, want within [0,%d)", u, v, g.N())
 	}
 	if u == v {
 		return fmt.Errorf("loop at node %d not allowed", u)
@@ -84,6 +80,7 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
+	g.m++
 	return nil
 }
 
@@ -98,7 +95,7 @@ func insertSorted(s []int, x int) []int {
 // HasEdge reports whether the undirected edge {u, v} is present.
 // Out-of-range endpoints simply yield false.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
+	if u < 0 || u >= g.N() || v < 0 || v >= g.N() || u == v {
 		return false
 	}
 	nb := g.adj[u]
@@ -115,11 +112,11 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // MinDegree returns the minimum degree δ(G), or 0 for the empty graph.
 func (g *Graph) MinDegree() int {
-	if g.n == 0 {
+	if g.N() == 0 {
 		return 0
 	}
 	min := g.Degree(0)
-	for v := 1; v < g.n; v++ {
+	for v := 1; v < g.N(); v++ {
 		if d := g.Degree(v); d < min {
 			min = d
 		}
@@ -130,7 +127,7 @@ func (g *Graph) MinDegree() int {
 // MaxDegree returns the maximum degree Δ(G), or 0 for the empty graph.
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		if d := g.Degree(v); d > max {
 			max = d
 		}
@@ -141,7 +138,7 @@ func (g *Graph) MaxDegree() int {
 // Edges returns all edges as pairs {u, v} with u < v, in lexicographic order.
 func (g *Graph) Edges() [][2]int {
 	edges := make([][2]int, 0, g.M())
-	for u := 0; u < g.n; u++ {
+	for u := 0; u < g.N(); u++ {
 		for _, v := range g.adj[u] {
 			if u < v {
 				edges = append(edges, [2]int{u, v})
@@ -153,10 +150,11 @@ func (g *Graph) Edges() [][2]int {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for v := 0; v < g.n; v++ {
+	c := New(g.N())
+	for v := 0; v < g.N(); v++ {
 		c.adj[v] = append([]int(nil), g.adj[v]...)
 	}
+	c.m = g.m
 	return c
 }
 
@@ -166,7 +164,7 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int) {
 	present := make(map[int]bool, len(keep))
 	for _, v := range keep {
-		if v >= 0 && v < g.n {
+		if v >= 0 && v < g.N() {
 			present[v] = true
 		}
 	}
@@ -200,8 +198,8 @@ func (g *Graph) DeleteClosedNeighborhood(v int) (*Graph, []int) {
 	for _, u := range g.adj[v] {
 		drop[u] = true
 	}
-	keep := make([]int, 0, g.n)
-	for u := 0; u < g.n; u++ {
+	keep := make([]int, 0, g.N())
+	for u := 0; u < g.N(); u++ {
 		if !drop[u] {
 			keep = append(keep, u)
 		}
@@ -212,10 +210,10 @@ func (g *Graph) DeleteClosedNeighborhood(v int) (*Graph, []int) {
 // Equal reports whether g and h are identical as labeled graphs (same node
 // count and same edge set).
 func (g *Graph) Equal(h *Graph) bool {
-	if g.n != h.n {
+	if g.N() != h.N() {
 		return false
 	}
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		if len(g.adj[v]) != len(h.adj[v]) {
 			return false
 		}
@@ -231,7 +229,7 @@ func (g *Graph) Equal(h *Graph) bool {
 // String renders the graph compactly, e.g. "G(n=4; 0-1 1-2 2-3)".
 func (g *Graph) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "G(n=%d;", g.n)
+	fmt.Fprintf(&b, "G(n=%d;", g.N())
 	for _, e := range g.Edges() {
 		fmt.Fprintf(&b, " %d-%d", e[0], e[1])
 	}
@@ -243,7 +241,7 @@ func (g *Graph) String() string {
 // Two graphs have the same key iff they are Equal.
 func (g *Graph) Key() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "n%d", g.n)
+	fmt.Fprintf(&b, "n%d", g.N())
 	for _, e := range g.Edges() {
 		fmt.Fprintf(&b, "|%d,%d", e[0], e[1])
 	}

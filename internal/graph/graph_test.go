@@ -83,19 +83,23 @@ func TestFromEdges(t *testing.T) {
 	}
 }
 
-func TestRemoveEdge(t *testing.T) {
-	g := MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	if err := g.RemoveEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(0, 1) {
-		t.Error("edge {0,1} still present after removal")
-	}
-	if g.M() != 1 {
-		t.Errorf("M() = %d, want 1", g.M())
-	}
-	if err := g.RemoveEdge(0, 1); err == nil {
-		t.Error("removing absent edge succeeded")
+// TestEdgeCount: M is a counter kept by every writer of the adjacency, so
+// it must match a scan of the edges on each graph EnumGraphs hands out
+// (one Graph, rewritten per mask) and on a Clone.
+func TestEdgeCount(t *testing.T) {
+	graphs := 0
+	EnumGraphs(5, func(g *Graph) bool {
+		graphs++
+		if g.M() != len(g.Edges()) {
+			t.Fatalf("%v: M() = %d, want %d", g, g.M(), len(g.Edges()))
+		}
+		if c := g.Clone(); c.M() != g.M() {
+			t.Fatalf("%v: clone has M() = %d, want %d", g, c.M(), g.M())
+		}
+		return true
+	})
+	if graphs != 1<<10 {
+		t.Errorf("enumerated %d graphs, want %d", graphs, 1<<10)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // for forests. Computed by BFS from every node (O(n·m)).
 func (g *Graph) Girth() int {
 	best := -1
-	for s := 0; s < g.n; s++ {
-		dist := make([]int, g.n)
-		parent := make([]int, g.n)
+	for s := 0; s < g.N(); s++ {
+		dist := make([]int, g.N())
+		parent := make([]int, g.N())
 		for i := range dist {
 			dist[i] = Unreachable
 			parent[i] = -1
@@ -54,12 +54,12 @@ func (g *Graph) Girth() int {
 // increases the number of connected components), sorted ascending, via the
 // classical low-link DFS.
 func (g *Graph) CutVertices() []int {
-	disc := make([]int, g.n)
-	low := make([]int, g.n)
+	disc := make([]int, g.N())
+	low := make([]int, g.N())
 	for i := range disc {
 		disc[i] = -1
 	}
-	isCut := make([]bool, g.n)
+	isCut := make([]bool, g.N())
 	timer := 0
 	var dfs func(v, parent int)
 	dfs = func(v, parent int) {
@@ -90,7 +90,7 @@ func (g *Graph) CutVertices() []int {
 			isCut[v] = true
 		}
 	}
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		if disc[v] == -1 {
 			dfs(v, -1)
 		}
@@ -106,14 +106,14 @@ func (g *Graph) CutVertices() []int {
 
 // IsTree reports whether g is a tree: connected and acyclic.
 func (g *Graph) IsTree() bool {
-	return g.Connected() && g.M() == g.n-1 && g.n > 0
+	return g.Connected() && g.M() == g.N()-1 && g.N() > 0
 }
 
 // Complement returns the complement graph of g.
 func (g *Graph) Complement() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := u + 1; v < g.n; v++ {
+	c := New(g.N())
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
 			if !g.HasEdge(u, v) {
 				mustAddEdge(c, u, v)
 			}
@@ -190,10 +190,10 @@ func sameDegreeSequence(g, h *Graph) bool {
 // ShortestPath returns some shortest path from u to v inclusive of both
 // endpoints, or nil if v is unreachable from u.
 func (g *Graph) ShortestPath(u, v int) []int {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+	if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
 		return nil
 	}
-	parent := make([]int, g.n)
+	parent := make([]int, g.N())
 	for i := range parent {
 		parent[i] = -2 // unvisited
 	}
@@ -230,13 +230,13 @@ func (g *Graph) ShortestPath(u, v int) []int {
 // number of independent cycles. A connected graph has at least two cycles in
 // the sense of Section 5.2 of the paper iff its cycle rank is at least 2.
 func (g *Graph) CountCycles() int {
-	return g.M() - g.n + len(g.Components())
+	return g.M() - g.N() + len(g.Components())
 }
 
 // ChromaticNumber returns χ(G), computed by incremental backtracking.
 // Intended for small graphs only.
 func (g *Graph) ChromaticNumber() int {
-	if g.n == 0 {
+	if g.N() == 0 {
 		return 0
 	}
 	for k := 1; ; k++ {
@@ -248,28 +248,12 @@ func (g *Graph) ChromaticNumber() int {
 
 // SortedDegrees returns the degree sequence in ascending order.
 func (g *Graph) SortedDegrees() []int {
-	out := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
+	out := make([]int, g.N())
+	for v := 0; v < g.N(); v++ {
 		out[v] = g.Degree(v)
 	}
 	sort.Ints(out)
 	return out
-}
-
-// RemoveEdge deletes the undirected edge {u, v}.
-// It returns an error if the edge is not present.
-func (g *Graph) RemoveEdge(u, v int) error {
-	if !g.HasEdge(u, v) {
-		return fmt.Errorf("edge {%d,%d} not present", u, v)
-	}
-	g.adj[u] = removeSorted(g.adj[u], v)
-	g.adj[v] = removeSorted(g.adj[v], u)
-	return nil
-}
-
-func removeSorted(s []int, x int) []int {
-	i := sort.SearchInts(s, x)
-	return append(s[:i], s[i+1:]...)
 }
 
 // NodeWithID returns the node carrying identifier id, or -1 if absent.
@@ -372,10 +356,12 @@ func EnumGraphsShard(n, shard, shards int, fn func(*Graph) bool) {
 		for v := range deg {
 			deg[v] = 0
 		}
+		g.m = 0
 		for i, e := range pairs {
 			if mask&(1<<i) != 0 {
 				deg[e[0]]++
 				deg[e[1]]++
+				g.m++
 			}
 		}
 		off := 0

@@ -225,7 +225,7 @@ func TypeOf(d core.Decoder, catalog []Template, ids []int) (string, error) {
 			vids = nil
 		}
 		nBound := max(sorted[len(sorted)-1], tpl.L.NBound)
-		if err := ex.TemplateInto(&t, tpl.L.G, tpl.L.Prt, vids, nBound, tpl.Center, d.Rounds()); err != nil {
+		if err := ex.TemplateInto(&t, tpl.L.G, tpl.L.Prt, vids, nBound, tpl.Center, d.Rounds(), nil); err != nil {
 			return "", fmt.Errorf("template %d: %w", i, err)
 		}
 		if d.Decide(t.InstantiateInto(&mu, tpl.L.Labels)) {

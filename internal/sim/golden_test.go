@@ -98,9 +98,10 @@ func TestGoldenFaultTraces(t *testing.T) {
 // and under the kitchen-sink chaoticPlan on the 6x6 grid, one line per
 // node with its hex-encoded view key (empty at crashed nodes). The traces
 // above pin only the schedule; these files pin what the schedule gathers,
-// so a change to the knowledge representation or to assemble that alters
-// a view under drop, delay or a mid-run crash shows up as a diff. Run
-// with -update-golden to regenerate after an intentional change.
+// so a change to the knowledge representation or to the view building
+// restricted to a node's knowledge that alters a view under drop, delay
+// or a mid-run crash shows up as a diff. Run with -update-golden to
+// regenerate after an intentional change.
 func TestGoldenFaultViews(t *testing.T) {
 	type viewCase struct {
 		kind string

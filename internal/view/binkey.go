@@ -25,8 +25,9 @@ const keyInline = 32
 // maps the port order of one view onto the port order of the other, so
 // isomorphic views get equal keys. Conversely the serialization determines
 // the ordered view, so equal keys mean isomorphic views. Extract and
-// Template, internal/sim's assemble and internal/sanitize's relabelView
-// guarantee both properties; nothing checks them at run time.
+// Template (through which internal/sim builds its views too) and
+// internal/sanitize's relabelView guarantee both properties; nothing checks
+// them at run time.
 //
 // The key is computed once and cached, and the returned slice is shared;
 // the caller must not modify it. A caller that keys many views of one

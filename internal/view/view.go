@@ -25,9 +25,9 @@ import (
 // relies on two properties of every view: the rows hold each visible edge
 // exactly once at each of its ends (so the ports at each node are
 // distinct), and every node is reachable from the center through visible
-// edges. The three producers of views guarantee both: Extract and
-// Template, internal/sim's assemble and internal/sanitize's relabelView. A
-// hand-built view must too.
+// edges. The two producers of views guarantee both: Extract and Template
+// (which internal/sim's gather also builds through), and
+// internal/sanitize's relabelView. A hand-built view must too.
 //
 // Views are immutable after extraction.
 type View struct {
@@ -126,30 +126,32 @@ func (v *View) Anonymize() *View {
 // immutable, so regular callers never need it.
 func (v *View) Clone() *View { return v.clone() }
 
+// clone copies Dist, IDs and every port row into one backing slice, so a
+// copy costs five allocations: the View, its PortRows, the row headers, the
+// backing and the labels. An empty slice copies as nil.
 func (v *View) clone() *View {
-	return &View{
-		Radius: v.Radius,
-		Dist:   append([]int(nil), v.Dist...),
-		Ports:  v.Ports.clone(),
-		IDs:    append([]int(nil), v.IDs...),
-		Labels: append([]string(nil), v.Labels...),
-		NBound: v.NBound,
-	}
-}
-
-// clone copies every row into one backing slice; an empty row stays nil.
-func (pr *PortRows) clone() *PortRows {
-	total := 0
-	for _, row := range pr.Rows {
+	total := len(v.Dist) + len(v.IDs)
+	for _, row := range v.Ports.Rows {
 		total += len(row)
 	}
 	back := make([]int, 0, total)
-	c := &PortRows{Rows: make([][]int, len(pr.Rows))}
-	for i, row := range pr.Rows {
-		if len(row) > 0 {
-			back = append(back, row...)
-			c.Rows[i] = back[len(back)-len(row) : len(back) : len(back)]
+	take := func(s []int) []int {
+		if len(s) == 0 {
+			return nil
 		}
+		back = append(back, s...)
+		return back[len(back)-len(s) : len(back) : len(back)]
+	}
+	c := &View{
+		Radius: v.Radius,
+		Dist:   take(v.Dist),
+		Ports:  &PortRows{Rows: make([][]int, len(v.Ports.Rows))},
+		IDs:    take(v.IDs),
+		Labels: append([]string(nil), v.Labels...),
+		NBound: v.NBound,
+	}
+	for i, row := range v.Ports.Rows {
+		c.Ports.Rows[i] = take(row)
 	}
 	return c
 }
