@@ -113,6 +113,28 @@ func TestGatherFaultsReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestGatherSpanAttrs: a traced gather records its plan and the report's
+// summary on its sim.gather span. An untraced gather has no span and skips
+// formatting both (TestGatherAllocs counts that).
+func TestGatherSpanAttrs(t *testing.T) {
+	g := graph.Grid(3, 3)
+	l := labeled(g, make([]string, g.N()))
+	plan := chaoticPlan(5)
+	tr := obs.NewTracer(4)
+	_, _, rep, err := Gather(nil, obs.NewScope().WithTracer(tr), l, 2, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Name != "sim.gather" {
+		t.Fatalf("spans %+v, want one sim.gather span", spans)
+	}
+	want := []obs.Attr{{Key: "plan", Value: plan.String()}, {Key: "faults", Value: rep.Summary()}}
+	if !reflect.DeepEqual(spans[0].Attrs, want) {
+		t.Errorf("attrs %+v, want %+v", spans[0].Attrs, want)
+	}
+}
+
 // TestGatherFaultsSeedSensitivity: different seeds should (for a chaotic
 // plan on a non-trivial instance) produce different schedules.
 func TestGatherFaultsSeedSensitivity(t *testing.T) {
