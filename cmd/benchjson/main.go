@@ -1,23 +1,17 @@
 // Command benchjson converts `go test -bench` output into a committed,
-// machine-readable benchmark snapshot (BENCH_<date>.json), compares two
-// snapshots into a benchstat-style regression note, and gates on per-metric
-// regression thresholds.
+// machine-readable benchmark snapshot (BENCH_<date>.json), and its diff
+// subcommand compares two snapshots under the shared regression thresholds.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./... | go run ./cmd/benchjson -o BENCH_2026-08-06.json
-//	go run ./cmd/benchjson -compare BENCH_old.json BENCH_new.json
-//	go run ./cmd/benchjson diff -fail-on-regress -thresholds .bench-thresholds.json BENCH_old.json BENCH_new.json
+//	go run ./cmd/benchjson diff [-fail-on-regress] [-thresholds F] BENCH_old.json BENCH_new.json
 //
-// The compare mode exits 0 always (timing in CI is advisory); it prints one
-// line per benchmark with the ns/op and allocs/op ratios so a reviewer can
-// spot regressions at a glance.
-//
-// The diff subcommand checks every baseline benchmark's ns/op, B/op, and
-// allocs/op ratios against configurable limits — defaults from the package,
-// optionally overridden per benchmark by a JSON thresholds file and by the
-// -max-* flags — and with -fail-on-regress exits 1 when any limit is
-// exceeded or a baseline benchmark is missing from the new snapshot.
+// diff prints a Markdown report with every benchmark's ns/op, B/op and
+// allocs/op ratio, checked against the limits in the thresholds file
+// (default .bench-thresholds.json). Without -fail-on-regress it always exits
+// 0; with it, it exits 1 when a limit is exceeded or a baseline benchmark is
+// missing from the new snapshot.
 package main
 
 import (
@@ -29,6 +23,7 @@ import (
 	"time"
 
 	"hidinglcp/internal/benchjson"
+	"hidinglcp/internal/regress"
 )
 
 func main() {
@@ -38,27 +33,7 @@ func main() {
 	}
 	out := flag.String("o", "", "output path (default BENCH_<date>.json)")
 	date := flag.String("date", "", "date stamp for the default output name (default today)")
-	compare := flag.Bool("compare", false, "compare two snapshot files instead of parsing bench output")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson -compare OLD.json NEW.json")
-			os.Exit(2)
-		}
-		old, err := readSnapshot(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		cur, err := readSnapshot(flag.Arg(1))
-		if err != nil {
-			fatal(err)
-		}
-		if err := benchjson.WriteComparison(os.Stdout, old, cur); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	raw, err := io.ReadAll(os.Stdin)
 	if err != nil {
@@ -91,38 +66,17 @@ func main() {
 // two snapshots with an optional hard-fail exit for CI gating.
 func diffMain(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	thresholdsPath := fs.String("thresholds", "", "JSON thresholds file (default limits + per-benchmark overrides)")
+	thresholdsPath := fs.String("thresholds", ".bench-thresholds.json", "JSON thresholds file")
 	failOnRegress := fs.Bool("fail-on-regress", false, "exit 1 when any limit is exceeded")
-	maxNs := fs.Float64("max-ns-ratio", 0, "override the default ns/op limit (0 keeps the policy value)")
-	maxBytes := fs.Float64("max-bytes-ratio", 0, "override the default B/op limit (0 keeps the policy value)")
-	maxAllocs := fs.Float64("max-allocs-ratio", 0, "override the default allocs/op limit (0 keeps the policy value)")
-	fs.Parse(args)
+	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if fs.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchjson diff [flags] OLD.json NEW.json")
 		os.Exit(2)
 	}
-
-	th := benchjson.DefaultThresholds()
-	if *thresholdsPath != "" {
-		data, err := os.ReadFile(*thresholdsPath)
-		if err != nil {
-			fatal(err)
-		}
-		th = benchjson.Thresholds{}
-		if err := json.Unmarshal(data, &th); err != nil {
-			fatal(fmt.Errorf("%s: %w", *thresholdsPath, err))
-		}
+	th, err := regress.LoadThresholds(*thresholdsPath)
+	if err != nil {
+		fatal(err)
 	}
-	if *maxNs != 0 {
-		th.Default.NsRatio = *maxNs
-	}
-	if *maxBytes != 0 {
-		th.Default.BytesRatio = *maxBytes
-	}
-	if *maxAllocs != 0 {
-		th.Default.AllocsRatio = *maxAllocs
-	}
-
 	old, err := readSnapshot(fs.Arg(0))
 	if err != nil {
 		fatal(err)
@@ -131,13 +85,16 @@ func diffMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	regs, err := benchjson.Diff(os.Stdout, old, cur, th)
+	rep, err := benchjson.Diff(old, cur, th)
 	if err != nil {
 		fatal(err)
 	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s):\n", len(regs))
-		for _, r := range regs {
+	if err := rep.WriteMarkdown(os.Stdout); err != nil {
+		fatal(err)
+	}
+	if rep.HasRegressions() {
+		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s):\n", len(rep.Regressions))
+		for _, r := range rep.Regressions {
 			fmt.Fprintf(os.Stderr, "  %s\n", r)
 		}
 		if *failOnRegress {

@@ -15,18 +15,21 @@
 // diff compares two explicit manifests. gate compares the newest manifest
 // in the history dir (optionally filtered by tool) against a committed
 // baseline, with the trend table drawn from the last N history entries.
-// With -fail-on-regress either mode exits 1 when a threshold is exceeded,
-// a baseline metric is missing, or an invariant is violated.
+// The thresholds file defaults to .obs-thresholds.json. With
+// -fail-on-regress either mode exits 1 when a threshold is exceeded, a
+// baseline metric is missing, or an invariant is violated; either mode
+// fails when the baseline has no metric the latest run reports.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/obs/history"
+	"hidinglcp/internal/regress"
 )
 
 func main() {
@@ -84,7 +87,7 @@ type diffFlags struct {
 
 func registerDiffFlags(fs *flag.FlagSet) diffFlags {
 	return diffFlags{
-		thresholds:    fs.String("thresholds", "", "JSON thresholds file (default limits + per-metric overrides)"),
+		thresholds:    fs.String("thresholds", ".obs-thresholds.json", "JSON thresholds file"),
 		failOnRegress: fs.Bool("fail-on-regress", false, "exit 1 when any limit is exceeded or an invariant is violated"),
 		trend:         fs.Int("trend", 0, "include a trend table over the last N history runs (gate mode)"),
 		jsonOut:       fs.String("json", "", "write the JSON report to this path"),
@@ -92,20 +95,17 @@ func registerDiffFlags(fs *flag.FlagSet) diffFlags {
 	}
 }
 
-func loadThresholds(path string) history.Thresholds {
-	th := history.DefaultThresholds()
-	if path == "" {
-		return th
-	}
-	data, err := os.ReadFile(path)
+// diff runs history.Diff under the thresholds file the flags name.
+func diff(base, latest *obs.RunManifest, df diffFlags) *regress.Report {
+	th, err := regress.LoadThresholds(*df.thresholds)
 	if err != nil {
 		fatal(err)
 	}
-	th = history.Thresholds{}
-	if err := json.Unmarshal(data, &th); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+	rep, err := history.Diff(base, latest, th)
+	if err != nil {
+		fatal(err)
 	}
-	return th
+	return rep
 }
 
 // diffMain compares two explicit manifest files.
@@ -125,7 +125,7 @@ func diffMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	report(history.Diff(base, latest, loadThresholds(*df.thresholds)), df)
+	report(diff(base, latest, df), df)
 }
 
 // gateMain compares the newest history entry against a committed baseline.
@@ -152,19 +152,19 @@ func gateMain(args []string) {
 	if latest == nil {
 		fatal(fmt.Errorf("no runs in history dir %s (tool %q)", *dir, *tool))
 	}
-	rep := history.Diff(base, latest.Manifest, loadThresholds(*df.thresholds))
+	rep := diff(base, latest.Manifest, df)
 	if n := *df.trend; n > 0 {
 		if n > len(entries) {
 			n = len(entries)
 		}
-		rep.AddTrend(entries[len(entries)-n:])
+		history.AddTrend(rep, entries[len(entries)-n:])
 	}
 	report(rep, df)
 }
 
 // report renders the outcome to stdout and the requested artifacts, then
 // applies the gate policy.
-func report(rep *history.Report, df diffFlags) {
+func report(rep *regress.Report, df diffFlags) {
 	if err := rep.WriteMarkdown(os.Stdout); err != nil {
 		fatal(err)
 	}

@@ -40,10 +40,12 @@ func writeManifest(t *testing.T, dir, name string, start int64, counters map[str
 	return path
 }
 
-// run executes the built binary and returns (exit code, combined output).
+// run executes the built binary from the repository root, where its default
+// thresholds file lives, and returns (exit code, combined output).
 func run(t *testing.T, bin string, args ...string) (int, string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
+	cmd.Dir = filepath.Join("..", "..")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		return 0, string(out)
@@ -143,5 +145,28 @@ func TestAppendAndGate(t *testing.T) {
 		`"per_metric":{"nbhd.instances":{"skip":true}}}`), 0o644)
 	if code, out := run(t, bin, "gate", "-fail-on-regress", "-baseline", base, "-dir", hist, "-thresholds", thr); code != 0 {
 		t.Errorf("skip-listed gate exited %d:\n%s", code, out)
+	}
+}
+
+// TestGateFailsOnMetricLessBaseline: a baseline with no metric compares
+// nothing, so the gate fails instead of passing vacuously.
+func TestGateFailsOnMetricLessBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary; skipped in -short mode")
+	}
+	bin := buildObsdiff(t)
+	scratch := t.TempDir()
+	hist := filepath.Join(scratch, "history")
+	base := writeManifest(t, scratch, "baseline.json", 1, nil)
+	m := writeManifest(t, scratch, "run.json", 2, map[string]int64{"nbhd.instances": 1000})
+	if code, out := run(t, bin, "append", "-dir", hist, m); code != 0 {
+		t.Fatalf("append exited %d:\n%s", code, out)
+	}
+	code, out := run(t, bin, "gate", "-fail-on-regress", "-baseline", base, "-dir", hist)
+	if code == 0 {
+		t.Errorf("gate against a metric-less baseline exited 0:\n%s", out)
+	}
+	if !strings.Contains(out, "no baseline metric") {
+		t.Errorf("gate did not say why it failed:\n%s", out)
 	}
 }

@@ -1,12 +1,11 @@
 // Package benchjson parses `go test -bench` output into a stable JSON
-// snapshot schema and renders benchstat-style comparisons between two
-// snapshots. It exists so benchmark evidence can be committed alongside
-// performance work and re-checked mechanically in CI.
+// snapshot schema and compares two snapshots through internal/regress. It
+// exists so benchmark evidence can be committed alongside performance work
+// and re-checked mechanically in CI.
 package benchjson
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,6 +14,7 @@ import (
 // Benchmark is one benchmark result line.
 type Benchmark struct {
 	Name        string  `json:"name"`
+	Procs       int     `json:"procs,omitempty"` // GOMAXPROCS the line ran at
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
@@ -34,7 +34,9 @@ type Snapshot struct {
 // Parse reads `go test -bench` output (one or more packages) into a
 // Snapshot stamped with date. Lines that are not benchmark results or
 // recognized headers are ignored, so the full `go test` output can be piped
-// in unfiltered.
+// in unfiltered. A name that repeats once its -GOMAXPROCS suffix is
+// stripped (output of -count=N or -cpu a,b) is an error: a snapshot holds
+// one sample per benchmark.
 func Parse(output, date string) (*Snapshot, error) {
 	snap := &Snapshot{Date: date}
 	for _, line := range strings.Split(output, "\n") {
@@ -72,6 +74,11 @@ func Parse(output, date string) (*Snapshot, error) {
 	sort.Slice(snap.Benchmarks, func(i, j int) bool {
 		return snap.Benchmarks[i].Name < snap.Benchmarks[j].Name
 	})
+	for i := 1; i < len(snap.Benchmarks); i++ {
+		if name := snap.Benchmarks[i].Name; name == snap.Benchmarks[i-1].Name {
+			return nil, fmt.Errorf("benchmark %s appears more than once (-count or -cpu output)", name)
+		}
+	}
 	return snap, nil
 }
 
@@ -86,19 +93,19 @@ func parseLine(line string) (Benchmark, bool, error) {
 	if len(fields) < 3 {
 		return Benchmark{}, false, nil
 	}
-	name := fields[0]
+	name, procs := fields[0], 1
 	// Strip the -GOMAXPROCS suffix so snapshots from different machines
-	// compare by benchmark identity.
+	// compare by benchmark identity, and keep it as Procs.
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return Benchmark{}, false, nil // e.g. "BenchmarkFoo	--- FAIL"
 	}
-	b := Benchmark{Name: name, Iterations: iters}
+	b := Benchmark{Name: name, Procs: procs, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -114,39 +121,4 @@ func parseLine(line string) (Benchmark, bool, error) {
 		}
 	}
 	return b, true, nil
-}
-
-// WriteComparison renders a benchstat-style note comparing two snapshots:
-// one line per benchmark present in both, with old, new, and the ratio for
-// ns/op and allocs/op. Ratios above 1.0 on ns/op are regressions.
-func WriteComparison(w io.Writer, old, cur *Snapshot) error {
-	index := make(map[string]Benchmark, len(old.Benchmarks))
-	for _, b := range old.Benchmarks {
-		index[b.Name] = b
-	}
-	fmt.Fprintf(w, "benchmark comparison: %s -> %s\n", old.Date, cur.Date)
-	fmt.Fprintf(w, "%-40s %14s %14s %8s %12s %12s %8s\n",
-		"name", "ns/op(old)", "ns/op(new)", "ratio", "allocs(old)", "allocs(new)", "ratio")
-	matched := 0
-	for _, b := range cur.Benchmarks {
-		o, ok := index[b.Name]
-		if !ok {
-			continue
-		}
-		matched++
-		fmt.Fprintf(w, "%-40s %14.0f %14.0f %8s %12.0f %12.0f %8s\n",
-			b.Name, o.NsPerOp, b.NsPerOp, ratio(b.NsPerOp, o.NsPerOp),
-			o.AllocsPerOp, b.AllocsPerOp, ratio(b.AllocsPerOp, o.AllocsPerOp))
-	}
-	if matched == 0 {
-		return fmt.Errorf("no common benchmarks between snapshots")
-	}
-	return nil
-}
-
-func ratio(cur, old float64) string {
-	if old == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2fx", cur/old)
 }

@@ -36,9 +36,13 @@ func TestParse(t *testing.T) {
 	if e3.Iterations != 2 || e3.NsPerOp != 102806824 || e3.AllocsPerOp != 1738803 {
 		t.Fatalf("E3 parsed wrong: %+v", e3)
 	}
-	// The -8 GOMAXPROCS suffix must be stripped.
-	if _, ok := byName["BenchmarkViewExtract"]; !ok {
-		t.Fatalf("GOMAXPROCS suffix not stripped: %v", byName)
+	// The -8 GOMAXPROCS suffix must be stripped and kept as Procs; a line
+	// without one ran at GOMAXPROCS=1.
+	if ve, ok := byName["BenchmarkViewExtract"]; !ok || ve.Procs != 8 {
+		t.Fatalf("GOMAXPROCS suffix not stripped into Procs: %v", byName)
+	}
+	if e3.Procs != 1 {
+		t.Fatalf("E3 Procs = %d, want 1 (no suffix)", e3.Procs)
 	}
 	if sub, ok := byName["BenchmarkViewKey/with-ids"]; !ok || sub.NsPerOp != 6437 {
 		t.Fatalf("sub-benchmark parsed wrong: %+v", sub)
@@ -52,41 +56,20 @@ func TestParse(t *testing.T) {
 			t.Fatal("benchmarks not sorted by name")
 		}
 	}
+	// -count=N repeats a line and -cpu 1,2 gives BenchmarkA and BenchmarkA-2,
+	// both BenchmarkA once stripped: one snapshot holds one sample per name.
+	for name, out := range map[string]string{
+		"count": "BenchmarkA-2 10 5 ns/op\nBenchmarkA-2 10 6 ns/op\n",
+		"cpu":   "BenchmarkA 10 5 ns/op\nBenchmarkA-2 10 6 ns/op\n",
+	} {
+		if _, err := Parse(out, "d"); err == nil || !strings.Contains(err.Error(), "BenchmarkA") {
+			t.Errorf("%s: Parse = %v, want an error naming BenchmarkA", name, err)
+		}
+	}
 }
 
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := Parse("PASS\nok x 0.1s\n", "d"); err == nil {
 		t.Fatal("expected error on output with no benchmarks")
-	}
-}
-
-func TestWriteComparison(t *testing.T) {
-	old, err := Parse(sample, "old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Parse(strings.ReplaceAll(sample, "102806824", "51403412"), "new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteComparison(&sb, old, cur); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "BenchmarkE3DegreeOne") || !strings.Contains(out, "0.50x") {
-		t.Fatalf("comparison missing ratio line:\n%s", out)
-	}
-	if !strings.Contains(out, "old -> new") {
-		t.Fatalf("comparison missing header:\n%s", out)
-	}
-}
-
-func TestWriteComparisonDisjoint(t *testing.T) {
-	old, _ := Parse("BenchmarkA 1 5 ns/op\n", "o")
-	cur, _ := Parse("BenchmarkB 1 5 ns/op\n", "n")
-	var sb strings.Builder
-	if err := WriteComparison(&sb, old, cur); err == nil {
-		t.Fatal("expected error for disjoint snapshots")
 	}
 }

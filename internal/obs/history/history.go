@@ -1,8 +1,11 @@
 // Package history is the longitudinal half of the telemetry plane: it
 // appends finalized run manifests into a history directory, loads them back
-// ordered by start time, and diffs latest-vs-baseline (plus N-run trends)
-// under field-wise thresholds in the style of cmd/benchjson diff. The live
-// half — /metrics, /trace — lives in internal/obs/export.
+// ordered by start time, and reads them into internal/regress, the
+// comparator and threshold schema `benchjson diff` shares. Diff turns two
+// manifests into samples (counters and gauges by value, histograms by
+// count) and adds the cross-metric invariants only a manifest can check;
+// AddTrend adds the N-run trend table. The live half — /metrics, /trace —
+// lives in internal/obs/export.
 package history
 
 import (

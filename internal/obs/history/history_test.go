@@ -9,7 +9,21 @@ import (
 	"testing"
 
 	"hidinglcp/internal/obs"
+	"hidinglcp/internal/regress"
 )
+
+// defaults allows ±10% drift on every metric.
+var defaults = regress.Thresholds{Default: regress.Limits{MaxRatio: 1.1, MinRatio: 0.9}}
+
+// diff runs Diff and fails the test on an error.
+func diff(t *testing.T, base, latest *obs.RunManifest, th regress.Thresholds) *regress.Report {
+	t.Helper()
+	rep, err := Diff(base, latest, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // manifest builds a finalized-looking manifest from (name, value) counter
 // pairs at the given start time.
@@ -98,7 +112,7 @@ func TestReadManifestRejectsWrongSchema(t *testing.T) {
 func TestDiffSeededCounterRegression(t *testing.T) {
 	base := manifest("experiments", 1, map[string]int64{"nbhd.instances": 1000, "steady": 50})
 	worse := manifest("experiments", 2, map[string]int64{"nbhd.instances": 1200, "steady": 50})
-	rep := Diff(base, worse, DefaultThresholds())
+	rep := diff(t, base, worse, defaults)
 	if !rep.HasRegressions() || len(rep.Regressions) != 1 {
 		t.Fatalf("regressions = %+v, want exactly the seeded one", rep.Regressions)
 	}
@@ -109,13 +123,13 @@ func TestDiffSeededCounterRegression(t *testing.T) {
 
 	// A drop below MinRatio is just as much a regression (lost coverage).
 	shrunk := manifest("experiments", 3, map[string]int64{"nbhd.instances": 500, "steady": 50})
-	if rep := Diff(base, shrunk, DefaultThresholds()); !rep.HasRegressions() {
+	if rep := diff(t, base, shrunk, defaults); !rep.HasRegressions() {
 		t.Error("shrunk counter passed the gate")
 	}
 
 	// Within limits: clean.
 	steady := manifest("experiments", 4, map[string]int64{"nbhd.instances": 1050, "steady": 50})
-	if rep := Diff(base, steady, DefaultThresholds()); rep.HasRegressions() {
+	if rep := diff(t, base, steady, defaults); rep.HasRegressions() {
 		t.Errorf("in-limit drift regressed: %+v", rep.Regressions)
 	}
 }
@@ -125,13 +139,13 @@ func TestDiffSeededCounterRegression(t *testing.T) {
 func TestDiffMissingMetricRegresses(t *testing.T) {
 	base := manifest("t", 1, map[string]int64{"kept": 5, "deleted": 7})
 	latest := manifest("t", 2, map[string]int64{"kept": 5})
-	rep := Diff(base, latest, DefaultThresholds())
+	rep := diff(t, base, latest, defaults)
 	if len(rep.Regressions) != 1 || rep.Regressions[0].Reason != "missing" {
 		t.Fatalf("regressions = %+v", rep.Regressions)
 	}
-	th := DefaultThresholds()
-	th.PerMetric = map[string]Limits{"deleted": {Skip: true}}
-	if rep := Diff(base, latest, th); rep.HasRegressions() {
+	th := defaults
+	th.PerMetric = map[string]regress.Limits{"deleted": {Skip: true}}
+	if rep := diff(t, base, latest, th); rep.HasRegressions() {
 		t.Errorf("skip-listed missing metric regressed: %+v", rep.Regressions)
 	}
 }
@@ -141,9 +155,9 @@ func TestDiffMissingMetricRegresses(t *testing.T) {
 func TestDiffSkipAndNewMetrics(t *testing.T) {
 	base := manifest("t", 1, map[string]int64{"nbhd.shards.stolen": 10})
 	latest := manifest("t", 2, map[string]int64{"nbhd.shards.stolen": 400, "fresh": 1})
-	th := DefaultThresholds()
-	th.PerMetric = map[string]Limits{"nbhd.shards.stolen": {Skip: true}}
-	rep := Diff(base, latest, th)
+	th := defaults
+	th.PerMetric = map[string]regress.Limits{"nbhd.shards.stolen": {Skip: true}}
+	rep := diff(t, base, latest, th)
 	if rep.HasRegressions() {
 		t.Errorf("regressions = %+v", rep.Regressions)
 	}
@@ -178,7 +192,7 @@ func TestCheckInvariants(t *testing.T) {
 		t.Fatalf("regressions = %+v", regs)
 	}
 	// The violation also surfaces through Diff, so -fail-on-regress trips.
-	if rep := Diff(ok, bad, DefaultThresholds()); !rep.HasRegressions() {
+	if rep := diff(t, ok, bad, defaults); !rep.HasRegressions() {
 		t.Error("Diff missed the invariant violation")
 	}
 	// Manifests without the subsystem's metrics pass vacuously.
@@ -242,14 +256,14 @@ func TestReportRendering(t *testing.T) {
 		}
 		entries = append(entries, Entry{Manifest: m})
 	}
-	rep := Diff(entries[1].Manifest, entries[2].Manifest, DefaultThresholds())
-	rep.AddTrend(entries)
+	rep := diff(t, entries[1].Manifest, entries[2].Manifest, defaults)
+	AddTrend(rep, entries)
 
 	var jsonBuf bytes.Buffer
 	if err := rep.WriteJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
-	var back Report
+	var back regress.Report
 	if err := json.Unmarshal(jsonBuf.Bytes(), &back); err != nil {
 		t.Fatalf("JSON report does not round-trip: %v", err)
 	}
@@ -272,15 +286,19 @@ func TestReportRendering(t *testing.T) {
 // TestThresholdInheritance: per-metric overrides inherit unset fields from
 // the default, field-wise.
 func TestThresholdInheritance(t *testing.T) {
-	th := Thresholds{
-		Default:   Limits{MaxRatio: 1.5, MinRatio: 0.5},
-		PerMetric: map[string]Limits{"tight": {MaxRatio: 1.01}},
+	th := regress.Thresholds{
+		Default:   regress.Limits{MaxRatio: 1.5, MinRatio: 0.5},
+		PerMetric: map[string]regress.Limits{"tight": {MaxRatio: 1.01}},
 	}
-	l := th.limitsFor("tight")
-	if l.MaxRatio != 1.01 || l.MinRatio != 0.5 || l.Skip {
-		t.Errorf("limitsFor(tight) = %+v", l)
+	base := manifest("t", 1, map[string]int64{"tight": 100, "shrunk": 100, "other": 100})
+	latest := manifest("t", 2, map[string]int64{"tight": 102, "shrunk": 40, "other": 140})
+	var got []string
+	for _, r := range diff(t, base, latest, th).Regressions {
+		got = append(got, r.Metric)
 	}
-	if l := th.limitsFor("other"); l.MaxRatio != 1.5 {
-		t.Errorf("limitsFor(other) = %+v", l)
+	// tight regresses under its own 1.01, shrunk under the inherited 0.5, and
+	// other passes under the default 1.5.
+	if want := "shrunk,tight"; strings.Join(got, ",") != want {
+		t.Errorf("regressions = %v, want %s", got, want)
 	}
 }
