@@ -7,7 +7,7 @@
 // Usage:
 //
 //	obsdiff append  -dir runs/history MANIFEST.json...
-//	obsdiff diff    [-fail-on-regress] [-thresholds F] [-trend N]
+//	obsdiff diff    [-fail-on-regress] [-thresholds F]
 //	                [-json OUT.json] [-md OUT.md] BASELINE.json LATEST.json
 //	obsdiff gate    [-fail-on-regress] [-thresholds F] [-tool T] [-trend N]
 //	                [-json OUT.json] [-md OUT.md] -baseline BASELINE.json -dir runs/history
@@ -80,7 +80,6 @@ func appendMain(args []string) {
 type diffFlags struct {
 	thresholds    *string
 	failOnRegress *bool
-	trend         *int
 	jsonOut       *string
 	mdOut         *string
 }
@@ -89,7 +88,6 @@ func registerDiffFlags(fs *flag.FlagSet) diffFlags {
 	return diffFlags{
 		thresholds:    fs.String("thresholds", ".obs-thresholds.json", "JSON thresholds file"),
 		failOnRegress: fs.Bool("fail-on-regress", false, "exit 1 when any limit is exceeded or an invariant is violated"),
-		trend:         fs.Int("trend", 0, "include a trend table over the last N history runs (gate mode)"),
 		jsonOut:       fs.String("json", "", "write the JSON report to this path"),
 		mdOut:         fs.String("md", "", "write the Markdown report to this path"),
 	}
@@ -135,6 +133,7 @@ func gateMain(args []string) {
 	dir := fs.String("dir", "runs/history", "history directory")
 	baseline := fs.String("baseline", "", "committed baseline manifest (required)")
 	tool := fs.String("tool", "", "gate only this tool's runs (default: all)")
+	trend := fs.Int("trend", 0, "include a trend table over the last N history runs")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if *baseline == "" {
 		fmt.Fprintln(os.Stderr, "usage: obsdiff gate -baseline BASELINE.json -dir DIR")
@@ -153,7 +152,7 @@ func gateMain(args []string) {
 		fatal(fmt.Errorf("no runs in history dir %s (tool %q)", *dir, *tool))
 	}
 	rep := diff(base, latest.Manifest, df)
-	if n := *df.trend; n > 0 {
+	if n := *trend; n > 0 {
 		if n > len(entries) {
 			n = len(entries)
 		}

@@ -100,6 +100,26 @@ func TestDiffExitCodes(t *testing.T) {
 	}
 }
 
+// TestDiffRejectsTrend: -trend draws on a history directory, which only
+// gate reads, so diff rejects the flag as a usage error instead of
+// ignoring it.
+func TestDiffRejectsTrend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary; skipped in -short mode")
+	}
+	bin := buildObsdiff(t)
+	dir := t.TempDir()
+	a := writeManifest(t, dir, "a.json", 1, map[string]int64{"nbhd.instances": 1000})
+	b := writeManifest(t, dir, "b.json", 2, map[string]int64{"nbhd.instances": 1000})
+	code, out := run(t, bin, "diff", "-trend", "5", a, b)
+	if code != 2 {
+		t.Errorf("diff -trend exited %d, want 2:\n%s", code, out)
+	}
+	if !strings.Contains(out, "flag provided but not defined: -trend") {
+		t.Errorf("diff -trend did not report a flag error:\n%s", out)
+	}
+}
+
 // TestAppendAndGate drives the CI shape end to end: append runs into a
 // history dir, gate the newest against a committed baseline with a trend
 // table and report artifacts.

@@ -238,10 +238,9 @@ func (p *evenCycleProver) Certify(inst core.Instance) ([]string, error) {
 	labels := make([]string, g.N())
 	for v := 0; v < g.N(); v++ {
 		var q, c [3]int
-		for _, w := range g.Neighbors(v) {
-			j := inst.Prt.MustPort(v, w)
-			q[j] = inst.Prt.MustPort(w, v)
-			c[j] = edgeColor[normEdge(v, w)]
+		for p0, w := range inst.Prt.Row(v) {
+			q[p0+1] = inst.Prt.MustPort(w, v)
+			c[p0+1] = edgeColor[normEdge(v, w)]
 		}
 		labels[v] = EvenCycleLabel(q[1], c[1], q[2], c[2])
 	}

@@ -319,10 +319,9 @@ func (p *watermelonProver) Certify(inst core.Instance) ([]string, error) {
 	for pi, path := range paths {
 		for _, u := range path[1 : len(path)-1] {
 			var q, c [3]int
-			for _, w := range g.Neighbors(u) {
-				j := inst.Prt.MustPort(u, w)
-				q[j] = inst.Prt.MustPort(w, u)
-				c[j] = edgeColor[normEdge(u, w)]
+			for p0, w := range inst.Prt.Row(u) {
+				q[p0+1] = inst.Prt.MustPort(w, u)
+				c[p0+1] = edgeColor[normEdge(u, w)]
 			}
 			labels[u] = WatermelonPathLabel(id1, id2, pi+1, q[1], c[1], q[2], c[2])
 		}

@@ -48,3 +48,15 @@ func TestAppendFormAllocs(t *testing.T) {
 		}
 	}
 }
+
+func TestPortsValidateAllocs(t *testing.T) {
+	g := Grid(6, 6)
+	pt := DefaultPorts(g)
+	if n := testing.AllocsPerRun(50, func() {
+		if err := pt.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %.1f objects per call, want 0", n)
+	}
+}

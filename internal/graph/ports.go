@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"hidinglcp/internal/mem"
 )
@@ -12,11 +13,13 @@ import (
 // the incident edges are numbered bijectively with 1..deg(v). Port numbers
 // are 1-based, exactly as in the paper.
 //
-// The representation is a single flat neighbor-by-port table; the reverse
-// map prt(v, {v,w}) -> port is answered by scanning v's row, which beats a
-// per-node hash map at the tiny degrees of the micro universes this library
-// enumerates (and EnumPorts builds one Ports per port assignment, so the
-// construction itself must stay cheap: one backing array, no maps).
+// The representation is a single flat neighbor-by-port table, whose rows
+// (Row) walkers read directly: a view, a canonical form and a prover visit
+// each node's edges in port order and take the port from the row index.
+// Only the reverse map prt(v, {v,w}) -> port (Port) scans v's row, which
+// beats a per-node hash map at the tiny degrees of the micro universes this
+// library enumerates (and EnumPorts builds one Ports per port assignment,
+// so the construction itself must stay cheap: one backing array, no maps).
 type Ports struct {
 	// nbrByPort[v][p-1] is the neighbor of v reached through port p, or -1
 	// for a gap in a partial restriction (see InducedPorts).
@@ -104,6 +107,11 @@ func (pt *Ports) MustPort(v, w int) int {
 	}
 	return p
 }
+
+// Row returns v's port row: the neighbor behind port p at index p-1, or -1
+// for a gap in a partial restriction (see InducedPorts). The slice is owned
+// by pt and must not be modified.
+func (pt *Ports) Row(v int) []int { return pt.nbrByPort[v] }
 
 // formInline is the node count up to which AppendForm keeps its
 // breadth-first order and its inverse in fixed arrays on the stack; a
@@ -235,24 +243,25 @@ func InducedPorts(pt *Ports, sub *Graph, orig []int) (*Ports, error) {
 	return out, nil
 }
 
-// Validate checks that pt is a consistent port assignment for g.
+// Validate checks that pt is a consistent port assignment for g: every
+// node's row has deg(v) ports, each leading to a distinct neighbor. It
+// allocates nothing: a repeated neighbor is a row entry that already
+// occurs at an earlier port of the row.
 func (pt *Ports) Validate(g *Graph) error {
 	if len(pt.nbrByPort) != g.N() {
 		return fmt.Errorf("ports cover %d nodes, graph has %d", len(pt.nbrByPort), g.N())
 	}
-	for v := 0; v < g.N(); v++ {
-		if len(pt.nbrByPort[v]) != g.Degree(v) {
-			return fmt.Errorf("node %d has %d ports, want deg=%d", v, len(pt.nbrByPort[v]), g.Degree(v))
+	for v, row := range pt.nbrByPort {
+		if len(row) != g.Degree(v) {
+			return fmt.Errorf("node %d has %d ports, want deg=%d", v, len(row), g.Degree(v))
 		}
-		seen := make(map[int]bool, g.Degree(v))
-		for p0, w := range pt.nbrByPort[v] {
+		for p0, w := range row {
 			if !g.HasEdge(v, w) {
 				return fmt.Errorf("port %d of node %d points to non-neighbor %d", p0+1, v, w)
 			}
-			if seen[w] {
+			if slices.Contains(row[:p0], w) {
 				return fmt.Errorf("node %d has two ports to neighbor %d", v, w)
 			}
-			seen[w] = true
 		}
 	}
 	return nil

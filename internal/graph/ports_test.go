@@ -211,6 +211,30 @@ func TestInducedPortsErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejects: each way a table can fail to number g's edges is an
+// error, a repeated neighbor included however far apart its ports are.
+func TestValidateRejects(t *testing.T) {
+	g := Star(4) // hub 0, leaves 1..3
+	for _, tc := range []struct {
+		name string
+		rows [][]int
+	}{
+		{"missing node", [][]int{{1, 2, 3}, {0}, {0}}},
+		{"short row", [][]int{{1, 2}, {0}, {0}, {0}}},
+		{"non-neighbor", [][]int{{1, 2, 3}, {0}, {3}, {0}}},
+		{"gap", [][]int{{1, -1, 3}, {0}, {0}, {0}}},
+		{"adjacent repeat", [][]int{{1, 1, 3}, {0}, {0}, {0}}},
+		{"distant repeat", [][]int{{3, 2, 3}, {0}, {0}, {0}}},
+	} {
+		if err := (&Ports{nbrByPort: tc.rows}).Validate(g); err == nil {
+			t.Errorf("%s: Validate accepted %v", tc.name, tc.rows)
+		}
+	}
+	if err := (&Ports{nbrByPort: [][]int{{3, 1, 2}, {0}, {0}, {0}}}).Validate(g); err != nil {
+		t.Errorf("Validate rejected a permuted hub row: %v", err)
+	}
+}
+
 // NeighborAt returns the neighbor of v behind port p (1-based), or an error
 // if p is not a valid port of v.
 func (pt *Ports) NeighborAt(v, p int) (int, error) {

@@ -95,18 +95,15 @@ func gatherEach(ctx context.Context, sc obs.Scope, l core.Labeled, r int, plan f
 	if len(l.Labels) != n {
 		return Stats{}, nil, fmt.Errorf("labeling covers %d nodes, graph has %d", len(l.Labels), n)
 	}
-	// A malformed port assignment — one not covering the instance's edges
-	// — surfaces as an error here, at the start of every gather, instead
-	// of as a panic when the views are built.
+	// A malformed port assignment — one that is not a port numbering of
+	// the instance's edges — surfaces as an error here, at the start of
+	// every gather, instead of as a panic or a wrong view when the views
+	// are built from its rows.
 	if l.Prt == nil {
 		return Stats{}, nil, fmt.Errorf("instance has no port assignment")
 	}
-	for v := 0; v < n; v++ {
-		for _, w := range l.G.Neighbors(v) {
-			if _, err := l.Prt.Port(v, w); err != nil {
-				return Stats{}, nil, fmt.Errorf("malformed port assignment: %w", err)
-			}
-		}
+	if err := l.Prt.Validate(l.G); err != nil {
+		return Stats{}, nil, fmt.Errorf("malformed port assignment: %w", err)
 	}
 	// The span is nil when sc does not trace, and its attributes are then
 	// not formatted at all.

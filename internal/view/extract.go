@@ -24,17 +24,15 @@ type Extractor struct {
 	queue  []int
 	hosts  []int
 	rowLen []int
-	eport  []int
 }
 
-// ensure sizes the scratch for a host graph of n nodes and arcs directed
-// edges, in one allocation, and opens a new epoch, logically clearing the
-// stamped buffers in O(1). The queue, hosts and port buffers get their full
-// capacity up front, so the appends in buildTemplate never grow them.
-func (ex *Extractor) ensure(n, arcs int) {
-	if len(ex.dist) < n || cap(ex.eport) < arcs {
-		n, arcs = max(n, len(ex.dist)), max(arcs, cap(ex.eport))
-		buf := make([]int, 7*n+arcs)
+// ensure sizes the scratch for a host graph of n nodes, in one allocation,
+// and opens a new epoch, logically clearing the stamped buffers in O(1).
+// The queue and hosts buffers get their full capacity up front, so the
+// appends in buildTemplate never grow them.
+func (ex *Extractor) ensure(n int) {
+	if len(ex.dist) < n {
+		buf := make([]int, 7*n)
 		cut := func(l, c int) []int {
 			s := buf[:l:c]
 			buf = buf[c:]
@@ -42,7 +40,7 @@ func (ex *Extractor) ensure(n, arcs int) {
 		}
 		ex.dist, ex.dseen, ex.local, ex.known = cut(n, n), cut(n, n), cut(n, n), cut(n, n)
 		ex.rowLen = cut(n, n)
-		ex.queue, ex.hosts, ex.eport = cut(0, n), cut(0, n), cut(0, arcs)
+		ex.queue, ex.hosts = cut(0, n), cut(0, n)
 	}
 	ex.epoch++
 }
@@ -177,12 +175,12 @@ func (t *Template) fill(v *View, ls, labels []string) *View {
 
 // buildTemplate runs the truncated BFS, inside known when it is non-nil
 // (see TemplateInto), and assembles the template in t, reusing t's storage
-// when it is large enough. Inputs are pre-validated.
+// when it is large enough. Both passes read each host's port row of pt, so
+// g serves only for its node count. Inputs are pre-validated.
 func (ex *Extractor) buildTemplate(t *Template, g *graph.Graph, pt *graph.Ports, ids graph.IDs, nBound, center, r int, known []int32) {
-	n := g.N()
-	ex.ensure(n, 2*g.M())
+	ex.ensure(g.N())
 	ep := ex.epoch
-	dist, dseen, inKnown := ex.dist, ex.dseen, ex.known
+	dist, dseen, inKnown, rowLen := ex.dist, ex.dseen, ex.known, ex.rowLen
 	for _, h := range known {
 		inKnown[h] = ep
 	}
@@ -190,22 +188,38 @@ func (ex *Extractor) buildTemplate(t *Template, g *graph.Graph, pt *graph.Ports,
 	// BFS out to distance r. The FIFO queue visits nodes in nondecreasing
 	// distance, so hosts comes out grouped by distance layer. Every node it
 	// marks in dseen is queued, so the marked nodes are exactly the hosts.
+	// When a node is dequeued, every node nearer the center is marked, and
+	// the walk of its row marks its unmarked neighbors, so the walk also
+	// sees which of its edges are visible: rowLen[w] ends as its largest
+	// visible port, the length of its port row in the template.
 	q := ex.queue[:0]
 	dist[center], dseen[center] = 0, ep
 	q = append(q, center)
+	rowTotal := 0
 	for qi := 0; qi < len(q); qi++ {
 		w := q[qi]
-		if dist[w] == r {
-			continue
-		}
-		for _, x := range g.Neighbors(w) {
-			if dseen[x] == ep || (known != nil && inKnown[x] != ep) {
+		frontier := dist[w] == r
+		rowLen[w] = 0
+		for p0, x := range pt.Row(w) {
+			switch {
+			case x < 0:
 				continue
+			case dseen[x] == ep:
+				// Frontier truncation: an edge between two distance-r
+				// nodes is not part of G_v^r.
+				if frontier && dist[x] == r {
+					continue
+				}
+			case frontier || (known != nil && inKnown[x] != ep):
+				continue
+			default:
+				dseen[x] = ep
+				dist[x] = dist[w] + 1
+				q = append(q, x)
 			}
-			dseen[x] = ep
-			dist[x] = dist[w] + 1
-			q = append(q, x)
+			rowLen[w] = p0 + 1
 		}
+		rowTotal += rowLen[w]
 	}
 	ex.queue = q
 
@@ -227,32 +241,6 @@ func (ex *Extractor) buildTemplate(t *Template, g *graph.Graph, pt *graph.Ports,
 		local[w] = i
 	}
 
-	// Find each node's largest visible port, the length of its port row,
-	// so the rows can share one backing array. The ports are kept in
-	// visiting order for the fill pass below.
-	rowLen := ex.rowLen
-	eport := ex.eport[:0]
-	rowTotal := 0
-	for i, w := range hosts {
-		maxPort := 0
-		for _, x := range g.Neighbors(w) {
-			if dseen[x] != ep {
-				continue
-			}
-			// Frontier truncation: an edge between two distance-r nodes is
-			// not part of G_v^r.
-			if dist[w] == r && dist[x] == r {
-				continue
-			}
-			p := pt.MustPort(w, x)
-			eport = append(eport, p)
-			maxPort = max(maxPort, p)
-		}
-		rowLen[i] = maxPort
-		rowTotal += maxPort
-	}
-	ex.eport = eport
-
 	// One backing array carries dist, ids, hosts and the port rows; capped
 	// subslices keep the template fields independent. A rebuilt template
 	// reuses it and the row headers, so every field is rewritten below: the
@@ -273,23 +261,20 @@ func (ex *Extractor) buildTemplate(t *Template, g *graph.Graph, pt *graph.Ports,
 		}
 	}
 	backing := buf[3*nv:]
-	start, e := 0, 0
+	start := 0
 	for i, w := range hosts {
-		if rowLen[i] == 0 {
+		l := rowLen[w]
+		if l == 0 {
 			t.ports.Rows[i] = nil
 			continue
 		}
-		row := backing[start : start+rowLen[i] : start+rowLen[i]]
-		start += rowLen[i]
-		for k := range row {
-			row[k] = -1
-		}
-		for _, x := range g.Neighbors(w) {
-			if dseen[x] != ep || (dist[w] == r && dist[x] == r) {
-				continue
+		row := backing[start : start+l : start+l]
+		start += l
+		for p0, x := range pt.Row(w)[:l] {
+			row[p0] = -1
+			if x >= 0 && dseen[x] == ep && (dist[w] < r || dist[x] < r) {
+				row[p0] = local[x]
 			}
-			row[eport[e]-1] = local[x]
-			e++
 		}
 		t.ports.Rows[i] = row
 	}
