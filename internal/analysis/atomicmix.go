@@ -13,8 +13,8 @@ import (
 // schedules it happens to see. The typed wrappers (atomic.Int64,
 // atomic.Bool and friends) make such mixing inexpressible, and their
 // methods stay legal. The parallel pipelines (work-stealing shard
-// builders, the lock-striped interner, the parallel soundness search)
-// coordinate exclusively through them.
+// builders, the lock-free interner and verdict memo, the parallel
+// soundness search) coordinate exclusively through them.
 var AtomicMixAnalyzer = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "report calls to package-level sync/atomic functions; use the typed atomics (atomic.Int64 and friends)",

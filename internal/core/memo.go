@@ -1,17 +1,27 @@
 package core
 
 import (
-	"sync"
+	"math/bits"
 	"sync/atomic"
 
 	"hidinglcp/internal/view"
 )
 
-const memoStripes = 64
+const (
+	memoFirstBits = 10
+	memoFirstSize = 1 << memoFirstBits
+	memoMaxChunks = 14 // 1024·(2^14−1) handles, past the interner's 2^23
+)
 
-type memoStripe struct {
-	mu sync.RWMutex
-	m  map[view.Handle]bool
+// memoChunk holds the verdicts of consecutive handles: 0 unknown,
+// 1 reject, 2 accept. Chunk c holds memoFirstSize<<c of them.
+type memoChunk []atomic.Uint32
+
+// memoLocate returns the chunk and offset of handle h's verdict.
+func memoLocate(h view.Handle) (c, off uint32) {
+	x := uint32(h) + memoFirstSize
+	c = uint32(bits.Len32(x)) - memoFirstBits - 1
+	return c, x - memoFirstSize<<c
 }
 
 // MemoDecoder wraps a Decoder with a verdict memo keyed on interned view
@@ -23,14 +33,16 @@ type memoStripe struct {
 // canonical key), so replaying a cached verdict is indistinguishable from
 // re-deciding.
 //
-// MemoDecoder is safe for concurrent use; the memo is striped by handle and
-// read-mostly.
+// MemoDecoder is safe for concurrent use and takes no lock: verdicts live
+// in lazily allocated, handle-indexed chunks of atomic words, so a hit reads
+// its verdict with two atomic loads. Two goroutines that miss on one class
+// at once may both decide it, and store the same verdict.
 type MemoDecoder struct {
-	inner   Decoder
-	in      *view.Interner
-	stripes [memoStripes]memoStripe
-	calls   atomic.Uint64
-	misses  atomic.Uint64
+	inner  Decoder
+	in     *view.Interner
+	chunks [memoMaxChunks]atomic.Pointer[memoChunk]
+	calls  atomic.Uint64
+	misses atomic.Uint64
 }
 
 var _ Decoder = (*MemoDecoder)(nil)
@@ -43,11 +55,7 @@ func NewMemoDecoder(d Decoder, in *view.Interner) *MemoDecoder {
 	if in == nil {
 		in = view.NewInterner()
 	}
-	m := &MemoDecoder{inner: d, in: in}
-	for i := range m.stripes {
-		m.stripes[i].m = make(map[view.Handle]bool)
-	}
-	return m
+	return &MemoDecoder{inner: d, in: in}
 }
 
 // Rounds implements Decoder.
@@ -75,19 +83,31 @@ func (m *MemoDecoder) Decide(mu *view.View) bool {
 // view the caller interned (the nbhd builders intern arena views).
 func (m *MemoDecoder) DecideInterned(h view.Handle, mu *view.View) bool {
 	m.calls.Add(1)
-	s := &m.stripes[h%memoStripes]
-	s.mu.RLock()
-	out, ok := s.m[h]
-	s.mu.RUnlock()
-	if ok {
-		return out
+	c, off := memoLocate(h)
+	v := &m.chunk(c)[off]
+	if out := v.Load(); out != 0 {
+		return out == 2
 	}
 	m.misses.Add(1)
-	out = m.inner.Decide(mu)
-	s.mu.Lock()
-	s.m[h] = out
-	s.mu.Unlock()
+	out := m.inner.Decide(mu)
+	if out {
+		v.Store(2)
+	} else {
+		v.Store(1)
+	}
 	return out
+}
+
+// chunk returns verdict chunk c, allocating it on first use. Of two
+// goroutines that allocate it at once, the one whose swap fails adopts the
+// winner's chunk.
+func (m *MemoDecoder) chunk(c uint32) memoChunk {
+	if ch := m.chunks[c].Load(); ch != nil {
+		return *ch
+	}
+	ch := make(memoChunk, memoFirstSize<<c)
+	m.chunks[c].CompareAndSwap(nil, &ch)
+	return *m.chunks[c].Load()
 }
 
 // Stats returns the number of Decide calls served and the number of memo

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -93,26 +94,56 @@ func TestMemoDecoderInterned(t *testing.T) {
 }
 
 // TestMemoDecoderConcurrent hammers one memoized decoder from many
-// goroutines; correctness is re-checked sequentially afterwards and the
-// race detector covers the synchronization.
+// goroutines, through Decide and through DecideInterned, over handles in
+// three verdict chunks, so that goroutines race to allocate the chunks as
+// well as to fill them. Correctness is re-checked against the inner
+// decoder and the race detector covers the synchronization.
 func TestMemoDecoderConcurrent(t *testing.T) {
 	views := memoTestViews(t)
-	md := NewMemoDecoder(revealDecoder(), nil)
-	ref := revealDecoder()
+	// Cycle views whose center label is unique: one class each, enough for
+	// handles in the first three verdict chunks (1, 2 and 4 times
+	// memoFirstSize long).
+	g := graph.MustCycle(3)
+	pt := graph.DefaultPorts(g)
+	for i := 0; i < 3*memoFirstSize; i++ {
+		views = append(views, view.MustExtract(g, pt, nil, []string{fmt.Sprint(i), "0", "1"}, g.N(), 0, 1))
+	}
+	in := view.NewInterner()
+	handles := make([]view.Handle, len(views))
+	want := make([]bool, len(views))
+	ref := NewDecoder(1, true, func(mu *view.View) bool { return len(mu.Labels[view.Center])%2 == 0 })
+	for i, mu := range views {
+		handles[i] = in.InternKey(mu.BinKey(), mu)
+		want[i] = ref.Decide(mu)
+	}
+	if c, _ := memoLocate(view.Handle(in.Len() - 1)); c != 2 {
+		t.Fatalf("interned %d classes, whose last verdict is in chunk %d; want chunk 2", in.Len(), c)
+	}
+	// The chunks reach the last handle an interner may assign.
+	if c, off := memoLocate(1<<23 - 1); c >= memoMaxChunks || off >= memoFirstSize<<c {
+		t.Fatalf("handle 2^23-1 is at chunk %d offset %d, past %d chunks", c, off, memoMaxChunks)
+	}
+	md := NewMemoDecoder(ref, in)
+	const workers = 8
 	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for w := 0; w < 8; w++ {
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				mu := views[(i*5+w)%len(views)]
-				if md.Decide(mu.Clone()) != ref.Decide(mu.Clone()) {
-					select {
-					case errc <- errors.New("concurrent memo verdict mismatch"):
-					default:
-					}
+			for j := range views {
+				// Workers go in pairs over one order, so that two of them
+				// often miss on the same class, or the same chunk, at once.
+				i := (j + w/2*769) % len(views)
+				var got bool
+				if j%4 == 0 {
+					got = md.Decide(views[i].Clone())
+				} else {
+					got = md.DecideInterned(handles[i], views[i])
+				}
+				if got != want[i] {
+					errc <- fmt.Errorf("worker %d: view %d: memoized verdict %v, want %v", w, i, got, want[i])
 					return
 				}
 			}
@@ -122,6 +153,16 @@ func TestMemoDecoderConcurrent(t *testing.T) {
 	close(errc)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+	// Every class is decided now: a further pass is all hits.
+	_, before := md.Stats()
+	for i, mu := range views {
+		if md.DecideInterned(handles[i], mu) != want[i] {
+			t.Fatalf("view %d: verdict changed after the concurrent pass", i)
+		}
+	}
+	if _, after := md.Stats(); after != before {
+		t.Fatalf("a pass over decided classes missed the memo %d times", after-before)
 	}
 }
 

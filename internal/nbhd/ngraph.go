@@ -52,8 +52,8 @@ func (ng *NGraph) ViewAt(i int) *view.View { return ng.views[i] }
 
 // IndexOfView returns the node index of mu's view class, or -1 if mu is not
 // an accepting view of the slice. It resolves through the build's interner
-// handle: one canonical-key probe of the striped intern table, then a dense
-// handle→index slice.
+// handle: one lock-free canonical-key probe of the intern table, then a
+// dense handle→index slice.
 func (ng *NGraph) IndexOfView(mu *view.View) int {
 	if ng.in == nil {
 		return -1

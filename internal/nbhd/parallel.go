@@ -23,7 +23,10 @@ import (
 //
 // All workers share one view.Interner and one core.MemoDecoder, so a view
 // class enumerated by several shards is canonicalized into one handle and
-// pays for exactly one decoder invocation across the whole build.
+// pays for one decoder invocation across the whole build (two workers
+// deciding a new class at once may both invoke it). Both answer a hit with
+// atomic loads and no lock, so sharing them costs the workers nothing on
+// the common path; only a first sight serializes.
 //
 // shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS. The
 // output is bit-identical for every shard/worker count (property-tested in

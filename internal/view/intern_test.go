@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hidinglcp/internal/graph"
@@ -175,6 +176,122 @@ func TestInternerConcurrent(t *testing.T) {
 		}
 		if got, ok := in.LookupKey(rep.BinKey()); !ok || got != h {
 			t.Fatalf("LookupKey disagrees with InternKey for handle %d", h)
+		}
+	}
+}
+
+// TestInternerConcurrentGrowth interns thousands of classes, enough to double
+// the probe table several times, from writer goroutines while reader
+// goroutines look up classes interned beforehand and probe the rest. A
+// reader holding a table that growth has replaced may miss a new class, but
+// a class it finds must already have its final handle, and a class interned
+// before the writers started must always be found.
+func TestInternerConcurrentGrowth(t *testing.T) {
+	// Cycle views under many label sets: every node's label differs from
+	// every other node's in every set, so each view is its own class.
+	g := graph.MustCycle(5)
+	pt := graph.DefaultPorts(g)
+	var pool []*view.View
+	for set := 0; set < 1200; set++ {
+		labels := make([]string, g.N())
+		for i := range labels {
+			labels[i] = fmt.Sprintf("s%d-%d", set, i)
+		}
+		for v := 0; v < g.N(); v++ {
+			pool = append(pool, view.MustExtract(g, pt, nil, labels, g.N(), v, 1))
+		}
+	}
+	keys := make([][]byte, len(pool))
+	for i, mu := range pool {
+		keys[i] = mu.BinKey()
+	}
+	in := view.NewInterner()
+	// Intern a first batch alone; readers must find it throughout.
+	const seeded = 100
+	pre := make([]view.Handle, seeded)
+	for i := range pre {
+		pre[i] = in.InternKey(keys[i], pool[i].Clone())
+	}
+
+	const writers, readers = 4, 4
+	results := make([][]view.Handle, writers)
+	found := make([][]view.Handle, readers) // found[r][i] = handle+1, 0 if never found
+	var stop atomic.Bool
+	errc := make(chan error, readers)
+	var wg, wwg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		wwg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer wwg.Done()
+			got := make([]view.Handle, len(pool))
+			for j := range pool {
+				// Writers go in pairs over one order, so that two of them
+				// often miss on the same new class at once.
+				i := (j + w/2*997) % len(pool)
+				got[i] = in.InternKey(keys[i], pool[i].Clone())
+			}
+			results[w] = got
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := make([]view.Handle, len(pool))
+			for j := 0; !stop.Load(); j++ {
+				i := j % seeded
+				if h, ok := in.LookupKey(keys[i]); !ok || h != pre[i] {
+					errc <- fmt.Errorf("reader %d: LookupKey of pre-interned key %d = %d, %v; want %d, true", r, i, h, ok, pre[i])
+					return
+				}
+				i = (j*13 + r*101) % len(pool)
+				if h, ok := in.LookupKey(keys[i]); ok {
+					if seen[i] != 0 && seen[i] != h+1 {
+						errc <- fmt.Errorf("reader %d: key %d found as handle %d, then %d", r, i, seen[i]-1, h)
+						return
+					}
+					seen[i] = h + 1
+				}
+			}
+			found[r] = seen
+		}()
+	}
+	wwg.Wait()
+	stop.Store(true)
+	wg.Wait()
+	close(errc)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	if in.Len() != len(pool) {
+		t.Fatalf("interner holds %d classes, want %d", in.Len(), len(pool))
+	}
+	dense := make([]bool, len(pool))
+	for i, h := range results[0] {
+		for w := 1; w < writers; w++ {
+			if results[w][i] != h {
+				t.Fatalf("key %d: writer %d got handle %d, writer 0 got %d", i, w, results[w][i], h)
+			}
+		}
+		if i < seeded && h != pre[i] {
+			t.Fatalf("pre-interned key %d changed handle %d -> %d", i, pre[i], h)
+		}
+		if int(h) >= len(pool) || dense[h] {
+			t.Fatalf("handle %d out of range or given to two keys", h)
+		}
+		dense[h] = true
+		if !bytes.Equal(in.ViewOf(h).BinKey(), keys[i]) {
+			t.Fatalf("ViewOf(%d) does not key as its class", h)
+		}
+		for r := range found {
+			if s := found[r][i]; s != 0 && s != h+1 {
+				t.Fatalf("reader %d found key %d as handle %d, final handle %d", r, i, s-1, h)
+			}
 		}
 	}
 }

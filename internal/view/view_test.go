@@ -20,6 +20,25 @@ func extract(t *testing.T, g *graph.Graph, center, r int) *View {
 	return v
 }
 
+// TestInternLocate checks that handles fill the interner's chunks in order,
+// each chunk to its length, and that the chunks reach the last handle an
+// interner may assign.
+func TestInternLocate(t *testing.T) {
+	var wantC, wantOff uint32
+	for h := Handle(0); h < internFirstSize<<6; h++ {
+		c, off := internLocate(h)
+		if c != wantC || off != wantOff {
+			t.Fatalf("handle %d is at chunk %d offset %d, want %d, %d", h, c, off, wantC, wantOff)
+		}
+		if wantOff++; wantOff == internFirstSize<<wantC {
+			wantC, wantOff = wantC+1, 0
+		}
+	}
+	if c, off := internLocate(internMaxViews - 1); c >= internMaxChunks || off >= internFirstSize<<c {
+		t.Fatalf("the last handle is at chunk %d offset %d, past %d chunks", c, off, internMaxChunks)
+	}
+}
+
 func TestExtractRadiusZero(t *testing.T) {
 	g := graph.Path(3)
 	v := extract(t, g, 1, 0)
